@@ -1,10 +1,12 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Just enough operations for a character-level conv + BiLSTM classifier:
-1-D convolution, temporal max-pooling, an LSTM layer, dense layers, ReLU,
-inverted dropout, stabilized softmax cross-entropy, and Adam. Everything is
-double precision and deterministic given seeds; no operation reads global
-state.
+1-D convolution (over dense channels or over character indices), temporal
+max-pooling, a fused LSTM layer, dense layers, ReLU, inverted dropout,
+stabilized softmax cross-entropy, and Adam. Every layer takes any number of
+leading batch dimensions (`x[..., time, channels]`), so one taped graph of a
+fixed handful of nodes covers a whole mini-batch. Everything is double
+precision and deterministic given seeds; no operation reads global state.
 
 A `Tape` records one forward pass and is consumed by one `backward` call;
 build a fresh tape per training step. Tensors wrapped as constants
@@ -25,24 +27,16 @@ __all__ = [
     "Tensor",
     "Tape",
     "AdamState",
-    "add",
     "mul",
-    "scale",
     "vsum",
-    "sum_tensors",
     "relu",
-    "sigmoid",
-    "tanh",
     "dense",
     "conv1d",
     "maxpool1d",
     "dropout",
     "softmax_cross_entropy",
     "lstm_forward",
-    "concat",
-    "slice1d",
-    "row",
-    "stack_rows",
+    "final_states",
     "adam_step",
 ]
 
@@ -94,7 +88,11 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
-        for out, backward in reversed(self._nodes):
+        # Pop each node as it runs, so the arrays its closure saved for the
+        # backward pass (im2col windows, LSTM gates) are freed right after.
+        nodes, self._nodes = self._nodes, []
+        while nodes:
+            out, backward = nodes.pop()
             if out.grad is not None:
                 backward(out.grad)
 
@@ -106,11 +104,14 @@ class Tape:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into t's gradient. The first `g` is stored as is, so every op
+    passes a fresh array of t's shape that it does not reuse."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _result(inputs: Sequence[Tensor], data: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -134,17 +135,6 @@ def _result(inputs: Sequence[Tensor], data: np.ndarray, backward: Callable[[np.n
 # --- elementwise and reduction ops ---------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add shapes differ: {a.data.shape} vs {b.data.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return _result((a, b), a.data + b.data, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
@@ -157,13 +147,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result((a, b), a_data * b_data, backward)
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * factor)
-
-    return _result((x,), x.data * factor, backward)
-
-
 def vsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
 
@@ -173,138 +156,215 @@ def vsum(x: Tensor) -> Tensor:
     return _result((x,), np.asarray(x.data.sum()), backward)
 
 
-def sum_tensors(terms: Sequence[Tensor]) -> Tensor:
-    if not terms:
-        raise ShapeError("sum_tensors needs at least one term")
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return total
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def backward(g: np.ndarray) -> None:
         _accumulate(x, g * mask)
 
-    return _result((x,), np.where(mask, x.data, 0.0), backward)
+    return _result((x,), np.maximum(x.data, 0.0), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = _stable_sigmoid(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * out_data * (1.0 - out_data))
-
-    return _result((x,), out_data, backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (1.0 - out_data * out_data))
-
-    return _result((x,), out_data, backward)
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # --- layers ---------------------------------------------------------------
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """weights @ x + bias for a 1-D input."""
-    if x.data.ndim != 1 or weights.data.ndim != 2 or bias.data.ndim != 1:
-        raise ShapeError("dense expects x[d_in], weights[d_out, d_in], bias[d_out]")
+    """x @ weights.T + bias over the last axis of x[..., d_in]."""
+    if x.data.ndim < 1 or weights.data.ndim != 2 or bias.data.ndim != 1:
+        raise ShapeError("dense expects x[..., d_in], weights[d_out, d_in], bias[d_out]")
     d_out, d_in = weights.data.shape
-    if x.data.shape != (d_in,) or bias.data.shape != (d_out,):
+    if x.data.shape[-1] != d_in or bias.data.shape != (d_out,):
         raise ShapeError(
             f"dense shapes inconsistent: x{x.data.shape}, w{weights.data.shape}, b{bias.data.shape}"
         )
     x_data, w_data = x.data, weights.data
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(weights, np.outer(g, x_data))
-        _accumulate(bias, g)
-        _accumulate(x, w_data.T @ g)
+        rows = g.reshape(-1, d_out)
+        _accumulate(weights, rows.T @ x_data.reshape(-1, d_in))
+        _accumulate(bias, rows.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, g @ w_data)
 
-    return _result((x, weights, bias), w_data @ x_data + bias.data, backward)
+    return _result((x, weights, bias), x_data @ w_data.T + bias.data, backward)
 
 
-def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid 1-D convolution, stride 1: out[t, o] = b[o] + sum_{w,c} x[t+w, c] k[o, w, c]."""
-    if x.data.ndim != 2 or kernels.data.ndim != 3 or bias.data.ndim != 1:
-        raise ShapeError("conv1d expects x[time, in_ch], kernels[out_ch, width, in_ch], bias[out_ch]")
-    time, in_ch = x.data.shape
-    out_ch, width, k_in = kernels.data.shape
-    if k_in != in_ch or bias.data.shape != (out_ch,):
-        raise ShapeError(
-            f"conv1d shapes inconsistent: x{x.data.shape}, k{kernels.data.shape}, b{bias.data.shape}"
-        )
+def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor) -> Tensor:
+    """Valid 1-D convolution, stride 1, along the time axis of x[..., time, in_ch]:
+    out[..., t, o] = b[o] + sum_{w,c} x[..., t+w, c] k[o, w, c].
+
+    `x` may instead be an int array [..., time] of channel indices, each
+    standing for a one-hot row; index -1 stands for an all-zero (padding)
+    row. The convolution is then a sum of gathered kernel columns,
+    with no multiplications by zero, and only the kernels and bias are
+    differentiated.
+    """
+    if kernels.data.ndim != 3 or bias.data.ndim != 1:
+        raise ShapeError("conv1d expects kernels[out_ch, width, in_ch], bias[out_ch]")
+    out_ch, width, in_ch = kernels.data.shape
+    if bias.data.shape != (out_ch,):
+        raise ShapeError(f"conv1d shapes inconsistent: k{kernels.data.shape}, b{bias.data.shape}")
+    if isinstance(x, Tensor):
+        if x.data.ndim < 2 or x.data.shape[-1] != in_ch:
+            raise ShapeError(f"conv1d expects x[..., time, {in_ch}], got {x.data.shape}")
+        time, conv = x.data.shape[-2], _conv_dense
+    else:
+        x = np.asarray(x)
+        if x.ndim < 1 or not np.issubdtype(x.dtype, np.integer):
+            raise ShapeError(f"conv1d indices must be an int array [..., time], got {x.dtype}{x.shape}")
+        if x.size and not (-1 <= x.min() and x.max() < in_ch):
+            raise ShapeError(f"conv1d indices must lie in [-1, {in_ch}), got {x.min()}..{x.max()}")
+        time, conv = x.shape[-1], _conv_indices
     if time < width:
         raise ShapeError(f"conv1d input length {time} shorter than kernel width {width}")
+    return conv(x, kernels, bias)
+
+
+def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """conv1d as one im2col matrix product over every position of every leading index."""
+    out_ch, width, in_ch = kernels.data.shape
+    *lead, time, _ = x.data.shape
     out_len = time - width + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (width, in_ch))
-    windows = windows.reshape(out_len, width * in_ch)
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, (width, in_ch), axis=(-2, -1))
+    windows = windows.reshape(-1, width * in_ch)
     kmat = kernels.data.reshape(out_ch, width * in_ch)
-    out_data = windows @ kmat.T + bias.data
+    out_data = (windows @ kmat.T + bias.data).reshape(*lead, out_len, out_ch)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(kernels, (g.T @ windows).reshape(out_ch, width, in_ch))
-        _accumulate(bias, g.sum(axis=0))
+        rows = g.reshape(-1, out_ch)
+        _accumulate(kernels, (rows.T @ windows).reshape(out_ch, width, in_ch))
+        _accumulate(bias, rows.sum(axis=0))
         if x.requires_grad:
-            g_windows = g @ kmat
+            g_windows = (rows @ kmat).reshape(*lead, out_len, width, in_ch)
             gx = np.zeros_like(x.data)
             for w in range(width):
-                gx[w : w + out_len, :] += g_windows[:, w * in_ch : (w + 1) * in_ch]
+                gx[..., w : w + out_len, :] += g_windows[..., w, :]
             _accumulate(x, gx)
 
     return _result((x, kernels, bias), out_data, backward)
 
 
+def _conv_indices(idx: np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
+    """conv1d over one-hot rows given as indices: out[t] = b + sum_w k[:, w, idx[t+w]]."""
+    out_ch, width, in_ch = kernels.data.shape
+    time = idx.shape[-1]
+    out_len = time - width + 1
+    # columns[w, c] = k[:, w, c], with a zero row at index in_ch that index -1 wraps to
+    columns = np.zeros((width, in_ch + 1, out_ch))
+    columns[:, :in_ch] = kernels.data.transpose(1, 2, 0)
+    seqs = idx.reshape(-1, time)
+    out_data = np.empty((len(seqs), out_len, out_ch))
+    tap = np.empty((out_len, out_ch))
+    # One sequence at a time, so the running sum stays in cache.
+    for seq, out in zip(seqs, out_data):
+        np.take(columns[0], seq[:out_len], axis=0, out=out, mode="wrap")
+        for w in range(1, width):
+            out += np.take(columns[w], seq[w : w + out_len], axis=0, out=tap, mode="wrap")
+        out += bias.data
+
+    def backward(g: np.ndarray) -> None:
+        rows = g.reshape(-1, out_ch)
+        _accumulate(bias, rows.sum(axis=0))
+        if kernels.requires_grad:
+            _accumulate(kernels, _index_kernel_grad(seqs, rows, width, in_ch))
+
+    return _result((kernels, bias), out_data.reshape(*idx.shape[:-1], out_len, out_ch), backward)
+
+
+def _index_kernel_grad(idx: np.ndarray, rows: np.ndarray, width: int, in_ch: int) -> np.ndarray:
+    """d(loss)/d(kernels) of an index convolution.
+
+    `idx` is [n, time]; `rows` is the output gradient [n * out_len, out_ch].
+    Kernel column k[:, w, c] receives the output gradient at t for every
+    position t + w that holds character c. One stable sort groups positions
+    by character; each group then gathers the gradient rows its positions
+    feed at every tap and sums them, a cache-sized chunk at a time.
+    """
+    time = idx.shape[1]
+    out_len = time - width + 1
+    grad = np.zeros((width, in_ch, rows.shape[1]))
+    flat = idx.reshape(-1)
+    pos = np.flatnonzero(flat >= 0)
+    pos = pos[np.argsort(flat[pos], kind="stable")]
+    chars = flat[pos]
+    inst, step = np.divmod(pos, time)
+    t = step[:, None] - np.arange(width)  # [positions, taps]: the output step fed
+    outside = (t < 0) | (t >= out_len)
+    feeds = np.where(outside, 0, inst[:, None] * out_len + t)
+    bounds = np.flatnonzero(np.diff(chars, prepend=-1, append=-1)).tolist()  # group edges
+    for start, stop in zip(bounds, bounds[1:]):
+        total = grad[:, chars[start]]
+        for lo in range(start, stop, _GRAD_CHUNK):
+            hi = min(lo + _GRAD_CHUNK, stop)
+            taken = rows[feeds[lo:hi]]
+            taken[outside[lo:hi]] = 0.0
+            total += taken.sum(axis=0)
+    return np.ascontiguousarray(grad.transpose(2, 0, 1))
+
+
+# Positions per gather in _index_kernel_grad: [32, width, out_ch] rows fit in L2.
+_GRAD_CHUNK = 32
+
+
 def maxpool1d(x: Tensor, pool: int) -> Tensor:
-    """Non-overlapping temporal max over windows of size `pool`; remainder dropped.
+    """Non-overlapping max over windows of `pool` steps along the time axis of
+    x[..., time, ch]; the remainder is dropped.
 
     The gradient routes to the first maximal position of each window.
     """
-    if x.data.ndim != 2:
-        raise ShapeError("maxpool1d expects x[time, ch]")
+    if x.data.ndim < 2:
+        raise ShapeError("maxpool1d expects x[..., time, ch]")
     if pool < 1:
         raise ShapeError(f"pool size must be >= 1, got {pool}")
-    time, ch = x.data.shape
+    time = x.data.shape[-2]
     if time < pool:
         raise ShapeError(f"maxpool1d input length {time} shorter than pool {pool}")
-    out_len = time // pool
-    view = x.data[: out_len * pool].reshape(out_len, pool, ch)
-    out_data = view.max(axis=1)
-    argmax = view.argmax(axis=1)  # first max on ties
+    used = time // pool * pool
+
+    def offset(data: np.ndarray, j: int) -> np.ndarray:
+        """Element j of every window: a strided view [..., out_len, ch]."""
+        return data[..., j:used:pool, :]
+
+    out_data = offset(x.data, 0).copy()
+    for j in range(1, pool):
+        np.maximum(out_data, offset(x.data, j), out=out_data)
 
     def backward(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
-        gview = gx[: out_len * pool].reshape(out_len, pool, ch)
-        np.put_along_axis(gview, argmax[:, None, :], g[:, None, :], axis=1)
+        unrouted = np.ones(out_data.shape, dtype=bool)
+        for j in range(pool):
+            hit = unrouted & (offset(x.data, j) == out_data)
+            offset(gx, j)[...] = g * hit
+            unrouted &= ~hit
         _accumulate(x, gx)
 
     return _result((x,), out_data, backward)
 
 
-def dropout(x: Tensor, rate: float, seed: int, train_mode: bool) -> Tensor:
-    """Inverted dropout: kept units are scaled by 1/(1-rate); eval is identity."""
+def dropout(x: Tensor, rate: float, seed: "int | Sequence[int]", train_mode: bool) -> Tensor:
+    """Inverted dropout: kept units are scaled by 1/(1-rate); eval is identity.
+
+    `seed` is one int for a mask over all of x, or one int per index of x's
+    first axis: row b's mask then comes from `default_rng(seed[b])`, so an
+    instance keeps its mask whatever batch it is in.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train_mode or rate == 0.0:
         return x
-    rng = np.random.default_rng(seed)
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    if isinstance(seed, (int, np.integer)):
+        draws = np.random.default_rng(seed).random(x.data.shape)
+    else:
+        if x.data.ndim < 1 or len(seed) != x.data.shape[0]:
+            raise ShapeError(f"dropout got {len(seed)} seeds for x{x.data.shape}")
+        draws = np.stack([np.random.default_rng(s).random(x.data.shape[1:]) for s in seed])
+    keep = (draws >= rate) / (1.0 - rate)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(x, g * keep)
@@ -312,117 +372,131 @@ def dropout(x: Tensor, rate: float, seed: int, train_mode: bool) -> Tensor:
     return _result((x,), x.data * keep, backward)
 
 
-def softmax_cross_entropy(logits: Tensor, target: int) -> tuple[Tensor, np.ndarray]:
-    """Stabilized cross-entropy loss against one target class.
+def softmax_cross_entropy(logits: Tensor, target: "int | np.ndarray") -> tuple[Tensor, np.ndarray]:
+    """Mean stabilized cross-entropy of logits[..., K] against class indices target[...].
 
-    Returns the scalar loss tensor and the softmax probabilities as a plain
-    array (the probabilities are a diagnostic, not a differentiable output).
+    Returns the scalar loss tensor, averaged over the leading positions, and
+    the softmax probabilities as a plain array (the probabilities are a
+    diagnostic, not a differentiable output).
     """
-    if logits.data.ndim != 1:
-        raise ShapeError("softmax_cross_entropy expects 1-D logits")
-    k = logits.data.shape[0]
-    if not 0 <= target < k:
-        raise IndexError(f"target {target} out of range for {k} classes")
-    shifted = logits.data - logits.data.max()
+    if logits.data.ndim < 1:
+        raise ShapeError("softmax_cross_entropy expects logits[..., classes]")
+    k = logits.data.shape[-1]
+    target = np.asarray(target)
+    if target.shape != logits.data.shape[:-1] or not np.issubdtype(target.dtype, np.integer):
+        raise ShapeError(f"targets {target.shape} do not index logits {logits.data.shape}")
+    if target.size and not (0 <= target.min() and target.max() < k):
+        raise IndexError(f"target out of range for {k} classes")
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    total = exps.sum()
+    total = exps.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(total)
     probs = exps / total
+    picked = target[..., None]
+    count = max(target.size, 1)
 
     def backward(g: np.ndarray) -> None:
         d = probs.copy()
-        d[target] -= 1.0
-        _accumulate(logits, d * float(g))
+        np.put_along_axis(d, picked, np.take_along_axis(d, picked, axis=-1) - 1.0, axis=-1)
+        _accumulate(logits, d * (float(g) / count))
 
-    loss = _result((logits,), np.asarray(-log_probs[target]), backward)
+    loss_value = -np.take_along_axis(log_probs, picked, axis=-1).sum() / count
+    loss = _result((logits,), np.asarray(loss_value), backward)
     return loss, probs.copy()
 
 
-# --- sequence plumbing ----------------------------------------------------
-
-
-def row(x: Tensor, t: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError("row expects a 2-D tensor")
-
-    def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        gx[t] = g
-        _accumulate(x, gx)
-
-    return _result((x,), x.data[t].copy(), backward)
-
-
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 1:
-        raise ShapeError("slice1d expects a 1-D tensor")
-
-    def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        _accumulate(x, gx)
-
-    return _result((x,), x.data[start:stop].copy(), backward)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    if not parts or any(p.data.ndim != 1 for p in parts):
-        raise ShapeError("concat expects one or more 1-D tensors")
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[start:stop])
-
-    return _result(tuple(parts), np.concatenate([p.data for p in parts]), backward)
-
-
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    if not rows or any(r.data.ndim != 1 for r in rows):
-        raise ShapeError("stack_rows expects one or more 1-D tensors")
-
-    def backward(g: np.ndarray) -> None:
-        for t, r in enumerate(rows):
-            _accumulate(r, g[t])
-
-    return _result(tuple(rows), np.stack([r.data for r in rows]), backward)
-
-
 def lstm_forward(x: Tensor, weights: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
-    """Run an LSTM over x[time, d_in] and return the full hidden sequence.
+    """Run an LSTM over x[..., time, d_in] and return the hidden sequence [..., time, H].
 
     Gates are packed row-wise as [input; forget; output; candidate] in
     `weights[4H, d_in + H]` and `bias[4H]`, applied to the concatenation
     [x_t, h_{t-1}]. Initial state is zero. With `reverse`, time is processed
     back-to-front and the output re-reversed, so out[t] always corresponds to
     input position t; the final state of a reversed pass is therefore out[0].
+
+    The input projection of every timestep is one matrix product; only the
+    recurrent product runs step by step, and the backward pass is a
+    hand-written BPTT over the saved gate activations, recorded as one node.
     """
-    if x.data.ndim != 2:
-        raise ShapeError("lstm_forward expects x[time, d_in]")
-    time, d_in = x.data.shape
+    if x.data.ndim < 2:
+        raise ShapeError("lstm_forward expects x[..., time, d_in]")
+    *lead, time, d_in = x.data.shape
     four_h, d_cat = weights.data.shape
     if four_h % 4 != 0:
         raise ShapeError(f"LSTM weight rows must be a multiple of 4, got {four_h}")
-    hidden = four_h // 4
-    if d_cat != d_in + hidden or bias.data.shape != (four_h,):
+    h = four_h // 4
+    if d_cat != d_in + h or bias.data.shape != (four_h,):
         raise ShapeError(
             f"LSTM shapes inconsistent: x{x.data.shape}, w{weights.data.shape}, b{bias.data.shape}"
         )
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    outputs: list[Tensor | None] = [None] * time
+    w_x, w_h = weights.data[:, :d_in], weights.data[:, d_in:]
+    xs = x.data.reshape(-1, time, d_in)
+    n = xs.shape[0]
+    proj = (xs.reshape(-1, d_in) @ w_x.T + bias.data).reshape(n, time, four_h)
+    gates = np.empty((n, time, four_h))  # activated: sigmoid i, f, o; tanh candidate
+    tanh_cells = np.empty((n, time, h))
+    prev_h = np.empty((n, time, h))  # the state entering each step
+    prev_c = np.empty((n, time, h))
+    hidden = np.empty((n, time, h))
     order = range(time - 1, -1, -1) if reverse else range(time)
+    h_t = c_t = np.zeros((n, h))
     for t in order:
-        z = dense(concat([row(x, t), h]), weights, bias)
-        gate_in = sigmoid(slice1d(z, 0, hidden))
-        gate_forget = sigmoid(slice1d(z, hidden, 2 * hidden))
-        gate_out = sigmoid(slice1d(z, 2 * hidden, 3 * hidden))
-        candidate = tanh(slice1d(z, 3 * hidden, 4 * hidden))
-        c = add(mul(gate_forget, c), mul(gate_in, candidate))
-        h = mul(gate_out, tanh(c))
-        outputs[t] = h
-    return stack_rows(outputs)  # type: ignore[arg-type]
+        prev_h[:, t], prev_c[:, t] = h_t, c_t
+        z = proj[:, t] + h_t @ w_h.T
+        a = gates[:, t]
+        a[:, : 3 * h] = _sigmoid(z[:, : 3 * h])
+        a[:, 3 * h :] = np.tanh(z[:, 3 * h :])
+        c_t = a[:, h : 2 * h] * c_t + a[:, :h] * a[:, 3 * h :]
+        tanh_cells[:, t] = np.tanh(c_t)
+        h_t = hidden[:, t] = a[:, 2 * h : 3 * h] * tanh_cells[:, t]
+
+    def backward(g: np.ndarray) -> None:
+        g_hidden = g.reshape(n, time, h)
+        dz = np.empty((n, time, four_h))
+        dh = np.zeros((n, h))
+        dc = np.zeros((n, h))
+        for t in reversed(order):
+            a = gates[:, t]
+            gate_in, gate_forget = a[:, :h], a[:, h : 2 * h]
+            gate_out, candidate = a[:, 2 * h : 3 * h], a[:, 3 * h :]
+            tc = tanh_cells[:, t]
+            dh = dh + g_hidden[:, t]
+            dc = dc + dh * gate_out * (1.0 - tc * tc)
+            d = dz[:, t]
+            d[:, :h] = dc * candidate * gate_in * (1.0 - gate_in)
+            d[:, h : 2 * h] = dc * prev_c[:, t] * gate_forget * (1.0 - gate_forget)
+            d[:, 2 * h : 3 * h] = dh * tc * gate_out * (1.0 - gate_out)
+            d[:, 3 * h :] = dc * gate_in * (1.0 - candidate * candidate)
+            dc = dc * gate_forget
+            dh = d @ w_h
+        dz_rows = dz.reshape(-1, four_h)
+        _accumulate(weights, dz_rows.T @ np.concatenate([xs, prev_h], axis=-1).reshape(-1, d_cat))
+        _accumulate(bias, dz_rows.sum(axis=0))
+        if x.requires_grad:
+            _accumulate(x, (dz_rows @ w_x).reshape(x.data.shape))
+
+    return _result((x, weights, bias), hidden.reshape(*lead, time, h), backward)
+
+
+def final_states(forward_seq: Tensor, backward_seq: Tensor) -> Tensor:
+    """[..., H_f + H_b]: a forward LSTM pass's last hidden state joined to a
+    reversed pass's first, the states that have each read the whole sequence."""
+    if forward_seq.data.ndim < 2 or forward_seq.data.shape[:-1] != backward_seq.data.shape[:-1]:
+        raise ShapeError(
+            f"final_states expects two [..., time, H] sequences, got "
+            f"{forward_seq.data.shape} and {backward_seq.data.shape}"
+        )
+    split = forward_seq.data.shape[-1]
+
+    def backward(g: np.ndarray) -> None:
+        for seq, step, part in ((forward_seq, -1, g[..., :split]), (backward_seq, 0, g[..., split:])):
+            if seq.requires_grad:
+                g_seq = np.zeros_like(seq.data)
+                g_seq[..., step, :] = part
+                _accumulate(seq, g_seq)
+
+    out = np.concatenate([forward_seq.data[..., -1, :], backward_seq.data[..., 0, :]], axis=-1)
+    return _result((forward_seq, backward_seq), out, backward)
 
 
 # --- Adam -----------------------------------------------------------------

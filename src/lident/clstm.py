@@ -1,10 +1,12 @@
 """Character-level convolutional + bidirectional-LSTM text classifier.
 
-Pipeline: one-hot character rows -> three conv+ReLU+maxpool stages -> one
-LSTM per direction, final hidden states merged by concatenation -> dense +
-ReLU -> dropout (training only) -> dense softmax over labels. Layer sizes
-are configurable; the defaults are sized for 12-way discrimination of
-similar languages at 256 characters per instance.
+Pipeline: character indices (standing for one-hot rows) -> three
+conv+ReLU+maxpool stages -> one LSTM per direction, final hidden states
+merged by concatenation -> dense + ReLU -> dropout (training only) -> dense
+softmax over labels. Layer sizes are configurable; the defaults are sized
+for 12-way discrimination of similar languages at 256 characters per
+instance. Each mini-batch runs as one graph over [batch, time, channels]
+arrays.
 
 Training is single-threaded and fully deterministic given the seed. A
 trained model is immutable and safe for concurrent inference.
@@ -46,6 +48,9 @@ __all__ = [
 
 _MAGIC = b"LIDC"
 _VERSION = 1
+
+# Index `encode` writes past the end of a text; conv1d reads it as an all-zero row.
+PAD = -1
 
 # Learnable arrays, keyed by the names produced in init_params.
 ClstmParams = dict[str, np.ndarray]
@@ -108,12 +113,20 @@ class ClstmConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
         self.stage_lengths()
 
 
 @dataclass(frozen=True)
 class EncodedBatch:
-    """One-hot inputs [batch, seq_len, charset_dim] and target class indices."""
+    """Character indices [batch, seq_len] (PAD past each text's end) and target class indices."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -140,18 +153,18 @@ class ClstmModel:
 
 
 def encode(text: str, charset: Charset, seq_len: int) -> np.ndarray:
-    """One-hot rows for the first `seq_len` characters; shorter texts zero-pad."""
-    out = np.zeros((seq_len, charset.size), dtype=np.float64)
-    for i, ch in enumerate(text[:seq_len]):
-        out[i, charset.lookup(ch)] = 1.0
+    """Charset indices of the first `seq_len` characters; shorter texts pad with PAD."""
+    out = np.full(seq_len, PAD, dtype=np.int64)
+    idx = charset.indices(text[:seq_len])
+    out[: len(idx)] = idx
     return out
 
 
 def encode_batch(
     texts: Sequence[str], targets: Sequence[int], charset: Charset, seq_len: int
 ) -> EncodedBatch:
-    inputs = np.stack([encode(t, charset, seq_len) for t in texts])
-    return EncodedBatch(inputs, np.asarray(targets, dtype=np.int64))
+    inputs = np.array([encode(t, charset, seq_len) for t in texts], dtype=np.int64)
+    return EncodedBatch(inputs.reshape(len(texts), seq_len), np.asarray(targets, dtype=np.int64))
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -202,24 +215,31 @@ def init_params(config: ClstmConfig, rng: np.random.Generator) -> ClstmParams:
     return params
 
 
-def _instance_logits(
+def _logits(
     p: dict[str, ad.Tensor],
     config: ClstmConfig,
-    x_data: np.ndarray,
+    inputs: np.ndarray,
     train_mode: bool,
-    drop_seed: int,
+    drop_seeds: Sequence[int],
 ) -> ad.Tensor:
-    x = ad.Tensor(x_data)
+    """Logits [batch, classes] of character indices [batch, seq_len]."""
+    x = inputs
     for stage, pool in enumerate(config.pools, start=1):
-        x = ad.relu(ad.conv1d(x, p[f"conv{stage}_w"], p[f"conv{stage}_b"]))
-        x = ad.maxpool1d(x, pool)
-    forward_seq = ad.lstm_forward(x, p["lstm_fw_w"], p["lstm_fw_b"])
-    backward_seq = ad.lstm_forward(x, p["lstm_bw_w"], p["lstm_bw_b"], reverse=True)
-    steps = x.shape[0]
-    features = ad.concat([ad.row(forward_seq, steps - 1), ad.row(backward_seq, 0)])
+        # relu commutes with max-pooling; pooling first leaves it 1/pool of the work
+        x = ad.relu(ad.maxpool1d(ad.conv1d(x, p[f"conv{stage}_w"], p[f"conv{stage}_b"]), pool))
+    features = ad.final_states(
+        ad.lstm_forward(x, p["lstm_fw_w"], p["lstm_fw_b"]),
+        ad.lstm_forward(x, p["lstm_bw_w"], p["lstm_bw_b"], reverse=True),
+    )
     hidden = ad.relu(ad.dense(features, p["dense_w"], p["dense_b"]))
-    hidden = ad.dropout(hidden, config.dropout_rate, drop_seed, train_mode)
+    hidden = ad.dropout(hidden, config.dropout_rate, drop_seeds, train_mode)
     return ad.dense(hidden, p["out_w"], p["out_b"])
+
+
+def _drop_seeds(seed: int, size: int) -> list[int]:
+    """The per-instance dropout seeds a batch seed stands for."""
+    seed_rng = np.random.default_rng(seed)
+    return [int(seed_rng.integers(2**63)) for _ in range(size)]
 
 
 def _batch_graph(
@@ -227,21 +247,12 @@ def _batch_graph(
     config: ClstmConfig,
     batch: EncodedBatch,
     train_mode: bool,
-    seed: int,
+    drop_seeds: Sequence[int],
 ) -> tuple[ad.Tensor, np.ndarray]:
-    size = batch.inputs.shape[0]
-    if size == 0:
+    if batch.inputs.shape[0] == 0:
         raise ConfigError("empty batch")
-    seed_rng = np.random.default_rng(seed)
-    losses = []
-    probs = np.zeros((size, config.num_classes))
-    for b in range(size):
-        drop_seed = int(seed_rng.integers(2**63))
-        logits = _instance_logits(wrapped, config, batch.inputs[b], train_mode, drop_seed)
-        loss_b, probs[b] = ad.softmax_cross_entropy(logits, int(batch.targets[b]))
-        losses.append(loss_b)
-    loss = ad.scale(ad.sum_tensors(losses), 1.0 / size)
-    return loss, probs
+    logits = _logits(wrapped, config, batch.inputs, train_mode, drop_seeds)
+    return ad.softmax_cross_entropy(logits, batch.targets)
 
 
 def forward(
@@ -253,7 +264,8 @@ def forward(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and per-instance class probabilities, no gradients."""
     wrapped = {name: ad.Tensor(arr) for name, arr in params.items()}
-    loss, probs = _batch_graph(wrapped, config, batch, train_mode, seed)
+    drop_seeds = _drop_seeds(seed, len(batch.targets))
+    loss, probs = _batch_graph(wrapped, config, batch, train_mode, drop_seeds)
     return float(loss.data), probs
 
 
@@ -267,7 +279,8 @@ def loss_and_grads(
     """One taped forward/backward pass; gradients match `forward`'s loss."""
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
-    loss, probs = _batch_graph(wrapped, config, batch, train_mode, seed)
+    drop_seeds = _drop_seeds(seed, len(batch.targets))
+    loss, probs = _batch_graph(wrapped, config, batch, train_mode, drop_seeds)
     tape.backward(loss)
     grads = {name: tape.grad(leaf) for name, leaf in wrapped.items()}
     return float(loss.data), probs, grads
@@ -275,11 +288,13 @@ def loss_and_grads(
 
 def _accuracy(params: ClstmParams, config: ClstmConfig, charset: Charset, label_index: dict[Label, int], corpus: Corpus) -> float:
     hits = 0
-    for inst in corpus:
-        batch = encode_batch([inst.text], [label_index[inst.label]], charset, config.seq_len)
+    for start in range(0, len(corpus), config.batch_size):
+        chunk = corpus.instances[start : start + config.batch_size]
+        texts = [inst.text for inst in chunk]
+        targets = [label_index[inst.label] for inst in chunk]
+        batch = encode_batch(texts, targets, charset, config.seq_len)
         _, probs = forward(params, config, batch, train_mode=False)
-        pred = int(probs[0].argmax())
-        hits += pred == label_index[inst.label]
+        hits += int((probs.argmax(axis=1) == batch.targets).sum())
     return hits / len(corpus)
 
 
@@ -348,19 +363,19 @@ def train(
 
 
 def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:
-    """Evaluation-mode scores (log-probabilities) for raw texts."""
+    """Evaluation-mode scores (log-probabilities) for raw texts, `batch_size` at a time."""
+    config = model.config
     wrapped = {name: ad.Tensor(arr) for name, arr in model.params.items()}
     results = []
-    for text in texts:
-        x = encode(text, model.charset, model.config.seq_len)
-        logits = _instance_logits(wrapped, model.config, x, train_mode=False, drop_seed=0)
-        z = logits.data - logits.data.max()
-        log_probs = z - math.log(np.exp(z).sum())
-        results.append(
-            Scores.from_log_probs(
-                {label: float(log_probs[i]) for i, label in enumerate(model.labels)}
+    for start in range(0, len(texts), config.batch_size):
+        chunk = texts[start : start + config.batch_size]
+        inputs = np.stack([encode(t, model.charset, config.seq_len) for t in chunk])
+        z = _logits(wrapped, config, inputs, train_mode=False, drop_seeds=()).data
+        z = z - z.max(axis=1, keepdims=True)
+        for row in z - np.log(np.exp(z).sum(axis=1, keepdims=True)):
+            results.append(
+                Scores.from_log_probs({label: float(row[i]) for i, label in enumerate(model.labels)})
             )
-        )
     return results
 
 
@@ -417,6 +432,20 @@ def save_checkpoint(model: ClstmModel, path) -> None:
 def load_checkpoint(path, expected_charset: Charset | None = None) -> ClstmModel:
     """Read back a checkpoint; optionally verify it matches a known charset."""
     _, payload = read_envelope(path, _MAGIC, (_VERSION,))
+    # A valid CRC does not make the contents valid: bad chars, labels or config values.
+    try:
+        model = _unpack_checkpoint(payload, path)
+    except (ValueError, OverflowError, ConfigError) as exc:
+        raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
+    if expected_charset is not None and expected_charset.chars != model.charset.chars:
+        raise CompatibilityError(
+            f"{path}: checkpoint charset hash {_charset_hash(model.charset)} does not match "
+            f"expected charset hash {_charset_hash(expected_charset)}"
+        )
+    return model
+
+
+def _unpack_checkpoint(payload: bytes, path) -> ClstmModel:
     offset = 0
 
     def unpack(st: struct.Struct):
@@ -463,7 +492,7 @@ def load_checkpoint(path, expected_charset: Charset | None = None) -> ClstmModel
         name = read(unpack(_U16)).decode("utf-8")
         ndim = unpack(_U8)
         shape = tuple(unpack(_U32) for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: an int64 product can wrap to a small count
         arr = np.frombuffer(read(count * 8), dtype="<f8").reshape(shape).copy()
         params[name] = arr
     if offset != len(payload):
@@ -472,14 +501,11 @@ def load_checkpoint(path, expected_charset: Charset | None = None) -> ClstmModel
         raise ModelIOError(
             f"{path}: stored charset size {charset.size} != configured {config.charset_dim}"
         )
+    if len(set(labels)) != len(labels):
+        raise ModelIOError(f"{path}: duplicate label in payload")
     if len(labels) != config.num_classes:
         raise ModelIOError(
             f"{path}: stored {len(labels)} labels != configured {config.num_classes} classes"
-        )
-    if expected_charset is not None and expected_charset.chars != charset.chars:
-        raise CompatibilityError(
-            f"{path}: checkpoint charset hash {_charset_hash(charset)} does not match "
-            f"expected charset hash {_charset_hash(expected_charset)}"
         )
     config.validate()
     expected_shapes = _param_shapes(config)

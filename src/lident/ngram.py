@@ -51,8 +51,15 @@ class NgramConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"n-gram order must be >= 1, got {self.n}")
-        if not self.alpha > 0:
-            raise ConfigError(f"smoothing mass alpha must be > 0, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ConfigError(f"smoothing mass alpha must be finite and > 0, got {self.alpha}")
+
+    def check_charset(self, charset: Charset) -> None:
+        """Reject an alpha whose smoothing mass over the charset, alpha * V, overflows."""
+        if not math.isfinite(self.alpha * charset.size):
+            raise ConfigError(
+                f"smoothing mass alpha * V = {self.alpha} * {charset.size} is not finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,7 @@ def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
     """Count next-character events per label over BOS-padded index sequences."""
     if not len(corpus):
         raise ConfigError("training corpus is empty")
+    config.check_charset(charset)
     n = config.n
     counts: dict[Label, dict[History, dict[int, int]]] = {l: {} for l in corpus.labels}
     totals: dict[Label, dict[History, int]] = {l: {} for l in corpus.labels}
@@ -220,7 +228,11 @@ def sweep(
 def load(path) -> NgramModel:
     """Read back a model written by `NgramModel.save`."""
     _, payload = read_envelope(path, _MAGIC, (_VERSION,))
-    return _unpack_payload(payload, path)
+    # A valid CRC does not make the contents valid: bad chars, labels or config values.
+    try:
+        return _unpack_payload(payload, path)
+    except (ValueError, OverflowError, ConfigError) as exc:
+        raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
 
 
 # --- binary payload -----------------------------------------------------
@@ -291,7 +303,10 @@ def _unpack_payload(payload: bytes, source) -> NgramModel:
     labels = []
     for _ in range(r.unpack(_U32)):
         labels.append(Label(r.read(r.unpack(_U16)).decode("utf-8")))
+    if len(set(labels)) != len(labels):
+        raise ModelIOError(f"{source}: duplicate label in payload")
     config = NgramConfig(n, alpha)
+    config.check_charset(charset)
     counts: dict[Label, dict[History, dict[int, int]]] = {}
     totals: dict[Label, dict[History, int]] = {}
     for label in labels:

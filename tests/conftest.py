@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from lident.corpus import Corpus, Instance, Label
 
@@ -30,3 +33,21 @@ def toy_corpus() -> Corpus:
 def write_tsv_file(path: Path, rows: list[tuple[str, str]]) -> Path:
     path.write_text("".join(f"{text}\t{code}\n" for text, code in rows), encoding="utf-8")
     return path
+
+
+def reseal(blob: bytes, payload: bytes) -> bytes:
+    """A model file with `blob`'s magic and version around `payload`, under a valid CRC32."""
+    return blob[:8] + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+def mutate_payload(data, payload: bytes, header: int) -> bytes:
+    """Overwrite a few payload bytes, half of them within the first `header`
+    bytes (where counts, lengths and strings live), then maybe cut the tail."""
+    out = bytearray(payload)
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        span = min(len(out), header) if data.draw(st.booleans(), label="in header") else len(out)
+        at = data.draw(st.integers(0, span - 1), label="at")
+        out[at] = data.draw(st.integers(0, 255), label="byte")
+    if data.draw(st.booleans(), label="truncate"):
+        out = out[: data.draw(st.integers(0, len(out)), label="keep")]
+    return bytes(out)

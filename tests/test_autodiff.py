@@ -155,11 +155,48 @@ class TestForwardValues:
         assert np.array_equal(fwd.data, rev.data)
 
     def test_relu_sigmoid_tanh_values(self):
+        # relu is an op; sigmoid and tanh are the LSTM's gate nonlinearities
         x = np.array([-2.0, 0.0, 3.0])
         assert ad.relu(ad.Tensor(x)).data.tolist() == [0.0, 0.0, 3.0]
-        assert ad.sigmoid(ad.Tensor(x)).data == pytest.approx(1 / (1 + np.exp(-x)))
-        assert ad.tanh(ad.Tensor(x)).data == pytest.approx(np.tanh(x))
-        assert np.isfinite(ad.sigmoid(ad.Tensor(np.array([-800.0, 800.0]))).data).all()
+        assert ad._sigmoid(x) == pytest.approx(1 / (1 + np.exp(-x)))
+        assert np.isfinite(ad._sigmoid(np.array([-800.0, 800.0]))).all()
+        # gates saturated by huge pre-activations stay finite through tanh too:
+        # all gates open at +800 (c = 1), then all shut at -800 (c = 0)
+        saturated = ad.lstm_forward(
+            ad.Tensor(np.array([[[800.0], [-800.0]]])),
+            ad.Tensor(np.full((4, 2), 1.0)),
+            ad.Tensor(np.zeros(4)),
+        )
+        assert saturated.data.ravel() == pytest.approx([math.tanh(1.0), 0.0], abs=1e-12)
+
+    def test_lstm_batch_rows_match_single_runs(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(3, 4, 2))
+        w = ad.Tensor(rng.normal(size=(12, 5)))
+        b = ad.Tensor(rng.normal(size=12))
+        for reverse in (False, True):
+            batched = ad.lstm_forward(ad.Tensor(x), w, b, reverse=reverse).data
+            for i in range(3):
+                single = ad.lstm_forward(ad.Tensor(x[i]), w, b, reverse=reverse).data
+                assert np.allclose(batched[i], single, rtol=0, atol=1e-14)
+
+    def test_index_conv_equals_one_hot_conv(self):
+        rng = np.random.default_rng(6)
+        idx = rng.integers(-1, 5, size=(3, 12))
+        one_hot = np.eye(6)[idx][..., :5]  # index -1 is an all-zero row
+        k = ad.Tensor(rng.normal(size=(4, 3, 5)))
+        b = ad.Tensor(rng.normal(size=4))
+        gathered = ad.conv1d(idx, k, b).data
+        assert gathered.shape == (3, 10, 4)
+        assert np.allclose(gathered, ad.conv1d(ad.Tensor(one_hot), k, b).data, rtol=0, atol=1e-13)
+
+    def test_index_conv_rejects_bad_indices(self):
+        k, b = ad.Tensor(np.zeros((2, 3, 5))), ad.Tensor(np.zeros(2))
+        for bad in (np.array([0, 1, 5, 2]), np.array([0, -2, 1, 1])):
+            with pytest.raises(ShapeError):
+                ad.conv1d(bad, k, b)
+        with pytest.raises(ShapeError):
+            ad.conv1d(np.array([0.0, 1.0, 2.0]), k, b)  # floats are not indices
 
 
 class TestDropout:
@@ -200,7 +237,7 @@ class TestBackwardMechanics:
     def test_linear_scalar(self):
         tape = ad.Tape()
         w = tape.leaf(np.array(2.0))
-        tape.backward(ad.scale(w, 3.0))
+        tape.backward(ad.mul(w, ad.Tensor(np.array(3.0))))
         assert float(tape.grad(w)) == 3.0
 
     def test_unused_leaf_gets_zero_gradient(self):
@@ -240,7 +277,7 @@ class TestBackwardMechanics:
     def test_mixed_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()
         with pytest.raises(TapeError):
-            ad.add(t1.leaf(np.ones(2)), t2.leaf(np.ones(2)))
+            ad.mul(t1.leaf(np.ones(2)), t2.leaf(np.ones(2)))
 
     def test_grad_before_backward(self):
         tape = ad.Tape()
@@ -289,12 +326,6 @@ class TestGradientChecks:
         err = gradcheck(lambda t: projection(ad.relu(t["x"])), {"x": x})
         assert err < TOL
 
-    def test_sigmoid_tanh(self):
-        rng = np.random.default_rng(10)
-        x = rng.uniform(-2, 2, 9)
-        assert gradcheck(lambda t: projection(ad.sigmoid(t["x"])), {"x": x.copy()}) < TOL
-        assert gradcheck(lambda t: projection(ad.tanh(t["x"])), {"x": x.copy()}) < TOL
-
     def test_dropout_fixed_seed(self):
         rng = np.random.default_rng(11)
         arrays = {"x": rng.uniform(0.5, 1.5, 10)}
@@ -324,19 +355,109 @@ class TestGradientChecks:
     def test_plumbing_ops(self):
         rng = np.random.default_rng(14)
         arrays = {"a": rng.uniform(-1, 1, 6), "b": rng.uniform(-1, 1, 6)}
+        err = gradcheck(lambda t: ad.vsum(ad.mul(ad.mul(t["a"], t["b"]), t["a"])), arrays)
+        assert err < TOL
+        arrays = {"f": rng.uniform(-1, 1, (3, 4, 2)), "b": rng.uniform(-1, 1, (3, 4, 5))}
+        err = gradcheck(lambda t: projection(ad.final_states(t["f"], t["b"])), arrays)
+        assert err < TOL
+        out = ad.final_states(ad.Tensor(arrays["f"]), ad.Tensor(arrays["b"])).data
+        assert np.array_equal(out, np.concatenate([arrays["f"][:, -1], arrays["b"][:, 0]], axis=1))
+
+
+class TestBatchedGradientChecks:
+    """Each layer op with a leading batch dimension > 1, at the same tolerance."""
+
+    def test_conv1d(self):
+        rng = np.random.default_rng(21)
+        arrays = {
+            "x": rng.uniform(-1, 1, (3, 11, 3)),
+            "k": rng.uniform(-1, 1, (4, 5, 3)),
+            "b": rng.uniform(-1, 1, 4),
+        }
+        err = gradcheck(lambda w: projection(ad.conv1d(w["x"], w["k"], w["b"])), arrays)
+        assert err < TOL
+
+    def test_conv1d_two_batch_axes(self):
+        rng = np.random.default_rng(22)
+        arrays = {
+            "x": rng.uniform(-1, 1, (2, 2, 6, 2)),
+            "k": rng.uniform(-1, 1, (3, 2, 2)),
+            "b": rng.uniform(-1, 1, 3),
+        }
+        err = gradcheck(lambda w: projection(ad.conv1d(w["x"], w["k"], w["b"])), arrays)
+        assert err < TOL
+
+    def test_conv1d_indices_with_padding(self):
+        rng = np.random.default_rng(23)
+        idx = rng.integers(0, 6, size=(4, 13))
+        idx[1, 9:] = -1  # padded tail
+        idx[2, :] = -1  # all padding
+        arrays = {"k": rng.uniform(-1, 1, (3, 4, 6)), "b": rng.uniform(-1, 1, 3)}
+        err = gradcheck(lambda w: projection(ad.conv1d(idx, w["k"], w["b"])), arrays)
+        assert err < TOL
+        # a batch of nothing but padding leaves the kernels without gradient
+        tape = ad.Tape()
+        k = tape.leaf(arrays["k"])
+        tape.backward(ad.vsum(ad.conv1d(np.full((2, 13), -1), k, tape.leaf(arrays["b"]))))
+        assert not tape.grad(k).any()
+
+    def test_maxpool1d_with_remainder(self):
+        rng = np.random.default_rng(24)
+        arrays = {"x": rng.permutation(np.linspace(-2, 2, 3 * 13 * 2)).reshape(3, 13, 2)}
+        err = gradcheck(lambda w: projection(ad.maxpool1d(w["x"], 3)), arrays)
+        assert err < TOL
+
+    def test_dense(self):
+        rng = np.random.default_rng(25)
+        arrays = {
+            "x": rng.uniform(-1, 1, (5, 6)),
+            "w": rng.uniform(-1, 1, (4, 6)),
+            "b": rng.uniform(-1, 1, 4),
+        }
+        err = gradcheck(lambda t: projection(ad.dense(t["x"], t["w"], t["b"])), arrays)
+        assert err < TOL
+
+    def test_relu_off_kink(self):
+        rng = np.random.default_rng(26)
+        x = rng.uniform(0.2, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
+        assert gradcheck(lambda t: projection(ad.relu(t["x"])), {"x": x}) < TOL
+
+    def test_dropout_per_row_seeds(self):
+        rng = np.random.default_rng(27)
+        arrays = {"x": rng.uniform(0.5, 1.5, (3, 10))}
+        seeds = [5, 6, 7]
+        err = gradcheck(lambda t: projection(ad.dropout(t["x"], 0.4, seeds, True)), arrays)
+        assert err < TOL
+        # row b's mask is the mask default_rng(seeds[b]) gives a lone row
+        out = ad.dropout(ad.Tensor(arrays["x"]), 0.4, seeds, True).data
+        for row, seed in zip(range(3), seeds):
+            alone = ad.dropout(ad.Tensor(arrays["x"][row]), 0.4, seed, True).data
+            assert np.array_equal(out[row], alone)
+
+    def test_softmax_cross_entropy(self):
+        rng = np.random.default_rng(28)
+        arrays = {"x": rng.uniform(-1, 1, (4, 5))}
+        targets = np.array([2, 0, 4, 2])
+        err = gradcheck(lambda t: ad.softmax_cross_entropy(t["x"], targets)[0], arrays)
+        assert err < TOL
+        loss, _ = ad.softmax_cross_entropy(ad.Tensor(arrays["x"]), targets)
+        singles = [float(ad.softmax_cross_entropy(ad.Tensor(r), int(c))[0].data)
+                   for r, c in zip(arrays["x"], targets)]
+        assert float(loss.data) == pytest.approx(sum(singles) / 4, rel=1e-14)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm(self, reverse):
+        rng = np.random.default_rng(29)
+        arrays = {
+            "x": rng.uniform(-1, 1, (3, 5, 3)),
+            "w": rng.uniform(-0.5, 0.5, (8, 5)),
+            "b": rng.uniform(-0.2, 0.2, 8),
+        }
         err = gradcheck(
-            lambda t: ad.vsum(ad.scale(ad.mul(ad.add(t["a"], t["b"]), t["a"]), 1.7)),
+            lambda t: projection(ad.lstm_forward(t["x"], t["w"], t["b"], reverse=reverse)),
             arrays,
         )
         assert err < TOL
-        arrays = {"x": rng.uniform(-1, 1, (4, 3))}
-
-        def build(t):
-            first = ad.slice1d(ad.row(t["x"], 0), 0, 2)
-            second = ad.slice1d(ad.row(t["x"], 2), 1, 3)
-            return projection(ad.stack_rows([ad.concat([first, second])] * 2))
-
-        assert gradcheck(build, arrays) < TOL
 
 
 class TestAdam:

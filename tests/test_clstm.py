@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from lident import autodiff as ad
 from lident import clstm
 from lident.clstm import ClstmConfig
 from lident.corpus import Charset, Corpus, build_charset
@@ -15,6 +20,7 @@ from lident.errors import (
     DivergenceError,
     ModelIOError,
 )
+from conftest import mutate_payload, reseal
 from reference import central_difference, max_rel_err
 from synth import disjoint_corpus
 
@@ -58,38 +64,78 @@ class TestConfig:
             ClstmConfig(num_classes=3, conv_kernels=(7, 7), pools=(3, 3, 3)).validate()
         TINY.validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+            ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+            ("beta2", 1.0), ("beta2", 1.5), ("beta2", math.nan),
+            ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan), ("eps", math.inf),
+        ],
+    )
+    def test_optimizer_values_rejected(self, field, value):
+        # lr=-1 used to train with a climbing loss; beta1=1, eps=0 and lr=nan
+        # failed only later, as a DivergenceError
+        with pytest.raises(ConfigError, match=field):
+            replace(TINY, **{field: value}).validate()
+
+    def test_optimizer_edge_values_accepted(self):
+        replace(TINY, beta1=0.0, beta2=0.0, lr=1e-12, eps=1e-300).validate()
+
+
+def one_hot(idx: np.ndarray, size: int) -> np.ndarray:
+    """The one-hot rows indices stand for: PAD (-1) selects the dropped last column."""
+    return np.eye(size + 1)[idx][..., :size]
+
 
 class TestEncode:
+    """`encode` emits indices; each case also checks the one-hot rows they stand for."""
+
     def test_one_hot_rows_with_padding(self):
         charset = Charset(("a", "b"))
         out = clstm.encode("ab", charset, 4)
+        assert out.tolist() == [0, 1, clstm.PAD, clstm.PAD]
         expected = np.zeros((4, 3))
         expected[0, 0] = 1.0
         expected[1, 1] = 1.0
-        assert np.array_equal(out, expected)
+        assert np.array_equal(one_hot(out, charset.size), expected)
 
     def test_long_text_truncated(self):
         charset = Charset(("x",))
         out = clstm.encode("x" * 300, charset, 256)
-        assert out.shape == (256, 2)
-        assert out.sum() == 256  # every row one-hot, none zero
+        assert out.shape == (256,)
+        assert out.tolist() == [0] * 256  # every position a character, none padding
+        assert one_hot(out, charset.size).sum() == 256
 
     def test_empty_text_all_zero(self):
         out = clstm.encode("", Charset(("a",)), 8)
-        assert out.shape == (8, 2) and not out.any()
+        assert out.shape == (8,) and np.all(out == clstm.PAD)
+        assert not one_hot(out, 2).any()
 
     def test_unknown_chars_hit_reserved_slot(self):
         charset = Charset(("a",))
         out = clstm.encode("q", charset, 2)
-        assert out[0, charset.unk_index] == 1.0
+        assert out.tolist() == [charset.unk_index, clstm.PAD]
+        assert one_hot(out, charset.size)[0, charset.unk_index] == 1.0
 
     def test_row_sums_zero_or_one_and_idempotent(self):
         charset = Charset(tuple("abc"))
         first = clstm.encode("abwxyz", charset, 10)
         second = clstm.encode("abwxyz", charset, 10)
         assert np.array_equal(first, second)
-        sums = first.sum(axis=1)
+        assert first.dtype.kind == "i"
+        assert set(first.tolist()) <= set(range(charset.size)) | {clstm.PAD}
+        sums = one_hot(first, charset.size).sum(axis=1)
         assert set(sums.tolist()) <= {0.0, 1.0}
+
+    def test_batch_rows_match_single_encodes(self):
+        charset = Charset(tuple("abc"))
+        texts = ["abc", "", "cab" * 10]
+        batch = clstm.encode_batch(texts, [0, 1, 0], charset, 6)
+        assert batch.inputs.shape == (3, 6)
+        for row, text in zip(batch.inputs, texts):
+            assert np.array_equal(row, clstm.encode(text, charset, 6))
+        assert clstm.encode_batch([], [], charset, 6).inputs.shape == (0, 6)
 
 
 class TestForward:
@@ -131,6 +177,52 @@ class TestForward:
             fd = central_difference(value, arr)
             worst = max(worst, max_rel_err(grads[name], fd))
         assert worst < 1e-5
+
+
+def taped_single(params, config, batch, drop_seed):
+    """loss_and_grads of a one-instance batch with its dropout seed given directly."""
+    tape = ad.Tape()
+    wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
+    loss, probs = clstm._batch_graph(wrapped, config, batch, True, [drop_seed])
+    tape.backward(loss)
+    return float(loss.data), probs, {name: tape.grad(leaf) for name, leaf in wrapped.items()}
+
+
+class TestBatchInvariance:
+    def test_batch_is_mean_of_single_instances(self):
+        params = clstm.init_params(TINY, np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        texts = ["".join(rng.choice(list("abcz")) for _ in range(n)) for n in (16, 9, 30, 1, 12)]
+        targets = [0, 1, 1, 0, 1]
+        batch = clstm.encode_batch(texts, targets, TINY_CHARSET, TINY.seq_len)
+        loss, probs, grads = clstm.loss_and_grads(params, TINY, batch, train_mode=True, seed=11)
+        singles = [
+            taped_single(params, TINY, clstm.encode_batch([t], [c], TINY_CHARSET, TINY.seq_len), s)
+            for t, c, s in zip(texts, targets, clstm._drop_seeds(11, len(texts)))
+        ]
+        assert loss == pytest.approx(np.mean([one[0] for one in singles]), rel=1e-12)
+        assert np.allclose(probs, np.concatenate([one[1] for one in singles]), rtol=0, atol=1e-12)
+        for name, g in grads.items():
+            mean = np.mean([one[2][name] for one in singles], axis=0)
+            assert np.abs(g - mean).max() <= 1e-12 * max(np.abs(mean).max(), 1e-300), name
+
+    def test_tape_size_independent_of_batch_and_length(self):
+        params = clstm.init_params(TINY, np.random.default_rng(0))
+
+        def recorded_ops(texts, seq_len):
+            config = replace(TINY, seq_len=seq_len)
+            tape = ad.Tape()
+            wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
+            batch = clstm.encode_batch(texts, [0] * len(texts), TINY_CHARSET, seq_len)
+            clstm._batch_graph(wrapped, config, batch, True, clstm._drop_seeds(0, len(texts)))
+            return len(tape._nodes)
+
+        counts = {recorded_ops(["abc"] * b, seq_len) for b in (1, 7) for seq_len in (16, 40)}
+        assert len(counts) == 1
+
+    def test_drop_seed_stream_is_per_instance(self):
+        # the batch seed fixes each instance's dropout seed, whatever the batch size
+        assert clstm._drop_seeds(3, 5)[:2] == clstm._drop_seeds(3, 2)
 
 
 class TestTrain:
@@ -200,6 +292,19 @@ class TestPredict:
         total = sum(math.exp(v) for v in scores.per_label.values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_batched_predict_equals_one_text_at_a_time(self, trained):
+        rng = np.random.default_rng(1)
+        # more texts than batch_size, so predict scores them in several chunks
+        texts = ["".join(rng.choice(list("abcxyz "))) * int(rng.integers(1, 40)) for _ in range(11)]
+        texts.append("")
+        together = clstm.predict(trained, texts)
+        for text, scores in zip(texts, together):
+            alone = clstm.predict(trained, [text])[0]
+            assert scores.best == alone.best
+            # equal to rounding: BLAS may round a row differently with the row count
+            for label, value in scores.per_label.items():
+                assert value == pytest.approx(alone.per_label[label], rel=1e-12, abs=1e-12)
+
     def test_separable_task_generalizes(self, trained):
         held = disjoint_corpus(6, 30, seed=7)
         preds = clstm.predict(trained, [i.text for i in held])
@@ -255,6 +360,47 @@ class TestCheckpoint:
         with pytest.raises(ChecksumError):
             clstm.load_checkpoint(path)
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe", b"a a", b"zz"])
+    def test_bad_label_with_valid_crc_is_model_error(self, tmp_path, raw):
+        path = tmp_path / "m.ckpt"
+        clstm.save_checkpoint(self._model(), path)
+        blob = path.read_bytes()
+        payload = blob[8:-4]
+        code = b"aa"  # the first of disjoint_corpus's labels "aa" and "zz"
+        at = payload.index(struct.pack("<H", len(code)) + code)
+        payload = payload[:at] + struct.pack("<H", len(raw)) + raw + payload[at + 2 + len(code):]
+        path.write_bytes(reseal(blob, payload))
+        with pytest.raises(ModelIOError):
+            clstm.load_checkpoint(path)
+
+    def test_overflowing_shape_is_model_error(self, tmp_path):
+        # 2**31 * 2**31 * 4 wraps to 0 in int64, so the reader used to read no
+        # bytes and fail in reshape with a bare ValueError
+        model = self._model()
+        path = tmp_path / "m.ckpt"
+        clstm.save_checkpoint(model, path)
+        blob = path.read_bytes()
+        payload = blob[8:-4]
+        name = b"conv1_w"
+        at = payload.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+        shape = struct.pack("<B", 3) + struct.pack("<III", 2**31, 2**31, 4)
+        payload = payload[:at] + shape + payload[at + 1 + 3 * 4:]
+        path.write_bytes(reseal(blob, payload))
+        with pytest.raises(ModelIOError):
+            clstm.load_checkpoint(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_payload_loads_or_is_model_error(self, checkpoint_blob, tmp_path, data):
+        path = tmp_path / "m.ckpt"
+        payload = mutate_payload(data, checkpoint_blob[8:-4], header=160)
+        path.write_bytes(reseal(checkpoint_blob, payload))
+        try:
+            clstm.load_checkpoint(path)
+        except ModelIOError:
+            pass
+
     def test_charset_mismatch_is_explicit(self, tmp_path):
         model = self._model()
         path = tmp_path / "m.ckpt"
@@ -263,6 +409,13 @@ class TestCheckpoint:
         other = Charset(tuple("qrs"))
         with pytest.raises(CompatibilityError, match="hash"):
             clstm.load_checkpoint(path, expected_charset=other)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    clstm.save_checkpoint(TestCheckpoint()._model(), path)
+    return path.read_bytes()
 
 
 class TestTrainedCharset:

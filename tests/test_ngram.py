@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lident import ngram
 from lident.corpus import Charset, Corpus, Instance, Label, build_charset
 from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
 from lident.ngram import NgramConfig, Scores
+from conftest import mutate_payload, reseal
 from reference import log_of_fraction, ngram_reference_best, ngram_reference_probs
 from synth import markov_corpora
 
@@ -27,6 +31,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NgramConfig(2, alpha=0.0)
         NgramConfig(1)  # order 1 has empty histories and is legal
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # inf used to pass and turn every label score into NaN
+        with pytest.raises(ConfigError, match="alpha"):
+            NgramConfig(2, alpha=alpha)
+
+    def test_smoothing_mass_must_be_finite(self):
+        # alpha * V overflows to inf: used to end in a bare "math domain error"
+        corpus = corpus_of(("ab", "L1"), ("ba", "L2"))
+        with pytest.raises(ConfigError, match="alpha"):
+            ngram.train(corpus, NgramConfig(2, alpha=1e308), build_charset(corpus))
 
 
 class TestTrain:
@@ -272,6 +288,38 @@ class TestSaveLoad:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ModelIOError, match="magic"):
             ngram.load(path)
+
+    def _payload_with_label(self, tmp_path, raw: bytes):
+        """The saved model's file with its first label code replaced by `raw`."""
+        path = tmp_path / "m.lidn"
+        self._model().save(path)
+        blob = path.read_bytes()
+        payload = blob[8:-4]
+        code = b"L1"
+        at = payload.index(struct.pack("<H", len(code)) + code)
+        payload = payload[:at] + struct.pack("<H", len(raw)) + raw + payload[at + 2 + len(code):]
+        path.write_bytes(reseal(blob, payload))
+        return path
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe", b"L 1", b"", b"L2"])
+    def test_bad_label_with_valid_crc_is_model_error(self, tmp_path, raw):
+        # non-UTF-8 used to raise UnicodeDecodeError and whitespace ValueError;
+        # a duplicate label would silently drop one label's table
+        with pytest.raises(ModelIOError):
+            ngram.load(self._payload_with_label(tmp_path, raw))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_payload_loads_or_is_model_error(self, tmp_path, data):
+        path = tmp_path / "m.lidn"
+        self._model().save(path)
+        blob = path.read_bytes()
+        path.write_bytes(reseal(blob, mutate_payload(data, blob[8:-4], header=64)))
+        try:
+            ngram.load(path)
+        except ModelIOError:
+            pass
 
     def test_json_dump_readable(self):
         model = self._model()
