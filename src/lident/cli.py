@@ -9,6 +9,7 @@ fallback when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,13 +17,10 @@ import time
 from pathlib import Path
 
 from . import clstm, metrics, ngram
-from .corpus import build_charset, compute_stats, read_tsv
+from .corpus import Scores, build_charset, compute_stats, read_lines, read_tsv
 from .errors import DivergenceError, LidentError
 from .ngram import NgramConfig
 from .serialization import atomic_write_text, peek_magic
-
-_NGRAM_MAGIC = b"LIDN"
-_CLSTM_MAGIC = b"LIDC"
 
 
 class UsageError(LidentError):
@@ -47,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", metavar="FILE", help="clstm: key=value config file")
     p_train.add_argument("--seq-len", type=int, help="clstm: input length in characters")
     p_train.add_argument("--conv-features", type=int, help="clstm: filters per conv stage")
-    p_train.add_argument("--kernels", metavar="K,K,K", help="clstm: conv kernel widths")
-    p_train.add_argument("--pools", metavar="P,P,P", help="clstm: max-pooling window sizes")
+    p_train.add_argument("--kernels", type=int_list, metavar="K,K,K", help="clstm: conv kernel widths")
+    p_train.add_argument("--pools", type=int_list, metavar="P,P,P", help="clstm: max-pooling window sizes")
     p_train.add_argument("--lstm-hidden", type=int, help="clstm: hidden units per direction")
     p_train.add_argument("--dense-units", type=int, help="clstm: fully connected layer width")
     p_train.add_argument("--dropout", type=float, help="clstm: dropout rate before the output layer")
@@ -137,31 +135,24 @@ def _require_out_dir(path: str) -> None:
         raise UsageError(f"output directory {str(parent)!r} does not exist")
 
 
+def _emit(out: str | None, document: str) -> None:
+    """Write `document` to the file `out`, or to stdout without one."""
+    if not out:
+        sys.stdout.write(document)
+        return
+    _require_out_dir(out)
+    atomic_write_text(out, document)
+
+
+# Config file keys and the type of each (a tuple is comma-separated ints).
 _CLSTM_FILE_KEYS = {
-    "seq_len": int,
-    "charset_dim": int,
-    "conv_features": int,
-    "conv_kernels": "ints",
-    "pools": "ints",
-    "lstm_hidden": int,
-    "dense_units": int,
-    "dropout_rate": float,
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
+    f.name: type(f.default) for f in dataclasses.fields(clstm.ClstmConfig) if f.name != "num_classes"
 }
 
 
-def _parse_int_tuple(raw: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part.strip()) for part in raw.split(","))
-    except ValueError:
-        raise UsageError(f"{what} must be a comma-separated integer list, got {raw!r}") from None
-    return values
+def int_list(raw: str) -> tuple[int, ...]:
+    """Comma-separated integers, as --kernels, --pools and their config keys take them."""
+    return tuple(int(part) for part in raw.split(","))
 
 
 def _load_clstm_config(path: str | None) -> dict:
@@ -170,7 +161,7 @@ def _load_clstm_config(path: str | None) -> dict:
     if path is None:
         return overrides
     p = _require_file(path, "config file")
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_lines(p), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -181,7 +172,7 @@ def _load_clstm_config(path: str | None) -> dict:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         kind = _CLSTM_FILE_KEYS[key]
         try:
-            overrides[key] = _parse_int_tuple(value, key) if kind == "ints" else kind(value)
+            overrides[key] = int_list(value) if kind is tuple else kind(value)
         except ValueError:
             raise UsageError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return overrides
@@ -204,14 +195,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         "history": args.history,
         "dev": args.dev,
     }
-    if args.kind == "ngram":
-        wrong = [k for k, v in clstm_flags.items() if v is not None]
-        if wrong:
-            raise UsageError(f"flags not valid with --kind ngram: {', '.join(sorted(wrong))}")
-    else:
-        wrong = [k for k, v in ngram_flags.items() if v is not None]
-        if wrong:
-            raise UsageError(f"flags not valid with --kind clstm: {', '.join(sorted(wrong))}")
+    other_flags = clstm_flags if args.kind == "ngram" else ngram_flags
+    wrong = [k for k, v in other_flags.items() if v is not None]
+    if wrong:
+        raise UsageError(f"flags not valid with --kind {args.kind}: {', '.join(sorted(wrong))}")
 
     train_path = _require_file(args.train, "training corpus")
     _require_out_dir(args.out)
@@ -230,15 +217,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         size = f"{model.table_entries()} count entries"
     else:
         options = _load_clstm_config(args.config)
-        for key in ("seq_len", "conv_features", "lstm_hidden", "dense_units",
-                    "dropout_rate", "lr", "epochs", "batch_size"):
-            value = clstm_flags[key]
-            if value is not None:
+        for key, value in clstm_flags.items():
+            if key in _CLSTM_FILE_KEYS and value is not None:
                 options[key] = value
-        if args.kernels is not None:
-            options["conv_kernels"] = _parse_int_tuple(args.kernels, "--kernels")
-        if args.pools is not None:
-            options["pools"] = _parse_int_tuple(args.pools, "--pools")
         if args.max_charset is not None:
             options["charset_dim"] = args.max_charset
         if seed is not None:
@@ -264,14 +245,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_any_model(path: str):
     """Dispatch on the container magic: (kind, model)."""
     magic = peek_magic(_require_file(path, "model file"))
-    if magic == _NGRAM_MAGIC:
+    if magic == ngram.MAGIC:
         return "ngram", ngram.load(path)
-    if magic == _CLSTM_MAGIC:
+    if magic == clstm.MAGIC:
         return "clstm", clstm.load_checkpoint(path)
     raise UsageError(f"{path!r} is not a recognized model file (magic {magic!r})")
 
 
-def _classify_texts(kind: str, model, texts: list[str]) -> list[ngram.Scores]:
+def _classify_texts(kind: str, model, texts: list[str]) -> list[Scores]:
     if kind == "ngram":
         return [model.classify(text) for text in texts]
     return clstm.predict(model, texts)
@@ -295,11 +276,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         return 0
     if not args.input:
         raise UsageError("predict needs --input (or --dump)")
-    raw = _require_file(args.input, "input file").read_text(encoding="utf-8")
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    texts = [line[:-1] if line.endswith("\r") else line for line in lines]
+    texts = read_lines(_require_file(args.input, "input file"))
     scores = _classify_texts(kind, model, texts)
     labels = model.labels
     out_lines = []
@@ -311,11 +288,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         else:
             out_lines.append(s.best.code)
     document = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if args.out:
-        _require_out_dir(args.out)
-        atomic_write_text(args.out, document)
-    else:
-        sys.stdout.write(document)
+    _emit(args.out, document)
     return 0
 
 
@@ -342,17 +315,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cm = cm.with_groups(groups)
     rep = metrics.report(cm)
     document = metrics.render(rep, cm, args.format)
-    if args.out:
-        _require_out_dir(args.out)
-        atomic_write_text(args.out, document)
-    else:
-        sys.stdout.write(document)
+    _emit(args.out, document)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n_min < 1 or args.n_min > args.n_max:
-        raise UsageError(f"invalid order range {args.n_min}..{args.n_max}")
     train_corpus = read_tsv(_require_file(args.train, "training corpus"))
     dev_corpus = read_tsv(_require_file(args.dev, "dev corpus"))
     charset = build_charset(train_corpus, args.max_charset)
@@ -360,11 +327,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["n,accuracy,model_table_entries,peak_memory_estimate"]
     lines += [f"{p.n},{p.accuracy:.6f},{p.table_entries},{p.estimated_bytes}" for p in points]
     document = "\n".join(lines) + "\n"
-    if args.out:
-        _require_out_dir(args.out)
-        atomic_write_text(args.out, document)
-    else:
-        sys.stdout.write(document)
+    _emit(args.out, document)
     return 0
 
 

@@ -16,21 +16,19 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import io
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Charset, Corpus, Label, build_charset
+from .corpus import Charset, Corpus, Label, Scores, build_charset
 from .errors import CompatibilityError, ConfigError, DivergenceError, ModelIOError
-from .ngram import Scores
-from .serialization import read_envelope, write_envelope
+from .serialization import U8, U32, Reader, Writer, read_model, record
 
 __all__ = [
+    "MAGIC",
     "ClstmConfig",
     "ClstmModel",
     "EncodedBatch",
@@ -46,8 +44,15 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_MAGIC = b"LIDC"
+MAGIC = b"LIDC"
 _VERSION = 1
+# The config block of a checkpoint; see serialization.py for the layout.
+_CONFIG = record("14I5dq")
+
+# Ceiling on one batch's conv1 output, batch_size x seq_len x conv_features
+# doubles: 32 MiB at the defaults. Past it a config (or a damaged checkpoint)
+# asks numpy for gigabytes per batch.
+MAX_BATCH_CONV1_BYTES = 1 << 30
 
 # Index `encode` writes past the end of a text; conv1d reads it as an all-zero row.
 PAD = -1
@@ -79,8 +84,11 @@ class ClstmConfig:
 
     def stage_lengths(self) -> list[int]:
         """Sequence lengths after each conv and pool stage; raises if any collapses."""
-        if len(self.conv_kernels) != len(self.pools):
-            raise ConfigError("conv_kernels and pools must have the same number of stages")
+        if len(self.conv_kernels) != 3 or len(self.pools) != 3:
+            raise ConfigError(
+                f"conv_kernels and pools need 3 stages each, got "
+                f"{len(self.conv_kernels)} and {len(self.pools)}"
+            )
         lengths = []
         t = self.seq_len
         for stage, (kernel, pool) in enumerate(zip(self.conv_kernels, self.pools), start=1):
@@ -113,6 +121,13 @@ class ClstmConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        conv1_bytes = self.batch_size * self.seq_len * self.conv_features * 8
+        if conv1_bytes > MAX_BATCH_CONV1_BYTES:
+            raise ConfigError(
+                f"one batch's conv1 output (batch_size {self.batch_size} x seq_len {self.seq_len} "
+                f"x conv_features {self.conv_features} doubles) needs {conv1_bytes >> 20} MiB, "
+                f"over the {MAX_BATCH_CONV1_BYTES >> 20} MiB limit"
+            )
         for name in ("lr", "eps"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
@@ -167,11 +182,6 @@ def encode_batch(
     return EncodedBatch(inputs.reshape(len(texts), seq_len), np.asarray(targets, dtype=np.int64))
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def _param_shapes(config: ClstmConfig) -> dict[str, tuple[int, ...]]:
     f = config.conv_features
     h = config.lstm_hidden
@@ -194,24 +204,18 @@ def _param_shapes(config: ClstmConfig) -> dict[str, tuple[int, ...]]:
 def init_params(config: ClstmConfig, rng: np.random.Generator) -> ClstmParams:
     """Glorot-uniform weights, zero biases, forget-gate bias 1."""
     config.validate()
-    f = config.conv_features
     h = config.lstm_hidden
     params: ClstmParams = {}
-    in_ch = config.charset_dim
-    for stage, kernel in enumerate(config.conv_kernels, start=1):
-        params[f"conv{stage}_w"] = _glorot(rng, (f, kernel, in_ch), kernel * in_ch, kernel * f)
-        params[f"conv{stage}_b"] = np.zeros(f)
-        in_ch = f
-    for direction in ("fw", "bw"):
-        w = _glorot(rng, (4 * h, f + h), f + h, h)
-        b = np.zeros(4 * h)
-        b[h : 2 * h] = 1.0  # forget gate bias: keep early cell state alive
-        params[f"lstm_{direction}_w"] = w
-        params[f"lstm_{direction}_b"] = b
-    params["dense_w"] = _glorot(rng, (config.dense_units, 2 * h), 2 * h, config.dense_units)
-    params["dense_b"] = np.zeros(config.dense_units)
-    params["out_w"] = _glorot(rng, (config.num_classes, config.dense_units), config.dense_units, config.num_classes)
-    params["out_b"] = np.zeros(config.num_classes)
+    for name, shape in _param_shapes(config).items():
+        if name.endswith("_w"):
+            # Fans of a weight [out, (kernel,) in]; an LSTM weight stacks its 4 gates.
+            fan_out = math.prod(shape[:-1]) // (4 if name.startswith("lstm") else 1)
+            limit = math.sqrt(6.0 / (math.prod(shape[1:]) + fan_out))
+            params[name] = rng.uniform(-limit, limit, size=shape)
+        else:
+            params[name] = np.zeros(shape)
+            if name.startswith("lstm"):
+                params[name][h : 2 * h] = 1.0  # forget gate bias: keep early cell state alive
     return params
 
 
@@ -381,62 +385,31 @@ def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:
 
 # --- checkpoint payload ----------------------------------------------------
 
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
 
 def save_checkpoint(model: ClstmModel, path) -> None:
     """Write config + charset + labels + parameters, bit-exact."""
     cfg = model.config
-    buf = io.BytesIO()
-    w = buf.write
-    for value in (
-        cfg.seq_len,
-        cfg.charset_dim,
-        cfg.conv_features,
-        *cfg.conv_kernels,
-        *cfg.pools,
-        cfg.lstm_hidden,
-        cfg.dense_units,
-        cfg.num_classes,
-        cfg.epochs,
-        cfg.batch_size,
-    ):
-        w(_U32.pack(value))
-    for value in (cfg.dropout_rate, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps):
-        w(_F64.pack(value))
-    w(_I64.pack(cfg.seed))
-    w(_U32.pack(len(model.charset.chars)))
-    for ch in model.charset.chars:
-        w(_U32.pack(ord(ch)))
-    w(_U32.pack(len(model.labels)))
-    for label in model.labels:
-        raw = label.code.encode("utf-8")
-        w(_U16.pack(len(raw)))
-        w(raw)
-    w(_U32.pack(len(model.params)))
+    w = Writer()
+    w.put(
+        _CONFIG,
+        cfg.seq_len, cfg.charset_dim, cfg.conv_features, *cfg.conv_kernels, *cfg.pools,
+        cfg.lstm_hidden, cfg.dense_units, cfg.num_classes, cfg.epochs, cfg.batch_size,
+        cfg.dropout_rate, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
+        cfg.seed,
+    )
+    w.header(model.charset, model.labels)
+    w.put(U32, len(model.params))
     for name, arr in model.params.items():
-        raw = name.encode("utf-8")
-        w(_U16.pack(len(raw)))
-        w(raw)
-        w(_U8.pack(arr.ndim))
-        for dim in arr.shape:
-            w(_U32.pack(dim))
-        w(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    write_envelope(path, _MAGIC, _VERSION, buf.getvalue())
+        w.string(name)
+        w.put(U8, arr.ndim)
+        w.records(U32, ((dim,) for dim in arr.shape))
+        w.raw(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    w.save(path, MAGIC, _VERSION)
 
 
 def load_checkpoint(path, expected_charset: Charset | None = None) -> ClstmModel:
     """Read back a checkpoint; optionally verify it matches a known charset."""
-    _, payload = read_envelope(path, _MAGIC, (_VERSION,))
-    # A valid CRC does not make the contents valid: bad chars, labels or config values.
-    try:
-        model = _unpack_checkpoint(payload, path)
-    except (ValueError, OverflowError, ConfigError) as exc:
-        raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
+    model = read_model(path, MAGIC, _VERSION, _parse_checkpoint)
     if expected_charset is not None and expected_charset.chars != model.charset.chars:
         raise CompatibilityError(
             f"{path}: checkpoint charset hash {_charset_hash(model.charset)} does not match "
@@ -445,77 +418,36 @@ def load_checkpoint(path, expected_charset: Charset | None = None) -> ClstmModel
     return model
 
 
-def _unpack_checkpoint(payload: bytes, path) -> ClstmModel:
-    offset = 0
-
-    def unpack(st: struct.Struct):
-        nonlocal offset
-        if offset + st.size > len(payload):
-            raise ModelIOError(f"{path}: payload ends mid-record")
-        value = st.unpack_from(payload, offset)[0]
-        offset += st.size
-        return value
-
-    def read(size: int) -> bytes:
-        nonlocal offset
-        if offset + size > len(payload):
-            raise ModelIOError(f"{path}: payload ends mid-record")
-        chunk = payload[offset : offset + size]
-        offset += size
-        return chunk
-
-    ints = [unpack(_U32) for _ in range(14)]
-    floats = [unpack(_F64) for _ in range(5)]
-    seed = unpack(_I64)
+def _parse_checkpoint(r: Reader) -> ClstmModel:
+    v = r.unpack(_CONFIG)
     config = ClstmConfig(
-        seq_len=ints[0],
-        charset_dim=ints[1],
-        conv_features=ints[2],
-        conv_kernels=tuple(ints[3:6]),
-        pools=tuple(ints[6:9]),
-        lstm_hidden=ints[9],
-        dense_units=ints[10],
-        num_classes=ints[11],
-        epochs=ints[12],
-        batch_size=ints[13],
-        dropout_rate=floats[0],
-        lr=floats[1],
-        beta1=floats[2],
-        beta2=floats[3],
-        eps=floats[4],
-        seed=seed,
+        seq_len=v[0], charset_dim=v[1], conv_features=v[2], conv_kernels=v[3:6], pools=v[6:9],
+        lstm_hidden=v[9], dense_units=v[10], num_classes=v[11], epochs=v[12], batch_size=v[13],
+        dropout_rate=v[14], lr=v[15], beta1=v[16], beta2=v[17], eps=v[18],
+        seed=v[19],
     )
-    charset = Charset(tuple(chr(unpack(_U32)) for _ in range(unpack(_U32))))
-    labels = tuple(Label(read(unpack(_U16)).decode("utf-8")) for _ in range(unpack(_U32)))
-    params: ClstmParams = {}
-    for _ in range(unpack(_U32)):
-        name = read(unpack(_U16)).decode("utf-8")
-        ndim = unpack(_U8)
-        shape = tuple(unpack(_U32) for _ in range(ndim))
-        count = math.prod(shape)  # exact: an int64 product can wrap to a small count
-        arr = np.frombuffer(read(count * 8), dtype="<f8").reshape(shape).copy()
-        params[name] = arr
-    if offset != len(payload):
-        raise ModelIOError(f"{path}: {len(payload) - offset} trailing bytes in payload")
+    charset, labels = r.header()
     if charset.size != config.charset_dim:
         raise ModelIOError(
-            f"{path}: stored charset size {charset.size} != configured {config.charset_dim}"
+            f"{r.source}: stored charset size {charset.size} != configured {config.charset_dim}"
         )
-    if len(set(labels)) != len(labels):
-        raise ModelIOError(f"{path}: duplicate label in payload")
     if len(labels) != config.num_classes:
         raise ModelIOError(
-            f"{path}: stored {len(labels)} labels != configured {config.num_classes} classes"
+            f"{r.source}: stored {len(labels)} labels != configured {config.num_classes} classes"
         )
     config.validate()
     expected_shapes = _param_shapes(config)
-    if set(params) != set(expected_shapes):
-        raise ModelIOError(f"{path}: parameter set does not match the configuration")
-    for name, arr in params.items():
-        if arr.shape != expected_shapes[name]:
+    params: ClstmParams = {}
+    for _ in range(r.value(U32)):
+        name = r.string()
+        shape = tuple(dim for (dim,) in r.records(U32, r.value(U8)))
+        if expected_shapes.get(name) != shape or name in params:
             raise ModelIOError(
-                f"{path}: parameter {name!r} has shape {arr.shape}, expected {expected_shapes[name]}"
+                f"{r.source}: parameter {name!r} with shape {shape} does not match the configuration"
             )
+        params[name] = np.frombuffer(r.read(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
+    if len(params) != len(expected_shapes):
+        raise ModelIOError(f"{r.source}: parameter set does not match the configuration")
     return ClstmModel(config, charset, labels, params)
 
 

@@ -24,11 +24,13 @@ _SURROGATES = re.compile("[\ud800-\udfff]")
 
 __all__ = [
     "Label",
+    "Scores",
     "Instance",
     "Corpus",
     "Charset",
     "LabelStats",
     "CorpusStats",
+    "read_lines",
     "read_tsv",
     "write_tsv",
     "build_charset",
@@ -53,6 +55,21 @@ class Label:
             raise ValueError(
                 f"label code must be non-empty and contain no whitespace: {self.code!r}"
             )
+
+
+@dataclass(frozen=True)
+class Scores:
+    """Per-label log-probabilities of one text and the winning label."""
+
+    per_label: dict[Label, float]
+    best: Label
+
+    @classmethod
+    def from_log_probs(cls, per_label: dict[Label, float]) -> "Scores":
+        # Ties break to the lexicographically smallest code: max() keeps the
+        # first maximum when iterating labels in sorted order.
+        best = max(sorted(per_label), key=lambda label: per_label[label])
+        return cls(per_label, best)
 
 
 @dataclass(frozen=True)
@@ -152,21 +169,22 @@ class CorpusStats:
     totals: LabelStats
 
 
-def read_tsv(path: str | Path) -> Corpus:
-    """Read a UTF-8 ``text<TAB>label`` file, preserving line order."""
-    path = Path(path)
-    raw = path.read_bytes()
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, without their ``\\n`` or ``\\r\\n`` terminators."""
     try:
-        content = raw.decode("utf-8")
+        content = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(f"{path}: not valid UTF-8: {exc}") from exc
     lines = content.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def read_tsv(path: str | Path) -> Corpus:
+    """Read a UTF-8 ``text<TAB>label`` file, preserving line order."""
     instances: list[Instance] = []
-    for line_no, line in enumerate(lines, start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
+    for line_no, line in enumerate(read_lines(path), start=1):
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusFormatError(

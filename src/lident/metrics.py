@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Label
+from .corpus import Label, read_lines
 from .errors import CorpusFormatError
 
 __all__ = [
@@ -264,9 +264,7 @@ def load_matrix_csv(path: str | Path) -> ConfusionMatrix:
 
     Row order matches the header order; cells are non-negative integers.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    rows = [row for row in csv.reader(read_lines(path)) if row]
     if not rows:
         raise CorpusFormatError(f"{path}: empty matrix file")
     try:
@@ -293,21 +291,18 @@ def load_matrix_csv(path: str | Path) -> ConfusionMatrix:
 
 def load_groups_tsv(path: str | Path) -> dict[Label, int]:
     """Read ``label<TAB>group_id`` lines into a group assignment map."""
-    path = Path(path)
     groups: dict[Label, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(
-                    f"{path}:{line_no}: expected label<TAB>group_id, got {line!r}"
-                )
-            code, gid = parts
-            try:
-                groups[Label(code)] = int(gid)
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CorpusFormatError(
+                f"{path}:{line_no}: expected label<TAB>group_id, got {line!r}"
+            )
+        code, gid = parts
+        try:
+            groups[Label(code)] = int(gid)
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
     return groups

@@ -12,20 +12,18 @@ single-threaded.
 
 from __future__ import annotations
 
-import io
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .corpus import Charset, Corpus, Label, build_charset
-from .errors import ConfigError, ModelIOError
-from .serialization import read_envelope, write_envelope
+from .corpus import Charset, Corpus, Label, Scores, build_charset
+from .errors import ConfigError
+from .serialization import F64, U32, U64, Reader, Writer, read_model, record
 
 __all__ = [
     "BOS",
+    "MAGIC",
     "NgramConfig",
     "NgramModel",
-    "Scores",
     "SweepPoint",
     "train",
     "sweep",
@@ -37,8 +35,10 @@ __all__ = [
 # is kept outside the charset index range.
 BOS = -1
 
-_MAGIC = b"LIDN"
+MAGIC = b"LIDN"
 _VERSION = 1
+# A count table's (char index, count) pair; see serialization.py for the layout.
+_NEXT = record("IQ")
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,24 @@ class NgramConfig:
             )
 
 
-@dataclass(frozen=True)
-class Scores:
-    """Per-label log-probabilities and the winning label."""
-
-    per_label: dict[Label, float]
-    best: Label
-
-    @classmethod
-    def from_log_probs(cls, per_label: dict[Label, float]) -> "Scores":
-        # Ties break to the lexicographically smallest code: max() keeps the
-        # first maximum when iterating labels in sorted order.
-        best = max(sorted(per_label), key=lambda label: per_label[label])
-        return cls(per_label, best)
-
-
 History = tuple[int, ...]
 
 
 @dataclass
 class NgramModel:
-    """Per-label smoothed next-character count tables."""
+    """Per-label smoothed next-character count tables; `history_totals` derives from `counts`."""
 
     config: NgramConfig
     charset: Charset
     labels: tuple[Label, ...]
     counts: dict[Label, dict[History, dict[int, int]]]
-    history_totals: dict[Label, dict[History, int]]
+    history_totals: dict[Label, dict[History, int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.history_totals = {
+            label: {history: sum(nexts.values()) for history, nexts in table.items()}
+            for label, table in self.counts.items()
+        }
 
     def log_prob(self, text: str, label: Label) -> float:
         """Sum of ln[(count + a) / (total + a*V)] over the padded index sequence.
@@ -134,7 +125,22 @@ class NgramModel:
         return self.history_entries() * 150 + self.table_entries() * 100
 
     def save(self, path) -> None:
-        write_envelope(path, _MAGIC, _VERSION, _pack_payload(self))
+        # Canonical order (histories sorted, then char indices) so identical
+        # models always serialize to identical bytes.
+        w = Writer()
+        w.put(U32, self.config.n)
+        w.put(F64, self.config.alpha)
+        w.header(self.charset, self.labels)
+        raw, pack_history, pack_next = w.raw, _history_record(self.config.n).pack, _NEXT.pack
+        for label in self.labels:
+            table = self.counts[label]
+            w.put(U64, len(table))
+            for history in sorted(table):
+                nexts = table[history]
+                raw(pack_history(*history, len(nexts)))
+                for ci in sorted(nexts):
+                    raw(pack_next(ci, nexts[ci]))
+        w.save(path, MAGIC, _VERSION)
 
     def to_json_dict(self) -> dict:
         """Human-readable view of the model, for file inspection."""
@@ -171,20 +177,17 @@ def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
     config.check_charset(charset)
     n = config.n
     counts: dict[Label, dict[History, dict[int, int]]] = {l: {} for l in corpus.labels}
-    totals: dict[Label, dict[History, int]] = {l: {} for l in corpus.labels}
     for inst in corpus:
         idx = charset.indices(inst.text)
         padded = [BOS] * (n - 1) + idx
         label_counts = counts[inst.label]
-        label_totals = totals[inst.label]
         for i, x in enumerate(idx):
             history = tuple(padded[i : i + n - 1])
             nexts = label_counts.get(history)
             if nexts is None:
                 nexts = label_counts[history] = {}
             nexts[x] = nexts.get(x, 0) + 1
-            label_totals[history] = label_totals.get(history, 0) + 1
-    return NgramModel(config, charset, corpus.labels, counts, totals)
+    return NgramModel(config, charset, corpus.labels, counts)
 
 
 @dataclass(frozen=True)
@@ -227,101 +230,25 @@ def sweep(
 
 def load(path) -> NgramModel:
     """Read back a model written by `NgramModel.save`."""
-    _, payload = read_envelope(path, _MAGIC, (_VERSION,))
-    # A valid CRC does not make the contents valid: bad chars, labels or config values.
-    try:
-        return _unpack_payload(payload, path)
-    except (ValueError, OverflowError, ConfigError) as exc:
-        raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
+    return read_model(path, MAGIC, _VERSION, _parse)
 
 
-# --- binary payload -----------------------------------------------------
-#
-# Canonical layout (counts sorted by history then char index) so identical
-# models always serialize to identical bytes, regardless of insertion order.
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_I32 = struct.Struct("<i")
-_F64 = struct.Struct("<d")
+def _history_record(n: int):
+    """A history's n-1 symbols and the number of (char, count) pairs after it."""
+    return record(f"{n - 1}iI")
 
 
-def _pack_payload(model: NgramModel) -> bytes:
-    buf = io.BytesIO()
-    w = buf.write
-    w(_U32.pack(model.config.n))
-    w(_F64.pack(model.config.alpha))
-    w(_U32.pack(len(model.charset.chars)))
-    for ch in model.charset.chars:
-        w(_U32.pack(ord(ch)))
-    w(_U32.pack(len(model.labels)))
-    for label in model.labels:
-        raw = label.code.encode("utf-8")
-        w(_U16.pack(len(raw)))
-        w(raw)
-    for label in model.labels:
-        table = model.counts[label]
-        w(_U64.pack(len(table)))
-        for history in sorted(table):
-            for s in history:
-                w(_I32.pack(s))
-            nexts = table[history]
-            w(_U32.pack(len(nexts)))
-            for ci in sorted(nexts):
-                w(_U32.pack(ci))
-                w(_U64.pack(nexts[ci]))
-    return buf.getvalue()
-
-
-class _Reader:
-    def __init__(self, payload: bytes, source) -> None:
-        self.payload = payload
-        self.offset = 0
-        self.source = source
-
-    def unpack(self, st: struct.Struct):
-        if self.offset + st.size > len(self.payload):
-            raise ModelIOError(f"{self.source}: payload ends mid-record")
-        value = st.unpack_from(self.payload, self.offset)[0]
-        self.offset += st.size
-        return value
-
-    def read(self, size: int) -> bytes:
-        if self.offset + size > len(self.payload):
-            raise ModelIOError(f"{self.source}: payload ends mid-record")
-        chunk = self.payload[self.offset : self.offset + size]
-        self.offset += size
-        return chunk
-
-
-def _unpack_payload(payload: bytes, source) -> NgramModel:
-    r = _Reader(payload, source)
-    n = r.unpack(_U32)
-    alpha = r.unpack(_F64)
-    charset = Charset(tuple(chr(r.unpack(_U32)) for _ in range(r.unpack(_U32))))
-    labels = []
-    for _ in range(r.unpack(_U32)):
-        labels.append(Label(r.read(r.unpack(_U16)).decode("utf-8")))
-    if len(set(labels)) != len(labels):
-        raise ModelIOError(f"{source}: duplicate label in payload")
+def _parse(r: Reader) -> NgramModel:
+    n = r.value(U32)
+    alpha = r.value(F64)
+    charset, labels = r.header()
     config = NgramConfig(n, alpha)
     config.check_charset(charset)
+    history_record = _history_record(n)
     counts: dict[Label, dict[History, dict[int, int]]] = {}
-    totals: dict[Label, dict[History, int]] = {}
     for label in labels:
-        table: dict[History, dict[int, int]] = {}
-        label_totals: dict[History, int] = {}
-        for _ in range(r.unpack(_U64)):
-            history = tuple(r.unpack(_I32) for _ in range(n - 1))
-            nexts = {}
-            for _ in range(r.unpack(_U32)):
-                ci = r.unpack(_U32)
-                nexts[ci] = r.unpack(_U64)
-            table[history] = nexts
-            label_totals[history] = sum(nexts.values())
-        counts[label] = table
-        totals[label] = label_totals
-    if r.offset != len(payload):
-        raise ModelIOError(f"{source}: {len(payload) - r.offset} trailing bytes in payload")
-    return NgramModel(config, charset, tuple(labels), counts, totals)
+        table = counts[label] = {}
+        for _ in range(r.value(U64)):
+            *history, k = r.unpack(history_record)
+            table[tuple(history)] = dict(r.records(_NEXT, k))
+    return NgramModel(config, charset, labels, counts)

@@ -1,28 +1,68 @@
-"""Versioned binary container used by model files and checkpoints.
+"""The binary codec of both model files: envelope, primitives, shared header.
 
-Layout, all little-endian:
+Envelope, all little-endian:
 
     magic (4 bytes) | version u32 | payload | crc32(payload) u32
 
-Truncation surfaces either as a mid-record parse failure in the payload
-reader or as a checksum mismatch. Writers go through a temp file plus atomic
-rename so a failed run never leaves a partial artifact behind.
+Both model kinds share a header block inside their payloads:
+
+    charset   u32 count, then one u32 code point per character (index order)
+    labels    u32 count, then per label a string: u16 byte length, UTF-8 bytes
+
+`LIDN` v1 (n-gram model, `ngram.py`):
+
+    n u32 | alpha f64 | header
+    per label, in header order:
+        u64 history count, then per history in sorted order:
+            n-1 i32 symbols (-1 is the beginning-of-text marker) | u32 k
+            k pairs (char index u32, count u64) in char index order
+
+`LIDC` v1 (conv+BiLSTM checkpoint, `clstm.py`):
+
+    14 u32: seq_len, charset_dim, conv_features, 3 conv kernels, 3 pools,
+            lstm_hidden, dense_units, num_classes, epochs, batch_size
+    5 f64:  dropout_rate, lr, beta1, beta2, eps
+    seed i64 | header
+    u32 parameter count, then per parameter:
+        name string (as a label) | ndim u8 | ndim u32 dims | float64 values, C order
+
+Sorting makes identical models serialize to identical bytes. Every read is
+bounds-checked, so truncation surfaces as a `ModelIOError` mid-record or as
+a checksum mismatch; `read_model` also turns malformed contents under a
+valid checksum into `ModelIOError`. Writers go through a temp file plus
+atomic rename so a failed run never leaves a partial artifact behind.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import tempfile
 import zlib
+from itertools import starmap
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import ChecksumError, ModelIOError, VersionError
+from .corpus import Charset, Label
+from .errors import ChecksumError, ConfigError, ModelIOError, VersionError
 
-_VERSION_STRUCT = struct.Struct("<I")
-_TRAILER = struct.Struct("<I")  # crc32 of payload
+T = TypeVar("T")
+
+
+def record(fmt: str) -> struct.Struct:
+    """A little-endian, unpadded struct of `fmt` fields."""
+    return struct.Struct("<" + fmt)
+
+
+U8 = record("B")
+U16 = record("H")
+U32 = record("I")
+U64 = record("Q")
+F64 = record("d")
+
 _MAGIC_LEN = 4
-_MIN_SIZE = _MAGIC_LEN + _VERSION_STRUCT.size + _TRAILER.size
+_MIN_SIZE = _MAGIC_LEN + 2 * U32.size  # magic, version, crc32
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -48,13 +88,8 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def write_envelope(path: str | Path, magic: bytes, version: int, payload: bytes) -> None:
     if len(magic) != _MAGIC_LEN:
         raise ValueError(f"magic must be {_MAGIC_LEN} bytes, got {magic!r}")
-    blob = (
-        magic
-        + _VERSION_STRUCT.pack(version)
-        + payload
-        + _TRAILER.pack(zlib.crc32(payload) & 0xFFFFFFFF)
-    )
-    atomic_write_bytes(path, blob)
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    atomic_write_bytes(path, b"".join((magic, U32.pack(version), payload, U32.pack(crc))))
 
 
 def peek_magic(path: str | Path) -> bytes:
@@ -75,17 +110,102 @@ def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int,
         raise ModelIOError(
             f"{path}: bad magic {data[:_MAGIC_LEN]!r}, expected {magic!r}"
         )
-    (version,) = _VERSION_STRUCT.unpack_from(data, _MAGIC_LEN)
+    (version,) = U32.unpack_from(data, _MAGIC_LEN)
     if version not in supported_versions:
         raise VersionError(
             f"{path}: unsupported format version {version}; "
             f"supported versions: {', '.join(str(v) for v in supported_versions)}"
         )
-    payload = data[_MAGIC_LEN + _VERSION_STRUCT.size : -_TRAILER.size]
-    (stored_crc,) = _TRAILER.unpack_from(data, len(data) - _TRAILER.size)
+    payload = data[_MAGIC_LEN + U32.size : -U32.size]
+    (stored_crc,) = U32.unpack_from(data, len(data) - U32.size)
     actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ChecksumError(
             f"{path}: checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
     return version, payload
+
+
+class Writer:
+    """Builds a payload field by field."""
+
+    def __init__(self) -> None:
+        self._buf = io.BytesIO()
+        self.raw = self._buf.write  # appends bytes; bound once, as loops call it per record
+
+    def put(self, st: struct.Struct, *values) -> None:
+        self.raw(st.pack(*values))
+
+    def records(self, st: struct.Struct, rows: Iterable[tuple]) -> None:
+        self.raw(b"".join(starmap(st.pack, rows)))
+
+    def string(self, text: str) -> None:
+        data = text.encode("utf-8")
+        self.put(U16, len(data))
+        self.raw(data)
+
+    def header(self, charset: Charset, labels: tuple[Label, ...]) -> None:
+        self.put(U32, len(charset.chars))
+        self.records(U32, ((ord(ch),) for ch in charset.chars))
+        self.put(U32, len(labels))
+        for label in labels:
+            self.string(label.code)
+
+    def save(self, path: str | Path, magic: bytes, version: int) -> None:
+        write_envelope(path, magic, version, self._buf.getvalue())
+
+
+class Reader:
+    """Bounds-checked reads from a payload; running past its end is a ModelIOError."""
+
+    def __init__(self, payload: bytes, source: object) -> None:
+        self.payload = memoryview(payload)  # reads slice it without copying
+        self.offset = 0
+        self.source = source
+
+    def _advance(self, size: int) -> int:
+        start = self.offset
+        if start + size > len(self.payload):
+            raise ModelIOError(f"{self.source}: payload ends mid-record")
+        self.offset = start + size
+        return start
+
+    def unpack(self, st: struct.Struct) -> tuple:
+        return st.unpack_from(self.payload, self._advance(st.size))
+
+    def value(self, st: struct.Struct):
+        return st.unpack_from(self.payload, self._advance(st.size))[0]
+
+    def read(self, size: int) -> memoryview:
+        start = self._advance(size)
+        return self.payload[start : self.offset]
+
+    def records(self, st: struct.Struct, count: int) -> Iterator[tuple]:
+        return st.iter_unpack(self.read(st.size * count))
+
+    def string(self) -> str:
+        return str(self.read(self.value(U16)), "utf-8")
+
+    def header(self) -> tuple[Charset, tuple[Label, ...]]:
+        charset = Charset(tuple(chr(code) for (code,) in self.records(U32, self.value(U32))))
+        labels = tuple(Label(self.string()) for _ in range(self.value(U32)))
+        if len(set(labels)) != len(labels):
+            raise ModelIOError(f"{self.source}: duplicate label in payload")
+        return charset, labels
+
+
+def read_model(path: str | Path, magic: bytes, version: int, parse: Callable[[Reader], T]) -> T:
+    """Open a model file and run `parse` over its whole payload.
+
+    A valid checksum does not make the contents valid: undecodable strings,
+    bad labels or out-of-range config values become ModelIOError too.
+    """
+    _, payload = read_envelope(path, magic, (version,))
+    reader = Reader(payload, path)
+    try:
+        model = parse(reader)
+    except (ValueError, OverflowError, ConfigError) as exc:
+        raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
+    if reader.offset != len(payload):
+        raise ModelIOError(f"{path}: {len(payload) - reader.offset} trailing bytes in payload")
+    return model

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from conftest import GOLDEN, write_tsv_file
-from lident.cli import build_parser, main
+from lident import clstm
+from lident.cli import _load_clstm_config, build_parser, main
 from lident.corpus import read_tsv
 
 
@@ -152,6 +154,57 @@ class TestTrainCommand:
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_bad_config_value_names_line(self, toy_tsv, tmp_path, capsys):
+        # a bad integer list used to be reported without its file and line
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seq_len = 24\nconv_kernels = 7,x\n", encoding="utf-8")
+        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert f"{cfg}:2: bad value '7,x' for conv_kernels" in capsys.readouterr().err
+
+    def test_bad_kernels_flag_reported(self, toy_tsv, tmp_path, capsys):
+        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
+                     "--kernels", "7,x", "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert "--kernels" in capsys.readouterr().err
+
+    def test_every_config_field_is_a_file_key(self, tmp_path):
+        cfg = clstm.ClstmConfig(
+            seq_len=40, charset_dim=30, conv_features=5, conv_kernels=(4, 3, 2), pools=(2, 3, 1),
+            lstm_hidden=6, dense_units=7, dropout_rate=0.25, lr=0.5, beta1=0.5, beta2=0.75,
+            eps=1e-6, epochs=3, batch_size=9, seed=-4,
+        )
+        values = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "num_classes"}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(
+            f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for k, v in values.items()
+        ), encoding="utf-8")
+        assert _load_clstm_config(str(path)) == values
+
+    def test_huge_seq_len_rejected_before_training(self, toy_tsv, clstm_cfg, tmp_path,
+                                                   capsys, monkeypatch):
+        # used to pass validation and then ask numpy for gigabytes per batch
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(clstm, "encode_batch", no_work)
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
+                     "--config", str(clstm_cfg), "--seq-len", "1000000000", "--out", str(out)])
+        assert code == 1
+        assert "MiB limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_file_named(self, toy_tsv, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seq_len = 2\xff\n")
+        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert f"{cfg}: not valid UTF-8" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, toy_tsv, clstm_cfg, tmp_path, capsys):
         import numpy as np
 
@@ -193,6 +246,23 @@ class TestPredictCommand:
         capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--input", str(inp)]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_crlf_input(self, model_path, tmp_path, capsys):
+        inp = tmp_path / "texts.txt"
+        inp.write_bytes(b"bonjour les amis\r\nhola amigos")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--input", str(inp)]) == 0
+        assert capsys.readouterr().out == "fr\nes\n"
+
+    def test_non_utf8_input_named(self, model_path, tmp_path, capsys):
+        # used to end in a bare "'utf-8' codec can't decode byte 0xff in position 3"
+        inp = tmp_path / "texts.txt"
+        inp.write_bytes(b"abc\xff\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--input", str(inp)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{inp}: not valid UTF-8" in captured.err
 
     def test_dump_is_valid_json(self, model_path, capsys):
         assert main(["predict", "--model", str(model_path), "--dump"]) == 0
@@ -236,6 +306,13 @@ class TestEvalCommand:
         gold = write_tsv_file(tmp_path / "gold.tsv", [("hello there", "en")])
         assert main(["eval", "--model", str(model), "--gold", str(gold)]) == 1
         assert "'en'" in capsys.readouterr().err
+
+    def test_non_utf8_groups_file_named(self, fixtures_dir, tmp_path, capsys):
+        groups = tmp_path / "groups.tsv"
+        groups.write_bytes(b"bs\t1\nhr\xff\t1\n")
+        assert main(["eval", "--from-matrix", str(fixtures_dir / "confusion_ngram7.csv"),
+                     "--groups", str(groups)]) == 1
+        assert f"{groups}: not valid UTF-8" in capsys.readouterr().err
 
     def test_needs_exactly_one_source(self, fixtures_dir, toy_tsv, tmp_path, capsys):
         assert main(["eval", "--format", "json"]) == 1

@@ -62,6 +62,10 @@ class TestConfig:
             ClstmConfig(num_classes=3, dropout_rate=1.0).validate()
         with pytest.raises(ConfigError):
             ClstmConfig(num_classes=3, conv_kernels=(7, 7), pools=(3, 3, 3)).validate()
+        # a checkpoint stores three stages: a two-stage config used to train
+        # and then write a file that failed to load
+        with pytest.raises(ConfigError, match="3 stages"):
+            replace(TINY, conv_kernels=(3, 2), pools=(2, 2)).validate()
         TINY.validate()
 
     @pytest.mark.parametrize(
@@ -81,6 +85,14 @@ class TestConfig:
 
     def test_optimizer_edge_values_accepted(self):
         replace(TINY, beta1=0.0, beta2=0.0, lr=1e-12, eps=1e-300).validate()
+
+    def test_batch_conv1_output_is_bounded(self):
+        ClstmConfig(num_classes=12).validate()  # 32 MiB at the defaults
+        ClstmConfig(num_classes=12, batch_size=512).validate()
+        with pytest.raises(ConfigError, match="seq_len 1000000000"):
+            ClstmConfig(num_classes=12, seq_len=10**9).validate()
+        with pytest.raises(ConfigError, match="MiB limit"):
+            ClstmConfig(num_classes=12, batch_size=10**6).validate()
 
 
 def one_hot(idx: np.ndarray, size: int) -> np.ndarray:
@@ -387,6 +399,15 @@ class TestCheckpoint:
         payload = payload[:at] + shape + payload[at + 1 + 3 * 4:]
         path.write_bytes(reseal(blob, payload))
         with pytest.raises(ModelIOError):
+            clstm.load_checkpoint(path)
+
+    def test_huge_seq_len_is_model_error(self, tmp_path, checkpoint_blob):
+        # seq_len is the payload's first u32; no parameter shape depends on it,
+        # so a seq_len of 1e9 used to load and then make predict ask for gigabytes
+        path = tmp_path / "m.ckpt"
+        payload = checkpoint_blob[8:-4]
+        path.write_bytes(reseal(checkpoint_blob, struct.pack("<I", 10**9) + payload[4:]))
+        with pytest.raises(ModelIOError, match="seq_len"):
             clstm.load_checkpoint(path)
 
     @settings(max_examples=150, deadline=None,

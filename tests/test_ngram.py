@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lident import ngram
-from lident.corpus import Charset, Corpus, Instance, Label, build_charset
+from lident.corpus import Charset, Corpus, Instance, Label, Scores, build_charset
 from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
-from lident.ngram import NgramConfig, Scores
+from lident.ngram import NgramConfig
 from conftest import mutate_payload, reseal
 from reference import log_of_fraction, ngram_reference_best, ngram_reference_probs
 from synth import markov_corpora
