@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--train", required=True, metavar="TSV", help="training corpus (text<TAB>label)")
     p_train.add_argument("--out", required=True, metavar="FILE", help="output model file")
     p_train.add_argument("--dev", metavar="TSV", help="development corpus (clstm: best-epoch selection)")
-    p_train.add_argument("--n", type=int, help="ngram: model order in characters (default 7)")
-    p_train.add_argument("--alpha", type=float, help="ngram: additive smoothing mass (default 0.1)")
+    p_train.add_argument("--n", type=int, help=f"ngram: model order in characters (default {NgramConfig.n})")
+    p_train.add_argument("--alpha", type=float, help=f"ngram: additive smoothing mass (default {NgramConfig.alpha})")
     p_train.add_argument("--max-charset", type=int, help="cap on charset size, unknown slot included")
     p_train.add_argument("--config", metavar="FILE", help="clstm: key=value config file")
     p_train.add_argument("--seq-len", type=int, help="clstm: input length in characters")
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dev", required=True, metavar="TSV", help="development corpus")
     p_sweep.add_argument("--n-min", type=int, required=True, help="smallest order to try")
     p_sweep.add_argument("--n-max", type=int, required=True, help="largest order to try")
-    p_sweep.add_argument("--alpha", type=float, default=0.1, help="additive smoothing mass")
+    p_sweep.add_argument("--alpha", type=float, default=NgramConfig.alpha, help="additive smoothing mass")
     p_sweep.add_argument("--max-charset", type=int, help="cap on charset size, unknown slot included")
     p_sweep.add_argument("--out", metavar="CSV", help="write the sweep CSV here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -209,10 +209,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = read_tsv(train_path)
 
     if args.kind == "ngram":
-        n = args.n if args.n is not None else 7
-        alpha = args.alpha if args.alpha is not None else 0.1
+        config = NgramConfig(**{k: v for k, v in ngram_flags.items() if v is not None})
         charset = build_charset(corpus, args.max_charset)
-        model = ngram.train(corpus, NgramConfig(n, alpha), charset)
+        model = ngram.train(corpus, config, charset)
         model.save(args.out)
         size = f"{model.table_entries()} count entries"
     else:

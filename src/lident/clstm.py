@@ -36,7 +36,6 @@ __all__ = [
     "encode",
     "encode_batch",
     "init_params",
-    "forward",
     "loss_and_grads",
     "train",
     "predict",
@@ -163,9 +162,6 @@ class ClstmModel:
     labels: tuple[Label, ...]
     params: ClstmParams
 
-    def save(self, path) -> None:
-        save_checkpoint(self, path)
-
 
 def encode(text: str, charset: Charset, seq_len: int) -> np.ndarray:
     """Charset indices of the first `seq_len` characters; shorter texts pad with PAD."""
@@ -259,20 +255,6 @@ def _batch_graph(
     return ad.softmax_cross_entropy(logits, batch.targets)
 
 
-def forward(
-    params: ClstmParams,
-    config: ClstmConfig,
-    batch: EncodedBatch,
-    train_mode: bool = False,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and per-instance class probabilities, no gradients."""
-    wrapped = {name: ad.Tensor(arr) for name, arr in params.items()}
-    drop_seeds = _drop_seeds(seed, len(batch.targets))
-    loss, probs = _batch_graph(wrapped, config, batch, train_mode, drop_seeds)
-    return float(loss.data), probs
-
-
 def loss_and_grads(
     params: ClstmParams,
     config: ClstmConfig,
@@ -280,7 +262,7 @@ def loss_and_grads(
     train_mode: bool = True,
     seed: int = 0,
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """One taped forward/backward pass; gradients match `forward`'s loss."""
+    """One taped forward/backward pass: mean cross-entropy, class probabilities, gradients."""
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
     drop_seeds = _drop_seeds(seed, len(batch.targets))
@@ -290,16 +272,9 @@ def loss_and_grads(
     return float(loss.data), probs, grads
 
 
-def _accuracy(params: ClstmParams, config: ClstmConfig, charset: Charset, label_index: dict[Label, int], corpus: Corpus) -> float:
-    hits = 0
-    for start in range(0, len(corpus), config.batch_size):
-        chunk = corpus.instances[start : start + config.batch_size]
-        texts = [inst.text for inst in chunk]
-        targets = [label_index[inst.label] for inst in chunk]
-        batch = encode_batch(texts, targets, charset, config.seq_len)
-        _, probs = forward(params, config, batch, train_mode=False)
-        hits += int((probs.argmax(axis=1) == batch.targets).sum())
-    return hits / len(corpus)
+def _accuracy(model: ClstmModel, corpus: Corpus) -> float:
+    scores = predict(model, [inst.text for inst in corpus])
+    return sum(s.best == inst.label for s, inst in zip(scores, corpus)) / len(corpus)
 
 
 def train(
@@ -353,7 +328,7 @@ def train(
             ad.adam_step(params, grads, state)
         train_loss = loss_sum / len(texts)
         if dev is not None and len(dev):
-            dev_accuracy = _accuracy(params, config, charset, label_index, dev)
+            dev_accuracy = _accuracy(ClstmModel(config, charset, labels, params), dev)
             key = (dev_accuracy, -train_loss)
             if key > best_key:
                 best_key = key

@@ -1,10 +1,11 @@
 """Character n-gram language models with additive smoothing.
 
 Each label gets an order-(n-1) Markov model over charset indices: training
-counts every next-character event after a history of n-1 symbols (with
-beginning-of-text markers prepended), and scoring sums smoothed conditional
-log-probabilities. Count tables are hash maps keyed by history so large n
-does not allocate dense V^n storage; `table_entries` reports their growth.
+counts every n-gram (n-1 history symbols, beginning-of-text markers
+prepended, then the next character) in one hash map per label, so large n
+does not allocate dense V^n storage. History totals are summed out of it,
+and `sweep` counts once, deriving each lower order by summing out the
+leftmost symbol. Scoring sums smoothed conditional log-probabilities.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -13,10 +14,13 @@ single-threaded.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .corpus import Charset, Corpus, Label, Scores, build_charset
-from .errors import ConfigError
+from .errors import ConfigError, ModelIOError
 from .serialization import F64, U32, U64, Reader, Writer, read_model, record
 
 __all__ = [
@@ -45,7 +49,7 @@ _NEXT = record("IQ")
 class NgramConfig:
     """Model order (in characters) and additive smoothing mass."""
 
-    n: int
+    n: int = 7
     alpha: float = 0.1
 
     def __post_init__(self) -> None:
@@ -62,23 +66,24 @@ class NgramConfig:
             )
 
 
-History = tuple[int, ...]
+# n-1 history symbols, then the next char index.
+Gram = tuple[int, ...]
+_HISTORY = itemgetter(slice(None, -1))
 
 
 @dataclass
 class NgramModel:
-    """Per-label smoothed next-character count tables; `history_totals` derives from `counts`."""
+    """Per-label smoothed n-gram count tables; `history_totals` derives from `counts`."""
 
     config: NgramConfig
     charset: Charset
     labels: tuple[Label, ...]
-    counts: dict[Label, dict[History, dict[int, int]]]
-    history_totals: dict[Label, dict[History, int]] = field(init=False, repr=False)
+    counts: dict[Label, dict[Gram, int]]
+    history_totals: dict[Label, dict[Gram, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.history_totals = {
-            label: {history: sum(nexts.values()) for history, nexts in table.items()}
-            for label, table in self.counts.items()
+            label: _marginal(grams, slice(None, -1)) for label, grams in self.counts.items()
         }
 
     def log_prob(self, text: str, label: Label) -> float:
@@ -89,36 +94,34 @@ class NgramModel:
         """
         if label not in self.counts:
             raise KeyError(f"label {label.code!r} not in model")
-        n = self.config.n
-        alpha = self.config.alpha
-        v = self.charset.size
-        idx = self.charset.indices(text)
-        padded = [BOS] * (n - 1) + idx
-        label_counts = self.counts[label]
-        label_totals = self.history_totals[label]
-        empty: dict[int, int] = {}
-        total_lp = 0.0
-        for i, x in enumerate(idx):
-            history = tuple(padded[i : i + n - 1])
-            count = label_counts.get(history, empty).get(x, 0)
-            total = label_totals.get(history, 0)
-            total_lp += math.log((count + alpha) / (total + alpha * v))
-        return total_lp
+        return self.classify(text).per_label[label]
 
     def classify(self, text: str) -> Scores:
         """Score every label and pick the most probable (uniform prior)."""
         if not self.labels:
             raise ConfigError("model has no labels")
-        return Scores.from_log_probs({label: self.log_prob(text, label) for label in self.labels})
+        n = self.config.n
+        alpha = self.config.alpha
+        smoothing = alpha * self.charset.size
+        padded = [BOS] * (n - 1) + self.charset.indices(text)
+        keys = [(gram, gram[:-1]) for gram in _grams(padded, n)]
+        log = math.log
+        per_label = {}
+        for label in self.labels:
+            count, total = self.counts[label].get, self.history_totals[label].get
+            # Left to right, one term per position: the same sum as the exact scorer's product.
+            lp = 0.0
+            for gram, history in keys:
+                lp += log((count(gram, 0) + alpha) / (total(history, 0) + smoothing))
+            per_label[label] = lp
+        return Scores.from_log_probs(per_label)
 
     def table_entries(self) -> int:
         """Total number of (label, history, next-char) count entries."""
-        return sum(
-            len(nexts) for per_label in self.counts.values() for nexts in per_label.values()
-        )
+        return sum(len(grams) for grams in self.counts.values())
 
     def history_entries(self) -> int:
-        return sum(len(per_label) for per_label in self.counts.values())
+        return sum(len(totals) for totals in self.history_totals.values())
 
     def estimated_bytes(self) -> int:
         """Coarse resident-size estimate of the count tables (hash-map cost)."""
@@ -133,13 +136,13 @@ class NgramModel:
         w.header(self.charset, self.labels)
         raw, pack_history, pack_next = w.raw, _history_record(self.config.n).pack, _NEXT.pack
         for label in self.labels:
-            table = self.counts[label]
-            w.put(U64, len(table))
-            for history in sorted(table):
-                nexts = table[history]
-                raw(pack_history(*history, len(nexts)))
-                for ci in sorted(nexts):
-                    raw(pack_next(ci, nexts[ci]))
+            grams = self.counts[label]
+            w.put(U64, len(self.history_totals[label]))
+            for history, group in groupby(sorted(grams), _HISTORY):
+                group = list(group)
+                raw(pack_history(*history, len(group)))
+                for gram in group:
+                    raw(pack_next(gram[-1], grams[gram]))
         w.save(path, MAGIC, _VERSION)
 
     def to_json_dict(self) -> dict:
@@ -152,41 +155,47 @@ class NgramModel:
                 return "<unk>"
             return self.charset.chars[s]
 
+        def table(grams: dict[Gram, int]) -> dict:
+            return {
+                "".join(map(sym, history)): {sym(gram[-1]): grams[gram] for gram in group}
+                for history, group in groupby(sorted(grams), _HISTORY)
+            }
+
         return {
             "kind": "ngram",
             "n": self.config.n,
             "alpha": self.config.alpha,
             "charset": list(self.charset.chars),
             "labels": [label.code for label in self.labels],
-            "counts": {
-                label.code: {
-                    "".join(sym(s) for s in history): {
-                        sym(ci): count for ci, count in sorted(nexts.items())
-                    }
-                    for history, nexts in sorted(self.counts[label].items())
-                }
-                for label in self.labels
-            },
+            "counts": {label.code: table(self.counts[label]) for label in self.labels},
         }
 
 
+def _grams(padded: list[int], n: int) -> zip:
+    """Every n-gram of a BOS-padded index sequence, one per text position."""
+    return zip(*(padded[k:] for k in range(n)))
+
+
+def _marginal(grams: dict[Gram, int], keep: slice) -> dict[Gram, int]:
+    """Counts summed over the n-gram positions that `keep` drops."""
+    out: dict[Gram, int] = {}
+    get = out.get
+    for gram, count in grams.items():
+        key = gram[keep]
+        out[key] = get(key, 0) + count
+    return out
+
+
 def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
-    """Count next-character events per label over BOS-padded index sequences."""
+    """Count every n-gram per label over BOS-padded index sequences."""
     if not len(corpus):
         raise ConfigError("training corpus is empty")
     config.check_charset(charset)
     n = config.n
-    counts: dict[Label, dict[History, dict[int, int]]] = {l: {} for l in corpus.labels}
+    bos = [BOS] * (n - 1)
+    counts: dict[Label, Counter[Gram]] = {label: Counter() for label in corpus.labels}
     for inst in corpus:
-        idx = charset.indices(inst.text)
-        padded = [BOS] * (n - 1) + idx
-        label_counts = counts[inst.label]
-        for i, x in enumerate(idx):
-            history = tuple(padded[i : i + n - 1])
-            nexts = label_counts.get(history)
-            if nexts is None:
-                nexts = label_counts[history] = {}
-            nexts[x] = nexts.get(x, 0) + 1
+        counts[inst.label].update(_grams(bos + charset.indices(inst.text), n))
     return NgramModel(config, charset, corpus.labels, counts)
 
 
@@ -211,21 +220,27 @@ def sweep(
     dev_corpus: Corpus,
     n_min: int,
     n_max: int,
-    alpha: float = 0.1,
+    alpha: float = NgramConfig.alpha,
     charset: Charset | None = None,
 ) -> list[SweepPoint]:
-    """Train one model per order in [n_min, n_max] and score dev accuracy."""
+    """Dev accuracy for every order in [n_min, n_max], from one count pass at n_max.
+
+    Under the same BOS padding an order-(n-1) history is the last n-2 symbols
+    of the order-n one, so summing out the leftmost symbol is exact.
+    """
     if n_min < 1 or n_min > n_max:
         raise ConfigError(f"invalid order range {n_min}..{n_max}")
     if charset is None:
         charset = build_charset(train_corpus)
+    model = train(train_corpus, NgramConfig(n_max, alpha), charset)
     points = []
-    for n in range(n_min, n_max + 1):
-        model = train(train_corpus, NgramConfig(n, alpha), charset)
-        points.append(
-            SweepPoint(n, accuracy(model, dev_corpus), model.table_entries(), model.estimated_bytes())
-        )
-    return points
+    for n in range(n_max, n_min - 1, -1):
+        if n < n_max:
+            lower = {label: _marginal(g, slice(1, None)) for label, g in model.counts.items()}
+            model = NgramModel(NgramConfig(n, alpha), charset, model.labels, lower)
+        acc = accuracy(model, dev_corpus)
+        points.append(SweepPoint(n, acc, model.table_entries(), model.estimated_bytes()))
+    return points[::-1]
 
 
 def load(path) -> NgramModel:
@@ -242,13 +257,23 @@ def _parse(r: Reader) -> NgramModel:
     n = r.value(U32)
     alpha = r.value(F64)
     charset, labels = r.header()
+    if not labels:
+        raise ModelIOError(f"{r.source}: model has no labels")
     config = NgramConfig(n, alpha)
     config.check_charset(charset)
     history_record = _history_record(n)
-    counts: dict[Label, dict[History, dict[int, int]]] = {}
+    counts: dict[Label, dict[Gram, int]] = {}
     for label in labels:
-        table = counts[label] = {}
+        grams = counts[label] = {}
         for _ in range(r.value(U64)):
             *history, k = r.unpack(history_record)
-            table[tuple(history)] = dict(r.records(_NEXT, k))
+            if not k:
+                raise ModelIOError(f"{r.source}: label {label.code!r}: a history with no n-grams")
+            for ci, count in r.records(_NEXT, k):
+                grams[(*history, ci)] = count
+        # `train` writes no empty table; as each history stores n-1 symbols, that bounds n.
+        symbols = set(chain.from_iterable(grams))
+        if not symbols or min(symbols) < BOS or max(symbols) >= charset.size:
+            raise ModelIOError(f"{r.source}: label {label.code!r}: no n-grams, "
+                               f"or a symbol outside [{BOS}, {charset.size})")
     return NgramModel(config, charset, labels, counts)

@@ -174,11 +174,12 @@ def test_criterion_3_ngram_oracle_equivalence():
         # smoothed next-char distributions normalize for every probed history
         v = charset.size
         for label in model.labels:
-            probe = list(model.counts[label]) + [tuple([charset.unk_index] * (n - 1))]
-            for history in probe:
+            grams = model.counts[label]
+            seen = {gram[:-1] for gram in grams}
+            for history in [*seen, tuple([charset.unk_index] * (n - 1))]:
                 total = model.history_totals[label].get(history, 0)
-                nexts = model.counts[label].get(history, {})
-                mass = sum((nexts.get(ci, 0) + 0.1) / (total + 0.1 * v) for ci in range(v))
+                mass = sum((grams.get(history + (ci,), 0) + 0.1) / (total + 0.1 * v)
+                           for ci in range(v))
                 assert abs(mass - 1.0) <= 1e-9
     print("\nACCEPTANCE 3: PASS — classify matches the exact-rational scorer on 50 random "
           "corpora and all probed smoothed distributions normalize within 1e-9")
@@ -219,7 +220,7 @@ def test_criterion_5_clstm_gradient_check():
     count = 0
     for name, arr in params.items():
         def value() -> float:
-            loss_only, _ = clstm.forward(
+            loss_only, _, _ = clstm.loss_and_grads(
                 params, GRADCHECK_CONFIG, batch, train_mode=True, seed=GRADCHECK_FWD_SEED
             )
             return loss_only
@@ -260,7 +261,7 @@ def test_criterion_7_toy_convergence(toy_clstm):
         [inst.text for inst in list(train_corpus)[:4]], [0, 0, 1, 1],
         model.charset, model.config.seq_len,
     )
-    loss, _ = clstm.forward(symmetric, model.config, batch)
+    loss, _, _ = clstm.loss_and_grads(symmetric, model.config, batch, train_mode=False)
     assert abs(loss - math.log(model.config.num_classes)) <= 1e-9
     print(f"\nACCEPTANCE 7: PASS — toy task reaches train accuracy {train_acc:.3f} >= 0.99 "
           f"within {len(history)} epochs, held-out 1.00; symmetric-init loss = ln(K) within 1e-9")

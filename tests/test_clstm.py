@@ -153,7 +153,7 @@ class TestEncode:
 class TestForward:
     def test_zeroed_params_give_uniform(self):
         params = {k: np.zeros_like(v) for k, v in clstm.init_params(TINY, np.random.default_rng(0)).items()}
-        loss, probs = clstm.forward(params, TINY, tiny_batch())
+        loss, probs, _ = clstm.loss_and_grads(params, TINY, tiny_batch(), train_mode=False)
         assert probs[0] == pytest.approx(np.full(2, 0.5), abs=1e-12)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
@@ -161,7 +161,7 @@ class TestForward:
         params = clstm.init_params(TINY, np.random.default_rng(3))
         params["out_w"][:] = 0.0
         params["out_b"][:] = 0.0
-        loss, _ = clstm.forward(params, TINY, tiny_batch())
+        loss, _, _ = clstm.loss_and_grads(params, TINY, tiny_batch(), train_mode=False)
         assert abs(loss - math.log(TINY.num_classes)) <= 1e-9
 
     def test_probability_rows_normalized(self):
@@ -169,7 +169,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         texts = ["".join(rng.choice(list("abcz")) for _ in range(12)) for _ in range(5)]
         batch = clstm.encode_batch(texts, [0, 1, 0, 1, 1], TINY_CHARSET, TINY.seq_len)
-        _, probs = clstm.forward(params, TINY, batch)
+        _, probs, _ = clstm.loss_and_grads(params, TINY, batch, train_mode=False)
         assert probs.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-9)
 
     def test_end_to_end_gradient_check(self):
@@ -183,7 +183,7 @@ class TestForward:
         worst = 0.0
         for name, arr in params.items():
             def value() -> float:
-                loss, _ = clstm.forward(params, TINY, batch, train_mode=True, seed=fwd_seed)
+                loss, _, _ = clstm.loss_and_grads(params, TINY, batch, seed=fwd_seed)
                 return loss
 
             fd = central_difference(value, arr)

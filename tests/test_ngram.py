@@ -4,6 +4,7 @@ import math
 import random
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from lident import ngram
 from lident.corpus import Charset, Corpus, Instance, Label, Scores, build_charset
 from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
-from lident.ngram import NgramConfig
+from lident.ngram import NgramConfig, SweepPoint
+from lident.serialization import F64, U32, U64, Writer, record
 from conftest import mutate_payload, reseal
 from reference import log_of_fraction, ngram_reference_best, ngram_reference_probs
 from synth import markov_corpora
@@ -22,6 +24,13 @@ L = Label
 
 def corpus_of(*texts_and_codes):
     return Corpus.from_instances(Instance(t, L(c)) for t, c in texts_and_codes)
+
+
+def random_corpus(rng: random.Random, alphabet: str, codes: list[str], rows: int, longest: int):
+    return corpus_of(*(
+        ("".join(rng.choice(alphabet) for _ in range(rng.randint(1, longest))), rng.choice(codes))
+        for _ in range(rows)
+    ))
 
 
 class TestConfig:
@@ -49,28 +58,37 @@ class TestTrain:
     def test_bigram_counts_single_text(self):
         corpus = corpus_of(("ab", "L1"))
         model = ngram.train(corpus, NgramConfig(2), build_charset(corpus))
-        # charset is (a, b) so a=0, b=1; histories hold the boundary marker -1
-        assert model.counts[L("L1")] == {(-1,): {0: 1}, (0,): {1: 1}}
+        # charset is (a, b) so a=0, b=1; each key is (history..., next char) and
+        # histories hold the boundary marker -1
+        assert model.counts[L("L1")] == {(-1, 0): 1, (0, 1): 1}
         assert model.history_totals[L("L1")] == {(-1,): 1, (0,): 1}
 
     def test_bigram_counts_two_texts(self):
         corpus = corpus_of(("aa", "L1"), ("ab", "L1"))
         model = ngram.train(corpus, NgramConfig(2), build_charset(corpus))
-        assert model.counts[L("L1")][(-1,)] == {0: 2}
-        assert model.counts[L("L1")][(0,)] == {0: 1, 1: 1}
-        assert model.history_totals[L("L1")][(0,)] == 2
+        assert model.counts[L("L1")] == {(-1, 0): 2, (0, 0): 1, (0, 1): 1}
+        assert model.history_totals[L("L1")] == {(-1,): 2, (0,): 2}
 
     def test_count_conservation(self):
         corpus = corpus_of(("abcab", "x"), ("cab", "x"), ("bbb", "y"))
         for n in (1, 2, 3, 4):
             model = ngram.train(corpus, NgramConfig(n), build_charset(corpus))
-            total_events = sum(
-                c
-                for per_label in model.counts.values()
-                for nexts in per_label.values()
-                for c in nexts.values()
-            )
-            assert total_events == sum(len(i.text) for i in corpus)
+            chars = sum(len(i.text) for i in corpus)
+            assert sum(sum(grams.values()) for grams in model.counts.values()) == chars
+            assert sum(sum(totals.values()) for totals in model.history_totals.values()) == chars
+            assert all(len(gram) == n for grams in model.counts.values() for gram in grams)
+
+    def test_summing_out_leftmost_symbol_gives_lower_order(self):
+        corpus = random_corpus(random.Random(11), "abcd", ["x", "y", "z"], 40, 25)
+        charset = build_charset(corpus)
+        models = {n: ngram.train(corpus, NgramConfig(n), charset) for n in range(1, 7)}
+        for label in corpus.labels:
+            for n in range(2, 7):
+                derived = ngram._marginal(models[n].counts[label], slice(1, None))
+                assert derived == models[n - 1].counts[label]
+            # order 1 has the empty history, whose total is every character of the label
+            chars = sum(len(i.text) for i in corpus if i.label == label)
+            assert models[1].history_totals[label] == {(): chars}
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
@@ -169,14 +187,15 @@ class TestSmoothedNormalization:
             alpha = model.config.alpha
             histories = set()
             for label in model.labels:
-                histories.update(model.counts[label])
+                histories.update(gram[:-1] for gram in model.counts[label])
             histories.add(tuple([charset.unk_index] * (n - 1)))  # unseen history
             for label in model.labels:
+                grams = model.counts[label]
                 for history in histories:
                     total = model.history_totals[label].get(history, 0)
-                    nexts = model.counts[label].get(history, {})
                     mass = sum(
-                        (nexts.get(ci, 0) + alpha) / (total + alpha * v) for ci in range(v)
+                        (grams.get(history + (ci,), 0) + alpha) / (total + alpha * v)
+                        for ci in range(v)
                     )
                     assert mass == pytest.approx(1.0, abs=1e-9)
 
@@ -223,6 +242,41 @@ class TestSweep:
         entries = [p.table_entries for p in points]
         assert entries == sorted(entries)
         assert all(p.estimated_bytes > 0 for p in points)
+
+    def test_one_count_pass_matches_per_order_retrain(self, monkeypatch):
+        def retrain_each_order(train_corpus, dev_corpus, n_min, n_max, alpha, charset):
+            """The per-order retrain that the one-pass sweep replaced."""
+            points = []
+            for n in range(n_min, n_max + 1):
+                model = ngram.train(train_corpus, NgramConfig(n, alpha), charset)
+                points.append(SweepPoint(n, ngram.accuracy(model, dev_corpus),
+                                         model.table_entries(), model.estimated_bytes()))
+            return points
+
+        original = ngram.train
+        calls = []
+
+        def counting_train(*args):
+            calls.append(args)
+            return original(*args)
+
+        rng = random.Random(4242)
+        for _ in range(8):
+            alphabet = "abcdefgh"[: rng.randint(2, 8)]
+            codes = [f"l{i}" for i in range(rng.randint(2, 4))]
+            train_corpus = random_corpus(rng, alphabet, codes, rng.randint(4, 40), 30)
+            dev_corpus = random_corpus(rng, alphabet + "q", codes, rng.randint(1, 20), 30)
+            charset = build_charset(train_corpus)
+            n_min = rng.randint(1, 4)
+            n_max = n_min + rng.randint(0, 4)
+            alpha = rng.choice([0.01, 0.1, 1.0])
+            expected = retrain_each_order(train_corpus, dev_corpus, n_min, n_max, alpha, charset)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ngram, "train", counting_train)
+                points = ngram.sweep(train_corpus, dev_corpus, n_min, n_max, alpha, charset)
+            assert points == expected
+            assert len(calls) == 1
 
     def test_longer_orders_beat_unigrams_on_similar_languages(self):
         # languages built to share unigram marginals exactly, so only
@@ -317,9 +371,57 @@ class TestSaveLoad:
         blob = path.read_bytes()
         path.write_bytes(reseal(blob, mutate_payload(data, blob[8:-4], header=64)))
         try:
-            ngram.load(path)
+            model = ngram.load(path)
         except ModelIOError:
-            pass
+            return
+        model.to_json_dict()
+        model.classify("ab")
+
+    def _hand_made(self, tmp_path, n: int, tables: list) -> Path:
+        """A .lidn over charset (a, b) (V = 3) with one label per entry of `tables`,
+        each a list of (history, [(char index, count), ...])."""
+        w = Writer()
+        w.put(U32, n)
+        w.put(F64, 0.1)
+        w.header(Charset(("a", "b")), tuple(L(f"L{i}") for i in range(len(tables))))
+        for table in tables:
+            w.put(U64, len(table))
+            for history, nexts in table:
+                w.put(record(f"{n - 1}iI"), *history, len(nexts))
+                w.records(record("IQ"), nexts)
+        path = tmp_path / "hand.lidn"
+        w.save(path, ngram.MAGIC, 1)
+        return path
+
+    def test_hand_made_payload_round_trips(self, tmp_path):
+        path = self._hand_made(tmp_path, 2, [[((-1,), [(0, 2)]), ((0,), [(1, 1), (2, 3)])],
+                                             [((2,), [(0, 1)])]])
+        model = ngram.load(path)
+        assert model.counts[L("L0")] == {(-1, 0): 2, (0, 1): 1, (0, 2): 3}
+        again = tmp_path / "again.lidn"
+        model.save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("n, tables", [
+        # a history record with no (char, count) pairs: no flat table can hold it
+        (2, [[((-1,), [(0, 1)]), ((0,), [])], [((0,), [(1, 1)])]]),
+        # a label with no n-grams; `train` never writes one
+        (2, [[((-1,), [(0, 1)])], []]),
+        # a huge order with empty tables used to load and then cost seconds per text
+        (10**6, [[], []]),
+        # history symbols below BOS or at V
+        (2, [[((-5,), [(0, 1)])], [((0,), [(1, 1)])]]),
+        (3, [[((-1, 3), [(0, 1)])], [((0, 0), [(1, 1)])]]),
+        # char indices at or far past V used to load and then crash `predict --dump`
+        (2, [[((-1,), [(3, 1)])], [((0,), [(1, 1)])]]),
+        (2, [[((-1,), [(0, 1)])], [((0,), [(1, 1), (999, 1)])]]),
+        # no labels at all
+        (2, []),
+    ], ids=["empty-history", "empty-label", "huge-n-empty-tables", "history-below-bos",
+            "history-at-v", "char-at-v", "char-999", "no-labels"])
+    def test_impossible_tables_are_model_errors(self, tmp_path, n, tables):
+        with pytest.raises(ModelIOError):
+            ngram.load(self._hand_made(tmp_path, n, tables))
 
     def test_json_dump_readable(self):
         model = self._model()
