@@ -534,20 +534,36 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to `params` in place."""
+    """One bias-corrected Adam update, applied to `params` in place.
+
+    The arithmetic is p -= lr * (m / c1) / (sqrt(v / c2) + eps), operation
+    for operation, but every intermediate lands in one scratch buffer.
+    """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1**t
     correction2 = 1.0 - b2**t
+    scratch = np.empty(2 * max((p.size for p in params.values()), default=0))
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
+        step = scratch[: p.size].reshape(p.shape)
+        denom = scratch[p.size : 2 * p.size].reshape(p.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
+        v += step
+        np.divide(v, correction2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, correction1, out=step)
+        step *= state.lr
+        step /= denom
+        p -= step

@@ -44,6 +44,8 @@ from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
+import numpy as np
+
 from .corpus import Charset, Label
 from .errors import ChecksumError, ConfigError, ModelIOError, VersionError
 
@@ -126,6 +128,14 @@ def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int,
     return version, payload
 
 
+def _in_heads(size: int, offsets: np.ndarray, width: int) -> np.ndarray:
+    """A mask over `size` bytes, true on the `width` bytes from each of `offsets`."""
+    edges = np.zeros(size + 1, np.int8)
+    edges[offsets] = 1
+    edges[offsets + width] -= 1  # 0 where a head ends just as the next begins
+    return np.cumsum(edges[:-1], dtype=np.int8).view(bool)
+
+
 class Writer:
     """Builds a payload field by field."""
 
@@ -138,6 +148,16 @@ class Writer:
 
     def records(self, st: struct.Struct, rows: Iterable[tuple]) -> None:
         self.raw(b"".join(starmap(st.pack, rows)))
+
+    def runs(self, heads: np.ndarray, items: np.ndarray) -> None:
+        """Each of `heads` followed by as many `items` as its last field, a u32, says."""
+        k = heads[heads.dtype.names[-1]].astype(np.int64)
+        offsets = np.arange(len(heads)) * heads.itemsize + (np.cumsum(k) - k) * items.itemsize
+        out = np.empty(heads.nbytes + items.nbytes, np.uint8)
+        in_heads = _in_heads(len(out), offsets, heads.itemsize)
+        out[in_heads] = heads.view(np.uint8)
+        out[~in_heads] = items.view(np.uint8)
+        self.raw(out)
 
     def string(self, text: str) -> None:
         data = text.encode("utf-8")
@@ -182,6 +202,26 @@ class Reader:
 
     def records(self, st: struct.Struct, count: int) -> Iterator[tuple]:
         return st.iter_unpack(self.read(st.size * count))
+
+    def runs(self, count: int, head: np.dtype, item: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+        """`count` records, each a `head` whose last field, a u32, counts the `item`s after it.
+
+        Only the heads are walked in Python; both come back as arrays.
+        """
+        payload, start = self.payload, self.offset
+        at, starts = start, []
+        k_at = head.itemsize - U32.size
+        unpack = U32.unpack_from
+        try:
+            for _ in range(count):
+                starts.append(at)
+                at += head.itemsize + item.itemsize * unpack(payload, at + k_at)[0]
+        except struct.error:
+            raise ModelIOError(f"{self.source}: payload ends mid-record") from None
+        self._advance(at - start)
+        section = np.frombuffer(payload, np.uint8, at - start, start)
+        in_heads = _in_heads(len(section), np.array(starts, np.int64) - start, head.itemsize)
+        return section[in_heads].view(head), section[~in_heads].view(item)
 
     def string(self) -> str:
         return str(self.read(self.value(U16)), "utf-8")

@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own code paths: the n-gram oracle
 counts with flat string-keyed dictionaries and multiplies exact rationals in
-linear space; the metrics oracle recomputes every figure from first
+linear space, and the n-gram float scorer counts in one dict per label and
+adds `math.log` terms left to right; the metrics oracle recomputes every figure from first
 principles with plain loops; gradients come from central finite differences.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +53,43 @@ def ngram_reference_probs(
             prob *= (c + alpha) / (t + alpha * v)
         result[code] = prob
     return result
+
+
+def ngram_reference_log_probs(corpus, charset, n: int, alpha: float, text: str) -> dict:
+    """Per-label float log-probability of `text`, by the dict-per-label scorer
+    the sorted-array table replaced: a Counter of n-gram tuples per label,
+    history totals summed out of it, and one left-to-right `math.log` loop."""
+    bos = [-1] * (n - 1)
+    counts = {label: Counter() for label in corpus.labels}
+    for inst in corpus:
+        padded = bos + [charset.lookup(ch) for ch in inst.text]
+        counts[inst.label].update(zip(*(padded[k:] for k in range(n))))
+    padded = bos + [charset.lookup(ch) for ch in text]
+    keys = [(gram, gram[:-1]) for gram in zip(*(padded[k:] for k in range(n)))]
+    smoothing = alpha * charset.size
+    result = {}
+    for label, grams in counts.items():
+        totals: Counter = Counter()
+        for gram, count in grams.items():
+            totals[gram[:-1]] += count
+        lp = 0.0
+        for gram, history in keys:
+            lp += math.log((grams.get(gram, 0) + alpha) / (totals.get(history, 0) + smoothing))
+        result[label] = lp
+    return result
+
+
+def next_char_probs(model, history: tuple) -> dict:
+    """Per label, the model's smoothed P(c | history) for every char index c,
+    read off its own scores. `history` is beginning-of-text markers (-1) then
+    the indices of some text s, which is the history after s, so
+    P(c | history) = exp(score(s + c) - score(s))."""
+    chars = (*model.charset.chars, "\uffff")  # the last stands for the unknown slot
+    assert chars[-1] not in model.charset.chars
+    prefix = "".join(chars[s] for s in history if s != -1)
+    base = model.classify(prefix).per_label
+    after = [model.classify(prefix + ch).per_label for ch in chars]
+    return {label: [math.exp(lp[label] - base[label]) for lp in after] for label in base}
 
 
 def ngram_reference_best(probs: dict[str, Fraction]) -> str:

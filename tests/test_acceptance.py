@@ -27,6 +27,7 @@ from reference import (
     central_difference,
     log_of_fraction,
     max_rel_err,
+    next_char_probs,
     ngram_reference_best,
     ngram_reference_probs,
 )
@@ -172,15 +173,10 @@ def test_criterion_3_ngram_oracle_equivalence():
                     log_of_fraction(frac), rel=1e-9, abs=1e-9
                 )
         # smoothed next-char distributions normalize for every probed history
-        v = charset.size
-        for label in model.labels:
-            grams = model.counts[label]
-            seen = {gram[:-1] for gram in grams}
-            for history in [*seen, tuple([charset.unk_index] * (n - 1))]:
-                total = model.history_totals[label].get(history, 0)
-                mass = sum((grams.get(history + (ci,), 0) + 0.1) / (total + 0.1 * v)
-                           for ci in range(v))
-                assert abs(mass - 1.0) <= 1e-9
+        seen = {gram[:-1] for label in model.labels for gram in model.grams(label)}
+        for history in [*seen, tuple([charset.unk_index] * (n - 1))]:
+            for probs in next_char_probs(model, history).values():
+                assert abs(sum(probs) - 1.0) <= 1e-9
     print("\nACCEPTANCE 3: PASS — classify matches the exact-rational scorer on 50 random "
           "corpora and all probed smoothed distributions normalize within 1e-9")
 

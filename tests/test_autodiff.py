@@ -499,6 +499,39 @@ class TestAdam:
 
         assert run() == run()
 
+    def test_in_place_step_matches_formula_bitwise(self):
+        def reference_step(params, grads, state):
+            """The allocating formula the in-place step must reproduce bit for bit."""
+            state.step += 1
+            t = state.step
+            b1, b2 = state.beta1, state.beta2
+            correction1 = 1.0 - b1**t
+            correction2 = 1.0 - b2**t
+            for name, p in params.items():
+                g = grads[name]
+                m = state.m[name]
+                v = state.v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+
+        rng = np.random.default_rng(7)
+        shapes = {"w": (5, 3), "b": (4,), "s": (), "k": (2, 3, 4)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        twin = {name: p.copy() for name, p in params.items()}
+        state = ad.AdamState.for_params(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+        twin_state = ad.AdamState.for_params(twin, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+        for _ in range(5):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, shape in shapes.items()}
+            ad.adam_step(params, grads, state)
+            reference_step(twin, grads, twin_state)
+            for name in shapes:
+                for got, want in ((params, twin), (state.m, twin_state.m), (state.v, twin_state.v)):
+                    assert got[name].tobytes() == want[name].tobytes()
+
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
         state = ad.AdamState.for_params(params)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
 from lident.ngram import NgramConfig, SweepPoint
 from lident.serialization import F64, U32, U64, Writer, record
 from conftest import mutate_payload, reseal
-from reference import log_of_fraction, ngram_reference_best, ngram_reference_probs
+from reference import (log_of_fraction, next_char_probs, ngram_reference_best,
+                       ngram_reference_log_probs, ngram_reference_probs)
 from synth import markov_corpora
 
 L = Label
@@ -24,6 +26,14 @@ L = Label
 
 def corpus_of(*texts_and_codes):
     return Corpus.from_instances(Instance(t, L(c)) for t, c in texts_and_codes)
+
+
+def summed_out(grams: dict, keep: slice) -> Counter:
+    """Counts summed over the n-gram positions that `keep` drops."""
+    out: Counter = Counter()
+    for gram, count in grams.items():
+        out[gram[keep]] += count
+    return out
 
 
 def random_corpus(rng: random.Random, alphabet: str, codes: list[str], rows: int, longest: int):
@@ -60,23 +70,32 @@ class TestTrain:
         model = ngram.train(corpus, NgramConfig(2), build_charset(corpus))
         # charset is (a, b) so a=0, b=1; each key is (history..., next char) and
         # histories hold the boundary marker -1
-        assert model.counts[L("L1")] == {(-1, 0): 1, (0, 1): 1}
-        assert model.history_totals[L("L1")] == {(-1,): 1, (0,): 1}
+        assert model.grams(L("L1")) == {(-1, 0): 1, (0, 1): 1}
+        # history totals of 1 for <s> and for "a": P(b | <s>) = 0.1 / (1 + 0.1 * 3)
+        assert model.log_prob("b", L("L1")) == pytest.approx(math.log(0.1 / 1.3), rel=1e-12)
+        assert model.log_prob("aa", L("L1")) == pytest.approx(
+            math.log(1.1 / 1.3) + math.log(0.1 / 1.3), rel=1e-12)
 
     def test_bigram_counts_two_texts(self):
         corpus = corpus_of(("aa", "L1"), ("ab", "L1"))
         model = ngram.train(corpus, NgramConfig(2), build_charset(corpus))
-        assert model.counts[L("L1")] == {(-1, 0): 2, (0, 0): 1, (0, 1): 1}
-        assert model.history_totals[L("L1")] == {(-1,): 2, (0,): 2}
+        assert model.grams(L("L1")) == {(-1, 0): 2, (0, 0): 1, (0, 1): 1}
+        # history totals of 2 for <s> and for "a"
+        assert model.log_prob("b", L("L1")) == pytest.approx(math.log(0.1 / 2.3), rel=1e-12)
+        assert model.log_prob("ab", L("L1")) == pytest.approx(
+            math.log(2.1 / 2.3) + math.log(1.1 / 2.3), rel=1e-12)
 
     def test_count_conservation(self):
         corpus = corpus_of(("abcab", "x"), ("cab", "x"), ("bbb", "y"))
         for n in (1, 2, 3, 4):
             model = ngram.train(corpus, NgramConfig(n), build_charset(corpus))
             chars = sum(len(i.text) for i in corpus)
-            assert sum(sum(grams.values()) for grams in model.counts.values()) == chars
-            assert sum(sum(totals.values()) for totals in model.history_totals.values()) == chars
-            assert all(len(gram) == n for grams in model.counts.values() for gram in grams)
+            tables = [model.grams(label) for label in model.labels]
+            assert sum(sum(grams.values()) for grams in tables) == chars
+            assert all(len(gram) == n for grams in tables for gram in grams)
+            # the count and total matrices hold exactly the entries the view shows
+            assert model.table_entries() == sum(map(len, tables))
+            assert model.history_entries() == sum(len(summed_out(g, slice(None, -1))) for g in tables)
 
     def test_summing_out_leftmost_symbol_gives_lower_order(self):
         corpus = random_corpus(random.Random(11), "abcd", ["x", "y", "z"], 40, 25)
@@ -84,11 +103,11 @@ class TestTrain:
         models = {n: ngram.train(corpus, NgramConfig(n), charset) for n in range(1, 7)}
         for label in corpus.labels:
             for n in range(2, 7):
-                derived = ngram._marginal(models[n].counts[label], slice(1, None))
-                assert derived == models[n - 1].counts[label]
+                derived = summed_out(models[n].grams(label), slice(1, None))
+                assert derived == models[n - 1].grams(label)
             # order 1 has the empty history, whose total is every character of the label
             chars = sum(len(i.text) for i in corpus if i.label == label)
-            assert models[1].history_totals[label] == {(): chars}
+            assert summed_out(models[1].grams(label), slice(None, -1)) == {(): chars}
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
@@ -183,21 +202,13 @@ class TestSmoothedNormalization:
         charset = build_charset(corpus)
         for n in (1, 2, 3):
             model = ngram.train(corpus, NgramConfig(n, 0.1), charset)
-            v = charset.size
-            alpha = model.config.alpha
             histories = set()
             for label in model.labels:
-                histories.update(gram[:-1] for gram in model.counts[label])
+                histories.update(gram[:-1] for gram in model.grams(label))
             histories.add(tuple([charset.unk_index] * (n - 1)))  # unseen history
-            for label in model.labels:
-                grams = model.counts[label]
-                for history in histories:
-                    total = model.history_totals[label].get(history, 0)
-                    mass = sum(
-                        (grams.get(history + (ci,), 0) + alpha) / (total + alpha * v)
-                        for ci in range(v)
-                    )
-                    assert mass == pytest.approx(1.0, abs=1e-9)
+            for history in histories:
+                for probs in next_char_probs(model, history).values():
+                    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestOracleEquivalence:
@@ -226,6 +237,31 @@ class TestOracleEquivalence:
                     )
 
 
+class TestReferenceScorer:
+    def test_matches_dict_per_label_scorer(self):
+        # the scorer the sorted-array table replaced, kept in tests/reference.py
+        rng = random.Random(1207)
+        for n in range(1, 9):
+            for _ in range(3):
+                alphabet = "abcdefgh"[: rng.randint(2, 8)]
+                codes = [f"l{i}" for i in range(rng.randint(1, 4))]
+                corpus = random_corpus(rng, alphabet, codes, rng.randint(2, 30), 30)
+                charset = build_charset(corpus)
+                alpha = rng.choice([0.01, 0.1, 1.0])
+                model = ngram.train(corpus, NgramConfig(n, alpha), charset)
+                seen = rng.choice(corpus.instances).text
+                texts = ["", alphabet[0], "z", seen, seen[::-1] + "q", *(
+                    "".join(rng.choice(alphabet + "xyz") for _ in range(rng.randint(1, 40)))
+                    for _ in range(4)
+                )]
+                for text in texts:
+                    expected = ngram_reference_log_probs(corpus, charset, n, alpha, text)
+                    scores = model.classify(text)
+                    assert scores.per_label == pytest.approx(expected, rel=1e-12, abs=0)
+                    for label in model.labels:
+                        assert model.log_prob(text, label) == scores.per_label[label]
+
+
 class TestSweep:
     def test_degenerate_single_order(self, toy_corpus):
         points = ngram.sweep(toy_corpus, toy_corpus, 2, 2)
@@ -242,6 +278,8 @@ class TestSweep:
         entries = [p.table_entries for p in points]
         assert entries == sorted(entries)
         assert all(p.estimated_bytes > 0 for p in points)
+        # plain ints, as JSON reports need
+        assert {type(p.table_entries) for p in points} | {type(p.estimated_bytes) for p in points} == {int}
 
     def test_one_count_pass_matches_per_order_retrain(self, monkeypatch):
         def retrain_each_order(train_corpus, dev_corpus, n_min, n_max, alpha, charset):
@@ -394,13 +432,21 @@ class TestSaveLoad:
         return path
 
     def test_hand_made_payload_round_trips(self, tmp_path):
-        path = self._hand_made(tmp_path, 2, [[((-1,), [(0, 2)]), ((0,), [(1, 1), (2, 3)])],
-                                             [((2,), [(0, 1)])]])
-        model = ngram.load(path)
-        assert model.counts[L("L0")] == {(-1, 0): 2, (0, 1): 1, (0, 2): 3}
-        again = tmp_path / "again.lidn"
-        model.save(again)
-        assert again.read_bytes() == path.read_bytes()
+        for n, tables, grams in [
+            (2, [[((-1,), [(0, 2)]), ((0,), [(1, 1), (2, 3)])], [((2,), [(0, 1)])]],
+             {(-1, 0): 2, (0, 1): 1, (0, 2): 3}),
+            (1, [[((), [(0, 2), (2, 1)])], [((), [(1, 5)])]], {(0,): 2, (2,): 1}),
+            # the largest history total float64 holds exactly
+            (3, [[((-1, -1), [(0, 1)]), ((-1, 0), [(1, 1)]), ((0, 1), [(2, 2**53 - 1)])],
+                 [((1, 2), [(0, 1)])]],
+             {(-1, -1, 0): 1, (-1, 0, 1): 1, (0, 1, 2): 2**53 - 1}),
+        ]:
+            path = self._hand_made(tmp_path, n, tables)
+            model = ngram.load(path)
+            assert model.grams(L("L0")) == grams
+            again = tmp_path / "again.lidn"
+            model.save(again)
+            assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("n, tables", [
         # a history record with no (char, count) pairs: no flat table can hold it
@@ -417,8 +463,23 @@ class TestSaveLoad:
         (2, [[((-1,), [(0, 1)])], [((0,), [(1, 1), (999, 1)])]]),
         # no labels at all
         (2, []),
+        # records `train` cannot write, whose later pairs used to overwrite earlier ones
+        (2, [[((0,), [(1, 3)]), ((0,), [(1, 4)])], [((0,), [(1, 1)])]]),
+        (2, [[((0,), [(1, 1)]), ((0,), [(2, 1)])], [((0,), [(1, 1)])]]),
+        (1, [[((), [(0, 1)]), ((), [(1, 1)])], [((), [(0, 1)])]]),
+        (2, [[((0,), [(1, 1), (1, 2)])], [((0,), [(1, 1)])]]),
+        (2, [[((0,), [(1, 1)]), ((-1,), [(0, 1)])], [((0,), [(1, 1)])]]),
+        (2, [[((0,), [(2, 1), (1, 1)])], [((0,), [(1, 1)])]]),
+        # a zero count, which no table holds apart from an absent n-gram
+        (2, [[((0,), [(1, 0)])], [((0,), [(1, 1)])]]),
+        # history totals that float64 no longer holds exactly
+        (2, [[((0,), [(1, 2**52), (2, 2**52)])], [((0,), [(1, 1)])]]),
+        (2, [[((0,), [(1, 2**64 - 1)])], [((0,), [(1, 1)])]]),
     ], ids=["empty-history", "empty-label", "huge-n-empty-tables", "history-below-bos",
-            "history-at-v", "char-at-v", "char-999", "no-labels"])
+            "history-at-v", "char-at-v", "char-999", "no-labels",
+            "history-repeated-same-char", "history-repeated", "unigram-history-repeated",
+            "char-repeated", "histories-out-of-order", "chars-out-of-order", "zero-count",
+            "total-2-53", "count-2-64"])
     def test_impossible_tables_are_model_errors(self, tmp_path, n, tables):
         with pytest.raises(ModelIOError):
             ngram.load(self._hand_made(tmp_path, n, tables))

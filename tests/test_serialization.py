@@ -56,8 +56,10 @@ class TestFormatPin:
         assert again.config == model.config
         assert again.charset == model.charset
         assert again.labels == model.labels
-        assert again.counts == model.counts
-        assert again.history_totals == model.history_totals
+        for label in model.labels:
+            assert again.grams(label) == model.grams(label)
+        for text in ("bonjour amigo", "", "zzz"):
+            assert again.classify(text) == model.classify(text)
 
     def test_lidc_bytes_pinned(self, tmp_path):
         model = pinned_clstm()
