@@ -324,7 +324,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     charset = build_charset(train_corpus, args.max_charset)
     points = ngram.sweep(train_corpus, dev_corpus, args.n_min, args.n_max, args.alpha, charset)
     lines = ["n,accuracy,model_table_entries,peak_memory_estimate"]
-    lines += [f"{p.n},{p.accuracy:.6f},{p.table_entries},{p.estimated_bytes}" for p in points]
+    lines += [f"{p.n},{p.accuracy:.6f},{p.table_entries},{p.table_bytes}" for p in points]
     document = "\n".join(lines) + "\n"
     _emit(args.out, document)
     return 0

@@ -13,16 +13,27 @@ dense V^n storage and one lookup serves every label:
   lexicographic order, and keys stay below rows(k - 1) * (V + 1) for any
   n. Each level ends in a sentinel row that no key reaches; a lookup that
   misses lands there, and every key built on it misses too.
-- Matrices. Level n indexes a [G + 1, L] matrix of n-gram counts, level
-  n - 1 (the empty prefix for n = 1) a [H + 1, L] matrix of history
-  totals. Both hold float64 integers below 2**53, so they are exact, and
-  their sentinel rows are 0.
+- Sparse rows. The rows of level n (n-grams) and then those of level
+  n - 1 (histories; for n = 1 the one empty prefix) form one table in CSR
+  form: `offsets` delimits each row's run of entries, and an entry is a
+  label and the log term of a text position that reads the row. A
+  history row has an entry for each label that saw the history, t times
+  in all: the miss term ln(a / (t + aV)). An n-gram row has an entry for
+  each label of its history's row: ln((c + a) / (t + aV)), where the
+  n-gram's count c may be 0, and it keeps c, from which `save`, `grams`
+  and `sweep` read the counts back. Sentinel rows have no entries. Counts
+  and totals are float64 integers below 2**53, so they are exact.
+- The log terms are built once, with `math.log` over the distinct
+  ratios, so scores keep the bits of a left-to-right `math.log` loop.
 
 One builder makes the table from (n-gram, label, count) entries: every
 text position for `train`, the file's entries for `load`, and for `sweep`
 the order-n entries with their leftmost symbol summed out. Scoring walks
-the levels with `np.searchsorted`, gathers [T, L] counts and totals and
-adds the smoothed log terms down the text.
+the levels with `np.searchsorted`. A position reads its n-gram's row if
+the lookup hit and its history's row if not, and a history that missed
+lands on an entry-less sentinel row. The entries fill a [T, L] array whose
+other cells hold ln(a / aV), the term of a history no label saw, and the
+terms are added down the text.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -34,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -82,9 +93,14 @@ class NgramConfig:
     n: int = 7
     alpha: float = 0.1
 
+    # The largest order accepted, well above the paper's sweep (1-8): `train`
+    # writes n - 1 markers per text and builds n levels, so a mistyped order
+    # would otherwise ask for billions of symbols before anything failed.
+    MAX_N: ClassVar[int] = 64
+
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n-gram order must be >= 1, got {self.n}")
+        if not 1 <= self.n <= self.MAX_N:
+            raise ConfigError(f"n-gram order must be in 1..{self.MAX_N}, got {self.n}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ConfigError(f"smoothing mass alpha must be finite and > 0, got {self.alpha}")
 
@@ -101,17 +117,28 @@ Gram = tuple[int, ...]
 _HISTORY = itemgetter(slice(None, -1))
 
 
+def _expand(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the runs [starts, starts + lengths), in run order, as
+    (its run, the index)."""
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    return run, np.arange(len(run)) + (starts - np.cumsum(lengths) + lengths)[run]
+
+
 @dataclass
 class NgramModel:
-    """The smoothed n-gram counts of every label in one sorted-array table."""
+    """The smoothed n-gram terms of every label in one sparse sorted-array table."""
 
     config: NgramConfig
     charset: Charset
     labels: tuple[Label, ...]
     # n sorted key arrays, each ending in the sentinel; see the module docstring.
     levels: tuple[np.ndarray, ...] = field(repr=False)
-    counts: np.ndarray = field(repr=False)  # [G + 1, L], rows of levels[-1]
-    totals: np.ndarray = field(repr=False)  # [H + 1, L], rows of levels[-2]
+    # The entries of the rows of levels[-1], then of levels[-2] (of the empty
+    # prefix for n = 1), in CSR form; see the module docstring.
+    offsets: np.ndarray = field(repr=False)  # [rows + 1], where each row's entries begin
+    cols: np.ndarray = field(repr=False)  # [E], each entry's label row
+    logs: np.ndarray = field(repr=False)  # [E], each entry's log term
+    counts: np.ndarray = field(repr=False)  # each n-gram row entry's count, 0 in a miss term
 
     def log_prob(self, text: str, label: Label) -> float:
         """Sum of ln[(count + a) / (total + a*V)] over the padded index sequence.
@@ -138,33 +165,38 @@ class NgramModel:
             keys = rows * base + digits[k : k + positions]
             found = level.searchsorted(keys)
             rows = np.where(level[found] == keys, found, len(level) - 1)
-        ratios = (self.counts[rows] + alpha) / (self.totals[history] + alpha * self.charset.size)
-        # np.log may round an ulp away from math.log; the ratios repeat a lot,
-        # so math.log of each distinct one keeps the scores exactly as before.
-        distinct, inverse = np.unique(ratios, return_inverse=True)
-        logs = np.array(list(map(math.log, distinct.tolist())))[inverse.reshape(ratios.shape)]
+        # A missed n-gram lands on its level's sentinel: read its history's row.
+        grams = len(self.levels[-1])
+        rows = np.where(rows < grams - 1, rows, grams + history)
+        starts = self.offsets[rows]
+        position, at = _expand(starts, self.offsets[rows + 1] - starts)
+        # The labels a row has no entry for never saw its history.
+        unseen = math.log(alpha / (alpha * self.charset.size))
+        terms = np.full((positions, len(self.labels)), unseen)
+        terms[position, self.cols[at]] = self.logs[at]
         # Down axis 0 of a C-ordered [T, L >= 2] array numpy adds left to right,
         # one position at a time, as the exact scorer multiplies. (A lone
         # label's column is summed pairwise: equal to within rounding.)
-        return Scores.from_log_probs(dict(zip(self.labels, logs.sum(axis=0).tolist())))
+        return Scores.from_log_probs(dict(zip(self.labels, terms.sum(axis=0).tolist())))
 
     def grams(self, label: Label) -> dict[Gram, int]:
         """One label's nonzero n-gram counts, in table order."""
-        column = self.counts[:, self.labels.index(label)]
-        rows = np.flatnonzero(column)
-        grams = map(tuple, self._symbols(rows).tolist())
-        return dict(zip(grams, column[rows].astype(np.int64).tolist()))
+        mine = self.cols[: len(self.counts)] == self.labels.index(label)
+        at = np.flatnonzero(mine & (self.counts > 0))
+        grams = map(tuple, self._symbols(self._gram_rows()[at]).tolist())
+        return dict(zip(grams, self.counts[at].astype(np.int64).tolist()))
 
     def table_entries(self) -> int:
         """Total number of (label, history, next-char) count entries."""
         return int(np.count_nonzero(self.counts))
 
     def history_entries(self) -> int:
-        return int(np.count_nonzero(self.totals))
+        """Total number of (label, history) pairs seen in training."""
+        return len(self.cols) - len(self.counts)
 
-    def estimated_bytes(self) -> int:
-        """The sweep CSV's coarse size figure: 150 bytes a history entry, 100 an n-gram entry."""
-        return self.history_entries() * 150 + self.table_entries() * 100
+    def nbytes(self) -> int:
+        """The size of the table's arrays."""
+        return sum(a.nbytes for a in (*self.levels, self.offsets, self.cols, self.logs, self.counts))
 
     def save(self, path) -> None:
         # Rows are in table order, which is the canonical (history, char)
@@ -184,6 +216,7 @@ class NgramModel:
         items = np.empty(len(grams), _NEXT)
         items["char"] = grams[:, -1]
         items["count"] = count
+        del grams  # the records hold it now; a large table's save peaks here
         bounds = np.arange(len(self.labels) + 1)
         heads_at, items_at = np.searchsorted(label[first], bounds), np.searchsorted(label, bounds)
         for h0, h1, i0, i1 in zip(heads_at, heads_at[1:], items_at, items_at[1:]):
@@ -216,6 +249,11 @@ class NgramModel:
             "counts": {label.code: table(self.grams(label)) for label in self.labels},
         }
 
+    def _gram_rows(self) -> np.ndarray:
+        """The n-gram row of each entry that `counts` covers."""
+        lengths = np.diff(self.offsets[: len(self.levels[-1]) + 1])
+        return np.repeat(np.arange(len(lengths)), lengths)
+
     def _symbols(self, rows: np.ndarray) -> np.ndarray:
         """The [len(rows), n] symbols of n-gram rows, read back up the levels."""
         out = np.empty((len(rows), self.config.n), np.int32)
@@ -227,8 +265,9 @@ class NgramModel:
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every nonzero count as (symbols [E, n], label row [E], count [E]),
         label by label, each in table order."""
-        label, rows = np.nonzero(self.counts.T)
-        return self._symbols(rows), label, self.counts[rows, label]
+        at = np.flatnonzero(self.counts)
+        at = at[np.argsort(self.cols[at], kind="stable")]
+        return self._symbols(self._gram_rows()[at]), self.cols[at], self.counts[at]
 
 
 def _build(
@@ -237,27 +276,111 @@ def _build(
     labels: tuple[Label, ...],
     grams: Iterable[np.ndarray],
     label: np.ndarray,
-    weight: np.ndarray,
+    weight: np.ndarray | None = None,
 ) -> tuple[NgramModel, np.ndarray]:
-    """The model of N n-grams, each counted `weight` times for its `label` row,
-    and each one's row in the table. `grams` yields their symbols one [N]
-    column at a time, so no [N, n] copy need exist."""
+    """The model of N n-grams, each counted `weight` times (once if None) for
+    its `label` row, and each one's cell: within a label, cells increase as
+    the n-grams' rows do. `grams` yields their symbols one [N] column at a
+    time, so no [N, n] copy need exist."""
     base = charset.size + 1
+    width = len(labels)
+    # Keys stay below N * (V + 1) * L, where N bounds the rows of every level.
+    if len(label) * base * width >= 2**63:
+        raise ValueError(f"{len(label)} n-grams, {base - 1} symbols and {width} labels overflow int64 keys")
+    grams = iter(grams)
+    # Here and below each array goes once used, to keep the peak low.
     rows = np.int64(0)
     levels = []
-    for symbols in grams:
-        history = rows
-        keys, rows = np.unique(rows * base + symbols + 1, return_inverse=True)
+    for _ in range(config.n - 1):
+        keys = rows * base + next(grams) + 1
+        del rows
+        keys, rows = np.unique(keys, return_inverse=True)
         levels.append(np.append(keys, _SENTINEL))
-    width = len(labels)
+    # Level n sorts with the label as one more digit, so the same sort finds
+    # the seen (n-gram, label) cells, by row, then label.
+    keys = (rows * base + next(grams) + 1) * width + label
+    del rows
+    cells, cell = np.unique(keys, return_inverse=True)
+    keys, col = np.divmod(cells, width)
+    del cells
+    first = np.diff(keys, prepend=-1) != 0
+    levels.append(np.append(keys[first], _SENTINEL))
+    del keys
+    table = _log_table(config, charset, width, levels, np.cumsum(first) - 1, col, np.bincount(cell, weight))
+    return NgramModel(config, charset, labels, tuple(levels), *table), cell
 
-    def matrix(index: np.ndarray, height: int) -> np.ndarray:
-        return np.bincount(index * width + label, weight, height * width).reshape(height, width)
 
-    heights = [1] + [len(level) for level in levels]
-    model = NgramModel(config, charset, labels, tuple(levels),
-                       matrix(rows, heights[-1]), matrix(history, heights[-2]))
-    return model, rows
+def _log_table(
+    config: NgramConfig,
+    charset: Charset,
+    width: int,
+    levels: list[np.ndarray],
+    row: np.ndarray,
+    col: np.ndarray,
+    count: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`NgramModel.offsets`, `cols`, `logs` and `counts` from the `count` of
+    each seen (n-gram row, label) cell, sorted by row, then label."""
+    parent = levels[-1][:-1] // (charset.size + 1)  # each n-gram row's history row
+    history_rows = len(levels[-2]) if len(levels) > 1 else 1
+    # The seen (history row, label) cells, by row, then label, and their
+    # totals. Cells come by n-gram row, and rows by history, so the keys are
+    # nearly in order, and a stable sort passes over them several times
+    # faster than np.unique's quicksort.
+    history = parent[row]
+    keys = history * width + col
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    seen = keys[first]
+    seen_of = np.empty(len(keys), np.intp)
+    seen_of[order] = np.cumsum(first) - 1
+    del keys, order, first
+    total = np.bincount(seen_of, count)
+    if total.max(initial=0) >= _EXACT:
+        raise ValueError("a history total of 2**53 or more, beyond exact float64")
+    seen_row, seen_col = np.divmod(seen, width)
+    del seen
+    history_starts = np.concatenate(([0], np.cumsum(np.bincount(seen_row, minlength=history_rows))))
+    # Each n-gram row has an entry for every label of its history's row.
+    spans = np.diff(history_starts)[parent]
+    gram_starts = np.cumsum(spans) - spans
+    at = _expand(history_starts[parent], spans)[1]
+    hits = gram_starts[row] + seen_of - history_starts[history]  # each cell's entry
+    del history, row
+    cols = np.concatenate((seen_col[at], seen_col)).astype(np.min_scalar_type(width - 1))
+    del seen_col
+    # The miss term of each history cell, then the hit term of each n-gram
+    # cell; an entry with no count is its history's miss term.
+    smoothing = config.alpha * charset.size
+    ratios = np.concatenate((config.alpha / (total + smoothing),
+                             (count + config.alpha) / (total[seen_of] + smoothing)))
+    del seen_of
+    # np.log may round an ulp away from math.log; the ratios repeat a lot,
+    # so math.log of each distinct one keeps the scores exactly as before.
+    # (np.unique would import numpy.ma on its first call without
+    # return_inverse: ~10 ms of a fresh process.)
+    distinct = np.sort(ratios)
+    distinct = distinct[np.diff(distinct, prepend=0.0) > 0]
+    terms = np.array(list(map(math.log, distinct.tolist())))[np.searchsorted(distinct, ratios)]
+    del ratios
+    miss = terms[: len(total)]
+    logs = np.concatenate((miss[at], miss))
+    logs[hits] = terms[len(total) :]
+    counts = np.zeros(len(at))
+    counts[hits] = count
+    offsets = np.concatenate((gram_starts, [len(counts)], len(counts) + history_starts))
+    return offsets, cols, logs, counts
+
+
+def _indices(charset: Charset, text: str) -> np.ndarray:
+    """`charset.indices(text)` as an array, looked up in numpy."""
+    # The last code point, above Unicode, stands for the unknown slot.
+    known = np.array([*map(ord, charset.chars), 0x110000])
+    order = np.argsort(known)
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+    slot = order[np.searchsorted(known[order], codes)]
+    return np.where(known[slot] == codes, slot, charset.unk_index)
 
 
 def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
@@ -266,18 +389,18 @@ def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
         raise ConfigError("training corpus is empty")
     config.check_charset(charset)
     n = config.n
-    bos = [BOS] * (n - 1)
-    symbols: list[int] = []
-    for inst in corpus:
-        symbols += bos
-        symbols += charset.indices(inst.text)
-    symbols = np.array(symbols, np.int64)
-    # One n-gram per text position: the n symbols that end on each character.
-    starts = np.flatnonzero(symbols != BOS) - (n - 1)
+    lengths = [len(inst.text) for inst in corpus]
     row = {label: i for i, label in enumerate(corpus.labels)}
-    label = np.repeat([row[inst.label] for inst in corpus], [len(inst.text) for inst in corpus])
-    grams = (symbols[starts + k] for k in range(n))
-    return _build(config, charset, corpus.labels, grams, label, np.ones(len(starts)))[0]
+    label = np.repeat(np.array([row[inst.label] for inst in corpus], np.min_scalar_type(len(row))), lengths)
+    # Each text follows n - 1 markers: its characters sit n - 1 places
+    # further on for every text up to and including its own.
+    symbols = np.full(len(label) + (n - 1) * len(corpus), BOS, np.int32)
+    symbols[np.repeat(np.arange(1, len(corpus) + 1) * (n - 1), lengths) + np.arange(len(label))] = (
+        _indices(charset, "".join(inst.text for inst in corpus)))
+    # One n-gram per character: the n symbols that end on it.
+    ends = symbols[n - 1 :] != BOS
+    grams = (symbols[k : len(symbols) - (n - 1) + k][ends] for k in range(n))
+    return _build(config, charset, corpus.labels, grams, label)[0]
 
 
 @dataclass(frozen=True)
@@ -285,7 +408,7 @@ class SweepPoint:
     n: int
     accuracy: float
     table_entries: int
-    estimated_bytes: int
+    table_bytes: int
 
 
 def accuracy(model: NgramModel, corpus: Corpus) -> float:
@@ -311,16 +434,17 @@ def sweep(
     """
     if n_min < 1 or n_min > n_max:
         raise ConfigError(f"invalid order range {n_min}..{n_max}")
+    config = NgramConfig(n_max, alpha)
     if charset is None:
         charset = build_charset(train_corpus)
-    model = train(train_corpus, NgramConfig(n_max, alpha), charset)
+    model = train(train_corpus, config, charset)
     points = []
     for n in range(n_max, n_min - 1, -1):
         if n < n_max:
             grams, label, count = model._entries()
             model = _build(NgramConfig(n, alpha), charset, model.labels, grams.T[1:], label, count)[0]
         acc = accuracy(model, dev_corpus)
-        points.append(SweepPoint(n, acc, model.table_entries(), model.estimated_bytes()))
+        points.append(SweepPoint(n, acc, model.table_entries(), model.nbytes()))
     return points[::-1]
 
 
@@ -357,13 +481,11 @@ def _parse(r: Reader) -> NgramModel:
     histories_of = [len(table) for table in heads]
     heads, items = np.concatenate(heads), np.concatenate(items)
     grams = [*np.repeat(heads["history"], heads["k"], axis=0).T, items["char"]]
-    model, rows = _build(config, charset, labels, grams, label, items["count"].astype(np.float64))
+    model, cells = _build(config, charset, labels, grams, label, items["count"].astype(np.float64))
     # `train` writes each label's n-grams once and in table order, one record
     # per history; a repeat or a step back would otherwise merge into a model
     # that saves other bytes.
-    if (np.any((label[1:] == label[:-1]) & (np.diff(rows) <= 0))
-            or np.count_nonzero(model.totals, axis=0).tolist() != histories_of):
+    if (np.any((label[1:] == label[:-1]) & (np.diff(cells) <= 0))
+            or np.bincount(model.cols[len(model.counts):], minlength=len(labels)).tolist() != histories_of):
         raise ModelIOError(f"{r.source}: a history or an n-gram repeated or out of order")
-    if model.totals.max() >= _EXACT:
-        raise ModelIOError(f"{r.source}: a history total of 2**53 or more, beyond exact float64")
     return model

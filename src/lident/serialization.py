@@ -67,13 +67,15 @@ _MAGIC_LEN = 4
 _MIN_SIZE = _MAGIC_LEN + 2 * U32.size  # magic, version, crc32
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write `data` to `path` via a same-directory temp file and rename."""
+def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview) -> None:
+    """Write `chunks`, one after another, to `path` via a same-directory temp
+    file and rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -87,11 +89,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_envelope(path: str | Path, magic: bytes, version: int, payload: bytes) -> None:
+def write_envelope(path: str | Path, magic: bytes, version: int, payload: bytes | memoryview) -> None:
     if len(magic) != _MAGIC_LEN:
         raise ValueError(f"magic must be {_MAGIC_LEN} bytes, got {magic!r}")
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    atomic_write_bytes(path, b"".join((magic, U32.pack(version), payload, U32.pack(crc))))
+    atomic_write_bytes(path, magic, U32.pack(version), payload, U32.pack(crc))
 
 
 def peek_magic(path: str | Path) -> bytes:
@@ -172,7 +174,7 @@ class Writer:
             self.string(label.code)
 
     def save(self, path: str | Path, magic: bytes, version: int) -> None:
-        write_envelope(path, magic, version, self._buf.getvalue())
+        write_envelope(path, magic, version, self._buf.getbuffer())  # a view: no copy of the payload
 
 
 class Reader:
@@ -210,12 +212,14 @@ class Reader:
         """
         payload, start = self.payload, self.offset
         at, starts = start, []
-        k_at = head.itemsize - U32.size
-        unpack = U32.unpack_from
+        # Bound once: the loop runs once per record.
+        append, unpack = starts.append, U32.unpack_from
+        head_size, item_size = head.itemsize, item.itemsize
+        k_at = head_size - U32.size
         try:
             for _ in range(count):
-                starts.append(at)
-                at += head.itemsize + item.itemsize * unpack(payload, at + k_at)[0]
+                append(at)
+                at += head_size + item_size * unpack(payload, at + k_at)[0]
         except struct.error:
             raise ModelIOError(f"{self.source}: payload ends mid-record") from None
         self._advance(at - start)

@@ -62,3 +62,25 @@ def disjoint_corpus(n_per_label: int, length: int, seed: int) -> Corpus:
         for _ in range(n_per_label):
             instances.append(Instance("".join(rng.choice(letters) for _ in range(length)), label))
     return Corpus.from_instances(instances)
+
+
+WORD_LETTERS = "abcdefghijklmnopqrstuvwxyzàáâäæçèéêëìíîïñòóôöùúûüß"
+
+
+def word_corpus(n_per_label: int, words_per_text: int, seed: int, labels: int = 12) -> Corpus:
+    """Text shaped like DSL 2016: groups of three labels share a lexicon of
+    Zipf-weighted words over the group's own letters and differ only in word
+    frequencies, so most n-grams are seen under few labels, as in real text."""
+    rng = np.random.default_rng(seed)
+    ranks = 1.0 / np.arange(1, 301)
+    instances = []
+    for group in range(0, labels, 3):
+        letters = list(rng.choice(list(WORD_LETTERS), 14, replace=False))
+        lexicon = ["".join(rng.choice(letters, rng.integers(2, 9))) for _ in ranks]
+        for code in range(group, min(group + 3, labels)):
+            weights = ranks * rng.lognormal(0.0, 0.5, len(ranks))
+            label = Label(f"l{code:02d}")
+            for _ in range(n_per_label):
+                words = rng.choice(lexicon, words_per_text, p=weights / weights.sum())
+                instances.append(Instance(" ".join(words), label))
+    return Corpus.from_instances(instances)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import GOLDEN, write_tsv_file
-from lident import clstm
+from lident import clstm, ngram
 from lident.cli import _load_clstm_config, build_parser, main
 from lident.corpus import read_tsv
 
@@ -340,6 +340,17 @@ class TestSweepCommand:
     def test_inverted_range(self, toy_tsv, capsys):
         assert main(["sweep", "--train", str(toy_tsv), "--dev", str(toy_tsv),
                      "--n-min", "3", "--n-max", "2"]) == 1
+
+    def test_order_over_limit_rejected_before_training(self, toy_tsv, tmp_path, capsys, monkeypatch):
+        # --n-max used to be accepted whatever its size, and counted at that order
+        trained = []
+        monkeypatch.setattr(ngram, "train", lambda *args: trained.append(args))
+        out = tmp_path / "sweep.csv"
+        limit = ngram.NgramConfig.MAX_N
+        assert main(["sweep", "--train", str(toy_tsv), "--dev", str(toy_tsv),
+                     "--n-min", "1", "--n-max", str(limit + 1), "--out", str(out)]) == 1
+        assert f"1..{limit}" in capsys.readouterr().err
+        assert not trained and not out.exists()
 
 
 class TestStatsCommand:

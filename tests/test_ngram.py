@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,14 +15,16 @@ from hypothesis import strategies as st
 from lident import ngram
 from lident.corpus import Charset, Corpus, Instance, Label, Scores, build_charset
 from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
-from lident.ngram import NgramConfig, SweepPoint
+from lident.ngram import BOS, NgramConfig, SweepPoint
 from lident.serialization import F64, U32, U64, Writer, record
 from conftest import mutate_payload, reseal
 from reference import (log_of_fraction, next_char_probs, ngram_reference_best,
                        ngram_reference_log_probs, ngram_reference_probs)
-from synth import markov_corpora
+from synth import markov_corpora, word_corpus
 
 L = Label
+# The history of the first character of a text at the first order above the limit.
+OVER_LIMIT_HISTORY = (BOS,) * NgramConfig.MAX_N
 
 
 def corpus_of(*texts_and_codes):
@@ -34,6 +37,12 @@ def summed_out(grams: dict, keep: slice) -> Counter:
     for gram, count in grams.items():
         out[gram[keep]] += count
     return out
+
+
+def model_arrays(model) -> list[np.ndarray]:
+    """Every array a model holds, found through its attributes."""
+    values = [v for value in vars(model).values() for v in (value if isinstance(value, tuple) else (value,))]
+    return [v for v in values if isinstance(v, np.ndarray)]
 
 
 def random_corpus(rng: random.Random, alphabet: str, codes: list[str], rows: int, longest: int):
@@ -50,6 +59,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NgramConfig(2, alpha=0.0)
         NgramConfig(1)  # order 1 has empty histories and is legal
+
+    def test_order_limit(self):
+        # a mistyped order used to pass and then ask for billions of symbols
+        NgramConfig(NgramConfig.MAX_N)
+        for n in (NgramConfig.MAX_N + 1, 7_000_000):
+            with pytest.raises(ConfigError, match=f"1..{NgramConfig.MAX_N}"):
+                NgramConfig(n)
 
     @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
     def test_non_finite_alpha_rejected(self, alpha):
@@ -261,6 +277,44 @@ class TestReferenceScorer:
                     for label in model.labels:
                         assert model.log_prob(text, label) == scores.per_label[label]
 
+    def test_bitwise_equal_to_dict_per_label_scorer(self):
+        # `==`, not approx: the log terms are built once, but each score must
+        # keep the bits of the left-to-right math.log loop. With one label
+        # numpy sums the column pairwise, so L >= 2 here.
+        rng = random.Random(6)
+        mismatches, cases = [], 0
+        for n in range(1, 9):
+            codes = [f"l{i}" for i in range(rng.randint(2, 4))]
+            for corpus in (word_corpus(4, 12, seed=n),
+                           random_corpus(rng, "abcdefgh"[: rng.randint(2, 8)], codes, 30, 30)):
+                charset = build_charset(corpus)
+                alpha = rng.choice([0.01, 0.1, 1.0])
+                model = ngram.train(corpus, NgramConfig(n, alpha), charset)
+                seen = rng.choice(corpus.instances).text
+                texts = ["", charset.chars[0], charset.chars[-1], "\u2603", seen, seen[::-1] + "\u2603",
+                         *("".join(rng.choice(charset.chars + ("\u2603",)) for _ in range(rng.randint(1, 40)))
+                           for _ in range(3))]
+                for text in texts:
+                    expected = ngram_reference_log_probs(corpus, charset, n, alpha, text)
+                    scores = model.classify(text).per_label
+                    cases += 1
+                    mismatches += [(n, text, label.code, scores[label].hex(), expected[label].hex())
+                                   for label in model.labels if scores[label] != expected[label]]
+        assert cases == 144 and not mismatches
+
+
+class TestTableSize:
+    def test_arrays_hold_only_seen_cells(self):
+        # 12 labels, as in DSL 2016; dense [rows, L] count and total matrices
+        # came to ~200 bytes per distinct n-gram on this text
+        corpus = word_corpus(20, 30, seed=7)
+        model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
+        grams = len(model.levels[-1]) - 1
+        arrays = model_arrays(model)
+        assert len(model.labels) == 12
+        assert sum(a.nbytes for a in arrays) == model.nbytes() <= 100 * grams
+        assert max(a.size for a in arrays) < grams * len(model.labels)
+
 
 class TestSweep:
     def test_degenerate_single_order(self, toy_corpus):
@@ -277,9 +331,13 @@ class TestSweep:
         points = ngram.sweep(toy_corpus, toy_corpus, 1, 3)
         entries = [p.table_entries for p in points]
         assert entries == sorted(entries)
-        assert all(p.estimated_bytes > 0 for p in points)
+        # the exact size of each order's arrays, as a fresh train of that order holds them
+        charset = build_charset(toy_corpus)
+        for p in points:
+            model = ngram.train(toy_corpus, NgramConfig(p.n), charset)
+            assert p.table_bytes == model.nbytes() == sum(a.nbytes for a in model_arrays(model))
         # plain ints, as JSON reports need
-        assert {type(p.table_entries) for p in points} | {type(p.estimated_bytes) for p in points} == {int}
+        assert {type(p.table_entries) for p in points} | {type(p.table_bytes) for p in points} == {int}
 
     def test_one_count_pass_matches_per_order_retrain(self, monkeypatch):
         def retrain_each_order(train_corpus, dev_corpus, n_min, n_max, alpha, charset):
@@ -288,7 +346,7 @@ class TestSweep:
             for n in range(n_min, n_max + 1):
                 model = ngram.train(train_corpus, NgramConfig(n, alpha), charset)
                 points.append(SweepPoint(n, ngram.accuracy(model, dev_corpus),
-                                         model.table_entries(), model.estimated_bytes()))
+                                         model.table_entries(), model.nbytes()))
             return points
 
         original = ngram.train
@@ -463,6 +521,8 @@ class TestSaveLoad:
         (2, [[((-1,), [(0, 1)])], [((0,), [(1, 1), (999, 1)])]]),
         # no labels at all
         (2, []),
+        # a table `train` can write, but of an order above the limit
+        (NgramConfig.MAX_N + 1, [[(OVER_LIMIT_HISTORY, [(0, 1)])], [(OVER_LIMIT_HISTORY, [(1, 1)])]]),
         # records `train` cannot write, whose later pairs used to overwrite earlier ones
         (2, [[((0,), [(1, 3)]), ((0,), [(1, 4)])], [((0,), [(1, 1)])]]),
         (2, [[((0,), [(1, 1)]), ((0,), [(2, 1)])], [((0,), [(1, 1)])]]),
@@ -476,7 +536,7 @@ class TestSaveLoad:
         (2, [[((0,), [(1, 2**52), (2, 2**52)])], [((0,), [(1, 1)])]]),
         (2, [[((0,), [(1, 2**64 - 1)])], [((0,), [(1, 1)])]]),
     ], ids=["empty-history", "empty-label", "huge-n-empty-tables", "history-below-bos",
-            "history-at-v", "char-at-v", "char-999", "no-labels",
+            "history-at-v", "char-at-v", "char-999", "no-labels", "order-over-limit",
             "history-repeated-same-char", "history-repeated", "unigram-history-repeated",
             "char-repeated", "histories-out-of-order", "chars-out-of-order", "zero-count",
             "total-2-53", "count-2-64"])
