@@ -15,7 +15,6 @@ trained model is immutable and safe for concurrent inference.
 from __future__ import annotations
 
 import copy
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Charset, Corpus, Label, Scores, build_charset
-from .errors import CompatibilityError, ConfigError, DivergenceError, ModelIOError
+from .errors import ConfigError, DivergenceError, ModelIOError
 from .serialization import U8, U32, Reader, Writer, read_model, record
 
 __all__ = [
@@ -382,15 +381,9 @@ def save_checkpoint(model: ClstmModel, path) -> None:
     w.save(path, MAGIC, _VERSION)
 
 
-def load_checkpoint(path, expected_charset: Charset | None = None) -> ClstmModel:
-    """Read back a checkpoint; optionally verify it matches a known charset."""
-    model = read_model(path, MAGIC, _VERSION, _parse_checkpoint)
-    if expected_charset is not None and expected_charset.chars != model.charset.chars:
-        raise CompatibilityError(
-            f"{path}: checkpoint charset hash {_charset_hash(model.charset)} does not match "
-            f"expected charset hash {_charset_hash(expected_charset)}"
-        )
-    return model
+def load_checkpoint(path) -> ClstmModel:
+    """Read back a checkpoint written by `save_checkpoint`."""
+    return read_model(path, MAGIC, {_VERSION: _parse_checkpoint})
 
 
 def _parse_checkpoint(r: Reader) -> ClstmModel:
@@ -424,8 +417,3 @@ def _parse_checkpoint(r: Reader) -> ClstmModel:
     if len(params) != len(expected_shapes):
         raise ModelIOError(f"{r.source}: parameter set does not match the configuration")
     return ClstmModel(config, charset, labels, params)
-
-
-def _charset_hash(charset: Charset) -> str:
-    digest = hashlib.sha256("\u0000".join(charset.chars).encode("utf-8")).hexdigest()
-    return digest[:12]

@@ -37,10 +37,6 @@ class ChecksumError(ModelIOError):
     """A model file's payload does not match its stored checksum."""
 
 
-class CompatibilityError(ModelIOError):
-    """A loaded artifact does not match the components it is paired with."""
-
-
 class DivergenceError(LidentError):
     """Training produced a non-finite loss."""
 

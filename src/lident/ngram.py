@@ -27,8 +27,10 @@ dense V^n storage and one lookup serves every label:
   ratios, so scores keep the bits of a left-to-right `math.log` loop.
 
 One builder makes the table from (n-gram, label, count) entries: every
-text position for `train`, the file's entries for `load`, and for `sweep`
-the order-n entries with their leftmost symbol summed out. Scoring walks
+text position for `train`, the entries of a v1 file for `load`, and for
+`sweep` the order-n entries with their leftmost symbol summed out. A v2
+file holds the levels and the seen (n-gram row, label, count) cells, so
+`load` checks and reads them and rebuilds only the log terms. Scoring walks
 the levels with `np.searchsorted`. A position reads its n-gram's row if
 the lookup hit and its history's row if not, and a history that missed
 lands on an entry-less sentinel row. The entries fill a [T, L] array whose
@@ -70,15 +72,7 @@ __all__ = [
 BOS = -1
 
 MAGIC = b"LIDN"
-_VERSION = 1
-# A count table's (char index, count) pair; see serialization.py for the layout.
-_NEXT = np.dtype([("char", "<u4"), ("count", "<u8")])
-
-
-def _head(n: int) -> np.dtype:
-    """A history record: its n-1 symbols and the number k of (char, count) pairs after it."""
-    return np.dtype([("history", "<i4", (n - 1,)), ("k", "<u4")])
-
+_VERSION = 2
 
 # The key of each level's last row, above every real key.
 _SENTINEL = np.iinfo(np.int64).max
@@ -199,29 +193,17 @@ class NgramModel:
         return sum(a.nbytes for a in (*self.levels, self.offsets, self.cols, self.logs, self.counts))
 
     def save(self, path) -> None:
-        # Rows are in table order, which is the canonical (history, char)
-        # order, so identical models always serialize to identical bytes.
-        n = self.config.n
+        # The table's arrays are canonical, so identical models serialize to identical bytes.
         w = Writer()
-        w.put(U32, n)
+        w.put(U32, self.config.n)
         w.put(F64, self.config.alpha)
         w.header(self.charset, self.labels)
-        grams, label, count = self._entries()
-        first = np.flatnonzero(np.concatenate((
-            [True], (label[1:] != label[:-1]) | np.any(grams[1:, :-1] != grams[:-1, :-1], axis=1)
-        )))
-        heads = np.empty(len(first), _head(n))
-        heads["history"] = grams[first, :-1]
-        heads["k"] = np.diff(first, append=len(grams))
-        items = np.empty(len(grams), _NEXT)
-        items["char"] = grams[:, -1]
-        items["count"] = count
-        del grams  # the records hold it now; a large table's save peaks here
-        bounds = np.arange(len(self.labels) + 1)
-        heads_at, items_at = np.searchsorted(label[first], bounds), np.searchsorted(label, bounds)
-        for h0, h1, i0, i1 in zip(heads_at, heads_at[1:], items_at, items_at[1:]):
-            w.put(U64, h1 - h0)
-            w.runs(heads[h0:h1], items[i0:i1])
+        for level in self.levels:
+            w.array(level[:-1], "<i8")
+        at = np.flatnonzero(self.counts)
+        w.array(self._gram_rows()[at], "<u8")
+        w.array(self.cols[at], "<u4")
+        w.array(self.counts[at], "<u8")
         w.save(path, MAGIC, _VERSION)
 
     def to_json_dict(self) -> dict:
@@ -263,10 +245,8 @@ class NgramModel:
         return out
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every nonzero count as (symbols [E, n], label row [E], count [E]),
-        label by label, each in table order."""
+        """Every nonzero count as (symbols [E, n], label row [E], count [E])."""
         at = np.flatnonzero(self.counts)
-        at = at[np.argsort(self.cols[at], kind="stable")]
         return self._symbols(self._gram_rows()[at]), self.cols[at], self.counts[at]
 
 
@@ -449,11 +429,11 @@ def sweep(
 
 
 def load(path) -> NgramModel:
-    """Read back a model written by `NgramModel.save`."""
-    return read_model(path, MAGIC, _VERSION, _parse)
+    """Read back a model written by `NgramModel.save`, or by its v1 writer."""
+    return read_model(path, MAGIC, {1: _parse_v1, 2: _parse_v2})
 
 
-def _parse(r: Reader) -> NgramModel:
+def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
     n = r.value(U32)
     alpha = r.value(F64)
     charset, labels = r.header()
@@ -461,14 +441,61 @@ def _parse(r: Reader) -> NgramModel:
         raise ModelIOError(f"{r.source}: model has no labels")
     config = NgramConfig(n, alpha)
     config.check_charset(charset)
-    head = _head(n)
+    return config, charset, labels
+
+
+def _parse_v2(r: Reader) -> NgramModel:
+    config, charset, labels = _preamble(r)
+    base = charset.size + 1
+    levels = []
+    rows = 1  # level 0 holds the one empty prefix
+    for k in range(config.n):
+        keys = r.array("<i8")
+        # Keys increase, and their parents step by at most one from row 0 to
+        # the last row, so keys are >= 0 and each row above is some key's parent.
+        parent, digit = np.divmod(keys, base)
+        if (not len(keys) or np.any(keys[1:] <= keys[:-1])
+                or parent[0] != 0 or parent[-1] != rows - 1 or np.any(np.diff(parent) > 1)):
+            raise ModelIOError(f"{r.source}: level {k + 1}: keys out of order or not a prefix tree")
+        # Digits lie in 0..V by the divmod; the beginning-of-text marker,
+        # digit 0, never ends an n-gram.
+        if k == config.n - 1 and not digit.all():
+            raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
+        levels.append(np.append(keys, _SENTINEL))
+        rows = len(keys)
+    row, col, count = r.array("<u8"), r.array("<u4"), r.array("<u8")
+    # Cells are the seen (n-gram row, label) cells, each once, by row, then label.
+    if not len(row) or len(col) != len(row) or len(count) != len(row):
+        raise ModelIOError(f"{r.source}: cell arrays empty or of unequal lengths")
+    if row.max() >= rows or col.max() >= len(labels):
+        raise ModelIOError(f"{r.source}: a cell past the table's {rows} n-grams or {len(labels)} labels")
+    row, col = row.astype(np.int64), col.astype(np.int64)
+    cells = row * len(labels) + col
+    if np.any(cells[1:] <= cells[:-1]):
+        raise ModelIOError(f"{r.source}: a cell repeated or out of order")
+    if row[0] != 0 or row[-1] != rows - 1 or np.any(np.diff(row) > 1):
+        raise ModelIOError(f"{r.source}: an n-gram with no count")
+    if np.bincount(col, minlength=len(labels)).min() == 0:
+        raise ModelIOError(f"{r.source}: a label with no n-grams")
+    if count.min() < 1 or count.max() >= _EXACT:
+        raise ModelIOError(f"{r.source}: a count outside 1..2**53-1")
+    table = _log_table(config, charset, len(labels), levels, row, col, count.astype(np.float64))
+    return NgramModel(config, charset, labels, tuple(levels), *table)
+
+
+def _parse_v1(r: Reader) -> NgramModel:
+    config, charset, labels = _preamble(r)
+    # A history record: its n-1 symbols and the number k of (char, count)
+    # pairs after it; see serialization.py for the layout.
+    head = np.dtype([("history", "<i4", (config.n - 1,)), ("k", "<u4")])
+    pair = np.dtype([("char", "<u4"), ("count", "<u8")])
     heads, items = [], []
     for label in labels:
         histories = r.value(U64)
         # `train` writes no empty table; as each history stores n-1 symbols, that bounds n.
         if not histories:
             raise ModelIOError(f"{r.source}: label {label.code!r}: no n-grams")
-        table_heads, table_items = r.runs(histories, head, _NEXT)
+        table_heads, table_items = r.runs(histories, head, pair)
         if not table_heads["k"].all() or not table_items["count"].all():
             raise ModelIOError(f"{r.source}: label {label.code!r}: a history or an n-gram with no count")
         if (table_heads["history"].min(initial=BOS) < BOS

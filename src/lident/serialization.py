@@ -9,7 +9,16 @@ Both model kinds share a header block inside their payloads:
     charset   u32 count, then one u32 code point per character (index order)
     labels    u32 count, then per label a string: u16 byte length, UTF-8 bytes
 
-`LIDN` v1 (n-gram model, `ngram.py`):
+An array is a u64 item count, then the items, little-endian.
+
+`LIDN` v2 (n-gram model, `ngram.py`; the arrays of its table):
+
+    n u32 | alpha f64 | header
+    n arrays of i64 keys: levels 1..n of the table, without their sentinels
+    3 arrays, one item per seen (n-gram row, label) cell, sorted by row, then label:
+        n-gram row u64 | label row u32 | count u64
+
+`LIDN` v1 (n-gram model; read, no longer written):
 
     n u32 | alpha f64 | header
     per label, in header order:
@@ -105,7 +114,7 @@ def peek_magic(path: str | Path) -> bytes:
     return magic
 
 
-def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, bytes]:
+def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, memoryview]:
     """Validate a container file and return (version, payload)."""
     data = Path(path).read_bytes()
     if len(data) < _MIN_SIZE:
@@ -120,7 +129,7 @@ def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int,
             f"{path}: unsupported format version {version}; "
             f"supported versions: {', '.join(str(v) for v in supported_versions)}"
         )
-    payload = data[_MAGIC_LEN + U32.size : -U32.size]
+    payload = memoryview(data)[_MAGIC_LEN + U32.size : -U32.size]  # a view: no copy
     (stored_crc,) = U32.unpack_from(data, len(data) - U32.size)
     actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
     if stored_crc != actual_crc:
@@ -151,15 +160,10 @@ class Writer:
     def records(self, st: struct.Struct, rows: Iterable[tuple]) -> None:
         self.raw(b"".join(starmap(st.pack, rows)))
 
-    def runs(self, heads: np.ndarray, items: np.ndarray) -> None:
-        """Each of `heads` followed by as many `items` as its last field, a u32, says."""
-        k = heads[heads.dtype.names[-1]].astype(np.int64)
-        offsets = np.arange(len(heads)) * heads.itemsize + (np.cumsum(k) - k) * items.itemsize
-        out = np.empty(heads.nbytes + items.nbytes, np.uint8)
-        in_heads = _in_heads(len(out), offsets, heads.itemsize)
-        out[in_heads] = heads.view(np.uint8)
-        out[~in_heads] = items.view(np.uint8)
-        self.raw(out)
+    def array(self, values: np.ndarray, dtype: str) -> None:
+        """`values` as an array of little-endian `dtype` items."""
+        self.put(U64, len(values))
+        self.raw(values.astype(dtype, copy=False))
 
     def string(self, text: str) -> None:
         data = text.encode("utf-8")
@@ -180,7 +184,7 @@ class Writer:
 class Reader:
     """Bounds-checked reads from a payload; running past its end is a ModelIOError."""
 
-    def __init__(self, payload: bytes, source: object) -> None:
+    def __init__(self, payload: bytes | memoryview, source: object) -> None:
         self.payload = memoryview(payload)  # reads slice it without copying
         self.offset = 0
         self.source = source
@@ -204,6 +208,11 @@ class Reader:
 
     def records(self, st: struct.Struct, count: int) -> Iterator[tuple]:
         return st.iter_unpack(self.read(st.size * count))
+
+    def array(self, dtype: str) -> np.ndarray:
+        """An array written by `Writer.array`: a read-only view of the payload."""
+        count = self.value(U64)
+        return np.frombuffer(self.read(count * np.dtype(dtype).itemsize), dtype)
 
     def runs(self, count: int, head: np.dtype, item: np.dtype) -> tuple[np.ndarray, np.ndarray]:
         """`count` records, each a `head` whose last field, a u32, counts the `item`s after it.
@@ -238,16 +247,16 @@ class Reader:
         return charset, labels
 
 
-def read_model(path: str | Path, magic: bytes, version: int, parse: Callable[[Reader], T]) -> T:
-    """Open a model file and run `parse` over its whole payload.
+def read_model(path: str | Path, magic: bytes, parsers: dict[int, Callable[[Reader], T]]) -> T:
+    """Open a model file and run the parser of its version over its whole payload.
 
     A valid checksum does not make the contents valid: undecodable strings,
     bad labels or out-of-range config values become ModelIOError too.
     """
-    _, payload = read_envelope(path, magic, (version,))
+    version, payload = read_envelope(path, magic, tuple(parsers))
     reader = Reader(payload, path)
     try:
-        model = parse(reader)
+        model = parsers[version](reader)
     except (ValueError, OverflowError, ConfigError) as exc:
         raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
     if reader.offset != len(payload):

@@ -15,7 +15,6 @@ from lident.clstm import ClstmConfig
 from lident.corpus import Charset, Corpus, build_charset
 from lident.errors import (
     ChecksumError,
-    CompatibilityError,
     ConfigError,
     DivergenceError,
     ModelIOError,
@@ -421,15 +420,6 @@ class TestCheckpoint:
             clstm.load_checkpoint(path)
         except ModelIOError:
             pass
-
-    def test_charset_mismatch_is_explicit(self, tmp_path):
-        model = self._model()
-        path = tmp_path / "m.ckpt"
-        clstm.save_checkpoint(model, path)
-        clstm.load_checkpoint(path, expected_charset=model.charset)  # matching is fine
-        other = Charset(tuple("qrs"))
-        with pytest.raises(CompatibilityError, match="hash"):
-            clstm.load_checkpoint(path, expected_charset=other)
 
 
 @pytest.fixture(scope="module")

@@ -17,12 +17,16 @@ from lident.corpus import Charset, Corpus, Instance, Label, Scores, build_charse
 from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
 from lident.ngram import BOS, NgramConfig, SweepPoint
 from lident.serialization import F64, U32, U64, Writer, record
-from conftest import mutate_payload, reseal
+from conftest import FIXTURES, mutate_payload, reseal
 from reference import (log_of_fraction, next_char_probs, ngram_reference_best,
                        ngram_reference_log_probs, ngram_reference_probs)
 from synth import markov_corpora, word_corpus
 
 L = Label
+# A valid v2 table of order 2 over charset (a, b) with two labels: histories
+# <s>, a and <unk>; n-grams <s>a, ab, a<unk> (label 0) and <unk>a (label 1).
+V2_LEVELS = [[0, 1, 3], [1, 6, 7, 9]]
+V2_CELLS = ([0, 1, 2, 3], [0, 0, 0, 1], [2, 1, 3, 1])
 # The history of the first character of a text at the first order above the limit.
 OVER_LIMIT_HISTORY = (BOS,) * NgramConfig.MAX_N
 
@@ -43,6 +47,18 @@ def model_arrays(model) -> list[np.ndarray]:
     """Every array a model holds, found through its attributes."""
     values = [v for value in vars(model).values() for v in (value if isinstance(value, tuple) else (value,))]
     return [v for v in values if isinstance(v, np.ndarray)]
+
+
+def load_mutated(path: Path, blob: bytes, data):
+    """Load `blob` with a few payload bytes changed: the model, or None on a ModelIOError."""
+    path.write_bytes(reseal(blob, mutate_payload(data, blob[8:-4], header=64)))
+    try:
+        model = ngram.load(path)
+    except ModelIOError:
+        return None
+    model.to_json_dict()
+    model.classify("ab")
+    return model
 
 
 def random_corpus(rng: random.Random, alphabet: str, codes: list[str], rows: int, longest: int):
@@ -430,7 +446,7 @@ class TestSaveLoad:
         blob = bytearray(path.read_bytes())
         blob[4:8] = (0).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError, match="supported versions: 1"):
+        with pytest.raises(VersionError, match="supported versions: 1, 2"):
             ngram.load(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -464,14 +480,36 @@ class TestSaveLoad:
     def test_mutated_payload_loads_or_is_model_error(self, tmp_path, data):
         path = tmp_path / "m.lidn"
         self._model().save(path)
-        blob = path.read_bytes()
-        path.write_bytes(reseal(blob, mutate_payload(data, blob[8:-4], header=64)))
-        try:
-            model = ngram.load(path)
-        except ModelIOError:
-            return
-        model.to_json_dict()
-        model.classify("ab")
+        model = load_mutated(path, path.read_bytes(), data)
+        if model is not None:
+            # the loader accepts only what `save` writes
+            again = tmp_path / "again.lidn"
+            model.save(again)
+            assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_v1_payload_loads_or_is_model_error(self, tmp_path, data):
+        load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v1.lidn").read_bytes(), data)
+
+    def test_v2_load_rebuilds_only_the_log_terms(self, tmp_path, toy_corpus, monkeypatch):
+        toy = ngram.train(toy_corpus, NgramConfig(3, 0.25), build_charset(toy_corpus))
+        from_v1 = ngram.load(FIXTURES / "toy_v1.lidn")
+        from_v1.save(tmp_path / "toy.lidn")
+        corpus = word_corpus(20, 30, seed=7)
+        words = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
+        words.save(tmp_path / "words.lidn")
+
+        def sorts_again(*args, **kwargs):
+            raise AssertionError("a v2 load sorted the n-grams again")
+
+        monkeypatch.setattr(ngram, "_build", sorts_again)
+        monkeypatch.setattr(np, "unique", sorts_again)
+        for model, again in [(toy, from_v1), (toy, ngram.load(tmp_path / "toy.lidn")),
+                             (words, ngram.load(tmp_path / "words.lidn"))]:
+            for a, b in zip(model_arrays(model), model_arrays(again), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def _hand_made(self, tmp_path, n: int, tables: list) -> Path:
         """A .lidn over charset (a, b) (V = 3) with one label per entry of `tables`,
@@ -489,21 +527,50 @@ class TestSaveLoad:
         w.save(path, ngram.MAGIC, 1)
         return path
 
+    def _hand_made_v2(self, tmp_path, n: int, levels: list, cells: tuple, labels: int = 2) -> Path:
+        """A v2 .lidn over charset (a, b) (V = 3, so a key is parent * 4 + digit)
+        with `labels` labels, the key arrays `levels` and the cell arrays
+        `cells`: (n-gram rows, label rows, counts). A `bytes` array is written as it is."""
+        w = Writer()
+        w.put(U32, n)
+        w.put(F64, 0.1)
+        w.header(Charset(("a", "b")), tuple(L(f"L{i}") for i in range(labels)))
+        for fmt, values in [*(("q", keys) for keys in levels), *zip("QIQ", cells)]:
+            if isinstance(values, bytes):
+                w.raw(values)
+            else:
+                w.put(U64, len(values))
+                w.records(record(fmt), ((value,) for value in values))
+        path = tmp_path / "hand-v2.lidn"
+        w.save(path, ngram.MAGIC, 2)
+        return path
+
     def test_hand_made_payload_round_trips(self, tmp_path):
-        for n, tables, grams in [
+        for n, tables, grams, levels, cells in [
             (2, [[((-1,), [(0, 2)]), ((0,), [(1, 1), (2, 3)])], [((2,), [(0, 1)])]],
-             {(-1, 0): 2, (0, 1): 1, (0, 2): 3}),
-            (1, [[((), [(0, 2), (2, 1)])], [((), [(1, 5)])]], {(0,): 2, (2,): 1}),
+             {(-1, 0): 2, (0, 1): 1, (0, 2): 3},
+             V2_LEVELS, V2_CELLS),
+            (1, [[((), [(0, 2), (2, 1)])], [((), [(1, 5)])]], {(0,): 2, (2,): 1},
+             [[1, 2, 3]], ([0, 1, 2], [0, 1, 0], [2, 5, 1])),
             # the largest history total float64 holds exactly
             (3, [[((-1, -1), [(0, 1)]), ((-1, 0), [(1, 1)]), ((0, 1), [(2, 2**53 - 1)])],
                  [((1, 2), [(0, 1)])]],
-             {(-1, -1, 0): 1, (-1, 0, 1): 1, (0, 1, 2): 2**53 - 1}),
+             {(-1, -1, 0): 1, (-1, 0, 1): 1, (0, 1, 2): 2**53 - 1},
+             [[0, 1, 2], [0, 1, 6, 11], [1, 6, 11, 13]], ([0, 1, 2, 3], [0, 0, 0, 1], [1, 1, 2**53 - 1, 1])),
         ]:
-            path = self._hand_made(tmp_path, n, tables)
-            model = ngram.load(path)
-            assert model.grams(L("L0")) == grams
+            from_v1 = ngram.load(self._hand_made(tmp_path, n, tables))
+            assert from_v1.grams(L("L0")) == grams
             again = tmp_path / "again.lidn"
-            model.save(again)
+            from_v1.save(again)
+            resaved = ngram.load(again)
+            for label in from_v1.labels:
+                assert resaved.grams(label) == from_v1.grams(label)
+            for text in ("", "ab", "ba?ab"):
+                assert resaved.classify(text) == from_v1.classify(text)
+            # the v2 re-save is the hand-made v2 file, and that round-trips byte for byte
+            path = self._hand_made_v2(tmp_path, n, levels, cells)
+            assert again.read_bytes() == path.read_bytes()
+            ngram.load(path).save(again)
             assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("n, tables", [
@@ -543,6 +610,56 @@ class TestSaveLoad:
     def test_impossible_tables_are_model_errors(self, tmp_path, n, tables):
         with pytest.raises(ModelIOError):
             ngram.load(self._hand_made(tmp_path, n, tables))
+
+    @pytest.mark.parametrize("n, levels, cells, labels, match", [
+        pytest.param(2, [[], V2_LEVELS[1]], V2_CELLS, 2, "level 1", id="empty-level"),
+        pytest.param(1, [[-1, 1, 2]], ([0, 1, 2], [0, 1, 0], [1, 1, 1]), 2, "level 1", id="negative-key"),
+        pytest.param(2, [[0, 1, 1, 3], V2_LEVELS[1]], V2_CELLS, 2, "level 1", id="key-repeated"),
+        pytest.param(2, [[0, 3, 1], V2_LEVELS[1]], V2_CELLS, 2, "level 1", id="keys-out-of-order"),
+        # key 13 is row 3 of a 3-row level
+        pytest.param(2, [V2_LEVELS[0], [1, 6, 7, 13]], V2_CELLS, 2, "level 2", id="parent-past-level"),
+        # a prefix no key extends: the last row, the first, then the middle one
+        pytest.param(2, [[0, 1, 2, 3], V2_LEVELS[1]], V2_CELLS, 2, "level 2", id="last-prefix-not-extended"),
+        pytest.param(2, [V2_LEVELS[0], [6, 7, 9]], ([0, 1, 2], [0, 0, 1], [1, 3, 1]), 2, "level 2",
+                     id="first-prefix-not-extended"),
+        pytest.param(2, [V2_LEVELS[0], [1, 9, 10]], ([0, 1, 2], [0, 1, 0], [1, 1, 1]), 2, "level 2",
+                     id="middle-prefix-not-extended"),
+        # key 4 is digit 0
+        pytest.param(2, [V2_LEVELS[0], [1, 4, 7, 9]], V2_CELLS, 2, "marker", id="gram-ends-in-marker"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0], [2, 1, 3, 1]), 2, "unequal", id="fewer-labels"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 1, 3]), 2, "unequal", id="fewer-counts"),
+        pytest.param(2, V2_LEVELS, ([], [], []), 2, "empty", id="no-cells"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 4], [0, 0, 0, 1], [2, 1, 3, 1]), 2, "past", id="row-at-grams"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 2**64 - 1], [0, 0, 0, 1], [2, 1, 3, 1]), 2, "past", id="row-2-64"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 2], [2, 1, 3, 1]), 2, "past", id="label-at-labels"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 1, 2, 3], [0, 0, 0, 0, 1], [2, 1, 1, 3, 1]), 2, "order",
+                     id="cell-repeated"),
+        pytest.param(2, V2_LEVELS, ([0, 2, 1, 3], [0, 0, 0, 1], [2, 3, 1, 1]), 2, "order", id="rows-out-of-order"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 1, 2, 3], [0, 1, 0, 0, 1], [2, 1, 1, 3, 1]), 2, "order",
+                     id="labels-out-of-order"),
+        pytest.param(2, V2_LEVELS, ([1, 2, 3], [0, 0, 1], [1, 3, 1]), 2, "n-gram with no",
+                     id="first-gram-without-cell"),
+        pytest.param(2, V2_LEVELS, ([0, 2, 3], [0, 0, 1], [2, 3, 1]), 2, "n-gram with no", id="gram-without-cell"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2], [0, 0, 1], [2, 1, 3]), 2, "n-gram with no",
+                     id="last-gram-without-cell"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 0], [2, 1, 3, 1]), 2, "label with no",
+                     id="label-without-cell"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 0, 3, 1]), 2, "count", id="zero-count"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 2**53, 3, 1]), 2, "count", id="count-2-53"),
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 2**64 - 1, 3, 1]), 2, "count",
+                     id="count-2-64"),
+        # n-gram rows 1 and 2 share the history "a"
+        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 2**52, 2**52, 1]), 2, "total",
+                     id="total-2-53"),
+        # length prefixes past the payload's end, which must not be allocated
+        pytest.param(2, [U64.pack(2**60)], V2_CELLS, 2, "mid-record", id="level-length-2-60"),
+        pytest.param(2, V2_LEVELS, (U64.pack(2**60), [], []), 2, "mid-record", id="cells-length-2-60"),
+        pytest.param(2, V2_LEVELS, V2_CELLS, 0, "no labels", id="no-labels"),
+        pytest.param(NgramConfig.MAX_N + 1, V2_LEVELS, V2_CELLS, 2, "order must be", id="order-over-limit"),
+    ])
+    def test_impossible_v2_tables_are_model_errors(self, tmp_path, n, levels, cells, labels, match):
+        with pytest.raises(ModelIOError, match=match):
+            ngram.load(self._hand_made_v2(tmp_path, n, levels, cells, labels))
 
     def test_json_dump_readable(self):
         model = self._model()

@@ -9,12 +9,16 @@ from lident import clstm, ngram, serialization
 from lident.clstm import ClstmConfig, ClstmModel
 from lident.corpus import Charset, Label, build_charset
 from lident.errors import ModelIOError
-from lident.serialization import F64, U8, U16, U32, Reader, Writer, record
+from lident.serialization import F64, U8, U16, U32, U64, Reader, Writer, record
 
-# Digests of the two files below as written by the v1 codec. A change to
-# either is a file-format change: old files would no longer load the same.
-LIDN_SHA256 = "79f6cd2ea889e5fec667da65521a89d045f0d1156c4c9592842e473a78a84d10"
+# Digests of the two files below as written by `LIDN` v2 and `LIDC` v1. A
+# change to either is a file-format change: old files would no longer load
+# the same.
+LIDN_SHA256 = "0c1dda403357c6f99c73ae7de7774948667d6977475814195f763e4adb829946"
 LIDC_SHA256 = "0c1d90bfbd12fba288f20a2c3cd886dcd9985471105a05dc560ce11af9029d7c"
+# The same n-gram model as written by the `LIDN` v1 writer, kept as a fixture
+# because `save` no longer writes v1.
+LIDN_V1_SHA256 = "79f6cd2ea889e5fec667da65521a89d045f0d1156c4c9592842e473a78a84d10"
 
 PIN_CONFIG = ClstmConfig(
     seq_len=16,
@@ -46,20 +50,29 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def assert_same_ngram_model(again, model) -> None:
+    assert again.config == model.config
+    assert again.charset == model.charset
+    assert again.labels == model.labels
+    for label in model.labels:
+        assert again.grams(label) == model.grams(label)
+    for text in ("bonjour amigo", "", "zzz"):
+        assert again.classify(text) == model.classify(text)
+
+
 class TestFormatPin:
     def test_lidn_bytes_pinned(self, tmp_path, toy_corpus):
         model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
         path = tmp_path / "toy.lidn"
         model.save(path)
         assert sha256(path) == LIDN_SHA256
-        again = ngram.load(path)
-        assert again.config == model.config
-        assert again.charset == model.charset
-        assert again.labels == model.labels
-        for label in model.labels:
-            assert again.grams(label) == model.grams(label)
-        for text in ("bonjour amigo", "", "zzz"):
-            assert again.classify(text) == model.classify(text)
+        assert_same_ngram_model(ngram.load(path), model)
+
+    def test_lidn_v1_file_still_loads(self, fixtures_dir, toy_corpus):
+        path = fixtures_dir / "toy_v1.lidn"
+        assert sha256(path) == LIDN_V1_SHA256
+        model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
+        assert_same_ngram_model(ngram.load(path), model)
 
     def test_lidc_bytes_pinned(self, tmp_path):
         model = pinned_clstm()
@@ -91,15 +104,19 @@ class TestCodec:
         w.string("naïve")
         w.header(charset, labels)
         w.records(record("IQ"), [(1, 2**40), (7, 0)])
+        w.array(np.array([3.0, 2.0**53 - 1]), "<u8")
+        w.array(np.array([], np.int64), "<i8")
         w.raw(b"\x00\x01")
         w.save(tmp_path / "m.bin", b"TEST", 3)
 
         def parse(r: Reader):
             return (r.value(U8), r.value(record("q")), r.value(F64), r.string(), r.header(),
-                    list(r.records(record("IQ"), 2)), r.read(2))
+                    list(r.records(record("IQ"), 2)), r.array("<u8").tolist(), r.array("<i8").tolist(),
+                    r.read(2))
 
-        assert serialization.read_model(tmp_path / "m.bin", b"TEST", 3, parse) == (
-            255, -(2**62), 0.1, "naïve", (charset, labels), [(1, 2**40), (7, 0)], b"\x00\x01"
+        assert serialization.read_model(tmp_path / "m.bin", b"TEST", {3: parse}) == (
+            255, -(2**62), 0.1, "naïve", (charset, labels), [(1, 2**40), (7, 0)], [3, 2**53 - 1], [],
+            b"\x00\x01"
         )
 
     def test_read_past_end_is_model_error(self):
@@ -108,18 +125,21 @@ class TestCodec:
             r.string()
         with pytest.raises(ModelIOError, match="mid-record"):
             Reader(b"", "blob").records(U32, 2**60)
+        # a length prefix past the payload's end is never an allocation
+        with pytest.raises(ModelIOError, match="mid-record"):
+            Reader(U64.pack(2**60), "blob").array("<i8")
 
     def test_duplicate_label_rejected(self, tmp_path):
         w = Writer()
         w.header(Charset(("a",)), (Label("x"), Label("x")))
         w.save(tmp_path / "m.bin", b"TEST", 3)
         with pytest.raises(ModelIOError, match="duplicate label"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, Reader.header)
+            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: Reader.header})
 
     def test_trailing_bytes_rejected(self, tmp_path):
         write_payload(tmp_path / "m.bin", U32.pack(1) + b"\x00")
         with pytest.raises(ModelIOError, match="1 trailing bytes"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, lambda r: r.value(U32))
+            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: lambda r: r.value(U32)})
 
     @pytest.mark.parametrize(
         "payload",
@@ -132,9 +152,9 @@ class TestCodec:
     def test_malformed_content_is_model_error(self, tmp_path, payload):
         write_payload(tmp_path / "m.bin", payload)
         with pytest.raises(ModelIOError, match="malformed payload"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, lambda r: Label(r.string()))
+            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: lambda r: Label(r.string())})
 
     def test_code_point_out_of_range_is_model_error(self, tmp_path):
         write_payload(tmp_path / "m.bin", U32.pack(1) + U32.pack(0x110000))
         with pytest.raises(ModelIOError, match="malformed payload"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, Reader.header)
+            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: Reader.header})
