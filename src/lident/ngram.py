@@ -7,32 +7,47 @@ sorted-array layout of KenLM (Heafield 2011), so large n allocates no
 dense V^n storage and one lookup serves every label:
 
 - Levels. Symbol s is the digit s + 1 in base V + 1, so the marker is 0.
-  Level k (1..n) holds the sorted int64 keys `parent * (V + 1) + digit`
-  of every distinct k-symbol prefix, where `parent` is the prefix's row
-  in level k - 1 (level 0 is the one empty prefix). A row is a rank in
-  lexicographic order, and keys stay below rows(k - 1) * (V + 1) for any
-  n. Each level ends in a sentinel row that no key reaches; a lookup that
-  misses lands there, and every key built on it misses too.
-- Sparse rows. The rows of level n (n-grams) and then those of level
-  n - 1 (histories; for n = 1 the one empty prefix) form one table in CSR
-  form: `offsets` delimits each row's run of entries, and an entry is a
-  label and the log term of a text position that reads the row. A
-  history row has an entry for each label that saw the history, t times
+  A level covers a chunk of w symbols: it holds the sorted int64 keys
+  `parent * (V + 1)**w + chunk` of every distinct prefix that ends with
+  the chunk, where `chunk` is the chunk's w digits in base V + 1 and
+  `parent` is the row of the prefix before it in the level above (level
+  0 is the one empty prefix). A row is a rank in lexicographic order, so
+  however the symbols are chunked, the last level's rows are the n-grams
+  and the rows of the level before it the histories. Each level ends in a
+  sentinel row that no key reaches; a lookup that misses lands there, and
+  every key built on it misses too.
+- Widths. `_widths` picks the widest chunk w (at most n - 1) for which
+  T * (V + 1)**w * L < 2**63, where T is the number of text positions
+  counted: a level has at most T rows, so every key fits in int64 (the
+  last one with the label as a digit too). The n - 1 history symbols go in
+  the fewest near-equal chunks of at most w, then the next character in a
+  level of its own: at n = 7 with V = 510 that is widths 3, 3, 1 for the
+  benchmark's 236 k positions and 12 labels, so a lookup searches 3 levels
+  instead of 7. T depends only on the counts, so `train`, a v1 `load` and
+  `sweep` build the same levels for the same table.
+- Sparse rows. The rows of the last level (n-grams) and then those of the
+  level before it (histories; for n = 1 the one empty prefix) form one
+  table in CSR form: `offsets` delimits each row's run of entries, and an
+  entry is a label and the log term of a text position that reads the row.
+  A history row has an entry for each label that saw the history, t times
   in all: the miss term ln(a / (t + aV)). An n-gram row has an entry for
   each label of its history's row: ln((c + a) / (t + aV)), where the
   n-gram's count c may be 0, and it keeps c, from which `save`, `grams`
   and `sweep` read the counts back. Sentinel rows have no entries. Counts
-  and totals are float64 integers below 2**53, so they are exact.
+  and totals are integers below 2**53, so float64 holds them exactly;
+  `offsets`, `cols` and `counts` use the narrowest integer type that holds
+  them.
 - The log terms are built once, with `math.log` over the distinct
   ratios, so scores keep the bits of a left-to-right `math.log` loop.
 
 One builder makes the table from (n-gram, label, count) entries: every
 text position for `train`, the entries of a v1 file for `load`, and for
-`sweep` the order-n entries with their leftmost symbol summed out. A v2
-file holds the levels and the seen (n-gram row, label, count) cells, so
-`load` checks and reads them and rebuilds only the log terms. Scoring walks
-the levels with `np.searchsorted`. A position reads its n-gram's row if
-the lookup hit and its history's row if not, and a history that missed
+`sweep` the order-n entries with their leftmost symbol summed out. A v3
+file holds the widths, the levels and the seen (n-gram row, label, count)
+cells, so `load` checks and reads them and rebuilds only the log terms; a
+v2 file is read the same way, as levels of width one. Scoring walks the
+levels with one `np.searchsorted` each. A position reads its n-gram's row
+if the lookup hit and its history's row if not, and a history that missed
 lands on an entry-less sentinel row. The entries fill a [T, L] array whose
 other cells hold ln(a / aV), the term of a history no label saw, and the
 terms are added down the text.
@@ -45,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import ClassVar, Iterable
@@ -72,7 +88,7 @@ __all__ = [
 BOS = -1
 
 MAGIC = b"LIDN"
-_VERSION = 2
+_VERSION = 3
 
 # The key of each level's last row, above every real key.
 _SENTINEL = np.iinfo(np.int64).max
@@ -125,7 +141,9 @@ class NgramModel:
     config: NgramConfig
     charset: Charset
     labels: tuple[Label, ...]
-    # n sorted key arrays, each ending in the sentinel; see the module docstring.
+    # The symbols each level covers, summing to n and ending in 1; see `_widths`.
+    widths: tuple[int, ...]
+    # A sorted key array per width, each ending in the sentinel; see the module docstring.
     levels: tuple[np.ndarray, ...] = field(repr=False)
     # The entries of the rows of levels[-1], then of levels[-2] (of the empty
     # prefix for n = 1), in CSR form; see the module docstring.
@@ -153,16 +171,21 @@ class NgramModel:
         base = self.charset.size + 1
         digits = np.array([BOS] * (n - 1) + self.charset.indices(text), np.int64) + 1
         positions = len(digits) - (n - 1)
-        rows = 0
-        for k, level in enumerate(self.levels):
-            history = rows
-            keys = rows * base + digits[k : k + positions]
+        rows, start = 0, 0
+        for width, level in zip(self.widths, self.levels):
+            history = keys = rows
+            for k in range(start, start + width):
+                keys = keys * base + digits[k : k + positions]
+            start += width
+            # Keys below rows(level above) * (V + 1)**w fit in int64 (`_widths`);
+            # one built on the sentinel row can wrap only in its last step, to
+            # a negative key that misses, as it should.
             found = level.searchsorted(keys)
             rows = np.where(level[found] == keys, found, len(level) - 1)
         # A missed n-gram lands on its level's sentinel: read its history's row.
         grams = len(self.levels[-1])
         rows = np.where(rows < grams - 1, rows, grams + history)
-        starts = self.offsets[rows]
+        starts = self.offsets[rows].astype(np.intp)
         position, at = _expand(starts, self.offsets[rows + 1] - starts)
         # The labels a row has no entry for never saw its history.
         unseen = math.log(alpha / (alpha * self.charset.size))
@@ -198,6 +221,7 @@ class NgramModel:
         w.put(U32, self.config.n)
         w.put(F64, self.config.alpha)
         w.header(self.charset, self.labels)
+        w.array(np.array(self.widths), "<u4")
         for level in self.levels:
             w.array(level[:-1], "<i8")
         at = np.flatnonzero(self.counts)
@@ -239,9 +263,13 @@ class NgramModel:
     def _symbols(self, rows: np.ndarray) -> np.ndarray:
         """The [len(rows), n] symbols of n-gram rows, read back up the levels."""
         out = np.empty((len(rows), self.config.n), np.int32)
-        for k in range(self.config.n - 1, -1, -1):
-            rows, digits = np.divmod(self.levels[k][rows], self.charset.size + 1)
-            out[:, k] = digits - 1
+        end = self.config.n
+        for width, level in zip(self.widths[::-1], self.levels[::-1]):
+            rows = level[rows]
+            for k in range(end - 1, end - 1 - width, -1):
+                rows, digits = np.divmod(rows, self.charset.size + 1)
+                out[:, k] = digits - 1
+            end -= width
         return out
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,15 +292,17 @@ def _build(
     time, so no [N, n] copy need exist."""
     base = charset.size + 1
     width = len(labels)
-    # Keys stay below N * (V + 1) * L, where N bounds the rows of every level.
-    if len(label) * base * width >= 2**63:
-        raise ValueError(f"{len(label)} n-grams, {base - 1} symbols and {width} labels overflow int64 keys")
+    widths = _widths(config.n, len(label) if weight is None else int(weight.sum()), base, width)
     grams = iter(grams)
-    # Here and below each array goes once used, to keep the peak low.
-    rows = np.int64(0)
+    # Here and below each array goes once used, to keep the peak low. Rows
+    # start as an int64 array, not a scalar, which numpy < 2 would cast by
+    # value and so narrow the first level's keys to the symbols' int32.
+    rows = np.zeros(1, np.int64)
     levels = []
-    for _ in range(config.n - 1):
-        keys = rows * base + next(grams) + 1
+    for chunk in widths[:-1]:
+        keys = rows
+        for _ in range(chunk):
+            keys = keys * base + next(grams) + 1
         del rows
         keys, rows = np.unique(keys, return_inverse=True)
         levels.append(np.append(keys, _SENTINEL))
@@ -287,7 +317,23 @@ def _build(
     levels.append(np.append(keys[first], _SENTINEL))
     del keys
     table = _log_table(config, charset, width, levels, np.cumsum(first) - 1, col, np.bincount(cell, weight))
-    return NgramModel(config, charset, labels, tuple(levels), *table), cell
+    return NgramModel(config, charset, labels, widths, tuple(levels), *table), cell
+
+
+def _widths(n: int, positions: int, base: int, labels: int) -> tuple[int, ...]:
+    """The symbols each level of an order-n table covers; see the module docstring.
+
+    No level has more rows than `positions`, the table's total count, so
+    keys stay below positions * base**w * labels.
+    """
+    widest = 0
+    while widest < max(n - 1, 1) and positions * base ** (widest + 1) * labels < 2**63:
+        widest += 1
+    if not widest:
+        raise ValueError(f"{positions} positions, {base - 1} symbols and {labels} labels overflow int64 keys")
+    chunks = -(-(n - 1) // widest)  # 0 for n = 1
+    size, longer = divmod(n - 1, max(chunks, 1))
+    return (size + 1,) * longer + (size,) * (chunks - longer) + (1,)
 
 
 def _log_table(
@@ -347,10 +393,10 @@ def _log_table(
     miss = terms[: len(total)]
     logs = np.concatenate((miss[at], miss))
     logs[hits] = terms[len(total) :]
-    counts = np.zeros(len(at))
+    counts = np.zeros(len(at), np.min_scalar_type(int(count.max(initial=0))))
     counts[hits] = count
     offsets = np.concatenate((gram_starts, [len(counts)], len(counts) + history_starts))
-    return offsets, cols, logs, counts
+    return offsets.astype(np.min_scalar_type(int(offsets[-1]))), cols, logs, counts
 
 
 def _indices(charset: Charset, text: str) -> np.ndarray:
@@ -429,8 +475,8 @@ def sweep(
 
 
 def load(path) -> NgramModel:
-    """Read back a model written by `NgramModel.save`, or by its v1 writer."""
-    return read_model(path, MAGIC, {1: _parse_v1, 2: _parse_v2})
+    """Read back a model written by `NgramModel.save`, or by its v1 or v2 writer."""
+    return read_model(path, MAGIC, {1: _parse_v1, 2: partial(_parse_levels, chunked=False), 3: _parse_levels})
 
 
 def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
@@ -444,25 +490,40 @@ def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
     return config, charset, labels
 
 
-def _parse_v2(r: Reader) -> NgramModel:
+def _parse_levels(r: Reader, chunked: bool = True) -> NgramModel:
+    """A v3 payload, or with `chunked` false a v2 one, whose levels all have width one."""
     config, charset, labels = _preamble(r)
     base = charset.size + 1
+    widths = tuple(r.array("<u4").tolist()) if chunked else (1,) * config.n
+    if not widths or min(widths) < 1 or sum(widths) != config.n or widths[-1] != 1:
+        raise ModelIOError(f"{r.source}: level widths that do not split {config.n} symbols, the last alone")
     levels = []
-    rows = 1  # level 0 holds the one empty prefix
-    for k in range(config.n):
+    # Level 0 holds the one empty prefix, which ends as a marker would.
+    rows, last = 1, np.zeros(1, np.int64)
+    for k, width in enumerate(widths):
+        scale = base**width
+        if rows * scale >= 2**63:
+            raise ModelIOError(f"{r.source}: level {k + 1}: {rows} rows above chunks of {width} symbols "
+                               "overflow int64 keys")
         keys = r.array("<i8")
         # Keys increase, and their parents step by at most one from row 0 to
         # the last row, so keys are >= 0 and each row above is some key's parent.
-        parent, digit = np.divmod(keys, base)
+        parent, chunk = np.divmod(keys, scale)
         if (not len(keys) or np.any(keys[1:] <= keys[:-1])
                 or parent[0] != 0 or parent[-1] != rows - 1 or np.any(np.diff(parent) > 1)):
             raise ModelIOError(f"{r.source}: level {k + 1}: keys out of order or not a prefix tree")
-        # Digits lie in 0..V by the divmod; the beginning-of-text marker,
-        # digit 0, never ends an n-gram.
-        if k == config.n - 1 and not digit.all():
-            raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
+        # The chunk's digits, first to last, each in 0..V. The beginning-of-text
+        # marker, digit 0, comes only before every other symbol, so a 0 follows
+        # only 0s, within a chunk and across chunks, and never ends an n-gram.
+        digits = [chunk // base**i % base for i in range(width - 1, -1, -1)]
+        for before, digit in zip([last[parent], *digits], digits):
+            if np.any((digit == 0) & (before != 0)):
+                raise ModelIOError(f"{r.source}: level {k + 1}: a beginning-of-text marker after a symbol")
+        last = digits[-1]
         levels.append(np.append(keys, _SENTINEL))
         rows = len(keys)
+    if not last.all():
+        raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
     row, col, count = r.array("<u8"), r.array("<u4"), r.array("<u8")
     # Cells are the seen (n-gram row, label) cells, each once, by row, then label.
     if not len(row) or len(col) != len(row) or len(count) != len(row):
@@ -480,7 +541,7 @@ def _parse_v2(r: Reader) -> NgramModel:
     if count.min() < 1 or count.max() >= _EXACT:
         raise ModelIOError(f"{r.source}: a count outside 1..2**53-1")
     table = _log_table(config, charset, len(labels), levels, row, col, count.astype(np.float64))
-    return NgramModel(config, charset, labels, tuple(levels), *table)
+    return NgramModel(config, charset, labels, widths, tuple(levels), *table)
 
 
 def _parse_v1(r: Reader) -> NgramModel:
@@ -502,6 +563,10 @@ def _parse_v1(r: Reader) -> NgramModel:
                 or max(table_heads["history"].max(initial=BOS), table_items["char"].max()) >= charset.size):
             raise ModelIOError(f"{r.source}: label {label.code!r}: "
                                f"a symbol outside [{BOS}, {charset.size})")
+        # The beginning-of-text marker comes only before every other symbol.
+        history = table_heads["history"]
+        if np.any((history[:, 1:] == BOS) & (history[:, :-1] != BOS)):
+            raise ModelIOError(f"{r.source}: label {label.code!r}: a beginning-of-text marker after a symbol")
         heads.append(table_heads)
         items.append(table_items)
     label = np.repeat(np.arange(len(labels)), [len(table) for table in items])

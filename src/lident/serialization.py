@@ -11,12 +11,16 @@ Both model kinds share a header block inside their payloads:
 
 An array is a u64 item count, then the items, little-endian.
 
-`LIDN` v2 (n-gram model, `ngram.py`; the arrays of its table):
+`LIDN` v3 (n-gram model, `ngram.py`; the arrays of its table):
 
     n u32 | alpha f64 | header
-    n arrays of i64 keys: levels 1..n of the table, without their sentinels
+    1 array of u32 widths: the symbols each level covers, summing to n, the last 1
+    1 array of i64 keys per width: the levels of the table, without their sentinels
     3 arrays, one item per seen (n-gram row, label) cell, sorted by row, then label:
         n-gram row u64 | label row u32 | count u64
+
+`LIDN` v2 (n-gram model; read, no longer written): v3 without the widths
+array, and with n levels of one symbol each.
 
 `LIDN` v1 (n-gram model; read, no longer written):
 

@@ -319,6 +319,56 @@ class TestReferenceScorer:
         assert cases == 144 and not mismatches
 
 
+class TestChunkedLevels:
+    def test_width_rule(self):
+        # the benchmark's seed-1 corpus: V = 510, 235,802 positions, 12 labels,
+        # so chunks of up to 4 symbols fit
+        assert 235_802 * 511**4 * 12 < 2**63 <= 235_802 * 511**5 * 12
+        assert [ngram._widths(n, 235_802, 511, 12) for n in (1, 2, 4, 5, 7, 8, 9, 10)] == [
+            (1,), (1, 1), (3, 1), (4, 1), (3, 3, 1), (4, 3, 1), (4, 4, 1), (3, 3, 3, 1)]
+        # at most n - 1 symbols however few positions there are
+        assert ngram._widths(64, 1, 2, 1) == (32, 31, 1)
+        # only w = 1 fits
+        most = (2**63 - 1) // (511 * 12)
+        assert ngram._widths(7, most, 511, 12) == (1,) * 7
+        assert ngram._widths(3, most // 511, 511, 12) == (2, 1)
+        # nothing fits: the keys of one symbol and a label overflow int64
+        with pytest.raises(ValueError, match="overflow int64"):
+            ngram._widths(7, most + 1, 511, 12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**16), words=st.booleans())
+    def test_same_scores_as_width_one_levels(self, n, seed, words):
+        rng = random.Random(seed)
+        codes = [f"l{i}" for i in range(rng.randint(2, 4))]
+        corpus = word_corpus(2, 10, seed=seed) if words else random_corpus(rng, "abcdefgh", codes, 30, 30)
+        charset = build_charset(corpus)
+        model = ngram.train(corpus, NgramConfig(n), charset)
+        # any other split of the history, and one symbol a level, as before chunks
+        bounds = [0, *sorted(rng.sample(range(1, n - 1), rng.randint(0, max(n - 2, 0)))), n - 1]
+        split = tuple(b - a for a, b in zip(bounds, bounds[1:]) if b > a) + (1,)
+        twins = []
+        for widths in (split, (1,) * n):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ngram, "_widths", lambda *_: widths)
+                twins.append(ngram.train(corpus, NgramConfig(n), charset))
+            assert twins[-1].widths == widths and len(twins[-1].levels) == len(widths)
+        assert model.widths == ((n - 1, 1) if n > 1 else (1,))
+        texts = ["", rng.choice(corpus.instances).text, "\u2603",
+                 *("".join(rng.choice(charset.chars + ("\u2603",)) for _ in range(rng.randint(1, 40)))
+                   for _ in range(3))]
+        for twin in twins:
+            # chunks change only the levels above the histories
+            for a, b in zip(model_arrays(model)[-4:], model_arrays(twin)[-4:], strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(model.levels[-1], twin.levels[-1])
+            for label in model.labels:
+                assert model.grams(label) == twin.grams(label)
+            for text in texts:
+                scores, again = model.classify(text).per_label, twin.classify(text).per_label
+                assert {k: v.hex() for k, v in scores.items()} == {k: v.hex() for k, v in again.items()}
+
+
 class TestTableSize:
     def test_arrays_hold_only_seen_cells(self):
         # 12 labels, as in DSL 2016; dense [rows, L] count and total matrices
@@ -328,7 +378,8 @@ class TestTableSize:
         grams = len(model.levels[-1]) - 1
         arrays = model_arrays(model)
         assert len(model.labels) == 12
-        assert sum(a.nbytes for a in arrays) == model.nbytes() <= 100 * grams
+        # 43 with levels of 6 and 1 symbols and the narrowest integer types
+        assert sum(a.nbytes for a in arrays) == model.nbytes() <= 48 * grams
         assert max(a.size for a in arrays) < grams * len(model.labels)
 
 
@@ -446,7 +497,7 @@ class TestSaveLoad:
         blob = bytearray(path.read_bytes())
         blob[4:8] = (0).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError, match="supported versions: 1, 2"):
+        with pytest.raises(VersionError, match="supported versions: 1, 2, 3"):
             ngram.load(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -493,6 +544,12 @@ class TestSaveLoad:
     def test_mutated_v1_payload_loads_or_is_model_error(self, tmp_path, data):
         load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v1.lidn").read_bytes(), data)
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_v2_payload_loads_or_is_model_error(self, tmp_path, data):
+        load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v2.lidn").read_bytes(), data)
+
     def test_v2_load_rebuilds_only_the_log_terms(self, tmp_path, toy_corpus, monkeypatch):
         toy = ngram.train(toy_corpus, NgramConfig(3, 0.25), build_charset(toy_corpus))
         from_v1 = ngram.load(FIXTURES / "toy_v1.lidn")
@@ -510,6 +567,10 @@ class TestSaveLoad:
                              (words, ngram.load(tmp_path / "words.lidn"))]:
             for a, b in zip(model_arrays(model), model_arrays(again), strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+        # a v2 file's levels have width one; the rest of its table is the same
+        from_v2 = ngram.load(FIXTURES / "toy_v2.lidn")
+        for a, b in zip(model_arrays(toy)[-4:], model_arrays(from_v2)[-4:], strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def _hand_made(self, tmp_path, n: int, tables: list) -> Path:
         """A .lidn over charset (a, b) (V = 3) with one label per entry of `tables`,
@@ -527,36 +588,42 @@ class TestSaveLoad:
         w.save(path, ngram.MAGIC, 1)
         return path
 
-    def _hand_made_v2(self, tmp_path, n: int, levels: list, cells: tuple, labels: int = 2) -> Path:
-        """A v2 .lidn over charset (a, b) (V = 3, so a key is parent * 4 + digit)
-        with `labels` labels, the key arrays `levels` and the cell arrays
-        `cells`: (n-gram rows, label rows, counts). A `bytes` array is written as it is."""
+    def _hand_made_levels(self, tmp_path, n: int, levels: list, cells: tuple, labels: int = 2,
+                      widths: tuple | None = None) -> Path:
+        """A v2 .lidn, or with `widths` a v3 one, over charset (a, b) (V = 3, so
+        a key is parent * 4**w + chunk, w = 1 in v2) with `labels` labels, the
+        key arrays `levels` and the cell arrays `cells`: (n-gram rows, label
+        rows, counts). A `bytes` array is written as it is."""
         w = Writer()
         w.put(U32, n)
         w.put(F64, 0.1)
         w.header(Charset(("a", "b")), tuple(L(f"L{i}") for i in range(labels)))
-        for fmt, values in [*(("q", keys) for keys in levels), *zip("QIQ", cells)]:
+        arrays = [*(("q", keys) for keys in levels), *zip("QIQ", cells)]
+        if widths is not None:
+            arrays.insert(0, ("I", widths))
+        for fmt, values in arrays:
             if isinstance(values, bytes):
                 w.raw(values)
             else:
                 w.put(U64, len(values))
                 w.records(record(fmt), ((value,) for value in values))
-        path = tmp_path / "hand-v2.lidn"
-        w.save(path, ngram.MAGIC, 2)
+        path = tmp_path / "hand-levels.lidn"
+        w.save(path, ngram.MAGIC, 2 if widths is None else 3)
         return path
 
     def test_hand_made_payload_round_trips(self, tmp_path):
-        for n, tables, grams, levels, cells in [
+        for n, tables, grams, widths, levels, cells in [
             (2, [[((-1,), [(0, 2)]), ((0,), [(1, 1), (2, 3)])], [((2,), [(0, 1)])]],
              {(-1, 0): 2, (0, 1): 1, (0, 2): 3},
-             V2_LEVELS, V2_CELLS),
+             (1, 1), V2_LEVELS, V2_CELLS),
             (1, [[((), [(0, 2), (2, 1)])], [((), [(1, 5)])]], {(0,): 2, (2,): 1},
-             [[1, 2, 3]], ([0, 1, 2], [0, 1, 0], [2, 5, 1])),
-            # the largest history total float64 holds exactly
+             (1,), [[1, 2, 3]], ([0, 1, 2], [0, 1, 0], [2, 5, 1])),
+            # the largest history total float64 holds exactly; both history
+            # symbols in one level, whose keys are chunks of two digits
             (3, [[((-1, -1), [(0, 1)]), ((-1, 0), [(1, 1)]), ((0, 1), [(2, 2**53 - 1)])],
                  [((1, 2), [(0, 1)])]],
              {(-1, -1, 0): 1, (-1, 0, 1): 1, (0, 1, 2): 2**53 - 1},
-             [[0, 1, 2], [0, 1, 6, 11], [1, 6, 11, 13]], ([0, 1, 2, 3], [0, 0, 0, 1], [1, 1, 2**53 - 1, 1])),
+             (2, 1), [[0, 1, 6, 11], [1, 6, 11, 13]], ([0, 1, 2, 3], [0, 0, 0, 1], [1, 1, 2**53 - 1, 1])),
         ]:
             from_v1 = ngram.load(self._hand_made(tmp_path, n, tables))
             assert from_v1.grams(L("L0")) == grams
@@ -567,8 +634,8 @@ class TestSaveLoad:
                 assert resaved.grams(label) == from_v1.grams(label)
             for text in ("", "ab", "ba?ab"):
                 assert resaved.classify(text) == from_v1.classify(text)
-            # the v2 re-save is the hand-made v2 file, and that round-trips byte for byte
-            path = self._hand_made_v2(tmp_path, n, levels, cells)
+            # the v3 re-save is the hand-made v3 file, and that round-trips byte for byte
+            path = self._hand_made_levels(tmp_path, n, levels, cells, widths=widths)
             assert again.read_bytes() == path.read_bytes()
             ngram.load(path).save(again)
             assert again.read_bytes() == path.read_bytes()
@@ -659,7 +726,37 @@ class TestSaveLoad:
     ])
     def test_impossible_v2_tables_are_model_errors(self, tmp_path, n, levels, cells, labels, match):
         with pytest.raises(ModelIOError, match=match):
-            ngram.load(self._hand_made_v2(tmp_path, n, levels, cells, labels))
+            ngram.load(self._hand_made_levels(tmp_path, n, levels, cells, labels))
+
+    @pytest.mark.parametrize("n, widths, levels, cells, match", [
+        pytest.param(2, (0, 1, 1), V2_LEVELS, V2_CELLS, "widths", id="width-0"),
+        pytest.param(2, (), V2_LEVELS, V2_CELLS, "widths", id="no-widths"),
+        pytest.param(2, (1,), V2_LEVELS, V2_CELLS, "widths", id="widths-short-of-n"),
+        pytest.param(2, (2, 1), V2_LEVELS, V2_CELLS, "widths", id="widths-past-n"),
+        pytest.param(3, (1, 2), [[1], [6, 7]], ([0, 1], [0, 1], [1, 1]), "widths", id="last-width-2"),
+        # rows * 4**w must stay below 2**63: one row under chunks of 31 fits,
+        # two rows do not, and one row under chunks of 32 does not either
+        pytest.param(33, (1, 31, 1), [[1, 2]], ([], [], []), "level 2.*overflow", id="keys-past-int64"),
+        pytest.param(33, (32, 1), [], ([], [], []), "level 1.*overflow", id="chunk-past-int64"),
+        pytest.param(33, (31, 1, 1), [[4**31 - 1]], ([], [], []), "level 2: keys", id="chunk-of-31-fits"),
+        # (a, <s>, b), with the marker after a symbol: inside a chunk, and across two levels
+        pytest.param(3, (2, 1), [[4], [2]], ([0], [0], [1]), "marker after", id="marker-after-symbol-in-chunk"),
+        pytest.param(3, (1, 1, 1), [[1], [0], [2]], ([0], [0], [1]), "marker after", id="marker-after-symbol"),
+        # (<s>, <s>) ends in the marker
+        pytest.param(2, (1, 1), [[0], [0]], ([0], [0], [1]), "ending in the", id="gram-ends-in-marker"),
+    ])
+    def test_impossible_v3_tables_are_model_errors(self, tmp_path, n, widths, levels, cells, match):
+        with pytest.raises(ModelIOError, match=match):
+            ngram.load(self._hand_made_levels(tmp_path, n, levels, cells, labels=1, widths=widths))
+
+    def test_marker_after_a_symbol_is_model_error(self, tmp_path):
+        # the n-gram (a, <s>, b), which no text yields, in a v1, a v2 and a v3
+        # file; each used to load
+        with pytest.raises(ModelIOError, match="marker after a symbol"):
+            ngram.load(self._hand_made(tmp_path, 3, [[((0, BOS), [(1, 1)])]]))
+        for widths, levels in [(None, [[1], [0], [2]]), ((2, 1), [[4], [2]])]:
+            with pytest.raises(ModelIOError, match="marker after a symbol"):
+                ngram.load(self._hand_made_levels(tmp_path, 3, levels, ([0], [0], [1]), labels=1, widths=widths))
 
     def test_json_dump_readable(self):
         model = self._model()

@@ -11,14 +11,15 @@ from lident.corpus import Charset, Label, build_charset
 from lident.errors import ModelIOError
 from lident.serialization import F64, U8, U16, U32, U64, Reader, Writer, record
 
-# Digests of the two files below as written by `LIDN` v2 and `LIDC` v1. A
+# Digests of the two files below as written by `LIDN` v3 and `LIDC` v1. A
 # change to either is a file-format change: old files would no longer load
 # the same.
-LIDN_SHA256 = "0c1dda403357c6f99c73ae7de7774948667d6977475814195f763e4adb829946"
+LIDN_SHA256 = "5d1c5dc03bffb8529787adec904f58ac23a2e9556574da3a41f2ebbf16e200fa"
 LIDC_SHA256 = "0c1d90bfbd12fba288f20a2c3cd886dcd9985471105a05dc560ce11af9029d7c"
-# The same n-gram model as written by the `LIDN` v1 writer, kept as a fixture
-# because `save` no longer writes v1.
+# The same n-gram model as written by the `LIDN` v1 and v2 writers, kept as
+# fixtures because `save` no longer writes either.
 LIDN_V1_SHA256 = "79f6cd2ea889e5fec667da65521a89d045f0d1156c4c9592842e473a78a84d10"
+LIDN_V2_SHA256 = "0c1dda403357c6f99c73ae7de7774948667d6977475814195f763e4adb829946"
 
 PIN_CONFIG = ClstmConfig(
     seq_len=16,
@@ -73,6 +74,20 @@ class TestFormatPin:
         assert sha256(path) == LIDN_V1_SHA256
         model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
         assert_same_ngram_model(ngram.load(path), model)
+
+    def test_lidn_v2_file_still_loads(self, tmp_path, fixtures_dir, toy_corpus):
+        path = fixtures_dir / "toy_v2.lidn"
+        assert sha256(path) == LIDN_V2_SHA256
+        model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
+        from_v2 = ngram.load(path)
+        assert_same_ngram_model(from_v2, model)
+        # its levels have width one, and a v3 re-save keeps them and round-trips
+        assert from_v2.widths == (1, 1, 1) and model.widths == (2, 1)
+        again, twice = tmp_path / "again.lidn", tmp_path / "twice.lidn"
+        from_v2.save(again)
+        ngram.load(again).save(twice)
+        assert again.read_bytes() == twice.read_bytes()
+        assert_same_ngram_model(ngram.load(again), model)
 
     def test_lidc_bytes_pinned(self, tmp_path):
         model = pinned_clstm()
