@@ -12,6 +12,12 @@ A `Tape` records one forward pass and is consumed by one `backward` call;
 build a fresh tape per training step. Tensors wrapped as constants
 (`Tensor(array)`) flow through the same operations without recording, which
 is how evaluation-mode inference runs tape-free.
+
+`Tensor`, `Tape` (with `leaf` and `backward`) and `vsum`, which no
+classifier path calls, keep their names and signatures because the
+benchmark's traced runs call them: `perfbench/layers.py` times each layer's
+backward pass through them, and `perfbench/spans.py` wraps `Tape.backward`
+by name.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "AdamState",
-    "mul",
     "vsum",
     "relu",
     "dense",
@@ -133,18 +138,6 @@ def _result(inputs: Sequence[Tensor], data: np.ndarray, backward: Callable[[np.n
 
 
 # --- elementwise and reduction ops ---------------------------------------
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
-    a_data, b_data = a.data, b.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * b_data)
-        _accumulate(b, g * a_data)
-
-    return _result((a, b), a_data * b_data, backward)
 
 
 def vsum(x: Tensor) -> Tensor:
@@ -515,21 +508,12 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(
-        cls,
-        params: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray], **hyper: float) -> "AdamState":
+        """Zero moments for `params`; `hyper` sets any of lr, beta1, beta2 and eps."""
         return cls(
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
             m={name: np.zeros_like(p) for name, p in params.items()},
             v={name: np.zeros_like(p) for name, p in params.items()},
+            **hyper,
         )
 
 

@@ -45,11 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", metavar="FILE", help="clstm: key=value config file")
     p_train.add_argument("--seq-len", type=int, help="clstm: input length in characters")
     p_train.add_argument("--conv-features", type=int, help="clstm: filters per conv stage")
-    p_train.add_argument("--kernels", type=int_list, metavar="K,K,K", help="clstm: conv kernel widths")
+    p_train.add_argument("--kernels", type=int_list, dest="conv_kernels", metavar="K,K,K",
+                         help="clstm: conv kernel widths")
     p_train.add_argument("--pools", type=int_list, metavar="P,P,P", help="clstm: max-pooling window sizes")
     p_train.add_argument("--lstm-hidden", type=int, help="clstm: hidden units per direction")
     p_train.add_argument("--dense-units", type=int, help="clstm: fully connected layer width")
-    p_train.add_argument("--dropout", type=float, help="clstm: dropout rate before the output layer")
+    p_train.add_argument("--dropout", type=float, dest="dropout_rate", metavar="DROPOUT",
+                         help="clstm: dropout rate before the output layer")
     p_train.add_argument("--lr", type=float, help="clstm: Adam learning rate")
     p_train.add_argument("--epochs", type=int, help="clstm: training epochs")
     p_train.add_argument("--batch-size", type=int, help="clstm: mini-batch size")
@@ -180,21 +182,9 @@ def _load_clstm_config(path: str | None) -> dict:
 
 def cmd_train(args: argparse.Namespace) -> int:
     ngram_flags = {"n": args.n, "alpha": args.alpha}
-    clstm_flags = {
-        "config": args.config,
-        "seq_len": args.seq_len,
-        "conv_features": args.conv_features,
-        "conv_kernels": args.kernels,
-        "pools": args.pools,
-        "lstm_hidden": args.lstm_hidden,
-        "dense_units": args.dense_units,
-        "dropout_rate": args.dropout,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "history": args.history,
-        "dev": args.dev,
-    }
+    # Each clstm config field with a flag has the flag's dest; --seed serves both kinds.
+    clstm_flags = {key: value for key, value in vars(args).items()
+                   if (key in _CLSTM_FILE_KEYS and key != "seed") or key in ("config", "history", "dev")}
     other_flags = clstm_flags if args.kind == "ngram" else ngram_flags
     wrong = [k for k, v in other_flags.items() if v is not None]
     if wrong:
@@ -216,9 +206,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         size = f"{model.table_entries()} count entries"
     else:
         options = _load_clstm_config(args.config)
-        for key, value in clstm_flags.items():
-            if key in _CLSTM_FILE_KEYS and value is not None:
-                options[key] = value
+        options.update((k, v) for k, v in clstm_flags.items() if k in _CLSTM_FILE_KEYS and v is not None)
         if args.max_charset is not None:
             options["charset_dim"] = args.max_charset
         if seed is not None:

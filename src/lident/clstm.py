@@ -241,19 +241,6 @@ def _drop_seeds(seed: int, size: int) -> list[int]:
     return [int(seed_rng.integers(2**63)) for _ in range(size)]
 
 
-def _batch_graph(
-    wrapped: dict[str, ad.Tensor],
-    config: ClstmConfig,
-    batch: EncodedBatch,
-    train_mode: bool,
-    drop_seeds: Sequence[int],
-) -> tuple[ad.Tensor, np.ndarray]:
-    if batch.inputs.shape[0] == 0:
-        raise ConfigError("empty batch")
-    logits = _logits(wrapped, config, batch.inputs, train_mode, drop_seeds)
-    return ad.softmax_cross_entropy(logits, batch.targets)
-
-
 def loss_and_grads(
     params: ClstmParams,
     config: ClstmConfig,
@@ -262,18 +249,16 @@ def loss_and_grads(
     seed: int = 0,
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """One taped forward/backward pass: mean cross-entropy, class probabilities, gradients."""
+    if batch.inputs.shape[0] == 0:
+        raise ConfigError("empty batch")
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
     drop_seeds = _drop_seeds(seed, len(batch.targets))
-    loss, probs = _batch_graph(wrapped, config, batch, train_mode, drop_seeds)
+    logits = _logits(wrapped, config, batch.inputs, train_mode, drop_seeds)
+    loss, probs = ad.softmax_cross_entropy(logits, batch.targets)
     tape.backward(loss)
     grads = {name: tape.grad(leaf) for name, leaf in wrapped.items()}
     return float(loss.data), probs, grads
-
-
-def _accuracy(model: ClstmModel, corpus: Corpus) -> float:
-    scores = predict(model, [inst.text for inst in corpus])
-    return sum(s.best == inst.label for s, inst in zip(scores, corpus)) / len(corpus)
 
 
 def train(
@@ -327,7 +312,8 @@ def train(
             ad.adam_step(params, grads, state)
         train_loss = loss_sum / len(texts)
         if dev is not None and len(dev):
-            dev_accuracy = _accuracy(ClstmModel(config, charset, labels, params), dev)
+            scores = predict(ClstmModel(config, charset, labels, params), [inst.text for inst in dev])
+            dev_accuracy = sum(s.best == inst.label for s, inst in zip(scores, dev)) / len(dev)
             key = (dev_accuracy, -train_loss)
             if key > best_key:
                 best_key = key

@@ -14,9 +14,12 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, CorpusFormatError, StratificationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Lone surrogates are not unicode scalar values and cannot exist in a UTF-8
 # corpus file, so they are rejected at construction time.
@@ -125,6 +128,10 @@ class Charset:
 
     chars: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    # The code points of `chars` and one above Unicode, sorted, and the index
+    # of each: the table `indices` searches. The last stands for the unknown slot.
+    _codes: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
+    _slots: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         index: dict[str, int] = {}
@@ -135,6 +142,14 @@ class Charset:
                 raise ValueError(f"duplicate charset entry: {ch!r}")
             index[ch] = i
         object.__setattr__(self, "_index", index)
+        # numpy is imported here and in `indices`, not above, so that `import
+        # lident` and reading a corpus stay numpy-free: ~0.1 s of a fresh process.
+        import numpy as np
+
+        codes = np.array([*map(ord, self.chars), 0x110000], np.uint32)
+        slots = np.argsort(codes)
+        object.__setattr__(self, "_codes", codes[slots])
+        object.__setattr__(self, "_slots", slots)
 
     @property
     def size(self) -> int:
@@ -148,10 +163,13 @@ class Charset:
     def lookup(self, ch: str) -> int:
         return self._index.get(ch, len(self.chars))
 
-    def indices(self, text: str) -> list[int]:
-        index = self._index
-        unk = len(self.chars)
-        return [index.get(ch, unk) for ch in text]
+    def indices(self, text: str) -> np.ndarray:
+        """The index of each character of `text`, as an int array."""
+        import numpy as np
+
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        at = np.searchsorted(self._codes, codes)
+        return np.where(self._codes[at] == codes, self._slots[at], len(self.chars))
 
 
 @dataclass(frozen=True)

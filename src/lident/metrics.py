@@ -44,15 +44,13 @@ class ConfusionMatrix:
             raise ValueError("confusion matrix needs a non-empty label set")
         cells = np.asarray(self.cells, dtype=np.int64)
         n = len(self.labels)
+        if len(set(self.labels)) != n:
+            raise ValueError("confusion matrix labels must be distinct")
         if cells.shape != (n, n):
             raise ValueError(f"cells must be {n}x{n}, got {cells.shape}")
         if (cells < 0).any():
             raise ValueError("confusion counts must be non-negative")
         object.__setattr__(self, "cells", cells)
-
-    @property
-    def total(self) -> int:
-        return int(self.cells.sum())
 
     def with_groups(self, groups: Mapping[Label, int]) -> "ConfusionMatrix":
         """Return a copy whose labels carry group ids from `groups`."""
@@ -114,9 +112,12 @@ def report(cm: ConfusionMatrix, groups: Mapping[Label, int] | None = None) -> Ev
     """Derive accuracy, per-class precision/recall/F1, F1 aggregates, group split.
 
     Empty classes follow the zero convention (precision = recall = F1 = 0).
-    When `groups` is omitted, group ids carried by the matrix labels are used;
-    with no group information at all, `group_split` is None.
+    Group ids come from the matrix labels, or from `groups` in their place,
+    as `cm.with_groups(groups)` would carry them; with none, `group_split`
+    is None.
     """
+    if groups is not None:
+        cm = cm.with_groups(groups)
     cells = cm.cells
     total = int(cells.sum())
     if total == 0:
@@ -135,29 +136,19 @@ def report(cm: ConfusionMatrix, groups: Mapping[Label, int] | None = None) -> Ev
 
     correct = int(diag.sum())
     accuracy = correct / total
-    # Pooled counts: one FP and one FN per misclassified instance.
-    false_pos = total - correct
-    false_neg = total - correct
-    f1_micro = 2.0 * correct / (2.0 * correct + false_pos + false_neg)
+    # Pooled, each error is one FP and one FN, so micro-F1 = 2c / (2c + 2e) = accuracy.
+    f1_micro = accuracy
     f1_macro = sum(pc.f1 for pc in per_class.values()) / len(per_class)
     f1_weighted = sum(pc.f1 * pc.support for pc in per_class.values()) / total
 
-    if groups is None:
-        derived = {l: l.group_id for l in cm.labels if l.group_id is not None}
-        groups = derived if derived else None
     group_split = None
-    if groups is not None:
-        within = cross = 0
-        for i, gl in enumerate(cm.labels):
-            for j, pl in enumerate(cm.labels):
-                if i == j or not cells[i, j]:
-                    continue
-                gid = groups.get(gl)
-                if gid is not None and gid == groups.get(pl):
-                    within += int(cells[i, j])
-                else:
-                    cross += int(cells[i, j])
-        group_split = GroupSplit(within, cross)
+    ids = [l.group_id for l in cm.labels]
+    if any(g is not None for g in ids):
+        # An error is within-group when its gold and predicted labels share a group id.
+        within_group = np.array([[g is not None and g == h for h in ids] for g in ids])
+        np.fill_diagonal(within_group, False)
+        within = int(cells[within_group].sum())
+        group_split = GroupSplit(within, total - correct - within)
 
     return EvalReport(accuracy, f1_micro, f1_macro, f1_weighted, per_class, group_split)
 
@@ -271,6 +262,9 @@ def load_matrix_csv(path: str | Path) -> ConfusionMatrix:
         labels = tuple(Label(code.strip()) for code in rows[0])
     except ValueError as exc:
         raise CorpusFormatError(f"{path}:1: {exc}") from exc
+    repeated = [l.code for l in labels if labels.count(l) > 1]
+    if repeated:
+        raise CorpusFormatError(f"{path}:1: label {repeated[0]!r} listed more than once")
     n = len(labels)
     if len(rows) - 1 != n:
         raise CorpusFormatError(f"{path}: expected {n} count rows, found {len(rows) - 1}")
@@ -302,7 +296,10 @@ def load_groups_tsv(path: str | Path) -> dict[Label, int]:
             )
         code, gid = parts
         try:
-            groups[Label(code)] = int(gid)
+            label, group = Label(code), int(gid)
         except ValueError as exc:
             raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
+        if label in groups:
+            raise CorpusFormatError(f"{path}:{line_no}: label {code!r} already has a group")
+        groups[label] = group
     return groups

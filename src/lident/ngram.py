@@ -169,7 +169,7 @@ class NgramModel:
         n = self.config.n
         alpha = self.config.alpha
         base = self.charset.size + 1
-        digits = np.array([BOS] * (n - 1) + self.charset.indices(text), np.int64) + 1
+        digits = np.concatenate((np.full(n - 1, BOS), self.charset.indices(text))) + 1
         positions = len(digits) - (n - 1)
         rows, start = 0, 0
         for width, level in zip(self.widths, self.levels):
@@ -198,10 +198,9 @@ class NgramModel:
 
     def grams(self, label: Label) -> dict[Gram, int]:
         """One label's nonzero n-gram counts, in table order."""
-        mine = self.cols[: len(self.counts)] == self.labels.index(label)
-        at = np.flatnonzero(mine & (self.counts > 0))
-        grams = map(tuple, self._symbols(self._gram_rows()[at]).tolist())
-        return dict(zip(grams, self.counts[at].astype(np.int64).tolist()))
+        symbols, cols, counts = self._entries()
+        mine = cols == self.labels.index(label)
+        return dict(zip(map(tuple, symbols[mine].tolist()), counts[mine].astype(np.int64).tolist()))
 
     def table_entries(self) -> int:
         """Total number of (label, history, next-char) count entries."""
@@ -399,16 +398,6 @@ def _log_table(
     return offsets.astype(np.min_scalar_type(int(offsets[-1]))), cols, logs, counts
 
 
-def _indices(charset: Charset, text: str) -> np.ndarray:
-    """`charset.indices(text)` as an array, looked up in numpy."""
-    # The last code point, above Unicode, stands for the unknown slot.
-    known = np.array([*map(ord, charset.chars), 0x110000])
-    order = np.argsort(known)
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-    slot = order[np.searchsorted(known[order], codes)]
-    return np.where(known[slot] == codes, slot, charset.unk_index)
-
-
 def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
     """Count every n-gram per label over BOS-padded index sequences."""
     if not len(corpus):
@@ -422,7 +411,7 @@ def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
     # further on for every text up to and including its own.
     symbols = np.full(len(label) + (n - 1) * len(corpus), BOS, np.int32)
     symbols[np.repeat(np.arange(1, len(corpus) + 1) * (n - 1), lengths) + np.arange(len(label))] = (
-        _indices(charset, "".join(inst.text for inst in corpus)))
+        charset.indices("".join(inst.text for inst in corpus)))
     # One n-gram per character: the n symbols that end on it.
     ends = symbols[n - 1 :] != BOS
     grams = (symbols[k : len(symbols) - (n - 1) + k][ends] for k in range(n))
@@ -556,7 +545,13 @@ def _parse_v1(r: Reader) -> NgramModel:
         # `train` writes no empty table; as each history stores n-1 symbols, that bounds n.
         if not histories:
             raise ModelIOError(f"{r.source}: label {label.code!r}: no n-grams")
-        table_heads, table_items = r.runs(histories, head, pair)
+        head_bytes, pair_bytes = [], []
+        for _ in range(histories):
+            head_bytes.append(r.read(head.itemsize))
+            (k,) = U32.unpack_from(head_bytes[-1], head.itemsize - U32.size)
+            pair_bytes.append(r.read(pair.itemsize * k))
+        table_heads = np.frombuffer(b"".join(head_bytes), head)
+        table_items = np.frombuffer(b"".join(pair_bytes), pair)
         if not table_heads["k"].all() or not table_items["count"].all():
             raise ModelIOError(f"{r.source}: label {label.code!r}: a history or an n-gram with no count")
         if (table_heads["history"].min(initial=BOS) < BOS

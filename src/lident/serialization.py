@@ -143,14 +143,6 @@ def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int,
     return version, payload
 
 
-def _in_heads(size: int, offsets: np.ndarray, width: int) -> np.ndarray:
-    """A mask over `size` bytes, true on the `width` bytes from each of `offsets`."""
-    edges = np.zeros(size + 1, np.int8)
-    edges[offsets] = 1
-    edges[offsets + width] -= 1  # 0 where a head ends just as the next begins
-    return np.cumsum(edges[:-1], dtype=np.int8).view(bool)
-
-
 class Writer:
     """Builds a payload field by field."""
 
@@ -217,28 +209,6 @@ class Reader:
         """An array written by `Writer.array`: a read-only view of the payload."""
         count = self.value(U64)
         return np.frombuffer(self.read(count * np.dtype(dtype).itemsize), dtype)
-
-    def runs(self, count: int, head: np.dtype, item: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-        """`count` records, each a `head` whose last field, a u32, counts the `item`s after it.
-
-        Only the heads are walked in Python; both come back as arrays.
-        """
-        payload, start = self.payload, self.offset
-        at, starts = start, []
-        # Bound once: the loop runs once per record.
-        append, unpack = starts.append, U32.unpack_from
-        head_size, item_size = head.itemsize, item.itemsize
-        k_at = head_size - U32.size
-        try:
-            for _ in range(count):
-                append(at)
-                at += head_size + item_size * unpack(payload, at + k_at)[0]
-        except struct.error:
-            raise ModelIOError(f"{self.source}: payload ends mid-record") from None
-        self._advance(at - start)
-        section = np.frombuffer(payload, np.uint8, at - start, start)
-        in_heads = _in_heads(len(section), np.array(starts, np.int64) - start, head.itemsize)
-        return section[in_heads].view(head), section[~in_heads].view(item)
 
     def string(self) -> str:
         return str(self.read(self.value(U16)), "utf-8")

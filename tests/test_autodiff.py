@@ -31,9 +31,10 @@ def gradcheck(build, arrays: dict[str, np.ndarray]) -> float:
 
 
 def projection(out: ad.Tensor, seed: int = 0) -> ad.Tensor:
-    """Random positive projection to a scalar so every output element matters."""
-    weights = np.random.default_rng(seed).uniform(0.5, 1.5, out.data.shape)
-    return ad.vsum(ad.mul(out, ad.Tensor(weights)))
+    """Cross-entropy of `out`'s last axis against random targets: a scalar whose
+    gradient, softmax minus one-hot, differs at every output element."""
+    targets = np.random.default_rng(seed).integers(0, out.data.shape[-1], out.data.shape[:-1])
+    return ad.softmax_cross_entropy(out, targets)[0]
 
 
 class TestForwardValues:
@@ -236,9 +237,9 @@ class TestDropout:
 class TestBackwardMechanics:
     def test_linear_scalar(self):
         tape = ad.Tape()
-        w = tape.leaf(np.array(2.0))
-        tape.backward(ad.mul(w, ad.Tensor(np.array(3.0))))
-        assert float(tape.grad(w)) == 3.0
+        w = tape.leaf(np.array([[2.0]]))
+        tape.backward(ad.vsum(ad.dense(ad.Tensor(np.array([3.0])), w, ad.Tensor(np.zeros(1)))))
+        assert tape.grad(w).tolist() == [[3.0]]
 
     def test_unused_leaf_gets_zero_gradient(self):
         tape = ad.Tape()
@@ -277,7 +278,7 @@ class TestBackwardMechanics:
     def test_mixed_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()
         with pytest.raises(TapeError):
-            ad.mul(t1.leaf(np.ones(2)), t2.leaf(np.ones(2)))
+            ad.dense(t1.leaf(np.ones(2)), t2.leaf(np.ones((2, 2))), t1.leaf(np.zeros(2)))
 
     def test_grad_before_backward(self):
         tape = ad.Tape()
@@ -354,8 +355,9 @@ class TestGradientChecks:
 
     def test_plumbing_ops(self):
         rng = np.random.default_rng(14)
-        arrays = {"a": rng.uniform(-1, 1, 6), "b": rng.uniform(-1, 1, 6)}
-        err = gradcheck(lambda t: ad.vsum(ad.mul(ad.mul(t["a"], t["b"]), t["a"])), arrays)
+        # a leaf read twice gathers both gradients
+        arrays = {"a": rng.uniform(-1, 1, 6), "w": rng.uniform(-1, 1, (6, 6)), "b": rng.uniform(-1, 1, 6)}
+        err = gradcheck(lambda t: ad.vsum(ad.dense(ad.dense(t["a"], t["w"], t["b"]), t["w"], t["b"])), arrays)
         assert err < TOL
         arrays = {"f": rng.uniform(-1, 1, (3, 4, 2)), "b": rng.uniform(-1, 1, (3, 4, 5))}
         err = gradcheck(lambda t: projection(ad.final_states(t["f"], t["b"])), arrays)

@@ -314,6 +314,17 @@ class TestEvalCommand:
                      "--groups", str(groups)]) == 1
         assert f"{groups}: not valid UTF-8" in capsys.readouterr().err
 
+    def test_repeated_labels_named(self, fixtures_dir, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("a,a,b\n5,1,0\n0,4,2\n1,0,6\n", encoding="utf-8")
+        assert main(["eval", "--from-matrix", str(matrix)]) == 1
+        assert f"{matrix}:1: label 'a'" in capsys.readouterr().err
+        groups = tmp_path / "groups.tsv"
+        groups.write_text("bs\t1\nbs\t2\n", encoding="utf-8")
+        assert main(["eval", "--from-matrix", str(fixtures_dir / "confusion_ngram7.csv"),
+                     "--groups", str(groups)]) == 1
+        assert f"{groups}:2: label 'bs'" in capsys.readouterr().err
+
     def test_needs_exactly_one_source(self, fixtures_dir, toy_tsv, tmp_path, capsys):
         assert main(["eval", "--format", "json"]) == 1
         model = tmp_path / "m.lidn"

@@ -194,7 +194,8 @@ def taped_single(params, config, batch, drop_seed):
     """loss_and_grads of a one-instance batch with its dropout seed given directly."""
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
-    loss, probs = clstm._batch_graph(wrapped, config, batch, True, [drop_seed])
+    logits = clstm._logits(wrapped, config, batch.inputs, True, [drop_seed])
+    loss, probs = ad.softmax_cross_entropy(logits, batch.targets)
     tape.backward(loss)
     return float(loss.data), probs, {name: tape.grad(leaf) for name, leaf in wrapped.items()}
 
@@ -225,11 +226,18 @@ class TestBatchInvariance:
             tape = ad.Tape()
             wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
             batch = clstm.encode_batch(texts, [0] * len(texts), TINY_CHARSET, seq_len)
-            clstm._batch_graph(wrapped, config, batch, True, clstm._drop_seeds(0, len(texts)))
+            logits = clstm._logits(wrapped, config, batch.inputs, True, clstm._drop_seeds(0, len(texts)))
+            ad.softmax_cross_entropy(logits, batch.targets)
             return len(tape._nodes)
 
         counts = {recorded_ops(["abc"] * b, seq_len) for b in (1, 7) for seq_len in (16, 40)}
         assert len(counts) == 1
+
+    def test_empty_batch_rejected(self):
+        params = clstm.init_params(TINY, np.random.default_rng(0))
+        batch = clstm.encode_batch([], [], TINY_CHARSET, TINY.seq_len)
+        with pytest.raises(ConfigError, match="empty batch"):
+            clstm.loss_and_grads(params, TINY, batch)
 
     def test_drop_seed_stream_is_per_instance(self):
         # the batch seed fixes each instance's dropout seed, whatever the batch size

@@ -162,6 +162,20 @@ class TestCharset:
         if ch not in "abc":
             assert charset.lookup(ch) == charset.unk_index
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.characters(blacklist_categories=("Cs",)), unique=True, max_size=12),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+    )
+    def test_indices_match_lookup(self, chars, text):
+        # `text` may be empty, hold characters the charset lacks, and astral
+        # code points; the charset's own characters come in any code point order.
+        charset = Charset(tuple(chars))
+        for sample in (text, text + "".join(chars[::-1]), "\U0001F600a\U00010000"):
+            got = charset.indices(sample)
+            assert got.dtype.kind == "i"
+            assert got.tolist() == [charset.lookup(ch) for ch in sample]
+
 
 class TestStats:
     def test_single_instance(self):

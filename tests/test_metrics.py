@@ -35,7 +35,7 @@ class TestConfusion:
     def test_total_conservation(self):
         gold = [L("A"), L("B"), L("C"), L("A")]
         pred = [L("C"), L("B"), L("C"), L("A")]
-        assert confusion(gold, pred).total == 4
+        assert confusion(gold, pred).cells.sum() == 4
 
     def test_length_mismatch_and_unknown_label(self):
         with pytest.raises(ValueError):
@@ -46,6 +46,12 @@ class TestConfusion:
     def test_explicit_order_preserved(self):
         cm = confusion([L("B"), L("A")], [L("B"), L("A")], labels=[L("B"), L("A")])
         assert [l.code for l in cm.labels] == ["B", "A"]
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ConfusionMatrix((L("a"), L("a"), L("b")), np.eye(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="distinct"):
+            confusion([L("a")], [L("a")], labels=[L("a"), L("a")])
 
 
 class TestReport:
@@ -73,7 +79,7 @@ class TestReport:
         gold = [L("A"), L("A"), L("B"), L("C")]
         pred = [L("B"), L("C"), L("B"), L("A")]
         groups = {L("A"): 1, L("B"): 1, L("C"): 2}
-        rep = report(confusion(gold, pred), groups)
+        rep = report(confusion(gold, pred).with_groups(groups))
         # A->B shares group 1 (within); A->C and C->A cross groups
         assert rep.group_split.within_group_errors == 1
         assert rep.group_split.cross_group_errors == 2
@@ -83,9 +89,17 @@ class TestReport:
         pred = [L(c) for c in "ABCABCABC"]
         groups = {L("A"): 1, L("B"): 1, L("C"): 2}
         cm = confusion(gold, pred)
-        rep = report(cm, groups)
-        errors = cm.total - int(np.trace(cm.cells))
+        rep = report(cm.with_groups(groups))
+        errors = int(cm.cells.sum() - np.trace(cm.cells))
         assert rep.group_split.within_group_errors + rep.group_split.cross_group_errors == errors
+
+    def test_groups_argument_is_with_groups(self):
+        gold = [L(c) for c in "AAABBBCCCD"]
+        pred = [L(c) for c in "ABCABCABCA"]
+        cm = confusion(gold, pred).with_groups({L("A"): 7, L("D"): 7})
+        groups = {L("A"): 1, L("B"): 1, L("C"): 2}  # replaces the matrix's ids; D has none
+        assert report(cm, groups) == report(cm.with_groups(groups))
+        assert report(cm, groups).group_split.within_group_errors == 2
 
     def test_no_groups_means_no_split(self):
         rep = report(confusion([L("A")], [L("A")]))
@@ -166,7 +180,7 @@ class TestMatrixFixtures:
     def test_load_matrix_and_groups(self, fixtures_dir):
         cm = load_matrix_csv(fixtures_dir / "confusion_ngram7.csv")
         assert len(cm.labels) == 12
-        assert cm.total == 12000
+        assert cm.cells.sum() == 12000
         groups = load_groups_tsv(fixtures_dir / "groups.tsv")
         assert groups[L("bs")] == 1 and groups[L("fr-FR")] == 5
 
@@ -182,8 +196,21 @@ class TestMatrixFixtures:
         with pytest.raises(CorpusFormatError, match="empty"):
             load_matrix_csv(bad)
 
+    def test_matrix_with_a_repeated_label(self, tmp_path):
+        # Rows of a repeated code would share one entry of the per-class report.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,a,b\n5,1,0\n0,4,2\n1,0,6\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"bad\.csv:1: label 'a' listed more than once"):
+            load_matrix_csv(bad)
+
     def test_groups_errors(self, tmp_path):
         bad = tmp_path / "groups.tsv"
         bad.write_text("bs;1\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError):
+            load_groups_tsv(bad)
+
+    def test_groups_with_a_repeated_label(self, tmp_path):
+        bad = tmp_path / "groups.tsv"
+        bad.write_text("a\t1\nb\t1\na\t2\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"groups\.tsv:3: label 'a' already has a group"):
             load_groups_tsv(bad)
