@@ -255,31 +255,34 @@ def load_matrix_csv(path: str | Path) -> ConfusionMatrix:
 
     Row order matches the header order; cells are non-negative integers.
     """
-    rows = [row for row in csv.reader(read_lines(path)) if row]
+    reader = csv.reader(read_lines(path))
+    # Each non-blank row with the number of its (last) line in the file.
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise CorpusFormatError(f"{path}: empty matrix file")
+    head, header = rows[0]
     try:
-        labels = tuple(Label(code.strip()) for code in rows[0])
+        labels = tuple(Label(code.strip()) for code in header)
     except ValueError as exc:
-        raise CorpusFormatError(f"{path}:1: {exc}") from exc
+        raise CorpusFormatError(f"{path}:{head}: {exc}") from exc
     repeated = [l.code for l in labels if labels.count(l) > 1]
     if repeated:
-        raise CorpusFormatError(f"{path}:1: label {repeated[0]!r} listed more than once")
+        raise CorpusFormatError(f"{path}:{head}: label {repeated[0]!r} listed more than once")
     n = len(labels)
     if len(rows) - 1 != n:
         raise CorpusFormatError(f"{path}: expected {n} count rows, found {len(rows) - 1}")
     cells = np.zeros((n, n), dtype=np.int64)
-    for i, row in enumerate(rows[1:], start=2):
+    for k, (line, row) in enumerate(rows[1:]):
         if len(row) != n:
-            raise CorpusFormatError(f"{path}:{i}: expected {n} cells, found {len(row)}")
+            raise CorpusFormatError(f"{path}:{line}: expected {n} cells, found {len(row)}")
         for j, cell in enumerate(row):
             try:
                 value = int(cell)
             except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{i}: non-integer cell {cell!r}") from exc
+                raise CorpusFormatError(f"{path}:{line}: non-integer cell {cell!r}") from exc
             if value < 0:
-                raise CorpusFormatError(f"{path}:{i}: negative cell {value}")
-            cells[i - 2, j] = value
+                raise CorpusFormatError(f"{path}:{line}: negative cell {value}")
+            cells[k, j] = value
     return ConfusionMatrix(labels, cells)
 
 

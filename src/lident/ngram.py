@@ -37,20 +37,23 @@ dense V^n storage and one lookup serves every label:
   and totals are integers below 2**53, so float64 holds them exactly;
   `offsets`, `cols` and `counts` use the narrowest integer type that holds
   them.
-- The log terms are built once, with `math.log` over the distinct
-  ratios, so scores keep the bits of a left-to-right `math.log` loop.
+- The log terms are built once, with `np.log`, and `math.log` for the
+  few distinct ratios where the two differ, so scores keep the bits of a
+  left-to-right `math.log` loop.
 
 One builder makes the table from (n-gram, label, count) entries: every
 text position for `train`, the entries of a v1 file for `load`, and for
-`sweep` the order-n entries with their leftmost symbol summed out. A v3
-file holds the widths, the levels and the seen (n-gram row, label, count)
-cells, so `load` checks and reads them and rebuilds only the log terms; a
-v2 file is read the same way, as levels of width one. Scoring walks the
-levels with one `np.searchsorted` each. A position reads its n-gram's row
-if the lookup hit and its history's row if not, and a history that missed
-lands on an entry-less sentinel row. The entries fill a [T, L] array whose
-other cells hold ln(a / aV), the term of a history no label saw, and the
-terms are added down the text.
+`sweep` the order-n entries with their leftmost symbol summed out. A v4
+file holds the widths, the levels, `offsets`, `cols` and `counts`, so
+`load` checks them against each other in a few passes and rebuilds only
+the log terms, with no sort of the table. A v3 file holds the seen
+(n-gram row, label, count) cells in place of the last three, and a v2
+file is a v3 one with levels of width one; `load` lays their cells out as
+`train` does. Scoring walks the levels with one `np.searchsorted` each. A
+position reads its n-gram's row if the lookup hit and its history's row if
+not, and a history that missed lands on an entry-less sentinel row. The
+entries fill a [T, L] array whose other cells hold ln(a / aV), the term of
+a history no label saw, and the terms are added down the text.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -88,7 +91,7 @@ __all__ = [
 BOS = -1
 
 MAGIC = b"LIDN"
-_VERSION = 3
+_VERSION = 4
 
 # The key of each level's last row, above every real key.
 _SENTINEL = np.iinfo(np.int64).max
@@ -198,9 +201,7 @@ class NgramModel:
 
     def grams(self, label: Label) -> dict[Gram, int]:
         """One label's nonzero n-gram counts, in table order."""
-        symbols, cols, counts = self._entries()
-        mine = cols == self.labels.index(label)
-        return dict(zip(map(tuple, symbols[mine].tolist()), counts[mine].astype(np.int64).tolist()))
+        return _grams_of(self._entries(), self.labels.index(label))
 
     def table_entries(self) -> int:
         """Total number of (label, history, next-char) count entries."""
@@ -223,10 +224,8 @@ class NgramModel:
         w.array(np.array(self.widths), "<u4")
         for level in self.levels:
             w.array(level[:-1], "<i8")
-        at = np.flatnonzero(self.counts)
-        w.array(self._gram_rows()[at], "<u8")
-        w.array(self.cols[at], "<u4")
-        w.array(self.counts[at], "<u8")
+        for values in (self.offsets, self.cols, self.counts):
+            w.uints(values)
         w.save(path, MAGIC, _VERSION)
 
     def to_json_dict(self) -> dict:
@@ -245,19 +244,15 @@ class NgramModel:
                 for history, group in groupby(grams, _HISTORY)
             }
 
+        entries = self._entries()
         return {
             "kind": "ngram",
             "n": self.config.n,
             "alpha": self.config.alpha,
             "charset": list(self.charset.chars),
             "labels": [label.code for label in self.labels],
-            "counts": {label.code: table(self.grams(label)) for label in self.labels},
+            "counts": {label.code: table(_grams_of(entries, row)) for row, label in enumerate(self.labels)},
         }
-
-    def _gram_rows(self) -> np.ndarray:
-        """The n-gram row of each entry that `counts` covers."""
-        lengths = np.diff(self.offsets[: len(self.levels[-1]) + 1])
-        return np.repeat(np.arange(len(lengths)), lengths)
 
     def _symbols(self, rows: np.ndarray) -> np.ndarray:
         """The [len(rows), n] symbols of n-gram rows, read back up the levels."""
@@ -274,7 +269,14 @@ class NgramModel:
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every nonzero count as (symbols [E, n], label row [E], count [E])."""
         at = np.flatnonzero(self.counts)
-        return self._symbols(self._gram_rows()[at]), self.cols[at], self.counts[at]
+        spans = np.diff(self.offsets[: len(self.levels[-1]) + 1])  # each n-gram row's entries
+        return self._symbols(np.repeat(np.arange(len(spans)), spans)[at]), self.cols[at], self.counts[at]
+
+
+def _grams_of(entries: tuple[np.ndarray, np.ndarray, np.ndarray], row: int) -> dict[Gram, int]:
+    """Label row `row`'s n-gram counts among `NgramModel._entries()`."""
+    symbols, cols, counts = entries
+    return dict(zip(map(tuple, symbols[cols == row].tolist()), counts[cols == row].astype(np.int64).tolist()))
 
 
 def _build(
@@ -345,13 +347,14 @@ def _log_table(
     count: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`NgramModel.offsets`, `cols`, `logs` and `counts` from the `count` of
-    each seen (n-gram row, label) cell, sorted by row, then label."""
+    each seen (n-gram row, label) cell, sorted by row, then label: the
+    cells laid out in rows here, their log terms by `_logs`."""
     parent = levels[-1][:-1] // (charset.size + 1)  # each n-gram row's history row
     history_rows = len(levels[-2]) if len(levels) > 1 else 1
-    # The seen (history row, label) cells, by row, then label, and their
-    # totals. Cells come by n-gram row, and rows by history, so the keys are
-    # nearly in order, and a stable sort passes over them several times
-    # faster than np.unique's quicksort.
+    # The seen (history row, label) cells, by row, then label. Cells come by
+    # n-gram row, and rows by history, so the keys are nearly in order, and
+    # a stable sort passes over them several times faster than np.unique's
+    # quicksort.
     history = parent[row]
     keys = history * width + col
     order = np.argsort(keys, kind="stable")
@@ -361,9 +364,6 @@ def _log_table(
     seen_of = np.empty(len(keys), np.intp)
     seen_of[order] = np.cumsum(first) - 1
     del keys, order, first
-    total = np.bincount(seen_of, count)
-    if total.max(initial=0) >= _EXACT:
-        raise ValueError("a history total of 2**53 or more, beyond exact float64")
     seen_row, seen_col = np.divmod(seen, width)
     del seen
     history_starts = np.concatenate(([0], np.cumsum(np.bincount(seen_row, minlength=history_rows))))
@@ -372,30 +372,55 @@ def _log_table(
     gram_starts = np.cumsum(spans) - spans
     at = _expand(history_starts[parent], spans)[1]
     hits = gram_starts[row] + seen_of - history_starts[history]  # each cell's entry
-    del history, row
+    del history, row, seen_of, seen_row, parent, spans
     cols = np.concatenate((seen_col[at], seen_col)).astype(np.min_scalar_type(width - 1))
-    del seen_col
-    # The miss term of each history cell, then the hit term of each n-gram
-    # cell; an entry with no count is its history's miss term.
-    smoothing = config.alpha * charset.size
-    ratios = np.concatenate((config.alpha / (total + smoothing),
-                             (count + config.alpha) / (total[seen_of] + smoothing)))
-    del seen_of
-    # np.log may round an ulp away from math.log; the ratios repeat a lot,
-    # so math.log of each distinct one keeps the scores exactly as before.
-    # (np.unique would import numpy.ma on its first call without
-    # return_inverse: ~10 ms of a fresh process.)
-    distinct = np.sort(ratios)
-    distinct = distinct[np.diff(distinct, prepend=0.0) > 0]
-    terms = np.array(list(map(math.log, distinct.tolist())))[np.searchsorted(distinct, ratios)]
-    del ratios
-    miss = terms[: len(total)]
-    logs = np.concatenate((miss[at], miss))
-    logs[hits] = terms[len(total) :]
-    counts = np.zeros(len(at), np.min_scalar_type(int(count.max(initial=0))))
+    offsets = np.concatenate((gram_starts, [len(at)], len(at) + history_starts))
+    del gram_starts, history_starts
+    counts = np.zeros(len(at))
     counts[hits] = count
-    offsets = np.concatenate((gram_starts, [len(counts)], len(counts) + history_starts))
+    del hits
+    logs = _logs(config, charset, at, counts, len(seen_col))  # each count is below 2**53 if this passes
+    counts = counts.astype(np.min_scalar_type(int(count.max(initial=0))))
     return offsets.astype(np.min_scalar_type(int(offsets[-1]))), cols, logs, counts
+
+
+def _logs(config: NgramConfig, charset: Charset, at: np.ndarray, counts: np.ndarray, histories: int) -> np.ndarray:
+    """`NgramModel.logs` from the `counts` of the n-gram entries, and `at`,
+    each one's entry among the `histories` history entries after them."""
+    total = np.bincount(at, counts, minlength=histories)
+    if total.min(initial=1) < 1 or total.max(initial=0) >= _EXACT:
+        raise ValueError("a history total outside 1..2**53-1, beyond exact float64")
+    # The hit term of each n-gram entry (its history's miss term if its count
+    # is 0), then the miss term of each history entry, built in place to keep
+    # the peak low.
+    smoothing = config.alpha * charset.size
+    ratios = np.empty(len(counts) + histories)
+    hit, miss = ratios[: len(counts)], ratios[len(counts) :]
+    hit[:] = counts
+    hit += config.alpha
+    denominators = total[at]
+    denominators += smoothing
+    hit /= denominators
+    del denominators
+    np.add(total, smoothing, out=miss)
+    np.divide(config.alpha, miss, out=miss)
+    del total
+    # np.log rounds an ulp away from math.log on a few ratios (0.2% of them
+    # with AVX-512). Those, found among the ratios that share the low 16 bits
+    # of one, get the math.log term, so scores keep the bits of a math.log loop.
+    distinct = np.sort(ratios)  # np.unique would import numpy.ma: ~10 ms of a fresh process
+    distinct = distinct[np.concatenate(([True], distinct[1:] > distinct[:-1]))]
+    logs = np.log(ratios)
+    exact = np.array(list(map(math.log, distinct.tolist())))
+    wrong = np.log(distinct) != exact
+    if wrong.any():
+        distinct, exact = distinct[wrong], exact[wrong]
+        low = np.zeros(2**16, bool)
+        low[distinct.view(np.uint16)[::4]] = True
+        maybe = np.flatnonzero(low[ratios.view(np.uint16)[::4]])
+        at = np.searchsorted(distinct, ratios[maybe]).clip(max=len(distinct) - 1)
+        logs[maybe] = np.where(distinct[at] == ratios[maybe], exact[at], logs[maybe])
+    return logs
 
 
 def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
@@ -464,8 +489,8 @@ def sweep(
 
 
 def load(path) -> NgramModel:
-    """Read back a model written by `NgramModel.save`, or by its v1 or v2 writer."""
-    return read_model(path, MAGIC, {1: _parse_v1, 2: partial(_parse_levels, chunked=False), 3: _parse_levels})
+    """Read back a model written by `NgramModel.save`, or by its v1, v2 or v3 writer."""
+    return read_model(path, MAGIC, {1: _parse_v1, 2: partial(_parse_v3, chunked=False), 3: _parse_v3, 4: _parse_v4})
 
 
 def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
@@ -479,16 +504,16 @@ def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
     return config, charset, labels
 
 
-def _parse_levels(r: Reader, chunked: bool = True) -> NgramModel:
-    """A v3 payload, or with `chunked` false a v2 one, whose levels all have width one."""
-    config, charset, labels = _preamble(r)
+def _levels(r: Reader, config: NgramConfig, charset: Charset, chunked: bool = True) -> tuple[tuple[int, ...], list]:
+    """The widths and the levels, with their sentinels, of a v3 or v4 payload,
+    or with `chunked` false of a v2 one, whose levels all have width one."""
     base = charset.size + 1
     widths = tuple(r.array("<u4").tolist()) if chunked else (1,) * config.n
     if not widths or min(widths) < 1 or sum(widths) != config.n or widths[-1] != 1:
         raise ModelIOError(f"{r.source}: level widths that do not split {config.n} symbols, the last alone")
     levels = []
     # Level 0 holds the one empty prefix, which ends as a marker would.
-    rows, last = 1, np.zeros(1, np.int64)
+    rows, last = 1, np.ones(1, bool)
     for k, width in enumerate(widths):
         scale = base**width
         if rows * scale >= 2**63:
@@ -497,22 +522,38 @@ def _parse_levels(r: Reader, chunked: bool = True) -> NgramModel:
         keys = r.array("<i8")
         # Keys increase, and their parents step by at most one from row 0 to
         # the last row, so keys are >= 0 and each row above is some key's parent.
-        parent, chunk = np.divmod(keys, scale)
+        parent = keys // scale
         if (not len(keys) or np.any(keys[1:] <= keys[:-1])
                 or parent[0] != 0 or parent[-1] != rows - 1 or np.any(np.diff(parent) > 1)):
             raise ModelIOError(f"{r.source}: level {k + 1}: keys out of order or not a prefix tree")
-        # The chunk's digits, first to last, each in 0..V. The beginning-of-text
-        # marker, digit 0, comes only before every other symbol, so a 0 follows
-        # only 0s, within a chunk and across chunks, and never ends an n-gram.
-        digits = [chunk // base**i % base for i in range(width - 1, -1, -1)]
-        for before, digit in zip([last[parent], *digits], digits):
-            if np.any((digit == 0) & (before != 0)):
-                raise ModelIOError(f"{r.source}: level {k + 1}: a beginning-of-text marker after a symbol")
-        last = digits[-1]
+        # Whether each of the chunk's digits is 0, last to first, then whether
+        # the symbol before the chunk is. The beginning-of-text marker, digit
+        # 0, comes only before every other symbol, so a 0 follows only 0s,
+        # within a chunk and across chunks, and never ends an n-gram. (Floor
+        # division by a scalar, in the narrowest type, is several times faster
+        # than np.divmod or %.)
+        chunk, marks = (keys - parent * scale).astype(np.min_scalar_type(scale)), []
+        for _ in range(width):
+            rest = chunk // base
+            marks.append(rest * base == chunk)
+            chunk = rest
+        marks.append(last[parent])
+        if any(np.any(mark & ~before) for mark, before in zip(marks, marks[1:])):
+            raise ModelIOError(f"{r.source}: level {k + 1}: a beginning-of-text marker after a symbol")
+        last = marks[0]
         levels.append(np.append(keys, _SENTINEL))
         rows = len(keys)
-    if not last.all():
+    if last.any():
         raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
+    return widths, levels
+
+
+def _parse_v3(r: Reader, chunked: bool = True) -> NgramModel:
+    """A v3 payload, or with `chunked` false a v2 one: the levels and the seen
+    (n-gram row, label, count) cells."""
+    config, charset, labels = _preamble(r)
+    widths, levels = _levels(r, config, charset, chunked)
+    rows = len(levels[-1]) - 1
     row, col, count = r.array("<u8"), r.array("<u4"), r.array("<u8")
     # Cells are the seen (n-gram row, label) cells, each once, by row, then label.
     if not len(row) or len(col) != len(row) or len(count) != len(row):
@@ -531,6 +572,49 @@ def _parse_levels(r: Reader, chunked: bool = True) -> NgramModel:
         raise ModelIOError(f"{r.source}: a count outside 1..2**53-1")
     table = _log_table(config, charset, len(labels), levels, row, col, count.astype(np.float64))
     return NgramModel(config, charset, labels, widths, tuple(levels), *table)
+
+
+def _parse_v4(r: Reader) -> NgramModel:
+    """A v4 payload: the levels, then `offsets`, `cols` and `counts` as the
+    model holds them, checked against each other in a few passes."""
+    config, charset, labels = _preamble(r)
+    widths, levels = _levels(r, config, charset)
+    offsets, cols, counts = r.uints(), r.uints(), r.uints()
+    # G n-gram rows, then H history rows; each level's last row is its
+    # sentinel, but for n = 1 the one row is the empty prefix.
+    grams, sentinel = len(levels[-1]), len(levels) > 1
+    histories = len(levels[-2]) if sentinel else 1
+    if (len(offsets) != grams + histories + 1 or offsets[0] != 0 or offsets[-1] != len(cols)
+            or np.any(offsets[1:] < offsets[:-1])):
+        raise ModelIOError(f"{r.source}: row offsets that do not delimit {grams} + {histories} rows")
+    starts = offsets.astype(np.intp)
+    lengths = np.diff(starts)
+    spans, runs = lengths[: grams - 1], lengths[grams:]
+    if lengths[grams - 1] or (sentinel and runs[-1]) or not runs[: len(runs) - sentinel].all():
+        raise ModelIOError(f"{r.source}: a sentinel row with entries or a history row without")
+    hits, parent = starts[grams], levels[-1][:-1] // (charset.size + 1)
+    misses = cols[hits:]
+    # Each n-gram entry's entry in its history's row, which has the same labels.
+    at = np.arange(hits) + np.repeat(starts[grams + parent] - starts[: grams - 1] - hits, spans)
+    if np.any(spans != runs[parent]) or np.any(cols[:hits] != misses[at]):
+        raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
+    first = np.zeros(len(misses) + 1, bool)
+    first[starts[grams:] - hits] = True
+    if cols.max() >= len(labels) or np.any((misses[1:] <= misses[:-1]) & ~first[1:-1]):
+        raise ModelIOError(f"{r.source}: a label past the {len(labels)} labels or out of order in its row")
+    if len(counts) != hits:
+        raise ModelIOError(f"{r.source}: {len(counts)} counts for {hits} n-gram entries")
+    # The types a trained model of this table holds, so that a save writes the same bytes.
+    if (offsets.dtype, cols.dtype, counts.dtype) != (
+            np.min_scalar_type(len(cols)), np.min_scalar_type(len(labels) - 1), np.min_scalar_type(int(counts.max()))):
+        raise ModelIOError(f"{r.source}: an array not in the narrowest type that holds it")
+    if not np.maximum.reduceat(counts, starts[: grams - 1]).all():
+        raise ModelIOError(f"{r.source}: an n-gram with no count")
+    if np.bincount(misses, minlength=len(labels)).min() == 0:
+        raise ModelIOError(f"{r.source}: a label with no n-grams")
+    logs = _logs(config, charset, at, counts, len(misses))
+    # Copies, so that the model holds no view that keeps the whole file in memory.
+    return NgramModel(config, charset, labels, widths, tuple(levels), offsets.copy(), cols.copy(), logs, counts.copy())
 
 
 def _parse_v1(r: Reader) -> NgramModel:

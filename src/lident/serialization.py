@@ -9,15 +9,20 @@ Both model kinds share a header block inside their payloads:
     charset   u32 count, then one u32 code point per character (index order)
     labels    u32 count, then per label a string: u16 byte length, UTF-8 bytes
 
-An array is a u64 item count, then the items, little-endian.
+An array is a u64 item count, then the items, little-endian; a sized
+array is a u8 item size (1, 2, 4 or 8), then an array of unsigned integers
+of that size.
 
-`LIDN` v3 (n-gram model, `ngram.py`; the arrays of its table):
+`LIDN` v4 (n-gram model, `ngram.py`; its table's arrays as the model holds them):
 
     n u32 | alpha f64 | header
     1 array of u32 widths: the symbols each level covers, summing to n, the last 1
     1 array of i64 keys per width: the levels of the table, without their sentinels
-    3 arrays, one item per seen (n-gram row, label) cell, sorted by row, then label:
-        n-gram row u64 | label row u32 | count u64
+    3 sized arrays, each in its narrowest type: offsets | cols | counts (the table's rows)
+
+`LIDN` v3 (n-gram model; read, no longer written): v4 with 3 arrays, one
+item per seen (n-gram row, label) cell, sorted by row, then label, in place
+of the sized ones: n-gram row u64 | label row u32 | count u64.
 
 `LIDN` v2 (n-gram model; read, no longer written): v3 without the widths
 array, and with n levels of one symbol each.
@@ -161,6 +166,11 @@ class Writer:
         self.put(U64, len(values))
         self.raw(values.astype(dtype, copy=False))
 
+    def uints(self, values: np.ndarray) -> None:
+        """An unsigned integer array in its own item size: a u8 size tag, then the array."""
+        self.put(U8, values.itemsize)
+        self.array(values, f"<u{values.itemsize}")
+
     def string(self, text: str) -> None:
         data = text.encode("utf-8")
         self.put(U16, len(data))
@@ -209,6 +219,13 @@ class Reader:
         """An array written by `Writer.array`: a read-only view of the payload."""
         count = self.value(U64)
         return np.frombuffer(self.read(count * np.dtype(dtype).itemsize), dtype)
+
+    def uints(self) -> np.ndarray:
+        """An array written by `Writer.uints`."""
+        size = self.value(U8)
+        if size not in (1, 2, 4, 8):
+            raise ModelIOError(f"{self.source}: an item size of {size} bytes")
+        return self.array(f"<u{size}")
 
     def string(self) -> str:
         return str(self.read(self.value(U16)), "utf-8")

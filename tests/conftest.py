@@ -4,6 +4,7 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -51,3 +52,9 @@ def mutate_payload(data, payload: bytes, header: int) -> bytes:
     if data.draw(st.booleans(), label="truncate"):
         out = out[: data.draw(st.integers(0, len(out)), label="keep")]
     return bytes(out)
+
+
+def model_arrays(model) -> list[np.ndarray]:
+    """Every array a model holds, found through its attributes."""
+    values = [v for value in vars(model).values() for v in (value if isinstance(value, tuple) else (value,))]
+    return [v for v in values if isinstance(v, np.ndarray)]

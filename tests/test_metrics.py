@@ -203,6 +203,19 @@ class TestMatrixFixtures:
         with pytest.raises(CorpusFormatError, match=r"bad\.csv:1: label 'a' listed more than once"):
             load_matrix_csv(bad)
 
+    @pytest.mark.parametrize("content, match", [
+        ("a,b\n\n1,x\n0,1\n", r":3: non-integer cell 'x'"),
+        ("\na,a\n1,0\n0,1\n", r":2: label 'a' listed more than once"),
+        ("a,b\n1,0\n\n\n0,-1\n", r":5: negative cell -1"),
+        ('a,b\n"1\n",0\n0,1,2\n', r":4: expected 2 cells, found 3"),
+    ], ids=["blank-before-row", "blank-before-header", "blanks-between-rows", "quoted-line-break"])
+    def test_matrix_errors_name_the_line_in_the_file(self, tmp_path, content, match):
+        # Blank lines used to be dropped before numbering, so errors named an earlier line.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content, encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=match):
+            load_matrix_csv(bad)
+
     def test_groups_errors(self, tmp_path):
         bad = tmp_path / "groups.tsv"
         bad.write_text("bs;1\n", encoding="utf-8")

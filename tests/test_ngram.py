@@ -17,7 +17,7 @@ from lident.corpus import Charset, Corpus, Instance, Label, Scores, build_charse
 from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
 from lident.ngram import BOS, NgramConfig, SweepPoint
 from lident.serialization import F64, U32, U64, Writer, record
-from conftest import FIXTURES, mutate_payload, reseal
+from conftest import FIXTURES, model_arrays, mutate_payload, reseal
 from reference import (log_of_fraction, next_char_probs, ngram_reference_best,
                        ngram_reference_log_probs, ngram_reference_probs)
 from synth import markov_corpora, word_corpus
@@ -27,6 +27,13 @@ L = Label
 # <s>, a and <unk>; n-grams <s>a, ab, a<unk> (label 0) and <unk>a (label 1).
 V2_LEVELS = [[0, 1, 3], [1, 6, 7, 9]]
 V2_CELLS = ([0, 1, 2, 3], [0, 0, 0, 1], [2, 1, 3, 1])
+# A valid v4 table of order 2 over charset (a, b) with two labels, from the
+# texts "ab" (label 0) and "aa" (label 1): histories <s> and a, each seen by
+# both labels, and n-grams <s>a, aa and ab, each with an entry per label.
+V4_LEVELS = [[0, 1], [1, 5, 6]]
+V4_OFFSETS = [0, 2, 4, 6, 6, 8, 10, 10]
+V4_COLS = [0, 1] * 5
+V4_COUNTS = [1, 1, 0, 1, 1, 0]
 # The history of the first character of a text at the first order above the limit.
 OVER_LIMIT_HISTORY = (BOS,) * NgramConfig.MAX_N
 
@@ -41,12 +48,6 @@ def summed_out(grams: dict, keep: slice) -> Counter:
     for gram, count in grams.items():
         out[gram[keep]] += count
     return out
-
-
-def model_arrays(model) -> list[np.ndarray]:
-    """Every array a model holds, found through its attributes."""
-    values = [v for value in vars(model).values() for v in (value if isinstance(value, tuple) else (value,))]
-    return [v for v in values if isinstance(v, np.ndarray)]
 
 
 def load_mutated(path: Path, blob: bytes, data):
@@ -497,7 +498,7 @@ class TestSaveLoad:
         blob = bytearray(path.read_bytes())
         blob[4:8] = (0).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError, match="supported versions: 1, 2, 3"):
+        with pytest.raises(VersionError, match="supported versions: 1, 2, 3, 4"):
             ngram.load(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -549,6 +550,73 @@ class TestSaveLoad:
     @given(data=st.data())
     def test_mutated_v2_payload_loads_or_is_model_error(self, tmp_path, data):
         load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v2.lidn").read_bytes(), data)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_v3_payload_loads_or_is_model_error(self, tmp_path, data):
+        load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v3.lidn").read_bytes(), data)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_save_load_keeps_every_array(self, tmp_path, n, seed):
+        rng = random.Random(seed)
+        codes = [f"l{i}" for i in range(rng.randint(1, 5))]
+        corpus = random_corpus(rng, "abcdefgh"[: rng.randint(1, 8)], codes, rng.randint(1, 30), 40)
+        model = ngram.train(corpus, NgramConfig(n, rng.choice([0.01, 0.1, 1.0])), build_charset(corpus))
+        path, again = tmp_path / "m.lidn", tmp_path / "again.lidn"
+        model.save(path)
+        loaded = ngram.load(path)
+        assert loaded.widths == model.widths
+        for a, b in zip(model_arrays(model), model_arrays(loaded), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("symbols, codes", [(254, 2), (255, 2), (2, 256), (2, 257)])
+    def test_save_load_at_item_size_boundaries(self, tmp_path, symbols, codes):
+        # V + 1 = 256 and 257 digits (V counts the unknown slot), and label rows up to 255 and 256
+        alphabet = "".join(map(chr, range(0x100, 0x100 + symbols)))
+        corpus = corpus_of(*((alphabet[i % symbols :] + alphabet[: i % symbols], f"l{i}") for i in range(codes)))
+        for n in (2, 3):
+            model = ngram.train(corpus, NgramConfig(n), build_charset(corpus))
+            model.save(tmp_path / "m.lidn")
+            loaded = ngram.load(tmp_path / "m.lidn")
+            for a, b in zip(model_arrays(model), model_arrays(loaded), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_v4_load_sorts_nothing(self, tmp_path, monkeypatch):
+        corpus = word_corpus(20, 30, seed=7)
+        model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
+        model.save(tmp_path / "words.lidn")
+        argsort = np.argsort
+
+        def sorts_again(*args, **kwargs):
+            raise AssertionError("a v4 load sorted the table again")
+
+        def table_argsort(a, *args, **kwargs):
+            # the charset's index map sorts its code points, no more
+            if len(a) > model.charset.size:
+                sorts_again()
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(ngram, "_build", sorts_again)
+        monkeypatch.setattr(ngram, "_log_table", sorts_again)
+        monkeypatch.setattr(np, "unique", sorts_again)
+        monkeypatch.setattr(np, "argsort", table_argsort)
+        again = ngram.load(tmp_path / "words.lidn")
+        for a, b in zip(model_arrays(model), model_arrays(again), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_log_terms_are_math_log_whatever_np_log_rounds(self, monkeypatch):
+        corpus = word_corpus(20, 30, seed=7)
+        charset = build_charset(corpus)
+        model = ngram.train(corpus, NgramConfig(4), charset)
+        log = np.log
+        # every term an ulp away from math.log's
+        monkeypatch.setattr(np, "log", lambda x: np.nextafter(log(x), 0.0))
+        assert ngram.train(corpus, NgramConfig(4), charset).logs.tobytes() == model.logs.tobytes()
 
     def test_v2_load_rebuilds_only_the_log_terms(self, tmp_path, toy_corpus, monkeypatch):
         toy = ngram.train(toy_corpus, NgramConfig(3, 0.25), build_charset(toy_corpus))
@@ -634,11 +702,16 @@ class TestSaveLoad:
                 assert resaved.grams(label) == from_v1.grams(label)
             for text in ("", "ab", "ba?ab"):
                 assert resaved.classify(text) == from_v1.classify(text)
-            # the v3 re-save is the hand-made v3 file, and that round-trips byte for byte
-            path = self._hand_made_levels(tmp_path, n, levels, cells, widths=widths)
-            assert again.read_bytes() == path.read_bytes()
-            ngram.load(path).save(again)
-            assert again.read_bytes() == path.read_bytes()
+            # the hand-made v3 file holds the same table, and its re-save is
+            # the same v4 file, which round-trips byte for byte
+            from_v3 = ngram.load(self._hand_made_levels(tmp_path, n, levels, cells, widths=widths))
+            for a, b in zip(model_arrays(from_v1), model_arrays(from_v3), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            twice = tmp_path / "twice.lidn"
+            from_v3.save(twice)
+            assert twice.read_bytes() == again.read_bytes()
+            ngram.load(again).save(twice)
+            assert twice.read_bytes() == again.read_bytes()
 
     @pytest.mark.parametrize("n, tables", [
         # a history record with no (char, count) pairs: no flat table can hold it
@@ -749,6 +822,81 @@ class TestSaveLoad:
         with pytest.raises(ModelIOError, match=match):
             ngram.load(self._hand_made_levels(tmp_path, n, levels, cells, labels=1, widths=widths))
 
+    def _hand_made_v4(self, tmp_path, offsets: list, cols: list, counts: list, labels: int = 2,
+                      sizes: tuple = (None, None, None)) -> Path:
+        """A v4 .lidn of the order-2 levels `V4_LEVELS` over charset (a, b) with
+        `labels` labels, and the arrays `offsets`, `cols` and `counts`, each
+        tagged with its item size in `sizes`, where None is the narrowest."""
+        w = Writer()
+        w.put(U32, 2)
+        w.put(F64, 0.1)
+        w.header(Charset(("a", "b")), tuple(L(f"L{i}") for i in range(labels)))
+        w.array(np.array([1, 1]), "<u4")
+        for keys in V4_LEVELS:
+            w.array(np.array(keys), "<i8")
+        for values, size in zip((offsets, cols, counts), sizes):
+            size = size or np.min_scalar_type(max(values)).itemsize
+            w.put(record("B"), size)
+            w.array(np.array(values, np.uint64), f"<u{size if size in (1, 2, 4, 8) else 8}")
+        path = tmp_path / "hand-v4.lidn"
+        w.save(path, ngram.MAGIC, 4)
+        return path
+
+    def test_hand_made_v4_table_is_the_trained_one(self, tmp_path):
+        path = self._hand_made_v4(tmp_path, V4_OFFSETS, V4_COLS, V4_COUNTS)
+        model = ngram.train(corpus_of(("ab", "L0"), ("aa", "L1")), NgramConfig(2, 0.1), Charset(("a", "b")))
+        again = tmp_path / "again.lidn"
+        model.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        for a, b in zip(model_arrays(model), model_arrays(ngram.load(path)), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("offsets, cols, counts, labels, sizes, match", [
+        pytest.param(V4_OFFSETS[:-1], V4_COLS, V4_COUNTS, 2, (None,) * 3, "row offsets", id="offsets-short"),
+        pytest.param([1, *V4_OFFSETS[1:]], V4_COLS, V4_COUNTS, 2, (None,) * 3, "row offsets", id="offsets-from-1"),
+        pytest.param([0, 4, 2, *V4_OFFSETS[3:]], V4_COLS, V4_COUNTS, 2, (None,) * 3, "row offsets",
+                     id="offsets-decreasing"),
+        pytest.param([*V4_OFFSETS[:-1], 11], V4_COLS, V4_COUNTS, 2, (None,) * 3, "row offsets",
+                     id="offsets-past-cols"),
+        # row 3 is the n-gram sentinel, row 6 the history sentinel
+        pytest.param([0, 2, 4, 6, 7, 9, 11, 11], [0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1], [*V4_COUNTS, 1], 2,
+                     (None,) * 3, "sentinel", id="gram-sentinel-with-entry"),
+        pytest.param([*V4_OFFSETS[:-1], 11], [*V4_COLS, 0], V4_COUNTS, 2, (None,) * 3, "sentinel",
+                     id="history-sentinel-with-entry"),
+        pytest.param([0, 2, 4, 6, 6, 8, 8, 8], V4_COLS[:8], V4_COUNTS, 2, (None,) * 3, "history row without",
+                     id="history-without-entries"),
+        # the n-gram aa has one entry, its history a two
+        pytest.param([0, 2, 3, 5, 5, 7, 9, 9], [0, 1, 1, 0, 1, 0, 1, 0, 1], [1, 1, 1, 1, 0], 2, (None,) * 3,
+                     "other labels", id="gram-run-shorter"),
+        pytest.param(V4_OFFSETS, [0, 1, 1, 0, 0, 1, 0, 1, 0, 1], V4_COUNTS, 2, (None,) * 3, "other labels",
+                     id="gram-labels-differ"),
+        pytest.param(V4_OFFSETS, [0, 1, 0, 2, 0, 2, 0, 1, 0, 2], V4_COUNTS, 2, (None,) * 3, "label past",
+                     id="label-past-labels"),
+        pytest.param(V4_OFFSETS, [1, 0, 0, 1, 0, 1, 1, 0, 0, 1], V4_COUNTS, 2, (None,) * 3, "out of order",
+                     id="labels-out-of-order"),
+        pytest.param(V4_OFFSETS, [0, 0, 0, 1, 0, 1, 0, 0, 0, 1], V4_COUNTS, 2, (None,) * 3, "out of order",
+                     id="label-repeated"),
+        pytest.param(V4_OFFSETS, V4_COLS, V4_COUNTS[:-1], 2, (None,) * 3, "counts for", id="fewer-counts"),
+        pytest.param(V4_OFFSETS, V4_COLS, [*V4_COUNTS, 1], 2, (None,) * 3, "counts for", id="more-counts"),
+        pytest.param(V4_OFFSETS, V4_COLS, [1, 1, 0, 0, 1, 1], 2, (None,) * 3, "n-gram with no count",
+                     id="gram-without-count"),
+        pytest.param(V4_OFFSETS, V4_COLS, V4_COUNTS, 3, (None,) * 3, "label with no", id="label-without-gram"),
+        # a count is part of its history's total
+        pytest.param(V4_OFFSETS, V4_COLS, [2**53, 1, 0, 1, 1, 0], 2, (None,) * 3, "history total", id="count-2-53"),
+        # the n-grams aa and ab share the history a
+        pytest.param(V4_OFFSETS, V4_COLS, [1, 1, 0, 2**52, 1, 2**52], 2, (None,) * 3, "history total",
+                     id="total-2-53"),
+        pytest.param(V4_OFFSETS, V4_COLS, [1, 0, 0, 1, 1, 0], 2, (None,) * 3, "history total", id="total-0"),
+        pytest.param(V4_OFFSETS, V4_COLS, V4_COUNTS, 2, (3, None, None), "item size", id="size-tag-3"),
+        pytest.param(V4_OFFSETS, V4_COLS, V4_COUNTS, 2, (16, None, None), "item size", id="size-tag-16"),
+        pytest.param(V4_OFFSETS, V4_COLS, V4_COUNTS, 2, (2, None, None), "narrowest", id="offsets-wider"),
+        pytest.param(V4_OFFSETS, V4_COLS, V4_COUNTS, 2, (None, 4, None), "narrowest", id="cols-wider"),
+        pytest.param(V4_OFFSETS, V4_COLS, V4_COUNTS, 2, (None, None, 8), "narrowest", id="counts-wider"),
+    ])
+    def test_impossible_v4_tables_are_model_errors(self, tmp_path, offsets, cols, counts, labels, sizes, match):
+        with pytest.raises(ModelIOError, match=match):
+            ngram.load(self._hand_made_v4(tmp_path, offsets, cols, counts, labels, sizes))
+
     def test_marker_after_a_symbol_is_model_error(self, tmp_path):
         # the n-gram (a, <s>, b), which no text yields, in a v1, a v2 and a v3
         # file; each used to load
@@ -764,3 +912,27 @@ class TestSaveLoad:
         assert doc["kind"] == "ngram" and doc["n"] == 3
         assert set(doc["counts"]) == {"L1", "L2"}
         assert any("<s>" in key for key in doc["counts"]["L1"])
+
+    def test_json_dump_decodes_the_table_once(self, monkeypatch):
+        corpus = word_corpus(20, 30, seed=7)
+        model = ngram.train(corpus, NgramConfig(4), build_charset(corpus))
+        grams = {label.code: model.grams(label) for label in model.labels}
+        entries, calls = ngram.NgramModel._entries, []
+
+        def counted(self):
+            calls.append(self)
+            return entries(self)
+
+        monkeypatch.setattr(ngram.NgramModel, "_entries", counted)
+        doc = model.to_json_dict()
+        assert len(calls) == 1
+
+        def sym(s: int) -> str:
+            return "<s>" if s == BOS else "<unk>" if s == model.charset.unk_index else model.charset.chars[s]
+
+        # the dump is each label's `grams`, keyed by history, then next character
+        assert list(doc["counts"]) == list(grams)
+        for code, counts in grams.items():
+            dumped = [("".join(map(sym, gram[:-1])), sym(gram[-1]), count) for gram, count in counts.items()]
+            assert dumped == [(history, char, count) for history, nexts in doc["counts"][code].items()
+                              for char, count in nexts.items()]
