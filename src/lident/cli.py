@@ -241,7 +241,7 @@ def _load_any_model(path: str):
 
 def _classify_texts(kind: str, model, texts: list[str]) -> list[Scores]:
     if kind == "ngram":
-        return [model.classify(text) for text in texts]
+        return model.classify_many(texts)
     return clstm.predict(model, texts)
 
 

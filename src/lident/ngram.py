@@ -49,11 +49,13 @@ file holds the widths, the levels, `offsets`, `cols` and `counts`, so
 the log terms, with no sort of the table. A v3 file holds the seen
 (n-gram row, label, count) cells in place of the last three, and a v2
 file is a v3 one with levels of width one; `load` lays their cells out as
-`train` does. Scoring walks the levels with one `np.searchsorted` each. A
+`train` does. Scoring lays a batch of texts out as `train` does and walks
+the levels with one `np.searchsorted` each, on the keys sorted first. A
 position reads its n-gram's row if the lookup hit and its history's row if
 not, and a history that missed lands on an entry-less sentinel row. The
 entries fill a [T, L] array whose other cells hold ln(a / aV), the term of
-a history no label saw, and the terms are added down the text.
+a history no label saw. Each text's terms are added down its own slice of
+it, as for the text alone, so scores keep their bits in any batch.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -64,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import ClassVar, Iterable
 
@@ -97,6 +99,9 @@ _VERSION = 4
 _SENTINEL = np.iinfo(np.int64).max
 # float64 holds every integer below this exactly, and so every count and total.
 _EXACT = 2**53
+# The most windows (characters, and n - 1 markers a text) one scoring batch
+# walks, so that its [T, L] terms stay a few MiB however many texts come.
+_BATCH_CHARS = 2**16
 
 
 @dataclass(frozen=True)
@@ -167,12 +172,32 @@ class NgramModel:
 
     def classify(self, text: str) -> Scores:
         """Score every label and pick the most probable (uniform prior)."""
+        return self.classify_many([text])[0]
+
+    def classify_many(self, texts: Iterable[str]) -> list[Scores]:
+        """`classify` of each text, walking the levels once per batch of texts."""
         if not self.labels:
             raise ConfigError("model has no labels")
+        out, batch, size = [], [], 0
+        for text in texts:
+            if batch and size + len(text) + self.config.n - 1 > _BATCH_CHARS:
+                out += self._classify_batch(batch)
+                batch, size = [], 0
+            batch.append(text)
+            size += len(text) + self.config.n - 1
+        return out + self._classify_batch(batch) if batch else out
+
+    def _classify_batch(self, texts: list[str]) -> list[Scores]:
         n = self.config.n
         alpha = self.config.alpha
         base = self.charset.size + 1
-        digits = np.concatenate((np.full(n - 1, BOS), self.charset.indices(text))) + 1
+        lengths = [len(text) for text in texts]
+        symbols = self.charset.indices("".join(texts)) + 1
+        # Laid out as in `train`, text i's windows start at firsts[i]; the
+        # n - 1 that end on the next text's markers (digit 0) are left out.
+        digits = np.zeros(len(symbols) + (n - 1) * len(texts), np.int64)
+        digits[np.repeat(np.arange(1, len(texts) + 1) * (n - 1), lengths) + np.arange(len(symbols))] = symbols
+        firsts = accumulate((length + n - 1 for length in lengths), initial=0)
         positions = len(digits) - (n - 1)
         rows, start = 0, 0
         for width, level in zip(self.widths, self.levels):
@@ -181,10 +206,13 @@ class NgramModel:
                 keys = keys * base + digits[k : k + positions]
             start += width
             # Keys below rows(level above) * (V + 1)**w fit in int64 (`_widths`);
-            # one built on the sentinel row can wrap only in its last step, to
-            # a negative key that misses, as it should.
+            # one built on the sentinel row can wrap only in its last step, to a
+            # negative key that misses. Sorted, keys search the level in order.
+            order = keys.argsort()
+            keys = keys[order]
             found = level.searchsorted(keys)
-            rows = np.where(level[found] == keys, found, len(level) - 1)
+            rows = np.empty_like(found)
+            rows[order] = np.where(level[found] == keys, found, len(level) - 1)
         # A missed n-gram lands on its level's sentinel: read its history's row.
         grams = len(self.levels[-1])
         rows = np.where(rows < grams - 1, rows, grams + history)
@@ -194,10 +222,11 @@ class NgramModel:
         unseen = math.log(alpha / (alpha * self.charset.size))
         terms = np.full((positions, len(self.labels)), unseen)
         terms[position, self.cols[at]] = self.logs[at]
-        # Down axis 0 of a C-ordered [T, L >= 2] array numpy adds left to right,
+        # Down axis 0 of a C-ordered [T, L >= 2] slice numpy adds left to right,
         # one position at a time, as the exact scorer multiplies. (A lone
         # label's column is summed pairwise: equal to within rounding.)
-        return Scores.from_log_probs(dict(zip(self.labels, terms.sum(axis=0).tolist())))
+        return [Scores.from_log_probs(dict(zip(self.labels, terms[first : first + length].sum(axis=0).tolist())))
+                for first, length in zip(firsts, lengths)]
 
     def grams(self, label: Label) -> dict[Gram, int]:
         """One label's nonzero n-gram counts, in table order."""
@@ -314,7 +343,7 @@ def _build(
     cells, cell = np.unique(keys, return_inverse=True)
     keys, col = np.divmod(cells, width)
     del cells
-    first = np.diff(keys, prepend=-1) != 0
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
     levels.append(np.append(keys[first], _SENTINEL))
     del keys
     table = _log_table(config, charset, width, levels, np.cumsum(first) - 1, col, np.bincount(cell, weight))
@@ -359,7 +388,7 @@ def _log_table(
     keys = history * width + col
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
     seen = keys[first]
     seen_of = np.empty(len(keys), np.intp)
     seen_of[order] = np.cumsum(first) - 1
@@ -455,8 +484,8 @@ def accuracy(model: NgramModel, corpus: Corpus) -> float:
     """Fraction of instances whose top-scoring label matches gold."""
     if not len(corpus):
         raise ConfigError("evaluation corpus is empty")
-    hits = sum(1 for inst in corpus if model.classify(inst.text).best == inst.label)
-    return hits / len(corpus)
+    scores = model.classify_many(inst.text for inst in corpus)
+    return sum(s.best == inst.label for s, inst in zip(scores, corpus)) / len(corpus)
 
 
 def sweep(

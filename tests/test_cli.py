@@ -6,9 +6,10 @@ import json
 import pytest
 
 from conftest import GOLDEN, write_tsv_file
-from lident import clstm, ngram
+from lident import clstm, metrics, ngram
 from lident.cli import _load_clstm_config, build_parser, main
-from lident.corpus import read_tsv
+from lident.corpus import build_charset, read_lines, read_tsv
+from synth import word_corpus
 
 
 @pytest.fixture(autouse=True)
@@ -278,6 +279,63 @@ class TestPredictCommand:
         bogus.write_bytes(b"XXXXsome junk")
         assert main(["predict", "--model", str(bogus), "--dump"]) == 1
         assert "not a recognized model" in capsys.readouterr().err
+
+
+@pytest.fixture
+def word_tsvs(tmp_path):
+    """Train and gold corpora of 12 labels in 4 groups, a gold text with
+    unseen characters among them, and the groups file."""
+    gold = [(inst.text, inst.label.code) for inst in word_corpus(6, 20, seed=12)]
+    gold[5] = ("\u2603 " + gold[5][0] + " \u00a7\u00a7", gold[5][1])
+    groups = tmp_path / "groups.tsv"
+    groups.write_text("".join(f"l{code:02d}\t{code // 3}\n" for code in range(12)), encoding="utf-8")
+    train = write_tsv_file(tmp_path / "train.tsv", [(i.text, i.label.code) for i in word_corpus(20, 20, seed=11)])
+    return train, write_tsv_file(tmp_path / "gold.tsv", gold), groups
+
+
+class TestBatchScoringOutput:
+    """CLI output from batched scoring equals that of one library call per text."""
+
+    def test_predict_scores_as_one_text_at_a_time(self, word_tsvs, tmp_path, capsys):
+        train, gold, _ = word_tsvs
+        model_path, inp = tmp_path / "m.lidn", tmp_path / "texts.txt"
+        assert main(["train", "--kind", "ngram", "--train", str(train), "--out", str(model_path)]) == 0
+        # a blank line, texts of unseen characters only, and texts with some
+        texts = [*read_lines(gold)[:9], "", "\u2603\u2603", "\u00a7 bonjour \u2603", ""]
+        inp.write_text("".join(text.split("\t")[0] + "\n" for text in texts), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--input", str(inp), "--scores"]) == 0
+        model = ngram.load(model_path)
+        expected = []
+        for line in read_lines(inp):
+            s = model.classify(line)
+            expected.append(s.best.code + "\t" + "\t".join(f"{s.per_label[label]:.6f}" for label in model.labels))
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+    def test_eval_groups_report_as_one_text_at_a_time(self, word_tsvs, tmp_path, capsys):
+        train, gold, groups = word_tsvs
+        model_path = tmp_path / "m.lidn"
+        assert main(["train", "--kind", "ngram", "--n", "4", "--train", str(train), "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path), "--gold", str(gold), "--groups", str(groups),
+                     "--format", "json"]) == 0
+        model, corpus = ngram.load(model_path), read_tsv(gold)
+        cm = metrics.confusion([inst.label for inst in corpus], [model.classify(inst.text).best for inst in corpus],
+                               labels=model.labels).with_groups(metrics.load_groups_tsv(groups))
+        out = capsys.readouterr().out
+        assert out == metrics.render(metrics.report(cm), cm, "json")
+        assert 0 < json.loads(out)["accuracy"] < 1
+
+    def test_sweep_rows_as_one_text_at_a_time(self, word_tsvs, capsys):
+        train, gold, _ = word_tsvs
+        assert main(["sweep", "--train", str(train), "--dev", str(gold), "--n-min", "1", "--n-max", "5"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        train_corpus, dev_corpus = read_tsv(train), read_tsv(gold)
+        charset = build_charset(train_corpus)
+        for n, row in enumerate(rows, start=1):
+            model = ngram.train(train_corpus, ngram.NgramConfig(n), charset)
+            hits = sum(model.classify(inst.text).best == inst.label for inst in dev_corpus)
+            assert row.split(",")[:3] == [str(n), f"{hits / len(dev_corpus):.6f}", str(model.table_entries())]
 
 
 class TestEvalCommand:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -229,6 +231,91 @@ class TestClassify:
             assert m1.classify(text).best == m3.classify(text).best
 
 
+def hex_scores(scores: Scores) -> tuple[dict, str]:
+    return {label.code: value.hex() for label, value in scores.per_label.items()}, scores.best.code
+
+
+class TestClassifyMany:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**16), words=st.booleans(), labels=st.integers(1, 4),
+           budget=st.one_of(st.just(ngram._BATCH_CHARS), st.integers(1, 60)))
+    def test_same_bits_as_one_text_at_a_time(self, n, seed, words, labels, budget):
+        rng = random.Random(seed)
+        codes = [f"l{i}" for i in range(labels)]
+        corpus = (word_corpus(2, 10, seed=seed, labels=labels) if words
+                  else random_corpus(rng, "abcdefgh", codes, 30, 30))
+        charset = build_charset(corpus)
+        model = ngram.train(corpus, NgramConfig(n, rng.choice([0.01, 0.1, 1.0])), charset)
+        # empty texts, texts of unseen characters only, seen and random ones,
+        # in an order that puts the empty ones first, last and between others
+        texts = ["", rng.choice(corpus.instances).text, "\u2603", "\u2603" * 9, "", *(
+            "".join(rng.choice(charset.chars + ("\u2603",)) for _ in range(rng.randint(0, 40)))
+            for _ in range(rng.randint(0, 12))), ""]
+        rng.shuffle(texts)
+        # a budget of a few characters splits the texts over many batches
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ngram, "_BATCH_CHARS", budget)
+            batched = model.classify_many(texts)
+        assert list(map(hex_scores, batched)) == [hex_scores(model.classify(text)) for text in texts]
+
+    def test_one_label_column_summed_as_one_text_is(self):
+        # a lone label's column is summed pairwise, over the same slice
+        corpus = word_corpus(6, 40, seed=3, labels=1)
+        model = ngram.train(corpus, NgramConfig(5), build_charset(corpus))
+        texts = [inst.text * k for k, inst in enumerate(corpus.instances, start=1)]
+        assert list(map(hex_scores, model.classify_many(texts))) == [hex_scores(model.classify(t)) for t in texts]
+
+    def test_no_texts(self, toy_corpus):
+        model = ngram.train(toy_corpus, NgramConfig(3), build_charset(toy_corpus))
+        assert model.classify_many([]) == []
+        assert model.classify_many(iter(())) == []
+        # texts from any iterable, such as a generator
+        assert model.classify_many(inst.text for inst in toy_corpus) == [
+            model.classify(inst.text) for inst in toy_corpus]
+
+    def test_batches_stay_within_the_budget(self, monkeypatch):
+        corpus = word_corpus(20, 30, seed=7)
+        model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
+        texts = [inst.text for inst in corpus]
+        sizes = []
+        original = ngram.NgramModel._classify_batch
+
+        def recording(self, batch):
+            sizes.append(sum(len(text) + 6 for text in batch))
+            return original(self, batch)
+
+        monkeypatch.setattr(ngram.NgramModel, "_classify_batch", recording)
+        monkeypatch.setattr(ngram, "_BATCH_CHARS", 1000)
+        model.classify_many(texts + ["x" * 5000])
+        # every batch but the one text longer than the budget fits it
+        assert max(sizes[:-1]) <= 1000 < sizes[-1] and sum(sizes) == sum(len(t) + 6 for t in texts) + 5006
+
+    def test_memory_bounded_by_the_budget(self):
+        corpus = word_corpus(20, 30, seed=7)
+        model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
+        texts, size = [], 0
+        for inst in itertools.cycle(corpus.instances):
+            if size + len(inst.text) + 6 > ngram._BATCH_CHARS:
+                break
+            texts.append(inst.text)
+            size += len(inst.text) + 6
+
+        def peak(texts):
+            tracemalloc.start()
+            try:
+                out = model.classify_many(texts)
+                kept, most = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(out) == len(texts)
+            return most, kept
+
+        one, _ = peak(texts)
+        eight, kept = peak(texts * 8)
+        # what the call held at its peak beyond the scores it returns
+        assert eight - kept <= 1.5 * one
+
+
 class TestSmoothedNormalization:
     def test_distributions_sum_to_one(self):
         corpus = corpus_of(("abcab", "L1"), ("bca", "L2"))
@@ -259,15 +346,16 @@ class TestOracleEquivalence:
             n = rng.randint(1, 4)
             model = ngram.train(corpus, NgramConfig(n, 0.1), charset)
             pairs = [(i.text, i.label.code) for i in corpus]
-            for _ in range(5):
-                text = "".join(rng.choice(alphabet + "zz") for _ in range(rng.randint(0, 30)))
+            texts = ["".join(rng.choice(alphabet + "zz") for _ in range(rng.randint(0, 30))) for _ in range(5)]
+            # one text at a time, and all of them in one batch
+            for text, batched in zip(texts, model.classify_many(texts), strict=True):
                 exact = ngram_reference_probs(pairs, charset, n, Fraction(1, 10), text)
-                scores = model.classify(text)
-                assert scores.best.code == ngram_reference_best(exact)
-                for code, frac in exact.items():
-                    assert scores.per_label[L(code)] == pytest.approx(
-                        log_of_fraction(frac), rel=1e-9, abs=1e-9
-                    )
+                for scores in (model.classify(text), batched):
+                    assert scores.best.code == ngram_reference_best(exact)
+                    for code, frac in exact.items():
+                        assert scores.per_label[L(code)] == pytest.approx(
+                            log_of_fraction(frac), rel=1e-9, abs=1e-9
+                        )
 
 
 class TestReferenceScorer:
