@@ -23,8 +23,8 @@ dense V^n storage and one lookup serves every label:
   the fewest near-equal chunks of at most w, then the next character in a
   level of its own: at n = 7 with V = 510 that is widths 3, 3, 1 for the
   benchmark's 236 k positions and 12 labels, so a lookup searches 3 levels
-  instead of 7. T depends only on the counts, so `train`, a v1 `load` and
-  `sweep` build the same levels for the same table.
+  instead of 7. T depends only on the counts, so `train` and `sweep` build
+  the same levels for the same table.
 - Sparse rows. The rows of the last level (n-grams) and then those of the
   level before it (histories; for n = 1 the one empty prefix) form one
   table in CSR form: `offsets` delimits each row's run of entries, and an
@@ -42,20 +42,18 @@ dense V^n storage and one lookup serves every label:
   left-to-right `math.log` loop.
 
 One builder makes the table from (n-gram, label, count) entries: every
-text position for `train`, the entries of a v1 file for `load`, and for
-`sweep` the order-n entries with their leftmost symbol summed out. A v4
-file holds the widths, the levels, `offsets`, `cols` and `counts`, so
-`load` checks them against each other in a few passes and rebuilds only
-the log terms, with no sort of the table. A v3 file holds the seen
-(n-gram row, label, count) cells in place of the last three, and a v2
-file is a v3 one with levels of width one; `load` lays their cells out as
-`train` does. Scoring lays a batch of texts out as `train` does and walks
-the levels with one `np.searchsorted` each, on the keys sorted first. A
-position reads its n-gram's row if the lookup hit and its history's row if
-not, and a history that missed lands on an entry-less sentinel row. The
-entries fill a [T, L] array whose other cells hold ln(a / aV), the term of
-a history no label saw. Each text's terms are added down its own slice of
-it, as for the text alone, so scores keep their bits in any batch.
+text position for `train`, and for `sweep` the order-n entries with their
+leftmost symbol summed out. A model file (`.lidn` v4, the one version
+`load` reads) holds the widths, the levels, `offsets`, `cols` and
+`counts`, so `load` checks them against each other in a few passes and
+rebuilds only the log terms, with no sort of the table. Scoring lays a
+batch of texts out as `train` does and walks the levels with one
+`np.searchsorted` each, on the keys sorted first. A position reads its
+n-gram's row if the lookup hit and its history's row if not, and a
+history that missed lands on an entry-less sentinel row. The entries fill
+a [T, L] array whose other cells hold ln(a / aV), the term of a history no
+label saw. Each text's terms are added down its own slice of it, as for
+the text alone, so scores keep their bits in any batch.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -65,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import ClassVar, Iterable
@@ -74,7 +71,7 @@ import numpy as np
 
 from .corpus import Charset, Corpus, Label, Scores, build_charset
 from .errors import ConfigError, ModelIOError
-from .serialization import F64, U32, U64, Reader, Writer, read_model
+from .serialization import F64, U32, Reader, Writer, read_model
 
 __all__ = [
     "BOS",
@@ -315,11 +312,10 @@ def _build(
     grams: Iterable[np.ndarray],
     label: np.ndarray,
     weight: np.ndarray | None = None,
-) -> tuple[NgramModel, np.ndarray]:
+) -> NgramModel:
     """The model of N n-grams, each counted `weight` times (once if None) for
-    its `label` row, and each one's cell: within a label, cells increase as
-    the n-grams' rows do. `grams` yields their symbols one [N] column at a
-    time, so no [N, n] copy need exist."""
+    its `label` row. `grams` yields their symbols one [N] column at a time,
+    so no [N, n] copy need exist."""
     base = charset.size + 1
     width = len(labels)
     widths = _widths(config.n, len(label) if weight is None else int(weight.sum()), base, width)
@@ -347,7 +343,7 @@ def _build(
     levels.append(np.append(keys[first], _SENTINEL))
     del keys
     table = _log_table(config, charset, width, levels, np.cumsum(first) - 1, col, np.bincount(cell, weight))
-    return NgramModel(config, charset, labels, widths, tuple(levels), *table), cell
+    return NgramModel(config, charset, labels, widths, tuple(levels), *table)
 
 
 def _widths(n: int, positions: int, base: int, labels: int) -> tuple[int, ...]:
@@ -469,7 +465,7 @@ def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
     # One n-gram per character: the n symbols that end on it.
     ends = symbols[n - 1 :] != BOS
     grams = (symbols[k : len(symbols) - (n - 1) + k][ends] for k in range(n))
-    return _build(config, charset, corpus.labels, grams, label)[0]
+    return _build(config, charset, corpus.labels, grams, label)
 
 
 @dataclass(frozen=True)
@@ -511,15 +507,16 @@ def sweep(
     for n in range(n_max, n_min - 1, -1):
         if n < n_max:
             grams, label, count = model._entries()
-            model = _build(NgramConfig(n, alpha), charset, model.labels, grams.T[1:], label, count)[0]
+            model = _build(NgramConfig(n, alpha), charset, model.labels, grams.T[1:], label, count)
         acc = accuracy(model, dev_corpus)
         points.append(SweepPoint(n, acc, model.table_entries(), model.nbytes()))
     return points[::-1]
 
 
 def load(path) -> NgramModel:
-    """Read back a model written by `NgramModel.save`, or by its v1, v2 or v3 writer."""
-    return read_model(path, MAGIC, {1: _parse_v1, 2: partial(_parse_v3, chunked=False), 3: _parse_v3, 4: _parse_v4})
+    """Read back a model written by `NgramModel.save`: a `.lidn` v4 file, the
+    only version read; any other raises `VersionError`."""
+    return read_model(path, MAGIC, {_VERSION: _parse_v4})
 
 
 def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
@@ -533,11 +530,10 @@ def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
     return config, charset, labels
 
 
-def _levels(r: Reader, config: NgramConfig, charset: Charset, chunked: bool = True) -> tuple[tuple[int, ...], list]:
-    """The widths and the levels, with their sentinels, of a v3 or v4 payload,
-    or with `chunked` false of a v2 one, whose levels all have width one."""
+def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int, ...], list]:
+    """The widths and the levels, with their sentinels, of a v4 payload."""
     base = charset.size + 1
-    widths = tuple(r.array("<u4").tolist()) if chunked else (1,) * config.n
+    widths = tuple(r.array("<u4").tolist())
     if not widths or min(widths) < 1 or sum(widths) != config.n or widths[-1] != 1:
         raise ModelIOError(f"{r.source}: level widths that do not split {config.n} symbols, the last alone")
     levels = []
@@ -575,32 +571,6 @@ def _levels(r: Reader, config: NgramConfig, charset: Charset, chunked: bool = Tr
     if last.any():
         raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
     return widths, levels
-
-
-def _parse_v3(r: Reader, chunked: bool = True) -> NgramModel:
-    """A v3 payload, or with `chunked` false a v2 one: the levels and the seen
-    (n-gram row, label, count) cells."""
-    config, charset, labels = _preamble(r)
-    widths, levels = _levels(r, config, charset, chunked)
-    rows = len(levels[-1]) - 1
-    row, col, count = r.array("<u8"), r.array("<u4"), r.array("<u8")
-    # Cells are the seen (n-gram row, label) cells, each once, by row, then label.
-    if not len(row) or len(col) != len(row) or len(count) != len(row):
-        raise ModelIOError(f"{r.source}: cell arrays empty or of unequal lengths")
-    if row.max() >= rows or col.max() >= len(labels):
-        raise ModelIOError(f"{r.source}: a cell past the table's {rows} n-grams or {len(labels)} labels")
-    row, col = row.astype(np.int64), col.astype(np.int64)
-    cells = row * len(labels) + col
-    if np.any(cells[1:] <= cells[:-1]):
-        raise ModelIOError(f"{r.source}: a cell repeated or out of order")
-    if row[0] != 0 or row[-1] != rows - 1 or np.any(np.diff(row) > 1):
-        raise ModelIOError(f"{r.source}: an n-gram with no count")
-    if np.bincount(col, minlength=len(labels)).min() == 0:
-        raise ModelIOError(f"{r.source}: a label with no n-grams")
-    if count.min() < 1 or count.max() >= _EXACT:
-        raise ModelIOError(f"{r.source}: a count outside 1..2**53-1")
-    table = _log_table(config, charset, len(labels), levels, row, col, count.astype(np.float64))
-    return NgramModel(config, charset, labels, widths, tuple(levels), *table)
 
 
 def _parse_v4(r: Reader) -> NgramModel:
@@ -645,47 +615,3 @@ def _parse_v4(r: Reader) -> NgramModel:
     # Copies, so that the model holds no view that keeps the whole file in memory.
     return NgramModel(config, charset, labels, widths, tuple(levels), offsets.copy(), cols.copy(), logs, counts.copy())
 
-
-def _parse_v1(r: Reader) -> NgramModel:
-    config, charset, labels = _preamble(r)
-    # A history record: its n-1 symbols and the number k of (char, count)
-    # pairs after it; see serialization.py for the layout.
-    head = np.dtype([("history", "<i4", (config.n - 1,)), ("k", "<u4")])
-    pair = np.dtype([("char", "<u4"), ("count", "<u8")])
-    heads, items = [], []
-    for label in labels:
-        histories = r.value(U64)
-        # `train` writes no empty table; as each history stores n-1 symbols, that bounds n.
-        if not histories:
-            raise ModelIOError(f"{r.source}: label {label.code!r}: no n-grams")
-        head_bytes, pair_bytes = [], []
-        for _ in range(histories):
-            head_bytes.append(r.read(head.itemsize))
-            (k,) = U32.unpack_from(head_bytes[-1], head.itemsize - U32.size)
-            pair_bytes.append(r.read(pair.itemsize * k))
-        table_heads = np.frombuffer(b"".join(head_bytes), head)
-        table_items = np.frombuffer(b"".join(pair_bytes), pair)
-        if not table_heads["k"].all() or not table_items["count"].all():
-            raise ModelIOError(f"{r.source}: label {label.code!r}: a history or an n-gram with no count")
-        if (table_heads["history"].min(initial=BOS) < BOS
-                or max(table_heads["history"].max(initial=BOS), table_items["char"].max()) >= charset.size):
-            raise ModelIOError(f"{r.source}: label {label.code!r}: "
-                               f"a symbol outside [{BOS}, {charset.size})")
-        # The beginning-of-text marker comes only before every other symbol.
-        history = table_heads["history"]
-        if np.any((history[:, 1:] == BOS) & (history[:, :-1] != BOS)):
-            raise ModelIOError(f"{r.source}: label {label.code!r}: a beginning-of-text marker after a symbol")
-        heads.append(table_heads)
-        items.append(table_items)
-    label = np.repeat(np.arange(len(labels)), [len(table) for table in items])
-    histories_of = [len(table) for table in heads]
-    heads, items = np.concatenate(heads), np.concatenate(items)
-    grams = [*np.repeat(heads["history"], heads["k"], axis=0).T, items["char"]]
-    model, cells = _build(config, charset, labels, grams, label, items["count"].astype(np.float64))
-    # `train` writes each label's n-grams once and in table order, one record
-    # per history; a repeat or a step back would otherwise merge into a model
-    # that saves other bytes.
-    if (np.any((label[1:] == label[:-1]) & (np.diff(cells) <= 0))
-            or np.bincount(model.cols[len(model.counts):], minlength=len(labels)).tolist() != histories_of):
-        raise ModelIOError(f"{r.source}: a history or an n-gram repeated or out of order")
-    return model

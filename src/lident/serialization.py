@@ -13,27 +13,13 @@ An array is a u64 item count, then the items, little-endian; a sized
 array is a u8 item size (1, 2, 4 or 8), then an array of unsigned integers
 of that size.
 
-`LIDN` v4 (n-gram model, `ngram.py`; its table's arrays as the model holds them):
+`LIDN` v4 (n-gram model, `ngram.py`; its table's arrays as the model holds them;
+`ngram.load` reads no other version):
 
     n u32 | alpha f64 | header
     1 array of u32 widths: the symbols each level covers, summing to n, the last 1
     1 array of i64 keys per width: the levels of the table, without their sentinels
     3 sized arrays, each in its narrowest type: offsets | cols | counts (the table's rows)
-
-`LIDN` v3 (n-gram model; read, no longer written): v4 with 3 arrays, one
-item per seen (n-gram row, label) cell, sorted by row, then label, in place
-of the sized ones: n-gram row u64 | label row u32 | count u64.
-
-`LIDN` v2 (n-gram model; read, no longer written): v3 without the widths
-array, and with n levels of one symbol each.
-
-`LIDN` v1 (n-gram model; read, no longer written):
-
-    n u32 | alpha f64 | header
-    per label, in header order:
-        u64 history count, then per history in sorted order:
-            n-1 i32 symbols (-1 is the beginning-of-text marker) | u32 k
-            k pairs (char index u32, count u64) in char index order
 
 `LIDC` v1 (conv+BiLSTM checkpoint, `clstm.py`):
 

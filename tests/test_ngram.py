@@ -19,16 +19,12 @@ from lident.corpus import Charset, Corpus, Instance, Label, Scores, build_charse
 from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
 from lident.ngram import BOS, NgramConfig, SweepPoint
 from lident.serialization import F64, U32, U64, Writer, record
-from conftest import FIXTURES, model_arrays, mutate_payload, reseal
+from conftest import model_arrays, mutate_payload, reseal
 from reference import (log_of_fraction, next_char_probs, ngram_reference_best,
                        ngram_reference_log_probs, ngram_reference_probs)
 from synth import markov_corpora, word_corpus
 
 L = Label
-# A valid v2 table of order 2 over charset (a, b) with two labels: histories
-# <s>, a and <unk>; n-grams <s>a, ab, a<unk> (label 0) and <unk>a (label 1).
-V2_LEVELS = [[0, 1, 3], [1, 6, 7, 9]]
-V2_CELLS = ([0, 1, 2, 3], [0, 0, 0, 1], [2, 1, 3, 1])
 # A valid v4 table of order 2 over charset (a, b) with two labels, from the
 # texts "ab" (label 0) and "aa" (label 1): histories <s> and a, each seen by
 # both labels, and n-grams <s>a, aa and ab, each with an entry per label.
@@ -36,8 +32,6 @@ V4_LEVELS = [[0, 1], [1, 5, 6]]
 V4_OFFSETS = [0, 2, 4, 6, 6, 8, 10, 10]
 V4_COLS = [0, 1] * 5
 V4_COUNTS = [1, 1, 0, 1, 1, 0]
-# The history of the first character of a text at the first order above the limit.
-OVER_LIMIT_HISTORY = (BOS,) * NgramConfig.MAX_N
 
 
 def corpus_of(*texts_and_codes):
@@ -580,13 +574,16 @@ class TestSaveLoad:
         with pytest.raises(ModelIOError):
             ngram.load(path)
 
-    def test_unknown_version_names_supported(self, tmp_path):
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5])
+    def test_unknown_version_names_supported(self, tmp_path, version):
+        # v1-v3 files were written before v4 and no longer load; re-save one
+        # with a release that still reads it
         path = tmp_path / "m.lidn"
         self._model().save(path)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = (0).to_bytes(4, "little")
+        blob[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError, match="supported versions: 1, 2, 3, 4"):
+        with pytest.raises(VersionError, match="supported versions: 4$"):
             ngram.load(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -626,24 +623,6 @@ class TestSaveLoad:
             again = tmp_path / "again.lidn"
             model.save(again)
             assert again.read_bytes() == path.read_bytes()
-
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_mutated_v1_payload_loads_or_is_model_error(self, tmp_path, data):
-        load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v1.lidn").read_bytes(), data)
-
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_mutated_v2_payload_loads_or_is_model_error(self, tmp_path, data):
-        load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v2.lidn").read_bytes(), data)
-
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_mutated_v3_payload_loads_or_is_model_error(self, tmp_path, data):
-        load_mutated(tmp_path / "m.lidn", (FIXTURES / "toy_v3.lidn").read_bytes(), data)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -706,222 +685,24 @@ class TestSaveLoad:
         monkeypatch.setattr(np, "log", lambda x: np.nextafter(log(x), 0.0))
         assert ngram.train(corpus, NgramConfig(4), charset).logs.tobytes() == model.logs.tobytes()
 
-    def test_v2_load_rebuilds_only_the_log_terms(self, tmp_path, toy_corpus, monkeypatch):
-        toy = ngram.train(toy_corpus, NgramConfig(3, 0.25), build_charset(toy_corpus))
-        from_v1 = ngram.load(FIXTURES / "toy_v1.lidn")
-        from_v1.save(tmp_path / "toy.lidn")
-        corpus = word_corpus(20, 30, seed=7)
-        words = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
-        words.save(tmp_path / "words.lidn")
-
-        def sorts_again(*args, **kwargs):
-            raise AssertionError("a v2 load sorted the n-grams again")
-
-        monkeypatch.setattr(ngram, "_build", sorts_again)
-        monkeypatch.setattr(np, "unique", sorts_again)
-        for model, again in [(toy, from_v1), (toy, ngram.load(tmp_path / "toy.lidn")),
-                             (words, ngram.load(tmp_path / "words.lidn"))]:
-            for a, b in zip(model_arrays(model), model_arrays(again), strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        # a v2 file's levels have width one; the rest of its table is the same
-        from_v2 = ngram.load(FIXTURES / "toy_v2.lidn")
-        for a, b in zip(model_arrays(toy)[-4:], model_arrays(from_v2)[-4:], strict=True):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
-    def _hand_made(self, tmp_path, n: int, tables: list) -> Path:
-        """A .lidn over charset (a, b) (V = 3) with one label per entry of `tables`,
-        each a list of (history, [(char index, count), ...])."""
-        w = Writer()
-        w.put(U32, n)
-        w.put(F64, 0.1)
-        w.header(Charset(("a", "b")), tuple(L(f"L{i}") for i in range(len(tables))))
-        for table in tables:
-            w.put(U64, len(table))
-            for history, nexts in table:
-                w.put(record(f"{n - 1}iI"), *history, len(nexts))
-                w.records(record("IQ"), nexts)
-        path = tmp_path / "hand.lidn"
-        w.save(path, ngram.MAGIC, 1)
-        return path
-
-    def _hand_made_levels(self, tmp_path, n: int, levels: list, cells: tuple, labels: int = 2,
-                      widths: tuple | None = None) -> Path:
-        """A v2 .lidn, or with `widths` a v3 one, over charset (a, b) (V = 3, so
-        a key is parent * 4**w + chunk, w = 1 in v2) with `labels` labels, the
-        key arrays `levels` and the cell arrays `cells`: (n-gram rows, label
-        rows, counts). A `bytes` array is written as it is."""
+    def _hand_made_v4(self, tmp_path, offsets: list = V4_OFFSETS, cols: list = V4_COLS, counts: list = V4_COUNTS,
+                      labels: int = 2, sizes: tuple = (None, None, None), n: int = 2, widths: tuple | None = None,
+                      levels: list = V4_LEVELS) -> Path:
+        """A v4 .lidn of order `n` over charset (a, b) (V = 3, so a key is
+        parent * 4**w + chunk) with `labels` labels, the level `widths` (n
+        levels of width one if None), the key arrays `levels`, and the arrays
+        `offsets`, `cols` and `counts`, each tagged with its item size in
+        `sizes`, where None is the narrowest. A `bytes` level is written as it is."""
         w = Writer()
         w.put(U32, n)
         w.put(F64, 0.1)
         w.header(Charset(("a", "b")), tuple(L(f"L{i}") for i in range(labels)))
-        arrays = [*(("q", keys) for keys in levels), *zip("QIQ", cells)]
-        if widths is not None:
-            arrays.insert(0, ("I", widths))
-        for fmt, values in arrays:
-            if isinstance(values, bytes):
-                w.raw(values)
+        w.array(np.array((1,) * n if widths is None else widths), "<u4")
+        for keys in levels:
+            if isinstance(keys, bytes):
+                w.raw(keys)
             else:
-                w.put(U64, len(values))
-                w.records(record(fmt), ((value,) for value in values))
-        path = tmp_path / "hand-levels.lidn"
-        w.save(path, ngram.MAGIC, 2 if widths is None else 3)
-        return path
-
-    def test_hand_made_payload_round_trips(self, tmp_path):
-        for n, tables, grams, widths, levels, cells in [
-            (2, [[((-1,), [(0, 2)]), ((0,), [(1, 1), (2, 3)])], [((2,), [(0, 1)])]],
-             {(-1, 0): 2, (0, 1): 1, (0, 2): 3},
-             (1, 1), V2_LEVELS, V2_CELLS),
-            (1, [[((), [(0, 2), (2, 1)])], [((), [(1, 5)])]], {(0,): 2, (2,): 1},
-             (1,), [[1, 2, 3]], ([0, 1, 2], [0, 1, 0], [2, 5, 1])),
-            # the largest history total float64 holds exactly; both history
-            # symbols in one level, whose keys are chunks of two digits
-            (3, [[((-1, -1), [(0, 1)]), ((-1, 0), [(1, 1)]), ((0, 1), [(2, 2**53 - 1)])],
-                 [((1, 2), [(0, 1)])]],
-             {(-1, -1, 0): 1, (-1, 0, 1): 1, (0, 1, 2): 2**53 - 1},
-             (2, 1), [[0, 1, 6, 11], [1, 6, 11, 13]], ([0, 1, 2, 3], [0, 0, 0, 1], [1, 1, 2**53 - 1, 1])),
-        ]:
-            from_v1 = ngram.load(self._hand_made(tmp_path, n, tables))
-            assert from_v1.grams(L("L0")) == grams
-            again = tmp_path / "again.lidn"
-            from_v1.save(again)
-            resaved = ngram.load(again)
-            for label in from_v1.labels:
-                assert resaved.grams(label) == from_v1.grams(label)
-            for text in ("", "ab", "ba?ab"):
-                assert resaved.classify(text) == from_v1.classify(text)
-            # the hand-made v3 file holds the same table, and its re-save is
-            # the same v4 file, which round-trips byte for byte
-            from_v3 = ngram.load(self._hand_made_levels(tmp_path, n, levels, cells, widths=widths))
-            for a, b in zip(model_arrays(from_v1), model_arrays(from_v3), strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-            twice = tmp_path / "twice.lidn"
-            from_v3.save(twice)
-            assert twice.read_bytes() == again.read_bytes()
-            ngram.load(again).save(twice)
-            assert twice.read_bytes() == again.read_bytes()
-
-    @pytest.mark.parametrize("n, tables", [
-        # a history record with no (char, count) pairs: no flat table can hold it
-        (2, [[((-1,), [(0, 1)]), ((0,), [])], [((0,), [(1, 1)])]]),
-        # a label with no n-grams; `train` never writes one
-        (2, [[((-1,), [(0, 1)])], []]),
-        # a huge order with empty tables used to load and then cost seconds per text
-        (10**6, [[], []]),
-        # history symbols below BOS or at V
-        (2, [[((-5,), [(0, 1)])], [((0,), [(1, 1)])]]),
-        (3, [[((-1, 3), [(0, 1)])], [((0, 0), [(1, 1)])]]),
-        # char indices at or far past V used to load and then crash `predict --dump`
-        (2, [[((-1,), [(3, 1)])], [((0,), [(1, 1)])]]),
-        (2, [[((-1,), [(0, 1)])], [((0,), [(1, 1), (999, 1)])]]),
-        # no labels at all
-        (2, []),
-        # a table `train` can write, but of an order above the limit
-        (NgramConfig.MAX_N + 1, [[(OVER_LIMIT_HISTORY, [(0, 1)])], [(OVER_LIMIT_HISTORY, [(1, 1)])]]),
-        # records `train` cannot write, whose later pairs used to overwrite earlier ones
-        (2, [[((0,), [(1, 3)]), ((0,), [(1, 4)])], [((0,), [(1, 1)])]]),
-        (2, [[((0,), [(1, 1)]), ((0,), [(2, 1)])], [((0,), [(1, 1)])]]),
-        (1, [[((), [(0, 1)]), ((), [(1, 1)])], [((), [(0, 1)])]]),
-        (2, [[((0,), [(1, 1), (1, 2)])], [((0,), [(1, 1)])]]),
-        (2, [[((0,), [(1, 1)]), ((-1,), [(0, 1)])], [((0,), [(1, 1)])]]),
-        (2, [[((0,), [(2, 1), (1, 1)])], [((0,), [(1, 1)])]]),
-        # a zero count, which no table holds apart from an absent n-gram
-        (2, [[((0,), [(1, 0)])], [((0,), [(1, 1)])]]),
-        # history totals that float64 no longer holds exactly
-        (2, [[((0,), [(1, 2**52), (2, 2**52)])], [((0,), [(1, 1)])]]),
-        (2, [[((0,), [(1, 2**64 - 1)])], [((0,), [(1, 1)])]]),
-    ], ids=["empty-history", "empty-label", "huge-n-empty-tables", "history-below-bos",
-            "history-at-v", "char-at-v", "char-999", "no-labels", "order-over-limit",
-            "history-repeated-same-char", "history-repeated", "unigram-history-repeated",
-            "char-repeated", "histories-out-of-order", "chars-out-of-order", "zero-count",
-            "total-2-53", "count-2-64"])
-    def test_impossible_tables_are_model_errors(self, tmp_path, n, tables):
-        with pytest.raises(ModelIOError):
-            ngram.load(self._hand_made(tmp_path, n, tables))
-
-    @pytest.mark.parametrize("n, levels, cells, labels, match", [
-        pytest.param(2, [[], V2_LEVELS[1]], V2_CELLS, 2, "level 1", id="empty-level"),
-        pytest.param(1, [[-1, 1, 2]], ([0, 1, 2], [0, 1, 0], [1, 1, 1]), 2, "level 1", id="negative-key"),
-        pytest.param(2, [[0, 1, 1, 3], V2_LEVELS[1]], V2_CELLS, 2, "level 1", id="key-repeated"),
-        pytest.param(2, [[0, 3, 1], V2_LEVELS[1]], V2_CELLS, 2, "level 1", id="keys-out-of-order"),
-        # key 13 is row 3 of a 3-row level
-        pytest.param(2, [V2_LEVELS[0], [1, 6, 7, 13]], V2_CELLS, 2, "level 2", id="parent-past-level"),
-        # a prefix no key extends: the last row, the first, then the middle one
-        pytest.param(2, [[0, 1, 2, 3], V2_LEVELS[1]], V2_CELLS, 2, "level 2", id="last-prefix-not-extended"),
-        pytest.param(2, [V2_LEVELS[0], [6, 7, 9]], ([0, 1, 2], [0, 0, 1], [1, 3, 1]), 2, "level 2",
-                     id="first-prefix-not-extended"),
-        pytest.param(2, [V2_LEVELS[0], [1, 9, 10]], ([0, 1, 2], [0, 1, 0], [1, 1, 1]), 2, "level 2",
-                     id="middle-prefix-not-extended"),
-        # key 4 is digit 0
-        pytest.param(2, [V2_LEVELS[0], [1, 4, 7, 9]], V2_CELLS, 2, "marker", id="gram-ends-in-marker"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0], [2, 1, 3, 1]), 2, "unequal", id="fewer-labels"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 1, 3]), 2, "unequal", id="fewer-counts"),
-        pytest.param(2, V2_LEVELS, ([], [], []), 2, "empty", id="no-cells"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 4], [0, 0, 0, 1], [2, 1, 3, 1]), 2, "past", id="row-at-grams"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 2**64 - 1], [0, 0, 0, 1], [2, 1, 3, 1]), 2, "past", id="row-2-64"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 2], [2, 1, 3, 1]), 2, "past", id="label-at-labels"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 1, 2, 3], [0, 0, 0, 0, 1], [2, 1, 1, 3, 1]), 2, "order",
-                     id="cell-repeated"),
-        pytest.param(2, V2_LEVELS, ([0, 2, 1, 3], [0, 0, 0, 1], [2, 3, 1, 1]), 2, "order", id="rows-out-of-order"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 1, 2, 3], [0, 1, 0, 0, 1], [2, 1, 1, 3, 1]), 2, "order",
-                     id="labels-out-of-order"),
-        pytest.param(2, V2_LEVELS, ([1, 2, 3], [0, 0, 1], [1, 3, 1]), 2, "n-gram with no",
-                     id="first-gram-without-cell"),
-        pytest.param(2, V2_LEVELS, ([0, 2, 3], [0, 0, 1], [2, 3, 1]), 2, "n-gram with no", id="gram-without-cell"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2], [0, 0, 1], [2, 1, 3]), 2, "n-gram with no",
-                     id="last-gram-without-cell"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 0], [2, 1, 3, 1]), 2, "label with no",
-                     id="label-without-cell"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 0, 3, 1]), 2, "count", id="zero-count"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 2**53, 3, 1]), 2, "count", id="count-2-53"),
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 2**64 - 1, 3, 1]), 2, "count",
-                     id="count-2-64"),
-        # n-gram rows 1 and 2 share the history "a"
-        pytest.param(2, V2_LEVELS, ([0, 1, 2, 3], [0, 0, 0, 1], [2, 2**52, 2**52, 1]), 2, "total",
-                     id="total-2-53"),
-        # length prefixes past the payload's end, which must not be allocated
-        pytest.param(2, [U64.pack(2**60)], V2_CELLS, 2, "mid-record", id="level-length-2-60"),
-        pytest.param(2, V2_LEVELS, (U64.pack(2**60), [], []), 2, "mid-record", id="cells-length-2-60"),
-        pytest.param(2, V2_LEVELS, V2_CELLS, 0, "no labels", id="no-labels"),
-        pytest.param(NgramConfig.MAX_N + 1, V2_LEVELS, V2_CELLS, 2, "order must be", id="order-over-limit"),
-    ])
-    def test_impossible_v2_tables_are_model_errors(self, tmp_path, n, levels, cells, labels, match):
-        with pytest.raises(ModelIOError, match=match):
-            ngram.load(self._hand_made_levels(tmp_path, n, levels, cells, labels))
-
-    @pytest.mark.parametrize("n, widths, levels, cells, match", [
-        pytest.param(2, (0, 1, 1), V2_LEVELS, V2_CELLS, "widths", id="width-0"),
-        pytest.param(2, (), V2_LEVELS, V2_CELLS, "widths", id="no-widths"),
-        pytest.param(2, (1,), V2_LEVELS, V2_CELLS, "widths", id="widths-short-of-n"),
-        pytest.param(2, (2, 1), V2_LEVELS, V2_CELLS, "widths", id="widths-past-n"),
-        pytest.param(3, (1, 2), [[1], [6, 7]], ([0, 1], [0, 1], [1, 1]), "widths", id="last-width-2"),
-        # rows * 4**w must stay below 2**63: one row under chunks of 31 fits,
-        # two rows do not, and one row under chunks of 32 does not either
-        pytest.param(33, (1, 31, 1), [[1, 2]], ([], [], []), "level 2.*overflow", id="keys-past-int64"),
-        pytest.param(33, (32, 1), [], ([], [], []), "level 1.*overflow", id="chunk-past-int64"),
-        pytest.param(33, (31, 1, 1), [[4**31 - 1]], ([], [], []), "level 2: keys", id="chunk-of-31-fits"),
-        # (a, <s>, b), with the marker after a symbol: inside a chunk, and across two levels
-        pytest.param(3, (2, 1), [[4], [2]], ([0], [0], [1]), "marker after", id="marker-after-symbol-in-chunk"),
-        pytest.param(3, (1, 1, 1), [[1], [0], [2]], ([0], [0], [1]), "marker after", id="marker-after-symbol"),
-        # (<s>, <s>) ends in the marker
-        pytest.param(2, (1, 1), [[0], [0]], ([0], [0], [1]), "ending in the", id="gram-ends-in-marker"),
-    ])
-    def test_impossible_v3_tables_are_model_errors(self, tmp_path, n, widths, levels, cells, match):
-        with pytest.raises(ModelIOError, match=match):
-            ngram.load(self._hand_made_levels(tmp_path, n, levels, cells, labels=1, widths=widths))
-
-    def _hand_made_v4(self, tmp_path, offsets: list, cols: list, counts: list, labels: int = 2,
-                      sizes: tuple = (None, None, None)) -> Path:
-        """A v4 .lidn of the order-2 levels `V4_LEVELS` over charset (a, b) with
-        `labels` labels, and the arrays `offsets`, `cols` and `counts`, each
-        tagged with its item size in `sizes`, where None is the narrowest."""
-        w = Writer()
-        w.put(U32, 2)
-        w.put(F64, 0.1)
-        w.header(Charset(("a", "b")), tuple(L(f"L{i}") for i in range(labels)))
-        w.array(np.array([1, 1]), "<u4")
-        for keys in V4_LEVELS:
-            w.array(np.array(keys), "<i8")
+                w.array(np.array(keys, np.int64), "<i8")
         for values, size in zip((offsets, cols, counts), sizes):
             size = size or np.min_scalar_type(max(values)).itemsize
             w.put(record("B"), size)
@@ -985,14 +766,88 @@ class TestSaveLoad:
         with pytest.raises(ModelIOError, match=match):
             ngram.load(self._hand_made_v4(tmp_path, offsets, cols, counts, labels, sizes))
 
+    @pytest.mark.parametrize("n, levels, labels, match", [
+        pytest.param(2, [[], V4_LEVELS[1]], 2, "level 1", id="empty-level"),
+        pytest.param(1, [[-1, 1, 2]], 2, "level 1", id="negative-key"),
+        pytest.param(2, [[0, 1, 1], V4_LEVELS[1]], 2, "level 1", id="key-repeated"),
+        pytest.param(2, [[1, 0], V4_LEVELS[1]], 2, "level 1", id="keys-out-of-order"),
+        # key 9 is row 2 of a 2-row level
+        pytest.param(2, [V4_LEVELS[0], [1, 5, 9]], 2, "level 2", id="parent-past-level"),
+        # a prefix no key extends: the last row, the first, then the middle one
+        pytest.param(2, [[0, 1, 2], V4_LEVELS[1]], 2, "level 2", id="last-prefix-not-extended"),
+        pytest.param(2, [V4_LEVELS[0], [5, 6]], 2, "level 2", id="first-prefix-not-extended"),
+        pytest.param(2, [[0, 1, 2], [1, 9, 10]], 2, "level 2", id="middle-prefix-not-extended"),
+        # key 4 is digit 0
+        pytest.param(2, [V4_LEVELS[0], [1, 4, 5]], 2, "marker", id="gram-ends-in-marker"),
+        # a length prefix past the payload's end, which must not be allocated
+        pytest.param(2, [U64.pack(2**60)], 2, "mid-record", id="level-length-2-60"),
+        pytest.param(2, V4_LEVELS, 0, "no labels", id="no-labels"),
+        pytest.param(NgramConfig.MAX_N + 1, V4_LEVELS, 2, "order must be", id="order-over-limit"),
+    ])
+    def test_impossible_width_one_levels_are_model_errors(self, tmp_path, n, levels, labels, match):
+        with pytest.raises(ModelIOError, match=match):
+            ngram.load(self._hand_made_v4(tmp_path, labels=labels, n=n, levels=levels))
+
+    @pytest.mark.parametrize("n, widths, levels, match", [
+        pytest.param(2, (0, 1, 1), V4_LEVELS, "widths", id="width-0"),
+        pytest.param(2, (), V4_LEVELS, "widths", id="no-widths"),
+        pytest.param(2, (1,), V4_LEVELS, "widths", id="widths-short-of-n"),
+        pytest.param(2, (2, 1), V4_LEVELS, "widths", id="widths-past-n"),
+        pytest.param(3, (1, 2), [[1], [6, 7]], "widths", id="last-width-2"),
+        # rows * 4**w must stay below 2**63: one row under chunks of 31 fits,
+        # two rows do not, and one row under chunks of 32 does not either
+        pytest.param(33, (1, 31, 1), [[1, 2]], "level 2.*overflow", id="keys-past-int64"),
+        pytest.param(33, (32, 1), [], "level 1.*overflow", id="chunk-past-int64"),
+        pytest.param(33, (31, 1, 1), [[4**31 - 1], []], "level 2: keys", id="chunk-of-31-fits"),
+        # (a, <s>, b), with the marker after a symbol: inside a chunk, and across two levels
+        pytest.param(3, (2, 1), [[4], [2]], "marker after", id="marker-after-symbol-in-chunk"),
+        pytest.param(3, (1, 1, 1), [[1], [0], [2]], "marker after", id="marker-after-symbol"),
+        # (<s>, <s>) ends in the marker
+        pytest.param(2, (1, 1), [[0], [0]], "ending in the", id="gram-ends-in-marker"),
+    ])
+    def test_impossible_chunked_levels_are_model_errors(self, tmp_path, n, widths, levels, match):
+        with pytest.raises(ModelIOError, match=match):
+            ngram.load(self._hand_made_v4(tmp_path, labels=1, n=n, widths=widths, levels=levels))
+
     def test_marker_after_a_symbol_is_model_error(self, tmp_path):
-        # the n-gram (a, <s>, b), which no text yields, in a v1, a v2 and a v3
-        # file; each used to load
-        with pytest.raises(ModelIOError, match="marker after a symbol"):
-            ngram.load(self._hand_made(tmp_path, 3, [[((0, BOS), [(1, 1)])]]))
-        for widths, levels in [(None, [[1], [0], [2]]), ((2, 1), [[4], [2]])]:
+        # the n-gram (a, <s>, b), which no text yields, in levels of width one
+        # and in a chunk of two; each used to load
+        for widths, levels in [((1, 1, 1), [[1], [0], [2]]), ((2, 1), [[4], [2]])]:
             with pytest.raises(ModelIOError, match="marker after a symbol"):
-                ngram.load(self._hand_made_levels(tmp_path, 3, levels, ([0], [0], [1]), labels=1, widths=widths))
+                ngram.load(self._hand_made_v4(tmp_path, labels=1, n=3, widths=widths, levels=levels))
+
+    def test_hand_made_payload_round_trips(self, tmp_path):
+        for n, widths, levels, offsets, cols, counts, grams in [
+            # histories <s>, a and <unk>; n-grams <s>a, ab, a<unk> (label 0) and <unk>a (label 1)
+            (2, (1, 1), [[0, 1, 3], [1, 6, 7, 9]], [0, 1, 2, 3, 4, 4, 5, 6, 7, 7], [0, 0, 0, 1, 0, 0, 1],
+             [2, 1, 3, 1], [{(BOS, 0): 2, (0, 1): 1, (0, 2): 3}, {(2, 0): 1}]),
+            # the one empty history, seen by both labels, so each n-gram has two entries
+            (1, (1,), [[1, 2, 3]], [0, 2, 4, 6, 6, 8], [0, 1] * 4, [2, 0, 0, 5, 1, 0],
+             [{(0,): 2, (2,): 1}, {(1,): 5}]),
+            # the largest history total float64 holds exactly; both history
+            # symbols in one level, whose keys are chunks of two digits
+            (3, (2, 1), [[0, 1, 6, 11], [1, 6, 11, 13]], [0, 1, 2, 3, 4, 4, 5, 6, 7, 8, 8],
+             [0, 0, 0, 1, 0, 0, 0, 1], [1, 1, 2**53 - 1, 1],
+             [{(BOS, BOS, 0): 1, (BOS, 0, 1): 1, (0, 1, 2): 2**53 - 1}, {(1, 2, 0): 1}]),
+        ]:
+            path = self._hand_made_v4(tmp_path, offsets, cols, counts, n=n, widths=widths, levels=levels)
+            loaded = ngram.load(path)
+            assert [loaded.grams(label) for label in loaded.labels] == grams
+            # the table that the builder of `train` makes from the same counts
+            entries = [(gram, row, count) for row, table in enumerate(grams) for gram, count in table.items()]
+            symbols, label, weight = (np.array(column) for column in zip(*entries))
+            trained = ngram._build(NgramConfig(n, 0.1), loaded.charset, loaded.labels, symbols.T, label,
+                                   weight.astype(np.float64))
+            assert trained.widths == loaded.widths == widths
+            for a, b in zip(model_arrays(trained), model_arrays(loaded), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            # both re-save as the hand-made file, byte for byte
+            again = tmp_path / "again.lidn"
+            for model in (loaded, trained):
+                model.save(again)
+                assert again.read_bytes() == path.read_bytes()
+            for text in ("", "ab", "ba?ab"):
+                assert ngram.load(again).classify(text) == loaded.classify(text)
 
     def test_json_dump_readable(self):
         model = self._model()

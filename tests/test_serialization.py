@@ -10,18 +10,12 @@ from lident.clstm import ClstmConfig, ClstmModel
 from lident.corpus import Charset, Label, build_charset
 from lident.errors import ModelIOError
 from lident.serialization import F64, U8, U16, U32, U64, Reader, Writer, record
-from conftest import model_arrays
 
 # Digests of the two files below as written by `LIDN` v4 and `LIDC` v1. A
 # change to either is a file-format change: old files would no longer load
 # the same.
 LIDN_SHA256 = "e90e085183e743e9307c0e9a2dfc57b16d3ecec393248e145ef14897f78edb5f"
 LIDC_SHA256 = "0c1d90bfbd12fba288f20a2c3cd886dcd9985471105a05dc560ce11af9029d7c"
-# The same n-gram model as written by the `LIDN` v1, v2 and v3 writers, kept
-# as fixtures because `save` no longer writes any of them.
-LIDN_V1_SHA256 = "79f6cd2ea889e5fec667da65521a89d045f0d1156c4c9592842e473a78a84d10"
-LIDN_V2_SHA256 = "0c1dda403357c6f99c73ae7de7774948667d6977475814195f763e4adb829946"
-LIDN_V3_SHA256 = "5d1c5dc03bffb8529787adec904f58ac23a2e9556574da3a41f2ebbf16e200fa"
 
 PIN_CONFIG = ClstmConfig(
     seq_len=16,
@@ -70,42 +64,6 @@ class TestFormatPin:
         model.save(path)
         assert sha256(path) == LIDN_SHA256
         assert_same_ngram_model(ngram.load(path), model)
-
-    def test_lidn_v1_file_still_loads(self, fixtures_dir, toy_corpus):
-        path = fixtures_dir / "toy_v1.lidn"
-        assert sha256(path) == LIDN_V1_SHA256
-        model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
-        assert_same_ngram_model(ngram.load(path), model)
-
-    def test_lidn_v2_file_still_loads(self, tmp_path, fixtures_dir, toy_corpus):
-        path = fixtures_dir / "toy_v2.lidn"
-        assert sha256(path) == LIDN_V2_SHA256
-        model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
-        from_v2 = ngram.load(path)
-        assert_same_ngram_model(from_v2, model)
-        # its levels have width one, and a re-save keeps them and round-trips
-        assert from_v2.widths == (1, 1, 1) and model.widths == (2, 1)
-        again, twice = tmp_path / "again.lidn", tmp_path / "twice.lidn"
-        from_v2.save(again)
-        ngram.load(again).save(twice)
-        assert again.read_bytes() == twice.read_bytes()
-        assert_same_ngram_model(ngram.load(again), model)
-
-    def test_lidn_v3_file_still_loads(self, tmp_path, fixtures_dir, toy_corpus):
-        path = fixtures_dir / "toy_v3.lidn"
-        assert sha256(path) == LIDN_V3_SHA256
-        model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
-        from_v3 = ngram.load(path)
-        assert_same_ngram_model(from_v3, model)
-        for a, b in zip(model_arrays(from_v3), model_arrays(model), strict=True):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        for text in ("bonjour amigo", "", "zzz", "hola le monde des amis"):
-            assert ({k: v.hex() for k, v in from_v3.classify(text).per_label.items()}
-                    == {k: v.hex() for k, v in model.classify(text).per_label.items()})
-        # a re-save is the v4 file that `save` writes for the trained model
-        again = tmp_path / "again.lidn"
-        from_v3.save(again)
-        assert sha256(again) == LIDN_SHA256
 
     def test_lidc_bytes_pinned(self, tmp_path):
         model = pinned_clstm()
