@@ -574,17 +574,17 @@ class TestSaveLoad:
         with pytest.raises(ModelIOError):
             ngram.load(path)
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5])
-    def test_unknown_version_names_supported(self, tmp_path, version):
+    def test_unknown_version_names_supported(self, tmp_path):
         # v1-v3 files were written before v4 and no longer load; re-save one
         # with a release that still reads it
         path = tmp_path / "m.lidn"
         self._model().save(path)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = version.to_bytes(4, "little")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError, match="supported versions: 4$"):
-            ngram.load(path)
+        for version in (0, 1, 2, 3, 5):
+            blob[4:8] = version.to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
+            with pytest.raises(VersionError, match="supported versions: 4$"):
+                ngram.load(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "m.lidn"
@@ -766,6 +766,36 @@ class TestSaveLoad:
         with pytest.raises(ModelIOError, match=match):
             ngram.load(self._hand_made_v4(tmp_path, offsets, cols, counts, labels, sizes))
 
+    # The impossible tables of the v1, v2 and v3 cases below were first
+    # written as files of those versions; each now reaches the same check
+    # through a v4 file.
+    @pytest.mark.parametrize("table, match", [
+        # a history row with no entries: <s> has none, while its n-gram <s>a has two
+        pytest.param(dict(offsets=[0, 2, 4, 6, 6, 6, 8, 8], cols=[0, 1] * 4), "history row without",
+                     id="empty-history"),
+        # a label with no n-grams, every entry being label 0's; `train` never writes one
+        pytest.param(dict(offsets=[0, 1, 2, 3, 3, 4, 5, 5], cols=[0] * 5, counts=[1, 1, 1]), "label with no",
+                     id="empty-label"),
+        # a huge order used to load with empty tables and then cost seconds per text
+        pytest.param(dict(n=10**6, widths=(), levels=[]), "order must be", id="huge-n-empty-tables"),
+        # history symbols below the marker, digit 0, or at V, which carries into the parent
+        pytest.param(dict(levels=[[-1, 1], V4_LEVELS[1]]), "level 1: keys", id="history-below-bos"),
+        pytest.param(dict(n=3, levels=[[0], [4], [1]]), "level 2: keys", id="history-at-v"),
+        # next symbols at or far past V used to load and then crash `predict --dump`
+        pytest.param(dict(levels=[V4_LEVELS[0], [4, 5]]), "level 2: keys", id="char-at-v"),
+        pytest.param(dict(levels=[V4_LEVELS[0], [1, 4 + 1000]]), "level 2: keys", id="char-999"),
+        # an n-gram twice, then the n-grams aa and ab swapped
+        pytest.param(dict(levels=[V4_LEVELS[0], [1, 5, 5, 6]]), "level 2: keys", id="char-repeated"),
+        pytest.param(dict(levels=[V4_LEVELS[0], [1, 6, 5]]), "level 2: keys", id="chars-out-of-order"),
+        # a zero count, which no table holds apart from an absent n-gram
+        pytest.param(dict(counts=[0, 0, 0, 1, 1, 0]), "n-gram with no count", id="zero-count"),
+        # the largest count uint64 holds, far past the totals float64 holds exactly
+        pytest.param(dict(counts=[1, 1, 0, 2**64 - 1, 1, 0]), "history total", id="count-2-64"),
+    ])
+    def test_impossible_tables_are_model_errors(self, tmp_path, table, match):
+        with pytest.raises(ModelIOError, match=match):
+            ngram.load(self._hand_made_v4(tmp_path, **table))
+
     @pytest.mark.parametrize("n, levels, labels, match", [
         pytest.param(2, [[], V4_LEVELS[1]], 2, "level 1", id="empty-level"),
         pytest.param(1, [[-1, 1, 2]], 2, "level 1", id="negative-key"),
@@ -784,7 +814,7 @@ class TestSaveLoad:
         pytest.param(2, V4_LEVELS, 0, "no labels", id="no-labels"),
         pytest.param(NgramConfig.MAX_N + 1, V4_LEVELS, 2, "order must be", id="order-over-limit"),
     ])
-    def test_impossible_width_one_levels_are_model_errors(self, tmp_path, n, levels, labels, match):
+    def test_impossible_v2_tables_are_model_errors(self, tmp_path, n, levels, labels, match):
         with pytest.raises(ModelIOError, match=match):
             ngram.load(self._hand_made_v4(tmp_path, labels=labels, n=n, levels=levels))
 
@@ -805,7 +835,7 @@ class TestSaveLoad:
         # (<s>, <s>) ends in the marker
         pytest.param(2, (1, 1), [[0], [0]], "ending in the", id="gram-ends-in-marker"),
     ])
-    def test_impossible_chunked_levels_are_model_errors(self, tmp_path, n, widths, levels, match):
+    def test_impossible_v3_tables_are_model_errors(self, tmp_path, n, widths, levels, match):
         with pytest.raises(ModelIOError, match=match):
             ngram.load(self._hand_made_v4(tmp_path, labels=1, n=n, widths=widths, levels=levels))
 
