@@ -96,6 +96,8 @@ _VERSION = 4
 _SENTINEL = np.iinfo(np.int64).max
 # float64 holds every integer below this exactly, and so every count and total.
 _EXACT = 2**53
+# `_unique` numbers rows in int32 below this many keys, and in int64 from it.
+_INT32_ROWS = 2**31
 # The most windows (characters, and n - 1 markers a text) one scoring batch
 # walks, so that its [T, L] terms stay a few MiB however many texts come.
 _BATCH_CHARS = 2**16
@@ -321,22 +323,21 @@ def _build(
     widths = _widths(config.n, len(label) if weight is None else int(weight.sum()), base, width)
     grams = iter(grams)
     # Here and below each array goes once used, to keep the peak low. Rows
-    # start as an int64 array, not a scalar, which numpy < 2 would cast by
-    # value and so narrow the first level's keys to the symbols' int32.
-    rows = np.zeros(1, np.int64)
+    # may be int32 (`_unique`), so keys start as an int64 copy of them.
+    rows = np.zeros(1, np.int32)
     levels = []
     for chunk in widths[:-1]:
-        keys = rows
+        keys = rows.astype(np.int64)
+        del rows
         for _ in range(chunk):
             keys = keys * base + next(grams) + 1
-        del rows
-        keys, rows = np.unique(keys, return_inverse=True)
+        keys, rows = _unique(keys)
         levels.append(np.append(keys, _SENTINEL))
     # Level n sorts with the label as one more digit, so the same sort finds
     # the seen (n-gram, label) cells, by row, then label.
-    keys = (rows * base + next(grams) + 1) * width + label
+    keys = (rows.astype(np.int64) * base + next(grams) + 1) * width + label
     del rows
-    cells, cell = np.unique(keys, return_inverse=True)
+    cells, cell = _unique(keys)
     keys, col = np.divmod(cells, width)
     del cells
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
@@ -344,6 +345,16 @@ def _build(
     del keys
     table = _log_table(config, charset, width, levels, np.cumsum(first) - 1, col, np.bincount(cell, weight))
     return NgramModel(config, charset, labels, widths, tuple(levels), *table)
+
+
+def _unique(keys: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_inverse=True)` by a `kind` sort, the inverse int32 below `_INT32_ROWS` keys."""
+    order = keys.argsort(kind=kind)
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    inverse = np.empty(len(keys), np.int32 if len(keys) < _INT32_ROWS else np.int64)
+    inverse[order] = np.cumsum(first, dtype=inverse.dtype) - 1
+    return keys[first], inverse
 
 
 def _widths(n: int, positions: int, base: int, labels: int) -> tuple[int, ...]:
@@ -378,17 +389,9 @@ def _log_table(
     history_rows = len(levels[-2]) if len(levels) > 1 else 1
     # The seen (history row, label) cells, by row, then label. Cells come by
     # n-gram row, and rows by history, so the keys are nearly in order, and
-    # a stable sort passes over them several times faster than np.unique's
-    # quicksort.
+    # a stable sort passes over them several times faster than a quicksort.
     history = parent[row]
-    keys = history * width + col
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    seen = keys[first]
-    seen_of = np.empty(len(keys), np.intp)
-    seen_of[order] = np.cumsum(first) - 1
-    del keys, order, first
+    seen, seen_of = _unique(history * width + col, "stable")
     seen_row, seen_col = np.divmod(seen, width)
     del seen
     history_starts = np.concatenate(([0], np.cumsum(np.bincount(seen_row, minlength=history_rows))))
@@ -558,6 +561,9 @@ def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int
         # division by a scalar, in the narrowest type, is several times faster
         # than np.divmod or %.)
         chunk, marks = (keys - parent * scale).astype(np.min_scalar_type(scale)), []
+        # One pass clears a sound last level: its one digit ends an n-gram, so is never a marker.
+        if k == len(widths) - 1 and chunk.all():
+            return widths, [*levels, np.append(keys, _SENTINEL)]
         for _ in range(width):
             rest = chunk // base
             marks.append(rest * base == chunk)
@@ -568,9 +574,8 @@ def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int
         last = marks[0]
         levels.append(np.append(keys, _SENTINEL))
         rows = len(keys)
-    if last.any():
-        raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
-    return widths, levels
+    # Only a marker in the last level, after markers alone, gets here.
+    raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
 
 
 def _parse_v4(r: Reader) -> NgramModel:
@@ -592,10 +597,12 @@ def _parse_v4(r: Reader) -> NgramModel:
     if lengths[grams - 1] or (sentinel and runs[-1]) or not runs[: len(runs) - sentinel].all():
         raise ModelIOError(f"{r.source}: a sentinel row with entries or a history row without")
     hits, parent = starts[grams], levels[-1][:-1] // (charset.size + 1)
+    if np.any(spans != runs[parent]):
+        raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
     misses = cols[hits:]
     # Each n-gram entry's entry in its history's row, which has the same labels.
     at = np.arange(hits) + np.repeat(starts[grams + parent] - starts[: grams - 1] - hits, spans)
-    if np.any(spans != runs[parent]) or np.any(cols[:hits] != misses[at]):
+    if np.any(cols[:hits] != misses[at]):
         raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
     first = np.zeros(len(misses) + 1, bool)
     first[starts[grams:] - hits] = True
@@ -607,8 +614,10 @@ def _parse_v4(r: Reader) -> NgramModel:
     if (offsets.dtype, cols.dtype, counts.dtype) != (
             np.min_scalar_type(len(cols)), np.min_scalar_type(len(labels) - 1), np.min_scalar_type(int(counts.max()))):
         raise ModelIOError(f"{r.source}: an array not in the narrowest type that holds it")
-    if not np.maximum.reduceat(counts, starts[: grams - 1]).all():
+    nonzero = np.cumsum(counts != 0)[starts[1:grams] - 1]  # must rise at each n-gram row's end
+    if not nonzero[0] or np.any(nonzero[1:] <= nonzero[:-1]):
         raise ModelIOError(f"{r.source}: an n-gram with no count")
+    del nonzero  # not held through `_logs`, the peak of a load
     if np.bincount(misses, minlength=len(labels)).min() == 0:
         raise ModelIOError(f"{r.source}: a label with no n-grams")
     logs = _logs(config, charset, at, counts, len(misses))

@@ -79,6 +79,17 @@ def ngram_reference_log_probs(corpus, charset, n: int, alpha: float, text: str) 
     return result
 
 
+def charset_reference(texts, max_size: int | None = None) -> tuple[str, ...]:
+    """The characters of `texts` by the rule `build_charset` keeps: a Counter
+    of characters ranked by (count descending, character ascending), then
+    the first `max_size - 1` of them under a cap."""
+    freq: Counter = Counter()
+    for text in texts:
+        freq.update(text)
+    ranked = sorted(freq, key=lambda ch: (-freq[ch], ch))
+    return tuple(ranked if max_size is None else ranked[: max_size - 1])
+
+
 def next_char_probs(model, history: tuple) -> dict:
     """Per label, the model's smoothed P(c | history) for every char index c,
     read off its own scores. `history` is beginning-of-text markers (-1) then

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,11 @@ from lident.corpus import (
     write_tsv,
 )
 from lident.errors import ConfigError, CorpusFormatError, StratificationError
+from reference import charset_reference
+
+# Any character a corpus file can hold, and the lone surrogates it cannot.
+SCALARS = st.characters(blacklist_categories=("Cs",))
+SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, blacklist_categories=())
 
 
 def corpus_of(*texts_and_codes: tuple[str, str]) -> Corpus:
@@ -81,6 +90,31 @@ class TestReadTsv:
         p.write_text("\tx\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="empty text"):
             read_tsv(p)
+
+    def test_bad_label_reports_its_line_after_good_ones(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("a\tx\nb\tx\nc\tx y\nd\tx y\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r":3: label code must be non-empty and contain no whitespace"):
+            read_tsv(p)
+
+    def test_one_label_object_per_code(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("a\tx\nb\ty\nc\tx\n", encoding="utf-8")
+        corpus = read_tsv(p)
+        assert corpus.instances[0].label is corpus.instances[2].label
+
+    def test_reading_a_corpus_imports_no_numpy(self, tmp_path):
+        # `import lident` and `read_tsv` are all a fresh process needs to read
+        # a corpus; importing numpy there would add ~0.1 s to its start.
+        import lident
+
+        p = tmp_path / "c.tsv"
+        p.write_text("bonjour\tfr\nhola\tes\n", encoding="utf-8")
+        src = Path(lident.__file__).resolve().parents[1]
+        code = "import sys, lident; lident.read_tsv(sys.argv[1]); print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     def test_invalid_utf8(self, tmp_path):
         p = tmp_path / "c.tsv"
@@ -164,14 +198,30 @@ class TestCharset:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.characters(blacklist_categories=("Cs",)), unique=True, max_size=12),
-        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        st.lists(
+            st.text(st.sampled_from("aab\u00e9\U0001F600\U00010000") | SCALARS.filter(lambda ch: ch not in "\t\n\r"),
+                    min_size=1, max_size=30),
+            min_size=1, max_size=8),
+        st.none() | st.integers(2, 12),
+    )
+    def test_build_charset_matches_counter_rule(self, texts, cap):
+        # a small alphabet makes tied counts common; astral characters are
+        # one character each, as the rule counts them
+        charset = build_charset(corpus_of(*((text, "x") for text in texts)), cap)
+        assert charset.chars == charset_reference(texts, cap)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(SCALARS | SURROGATES, unique=True, max_size=12),
+        st.text(SCALARS | SURROGATES, max_size=40),
     )
     def test_indices_match_lookup(self, chars, text):
-        # `text` may be empty, hold characters the charset lacks, and astral
-        # code points; the charset's own characters come in any code point order.
+        # `text` may be empty and hold characters the charset lacks, astral
+        # ones, lone surrogates and code points above the charset's largest;
+        # the charset's own characters come in any code point order.
         charset = Charset(tuple(chars))
-        for sample in (text, text + "".join(chars[::-1]), "\U0001F600a\U00010000"):
+        above = chr(min(max(map(ord, chars), default=0) + 1, 0x10FFFF)) + "\U0010FFFF"
+        for sample in (text, text + "".join(chars[::-1]), "\U0001F600a\U00010000\udc80", above):
             got = charset.indices(sample)
             assert got.dtype.kind == "i"
             assert got.tolist() == [charset.lookup(ch) for ch in sample]

@@ -195,6 +195,16 @@ class TestClassify:
         scores = Scores.from_log_probs({L("b"): -1.0, L("a"): -1.0, L("c"): -2.0})
         assert scores.best == L("a")
 
+    @given(st.dictionaries(st.text(st.sampled_from("abcXY\u00e9"), min_size=1, max_size=3),
+                           st.sampled_from([-2.0, -1.0, -0.0, 0.0]) | st.floats(max_value=0, allow_nan=False,
+                                                                                 allow_infinity=False),
+                           min_size=1, max_size=8))
+    def test_best_is_the_first_maximum_in_code_order(self, scores):
+        # the rule it replaced, over few distinct values so that ties are common
+        per_label = {L(code): value for code, value in scores.items()}
+        expected = max(sorted(per_label), key=lambda label: per_label[label])
+        assert Scores.from_log_probs(per_label).best.code == expected.code
+
     def test_monotone_evidence(self):
         corpus = corpus_of(("ababab", "L1"), ("cdcdcd", "L2"))
         model = ngram.train(corpus, NgramConfig(2, 0.1), build_charset(corpus))
@@ -452,6 +462,32 @@ class TestChunkedLevels:
                 assert {k: v.hex() for k, v in scores.items()} == {k: v.hex() for k, v in again.items()}
 
 
+class TestLevelSorts:
+    def test_unique_is_np_unique(self):
+        keys = np.array([7, 3, 7, 2**62, 3, 0], np.int64)
+        distinct, inverse = ngram._unique(keys)
+        expected, expected_inverse = np.unique(keys, return_inverse=True)
+        assert np.array_equal(distinct, expected) and np.array_equal(inverse, expected_inverse)
+        assert inverse.dtype == np.int32
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**16))
+    def test_int32_and_int64_rows_build_the_same_table(self, n, seed):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng, "abcdefgh"[: rng.randint(1, 8)], ["l0", "l1", "l2"], rng.randint(1, 30), 40)
+        charset = build_charset(corpus)
+        models = [ngram.train(corpus, NgramConfig(n), charset)]
+        with pytest.MonkeyPatch.context() as patch:
+            # no level is below the bound, so every inverse is int64
+            patch.setattr(ngram, "_INT32_ROWS", 0)
+            assert ngram._unique(np.zeros(3, np.int64))[1].dtype == np.int64
+            models.append(ngram.train(corpus, NgramConfig(n), charset))
+        narrow, wide = models
+        assert narrow.widths == wide.widths
+        for a, b in zip(model_arrays(narrow), model_arrays(wide), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestTableSize:
     def test_arrays_hold_only_seen_cells(self):
         # 12 labels, as in DSL 2016; dense [rows, L] count and total matrices
@@ -657,21 +693,14 @@ class TestSaveLoad:
         corpus = word_corpus(20, 30, seed=7)
         model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
         model.save(tmp_path / "words.lidn")
-        argsort = np.argsort
 
         def sorts_again(*args, **kwargs):
             raise AssertionError("a v4 load sorted the table again")
 
-        def table_argsort(a, *args, **kwargs):
-            # the charset's index map sorts its code points, no more
-            if len(a) > model.charset.size:
-                sorts_again()
-            return argsort(a, *args, **kwargs)
-
         monkeypatch.setattr(ngram, "_build", sorts_again)
         monkeypatch.setattr(ngram, "_log_table", sorts_again)
         monkeypatch.setattr(np, "unique", sorts_again)
-        monkeypatch.setattr(np, "argsort", table_argsort)
+        monkeypatch.setattr(np, "argsort", sorts_again)
         again = ngram.load(tmp_path / "words.lidn")
         for a, b in zip(model_arrays(model), model_arrays(again), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
