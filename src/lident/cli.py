@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import clstm, metrics, ngram
-from .corpus import Scores, build_charset, compute_stats, read_lines, read_tsv
+from .corpus import build_charset, compute_stats, read_lines, read_tsv
 from .errors import DivergenceError, LidentError
 from .ngram import NgramConfig
 from .serialization import atomic_write_text, peek_magic
@@ -230,41 +230,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_any_model(path: str):
-    """Dispatch on the container magic: (kind, model)."""
+    """Dispatch on the container magic: an n-gram or clstm model, both with `classify_many` and `to_json_dict`."""
     magic = peek_magic(_require_file(path, "model file"))
     if magic == ngram.MAGIC:
-        return "ngram", ngram.load(path)
+        return ngram.load(path)
     if magic == clstm.MAGIC:
-        return "clstm", clstm.load_checkpoint(path)
+        return clstm.load_checkpoint(path)
     raise UsageError(f"{path!r} is not a recognized model file (magic {magic!r})")
 
 
-def _classify_texts(kind: str, model, texts: list[str]) -> list[Scores]:
-    if kind == "ngram":
-        return model.classify_many(texts)
-    return clstm.predict(model, texts)
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    kind, model = _load_any_model(args.model)
+    model = _load_any_model(args.model)
     if args.dump:
-        if kind == "ngram":
-            doc = model.to_json_dict()
-        else:
-            doc = {
-                "kind": "clstm",
-                "config": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in vars(model.config).items()},
-                "charset": list(model.charset.chars),
-                "labels": [label.code for label in model.labels],
-                "params": {name: arr.tolist() for name, arr in model.params.items()},
-            }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(model.to_json_dict(), indent=2))
         return 0
     if not args.input:
         raise UsageError("predict needs --input (or --dump)")
     texts = read_lines(_require_file(args.input, "input file"))
-    scores = _classify_texts(kind, model, texts)
+    scores = model.classify_many(texts)
     labels = model.labels
     out_lines = []
     for s in scores:
@@ -287,14 +270,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         if not args.gold:
             raise UsageError("eval --model needs --gold")
-        kind, model = _load_any_model(args.model)
+        model = _load_any_model(args.model)
         gold_corpus = read_tsv(_require_file(args.gold, "gold corpus"))
         model_labels = set(model.labels)
         for label in gold_corpus.labels:
             if label not in model_labels:
                 raise UsageError(f"gold label {label.code!r} is not known to the model")
         texts = [inst.text for inst in gold_corpus]
-        predictions = [s.best for s in _classify_texts(kind, model, texts)]
+        predictions = [s.best for s in model.classify_many(texts)]
         gold = [inst.label for inst in gold_corpus]
         cm = metrics.confusion(gold, predictions, labels=model.labels)
     if args.groups:

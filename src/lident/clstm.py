@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +45,6 @@ __all__ = [
 
 MAGIC = b"LIDC"
 _VERSION = 1
-# The config block of a checkpoint; see serialization.py for the layout.
-_CONFIG = record("14I5dq")
 
 # Ceiling on one batch's conv1 output, batch_size x seq_len x conv_features
 # doubles: 32 MiB at the defaults. Past it a config (or a damaged checkpoint)
@@ -152,6 +151,16 @@ class EpochStats:
     dev_accuracy: float
 
 
+# The config block of a checkpoint (see serialization.py): the int fields in
+# field order, each tuple as its items, then the float fields, then the seed.
+_CONFIG_FIELDS = sorted(fields(ClstmConfig), key=lambda f: (f.name == "seed", isinstance(f.default, float)))
+_CONFIG = record("".join(
+    "q" if f.name == "seed" else "d" if isinstance(f.default, float)
+    else f"{len(f.default)}I" if isinstance(f.default, tuple) else "I"
+    for f in _CONFIG_FIELDS
+))
+
+
 @dataclass
 class ClstmModel:
     """A trained classifier: configuration, character map, classes, weights."""
@@ -160,6 +169,20 @@ class ClstmModel:
     charset: Charset
     labels: tuple[Label, ...]
     params: ClstmParams
+
+    def classify_many(self, texts: Sequence[str]) -> list[Scores]:
+        """`predict` of the texts, looked up when called, so that a wrapper of it sees this call too."""
+        return predict(self, texts)
+
+    def to_json_dict(self) -> dict:
+        """Human-readable view of the model, for file inspection."""
+        return {
+            "kind": "clstm",
+            "config": asdict(self.config),
+            "charset": list(self.charset.chars),
+            "labels": [label.code for label in self.labels],
+            "params": {name: arr.tolist() for name, arr in self.params.items()},
+        }
 
 
 def encode(text: str, charset: Charset, seq_len: int) -> np.ndarray:
@@ -348,15 +371,9 @@ def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:
 
 def save_checkpoint(model: ClstmModel, path) -> None:
     """Write config + charset + labels + parameters, bit-exact."""
-    cfg = model.config
     w = Writer()
-    w.put(
-        _CONFIG,
-        cfg.seq_len, cfg.charset_dim, cfg.conv_features, *cfg.conv_kernels, *cfg.pools,
-        cfg.lstm_hidden, cfg.dense_units, cfg.num_classes, cfg.epochs, cfg.batch_size,
-        cfg.dropout_rate, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
-        cfg.seed,
-    )
+    values = (getattr(model.config, f.name) for f in _CONFIG_FIELDS)
+    w.put(_CONFIG, *(item for value in values for item in (value if isinstance(value, tuple) else (value,))))
     w.header(model.charset, model.labels)
     w.put(U32, len(model.params))
     for name, arr in model.params.items():
@@ -373,13 +390,11 @@ def load_checkpoint(path) -> ClstmModel:
 
 
 def _parse_checkpoint(r: Reader) -> ClstmModel:
-    v = r.unpack(_CONFIG)
-    config = ClstmConfig(
-        seq_len=v[0], charset_dim=v[1], conv_features=v[2], conv_kernels=v[3:6], pools=v[6:9],
-        lstm_hidden=v[9], dense_units=v[10], num_classes=v[11], epochs=v[12], batch_size=v[13],
-        dropout_rate=v[14], lr=v[15], beta1=v[16], beta2=v[17], eps=v[18],
-        seed=v[19],
-    )
+    values = iter(r.unpack(_CONFIG))
+    config = ClstmConfig(**{
+        f.name: tuple(islice(values, len(f.default))) if isinstance(f.default, tuple) else next(values)
+        for f in _CONFIG_FIELDS
+    })
     charset, labels = r.header()
     if charset.size != config.charset_dim:
         raise ModelIOError(

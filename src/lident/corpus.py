@@ -230,14 +230,14 @@ def build_charset(corpus: Corpus, max_size: int | None = None) -> Charset:
     With a cap, the most frequent `max_size - 1` characters are kept and the
     rest fold into the unknown slot.
     """
-    if max_size is not None and max_size < 2:
+    import numpy as np
+
+    if max_size is not None and not (isinstance(max_size, (int, np.integer)) and max_size >= 2):
         raise ConfigError(
-            f"charset cap must leave room for one character plus the unknown slot, got {max_size}"
+            f"charset cap must be an integer that leaves room for one character and the unknown slot, got {max_size!r}"
         )
     if not len(corpus):
         raise ConfigError("cannot build a charset from an empty corpus")
-    import numpy as np
-
     # Count the code points, then rank them by a stable sort on the count,
     # descending: code points arrive ascending, so equal counts keep that order.
     freq = np.bincount(np.frombuffer("".join(inst.text for inst in corpus).encode("utf-32-le"), np.uint32))

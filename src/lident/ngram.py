@@ -41,19 +41,21 @@ dense V^n storage and one lookup serves every label:
   few distinct ratios where the two differ, so scores keep the bits of a
   left-to-right `math.log` loop.
 
-One builder makes the table from (n-gram, label, count) entries: every
-text position for `train`, and for `sweep` the order-n entries with their
-leftmost symbol summed out. A model file (`.lidn` v4, the one version
-`load` reads) holds the widths, the levels, `offsets`, `cols` and
-`counts`, so `load` checks them against each other in a few passes and
-rebuilds only the log terms, with no sort of the table. Scoring lays a
-batch of texts out as `train` does and walks the levels with one
-`np.searchsorted` each, on the keys sorted first. A position reads its
-n-gram's row if the lookup hit and its history's row if not, and a
-history that missed lands on an entry-less sentinel row. The entries fill
-a [T, L] array whose other cells hold ln(a / aV), the term of a history no
-label saw. Each text's terms are added down its own slice of it, as for
-the text alone, so scores keep their bits in any batch.
+`_layout` writes texts as digits, each after n - 1 markers, for counting
+and scoring alike. `_build` makes the levels and rows from (n-gram, label,
+count) entries: every text position for `train`, and for `sweep` the
+order-n entries with their leftmost symbol summed out. A model file
+(`.lidn` v4, the one version `load` reads) holds the widths, the levels,
+`offsets`, `cols` and `counts`, which `load` checks against each other in
+a few passes, with no sort. Both end in `_model`, the one step from a
+table's arrays to a model (entry labels, types and log terms), so a model
+loaded holds what training made. Scoring walks the levels of a batch of
+texts with one `np.searchsorted` each, on the keys sorted first. A
+position reads its n-gram's row if the lookup hit and its history's row if
+not, and a history that missed lands on an entry-less sentinel row. The
+entries fill a [T, L] array whose other cells hold ln(a / aV), the term of
+a history no label saw. Each text's terms are added down its own slice of
+it, as for the text alone, so scores keep their bits in any batch.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -84,9 +86,8 @@ __all__ = [
     "load",
 ]
 
-# Synthetic boundary symbol prepended before the first character of a text.
-# It only ever appears inside histories, never as a predicted outcome, so it
-# is kept outside the charset index range.
+# The beginning-of-text marker (digit 0) as a symbol, as `grams` reads it back: outside
+# the charset index range, and only ever inside histories, never a predicted outcome.
 BOS = -1
 
 MAGIC = b"LIDN"
@@ -116,8 +117,8 @@ class NgramConfig:
     MAX_N: ClassVar[int] = 64
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= self.MAX_N:
-            raise ConfigError(f"n-gram order must be in 1..{self.MAX_N}, got {self.n}")
+        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= self.MAX_N):
+            raise ConfigError(f"n-gram order must be an integer in 1..{self.MAX_N}, got {self.n!r}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ConfigError(f"smoothing mass alpha must be finite and > 0, got {self.alpha}")
 
@@ -132,13 +133,6 @@ class NgramConfig:
 # n-1 history symbols, then the next char index.
 Gram = tuple[int, ...]
 _HISTORY = itemgetter(slice(None, -1))
-
-
-def _expand(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every index of the runs [starts, starts + lengths), in run order, as
-    (its run, the index)."""
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    return run, np.arange(len(run)) + (starts - np.cumsum(lengths) + lengths)[run]
 
 
 @dataclass
@@ -191,11 +185,10 @@ class NgramModel:
         alpha = self.config.alpha
         base = self.charset.size + 1
         lengths = [len(text) for text in texts]
-        symbols = self.charset.indices("".join(texts)) + 1
         # Laid out as in `train`, text i's windows start at firsts[i]; the
-        # n - 1 that end on the next text's markers (digit 0) are left out.
-        digits = np.zeros(len(symbols) + (n - 1) * len(texts), np.int64)
-        digits[np.repeat(np.arange(1, len(texts) + 1) * (n - 1), lengths) + np.arange(len(symbols))] = symbols
+        # n - 1 that end on the next text's markers are left out. Widened
+        # once, the digits add to int64 keys with no cast at each step.
+        digits = _layout(self.charset, texts, n).astype(np.int64)
         firsts = accumulate((length + n - 1 for length in lengths), initial=0)
         positions = len(digits) - (n - 1)
         rows, start = 0, 0
@@ -215,8 +208,11 @@ class NgramModel:
         # A missed n-gram lands on its level's sentinel: read its history's row.
         grams = len(self.levels[-1])
         rows = np.where(rows < grams - 1, rows, grams + history)
+        # Each position's entries: the run of its row's entries, in position order.
         starts = self.offsets[rows].astype(np.intp)
-        position, at = _expand(starts, self.offsets[rows + 1] - starts)
+        spans = self.offsets[rows + 1] - starts
+        position = np.repeat(np.arange(positions), spans)
+        at = np.arange(len(position)) + (starts - np.cumsum(spans) + spans)[position]
         # The labels a row has no entry for never saw its history.
         unseen = math.log(alpha / (alpha * self.charset.size))
         terms = np.full((positions, len(self.labels)), unseen)
@@ -259,16 +255,11 @@ class NgramModel:
     def to_json_dict(self) -> dict:
         """Human-readable view of the model, for file inspection."""
 
-        def sym(s: int) -> str:
-            if s == BOS:
-                return "<s>"
-            if s == self.charset.unk_index:
-                return "<unk>"
-            return self.charset.chars[s]
+        names = ("<s>", *self.charset.chars, "<unk>")  # of the symbols BOS to the unknown slot
 
         def table(grams: dict[Gram, int]) -> dict:
             return {
-                "".join(map(sym, history)): {sym(gram[-1]): grams[gram] for gram in group}
+                "".join(names[s + 1] for s in history): {names[gram[-1] + 1]: grams[gram] for gram in group}
                 for history, group in groupby(grams, _HISTORY)
             }
 
@@ -282,29 +273,28 @@ class NgramModel:
             "counts": {label.code: table(_grams_of(entries, row)) for row, label in enumerate(self.labels)},
         }
 
-    def _symbols(self, rows: np.ndarray) -> np.ndarray:
-        """The [len(rows), n] symbols of n-gram rows, read back up the levels."""
+    def _digits(self, rows: np.ndarray) -> np.ndarray:
+        """The [len(rows), n] digits of n-gram rows, read back up the levels."""
         out = np.empty((len(rows), self.config.n), np.int32)
         end = self.config.n
         for width, level in zip(self.widths[::-1], self.levels[::-1]):
             rows = level[rows]
             for k in range(end - 1, end - 1 - width, -1):
-                rows, digits = np.divmod(rows, self.charset.size + 1)
-                out[:, k] = digits - 1
+                rows, out[:, k] = np.divmod(rows, self.charset.size + 1)
             end -= width
         return out
 
     def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every nonzero count as (symbols [E, n], label row [E], count [E])."""
+        """Every nonzero count as (digits [E, n], label row [E], count [E])."""
         at = np.flatnonzero(self.counts)
         spans = np.diff(self.offsets[: len(self.levels[-1]) + 1])  # each n-gram row's entries
-        return self._symbols(np.repeat(np.arange(len(spans)), spans)[at]), self.cols[at], self.counts[at]
+        return self._digits(np.repeat(np.arange(len(spans)), spans)[at]), self.cols[at], self.counts[at]
 
 
 def _grams_of(entries: tuple[np.ndarray, np.ndarray, np.ndarray], row: int) -> dict[Gram, int]:
-    """Label row `row`'s n-gram counts among `NgramModel._entries()`."""
-    symbols, cols, counts = entries
-    return dict(zip(map(tuple, symbols[cols == row].tolist()), counts[cols == row].astype(np.int64).tolist()))
+    """Label row `row`'s n-gram counts among `NgramModel._entries()`, by symbol."""
+    digits, cols, counts = entries
+    return dict(zip(map(tuple, (digits[cols == row] - 1).tolist()), counts[cols == row].astype(np.int64).tolist()))
 
 
 def _build(
@@ -316,8 +306,8 @@ def _build(
     weight: np.ndarray | None = None,
 ) -> NgramModel:
     """The model of N n-grams, each counted `weight` times (once if None) for
-    its `label` row. `grams` yields their symbols one [N] column at a time,
-    so no [N, n] copy need exist."""
+    its `label` row. `grams` yields their digits one [N] column at a time, so
+    no [N, n] copy need exist."""
     base = charset.size + 1
     width = len(labels)
     widths = _widths(config.n, len(label) if weight is None else int(weight.sum()), base, width)
@@ -330,12 +320,12 @@ def _build(
         keys = rows.astype(np.int64)
         del rows
         for _ in range(chunk):
-            keys = keys * base + next(grams) + 1
+            keys = keys * base + next(grams)
         keys, rows = _unique(keys)
         levels.append(np.append(keys, _SENTINEL))
     # Level n sorts with the label as one more digit, so the same sort finds
     # the seen (n-gram, label) cells, by row, then label.
-    keys = (rows.astype(np.int64) * base + next(grams) + 1) * width + label
+    keys = (rows.astype(np.int64) * base + next(grams)) * width + label
     del rows
     cells, cell = _unique(keys)
     keys, col = np.divmod(cells, width)
@@ -343,8 +333,28 @@ def _build(
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
     levels.append(np.append(keys[first], _SENTINEL))
     del keys
-    table = _log_table(config, charset, width, levels, np.cumsum(first) - 1, col, np.bincount(cell, weight))
-    return NgramModel(config, charset, labels, widths, tuple(levels), *table)
+    count = np.bincount(cell, weight)  # of each seen (n-gram row, label) cell
+    row = np.cumsum(first) - 1
+    del cell, first
+    # The seen (history row, label) cells, by row, then label. Cells come by
+    # n-gram row, and rows by history, so the keys are nearly in order, and
+    # a stable sort passes over them several times faster than a quicksort.
+    parent = levels[-1][:-1] // base  # each n-gram row's history row
+    history = parent[row]
+    seen, seen_of = _unique(history * width + col, "stable")
+    seen_row, misses = np.divmod(seen, width)
+    del col, seen
+    history_rows = len(levels[-2]) if len(levels) > 1 else 1
+    history_starts = np.concatenate(([0], np.cumsum(np.bincount(seen_row, minlength=history_rows))))
+    # Each n-gram row has an entry for every label of its history's row.
+    spans = np.diff(history_starts)[parent]
+    del seen_row, parent
+    gram_starts = np.cumsum(spans) - spans
+    counts = np.zeros(int(spans.sum()))
+    counts[gram_starts[row] + seen_of - history_starts[history]] = count
+    offsets = np.concatenate((gram_starts, [len(counts)], len(counts) + history_starts))
+    del seen_of, history_starts, spans, gram_starts, row, history, count
+    return _model(config, charset, labels, widths, levels, offsets, misses, counts)
 
 
 def _unique(keys: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -373,43 +383,31 @@ def _widths(n: int, positions: int, base: int, labels: int) -> tuple[int, ...]:
     return (size + 1,) * longer + (size,) * (chunks - longer) + (1,)
 
 
-def _log_table(
+def _model(
     config: NgramConfig,
     charset: Charset,
-    width: int,
+    labels: tuple[Label, ...],
+    widths: tuple[int, ...],
     levels: list[np.ndarray],
-    row: np.ndarray,
-    col: np.ndarray,
-    count: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`NgramModel.offsets`, `cols`, `logs` and `counts` from the `count` of
-    each seen (n-gram row, label) cell, sorted by row, then label: the
-    cells laid out in rows here, their log terms by `_logs`."""
-    parent = levels[-1][:-1] // (charset.size + 1)  # each n-gram row's history row
-    history_rows = len(levels[-2]) if len(levels) > 1 else 1
-    # The seen (history row, label) cells, by row, then label. Cells come by
-    # n-gram row, and rows by history, so the keys are nearly in order, and
-    # a stable sort passes over them several times faster than a quicksort.
-    history = parent[row]
-    seen, seen_of = _unique(history * width + col, "stable")
-    seen_row, seen_col = np.divmod(seen, width)
-    del seen
-    history_starts = np.concatenate(([0], np.cumsum(np.bincount(seen_row, minlength=history_rows))))
-    # Each n-gram row has an entry for every label of its history's row.
-    spans = np.diff(history_starts)[parent]
-    gram_starts = np.cumsum(spans) - spans
-    at = _expand(history_starts[parent], spans)[1]
-    hits = gram_starts[row] + seen_of - history_starts[history]  # each cell's entry
-    del history, row, seen_of, seen_row, parent, spans
-    cols = np.concatenate((seen_col[at], seen_col)).astype(np.min_scalar_type(width - 1))
-    offsets = np.concatenate((gram_starts, [len(at)], len(at) + history_starts))
-    del gram_starts, history_starts
-    counts = np.zeros(len(at))
-    counts[hits] = count
-    del hits
-    logs = _logs(config, charset, at, counts, len(seen_col))  # each count is below 2**53 if this passes
-    counts = counts.astype(np.min_scalar_type(int(count.max(initial=0))))
-    return offsets.astype(np.min_scalar_type(int(offsets[-1]))), cols, logs, counts
+    offsets: np.ndarray,
+    misses: np.ndarray,
+    counts: np.ndarray,
+) -> NgramModel:
+    """The model of a table's levels, row `offsets`, history entry labels (`misses`)
+    and n-gram entry counts. The n-gram entries' labels, the narrowest integer
+    types and the log terms (by `_logs`) are made here, all in new arrays."""
+    grams, hits = len(levels[-1]), len(counts)
+    starts = offsets.astype(np.intp, copy=False)
+    # Each n-gram entry's entry in its history's row, which has the same labels.
+    parent = levels[-1][:-1] // (charset.size + 1)
+    at = np.arange(hits) + np.repeat(starts[grams + parent] - starts[: grams - 1] - hits, np.diff(starts[:grams]))
+    del starts, parent
+    cols = misses.astype(np.min_scalar_type(len(labels) - 1))
+    cols = np.concatenate((cols[at], cols))
+    logs = _logs(config, charset, at, counts, len(misses))  # each count is below 2**53 if this passes
+    offsets = offsets.astype(np.min_scalar_type(int(offsets[-1])))
+    counts = counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+    return NgramModel(config, charset, labels, widths, tuple(levels), offsets, cols, logs, counts)
 
 
 def _logs(config: NgramConfig, charset: Charset, at: np.ndarray, counts: np.ndarray, histories: int) -> np.ndarray:
@@ -426,12 +424,9 @@ def _logs(config: NgramConfig, charset: Charset, at: np.ndarray, counts: np.ndar
     hit, miss = ratios[: len(counts)], ratios[len(counts) :]
     hit[:] = counts
     hit += config.alpha
-    denominators = total[at]
-    denominators += smoothing
-    hit /= denominators
-    del denominators
-    np.add(total, smoothing, out=miss)
-    np.divide(config.alpha, miss, out=miss)
+    total += smoothing  # each history's denominator
+    hit /= total[at]
+    np.divide(config.alpha, total, out=miss)
     del total
     # np.log rounds an ulp away from math.log on a few ratios (0.2% of them
     # with AVX-512). Those, found among the ratios that share the low 16 bits
@@ -457,18 +452,27 @@ def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
         raise ConfigError("training corpus is empty")
     config.check_charset(charset)
     n = config.n
-    lengths = [len(inst.text) for inst in corpus]
+    texts = [inst.text for inst in corpus]
     row = {label: i for i, label in enumerate(corpus.labels)}
-    label = np.repeat(np.array([row[inst.label] for inst in corpus], np.min_scalar_type(len(row))), lengths)
-    # Each text follows n - 1 markers: its characters sit n - 1 places
-    # further on for every text up to and including its own.
-    symbols = np.full(len(label) + (n - 1) * len(corpus), BOS, np.int32)
-    symbols[np.repeat(np.arange(1, len(corpus) + 1) * (n - 1), lengths) + np.arange(len(label))] = (
-        charset.indices("".join(inst.text for inst in corpus)))
-    # One n-gram per character: the n symbols that end on it.
-    ends = symbols[n - 1 :] != BOS
-    grams = (symbols[k : len(symbols) - (n - 1) + k][ends] for k in range(n))
+    label = np.repeat(np.array([row[inst.label] for inst in corpus], np.min_scalar_type(len(row))),
+                      [len(text) for text in texts])
+    digits = _layout(charset, texts, n)
+    # One n-gram per character: the n digits that end on it.
+    ends = digits[n - 1 :] != 0
+    grams = (digits[k : len(digits) - (n - 1) + k][ends] for k in range(n))
     return _build(config, charset, corpus.labels, grams, label)
+
+
+def _layout(charset: Charset, texts: list[str], n: int) -> np.ndarray:
+    """The texts' symbols as int32 digits, one text after another, each after
+    n - 1 beginning-of-text markers."""
+    lengths = [len(text) for text in texts]
+    chars = sum(lengths)
+    digits = np.zeros(chars + (n - 1) * len(texts), np.int32)
+    # A text's characters sit n - 1 places further on for every text up to and including its own.
+    digits[np.repeat(np.arange(1, len(texts) + 1) * (n - 1), lengths) + np.arange(chars)] = (
+        charset.indices("".join(texts)) + 1)
+    return digits
 
 
 @dataclass(frozen=True)
@@ -500,8 +504,8 @@ def sweep(
     Under the same BOS padding an order-(n-1) history is the last n-2 symbols
     of the order-n one, so summing out the leftmost symbol is exact.
     """
-    if n_min < 1 or n_min > n_max:
-        raise ConfigError(f"invalid order range {n_min}..{n_max}")
+    if not (isinstance(n_min, (int, np.integer)) and isinstance(n_max, (int, np.integer)) and 1 <= n_min <= n_max):
+        raise ConfigError(f"invalid order range {n_min!r}..{n_max!r}")
     config = NgramConfig(n_max, alpha)
     if charset is None:
         charset = build_charset(train_corpus)
@@ -520,17 +524,6 @@ def load(path) -> NgramModel:
     """Read back a model written by `NgramModel.save`: a `.lidn` v4 file, the
     only version read; any other raises `VersionError`."""
     return read_model(path, MAGIC, {_VERSION: _parse_v4})
-
-
-def _preamble(r: Reader) -> tuple[NgramConfig, Charset, tuple[Label, ...]]:
-    n = r.value(U32)
-    alpha = r.value(F64)
-    charset, labels = r.header()
-    if not labels:
-        raise ModelIOError(f"{r.source}: model has no labels")
-    config = NgramConfig(n, alpha)
-    config.check_charset(charset)
-    return config, charset, labels
 
 
 def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int, ...], list]:
@@ -581,7 +574,13 @@ def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int
 def _parse_v4(r: Reader) -> NgramModel:
     """A v4 payload: the levels, then `offsets`, `cols` and `counts` as the
     model holds them, checked against each other in a few passes."""
-    config, charset, labels = _preamble(r)
+    n = r.value(U32)
+    alpha = r.value(F64)
+    charset, labels = r.header()
+    if not labels:
+        raise ModelIOError(f"{r.source}: model has no labels")
+    config = NgramConfig(n, alpha)
+    config.check_charset(charset)
     widths, levels = _levels(r, config, charset)
     offsets, cols, counts = r.uints(), r.uints(), r.uints()
     # G n-gram rows, then H history rows; each level's last row is its
@@ -600,27 +599,24 @@ def _parse_v4(r: Reader) -> NgramModel:
     if np.any(spans != runs[parent]):
         raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
     misses = cols[hits:]
-    # Each n-gram entry's entry in its history's row, which has the same labels.
-    at = np.arange(hits) + np.repeat(starts[grams + parent] - starts[: grams - 1] - hits, spans)
-    if np.any(cols[:hits] != misses[at]):
-        raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
     first = np.zeros(len(misses) + 1, bool)
     first[starts[grams:] - hits] = True
     if cols.max() >= len(labels) or np.any((misses[1:] <= misses[:-1]) & ~first[1:-1]):
         raise ModelIOError(f"{r.source}: a label past the {len(labels)} labels or out of order in its row")
     if len(counts) != hits:
         raise ModelIOError(f"{r.source}: {len(counts)} counts for {hits} n-gram entries")
-    # The types a trained model of this table holds, so that a save writes the same bytes.
-    if (offsets.dtype, cols.dtype, counts.dtype) != (
-            np.min_scalar_type(len(cols)), np.min_scalar_type(len(labels) - 1), np.min_scalar_type(int(counts.max()))):
-        raise ModelIOError(f"{r.source}: an array not in the narrowest type that holds it")
     nonzero = np.cumsum(counts != 0)[starts[1:grams] - 1]  # must rise at each n-gram row's end
     if not nonzero[0] or np.any(nonzero[1:] <= nonzero[:-1]):
         raise ModelIOError(f"{r.source}: an n-gram with no count")
-    del nonzero  # not held through `_logs`, the peak of a load
     if np.bincount(misses, minlength=len(labels)).min() == 0:
         raise ModelIOError(f"{r.source}: a label with no n-grams")
-    logs = _logs(config, charset, at, counts, len(misses))
-    # Copies, so that the model holds no view that keeps the whole file in memory.
-    return NgramModel(config, charset, labels, widths, tuple(levels), offsets.copy(), cols.copy(), logs, counts.copy())
+    del starts, lengths, spans, runs, parent, first, nonzero  # not held through `_model`, the peak of a load
+    model = _model(config, charset, labels, widths, levels, offsets, misses, counts)
+    # A trained model of this table has the same n-gram labels and types, so
+    # that a save writes the same bytes; its arrays are not views of the file.
+    if np.any(cols[:hits] != model.cols[:hits]):
+        raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
+    if (offsets.dtype, cols.dtype, counts.dtype) != (model.offsets.dtype, model.cols.dtype, model.counts.dtype):
+        raise ModelIOError(f"{r.source}: an array not in the narrowest type that holds it")
+    return model
 

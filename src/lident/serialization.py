@@ -21,7 +21,8 @@ of that size.
     1 array of i64 keys per width: the levels of the table, without their sentinels
     3 sized arrays, each in its narrowest type: offsets | cols | counts (the table's rows)
 
-`LIDC` v1 (conv+BiLSTM checkpoint, `clstm.py`):
+`LIDC` v1 (conv+BiLSTM checkpoint, `clstm.py`; the config record is `ClstmConfig`'s
+int fields in field order, a tuple as its items, then its float fields, then the seed):
 
     14 u32: seq_len, charset_dim, conv_features, 3 conv kernels, 3 pools,
             lstm_hidden, dense_units, num_classes, epochs, batch_size

@@ -356,6 +356,31 @@ class TestCheckpoint:
         for s1, s2 in zip(clstm.predict(model, texts), clstm.predict(again, texts)):
             assert s1.per_label == s2.per_label
 
+    def test_classify_many_is_predict_looked_up_when_called(self, monkeypatch):
+        model = self._model()
+        texts = ["ab", "zz a", ""]
+        expected = clstm.predict(model, texts)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return predict(*args)
+
+        predict = clstm.predict
+        monkeypatch.setattr(clstm, "predict", counted)
+        assert model.classify_many(texts) == expected
+        assert calls == [(model, texts)]
+
+    def test_json_dict_round_trips_the_config(self):
+        model = self._model()
+        doc = model.to_json_dict()
+        assert doc["kind"] == "clstm"
+        assert ClstmConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["config"].items()}) == model.config
+        assert doc["labels"] == [label.code for label in model.labels]
+        assert doc["charset"] == list(model.charset.chars)
+        assert {name: np.array(v).shape for name, v in doc["params"].items()} == {
+            name: arr.shape for name, arr in model.params.items()}
+
     def test_retrain_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         clstm.save_checkpoint(self._model(), p1)

@@ -180,6 +180,12 @@ class TestCharset:
         with pytest.raises(ConfigError):
             build_charset(corpus_of(("ab", "x")), max_size=1)
 
+    @pytest.mark.parametrize("cap", [2.5, "3", 3.0])
+    def test_non_integer_cap_rejected(self, cap):
+        # 2.5 used to end in a bare TypeError from slicing, "3" from comparing
+        with pytest.raises(ConfigError, match=f"cap.*{cap!r}"):
+            build_charset(corpus_of(("ab", "x")), max_size=cap)
+
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
             build_charset(Corpus.from_instances([]))

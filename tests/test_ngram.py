@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import struct
 import tracemalloc
 from collections import Counter
@@ -91,6 +92,12 @@ class TestConfig:
         corpus = corpus_of(("ab", "L1"), ("ba", "L2"))
         with pytest.raises(ConfigError, match="alpha"):
             ngram.train(corpus, NgramConfig(2, alpha=1e308), build_charset(corpus))
+
+    @pytest.mark.parametrize("n", [7.5, "3", 3.0, None])
+    def test_non_integer_order_rejected(self, n):
+        # 7.5 used to pass and end in a bare TypeError from `train`, "3" at once
+        with pytest.raises(ConfigError, match=f"order.*{n!r}"):
+            NgramConfig(n)
 
 
 class TestTrain:
@@ -513,6 +520,13 @@ class TestSweep:
         with pytest.raises(ConfigError):
             ngram.sweep(toy_corpus, toy_corpus, 0, 2)
 
+    @pytest.mark.parametrize("n_min, n_max", [(1.5, 3), (1, 2.5), ("1", 3)])
+    def test_non_integer_range_rejected(self, toy_corpus, n_min, n_max):
+        # each used to end in a bare TypeError
+        bad = n_min if not isinstance(n_min, int) else n_max
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            ngram.sweep(toy_corpus, toy_corpus, n_min, n_max)
+
     def test_table_growth_reported(self, toy_corpus):
         points = ngram.sweep(toy_corpus, toy_corpus, 1, 3)
         entries = [p.table_entries for p in points]
@@ -689,6 +703,15 @@ class TestSaveLoad:
             for a, b in zip(model_arrays(model), model_arrays(loaded), strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    def test_loaded_model_holds_no_view_of_the_file(self, tmp_path):
+        # a view of the payload would keep the whole file's bytes alive with the model
+        self._model().save(tmp_path / "m.lidn")
+        model = ngram.load(tmp_path / "m.lidn")
+        arrays = model_arrays(model)
+        assert len(arrays) == len(model.levels) + 4
+        for a in arrays:
+            assert a.base is None and a.flags.owndata and a.flags.writeable
+
     def test_v4_load_sorts_nothing(self, tmp_path, monkeypatch):
         corpus = word_corpus(20, 30, seed=7)
         model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
@@ -698,7 +721,6 @@ class TestSaveLoad:
             raise AssertionError("a v4 load sorted the table again")
 
         monkeypatch.setattr(ngram, "_build", sorts_again)
-        monkeypatch.setattr(ngram, "_log_table", sorts_again)
         monkeypatch.setattr(np, "unique", sorts_again)
         monkeypatch.setattr(np, "argsort", sorts_again)
         again = ngram.load(tmp_path / "words.lidn")
@@ -895,7 +917,7 @@ class TestSaveLoad:
             # the table that the builder of `train` makes from the same counts
             entries = [(gram, row, count) for row, table in enumerate(grams) for gram, count in table.items()]
             symbols, label, weight = (np.array(column) for column in zip(*entries))
-            trained = ngram._build(NgramConfig(n, 0.1), loaded.charset, loaded.labels, symbols.T, label,
+            trained = ngram._build(NgramConfig(n, 0.1), loaded.charset, loaded.labels, symbols.T + 1, label,
                                    weight.astype(np.float64))
             assert trained.widths == loaded.widths == widths
             for a, b in zip(model_arrays(trained), model_arrays(loaded), strict=True):
