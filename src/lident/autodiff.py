@@ -94,7 +94,7 @@ class Tape:
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
         # Pop each node as it runs, so the arrays its closure saved for the
-        # backward pass (im2col windows, LSTM gates) are freed right after.
+        # backward pass (ReLU and dropout masks, LSTM gates) are freed right after.
         nodes, self._nodes = self._nodes, []
         while nodes:
             out, backward = nodes.pop()
@@ -220,27 +220,55 @@ def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """conv1d as one im2col matrix product over every position of every leading index."""
+    """conv1d as im2col matrix products, none unrolling much more than
+    `_CONV_BLOCK` window elements, so that no array grows with batch x width.
+
+    The forward pass unrolls near-equal blocks of sequences; past one block,
+    the backward pass unrolls one kernel tap at a time. Each product is then
+    a row or column block of the whole-batch product, which OpenBLAS computes
+    to the same bits when the products are large and split at multiples of 8
+    columns, as at the default sizes (checked in tests/test_autodiff.py).
+    """
     out_ch, width, in_ch = kernels.data.shape
     *lead, time, _ = x.data.shape
     out_len = time - width + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (width, in_ch), axis=(-2, -1))
-    windows = windows.reshape(-1, width * in_ch)
+    seqs = x.data.reshape(-1, time, in_ch)
     kmat = kernels.data.reshape(out_ch, width * in_ch)
-    out_data = (windows @ kmat.T + bias.data).reshape(*lead, out_len, out_ch)
+    out_data = np.empty((len(seqs), out_len, out_ch))
+    # A short last block could take another BLAS kernel, so the blocks are near-equal.
+    blocks = max(1, -(-len(seqs) * out_len * width * in_ch // _CONV_BLOCK))
+    edges = [len(seqs) * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        windows = np.lib.stride_tricks.sliding_window_view(seqs[lo:hi], (width, in_ch), axis=(1, 2))
+        np.matmul(windows.reshape(-1, width * in_ch), kmat.T, out=out_data[lo:hi].reshape(-1, out_ch))
+    out_data += bias.data
+    taps = width if blocks == 1 else 1
 
     def backward(g: np.ndarray) -> None:
         rows = g.reshape(-1, out_ch)
-        _accumulate(kernels, (rows.T @ windows).reshape(out_ch, width, in_ch))
         _accumulate(bias, rows.sum(axis=0))
+        if kernels.requires_grad:
+            gk = np.empty((out_ch, width * in_ch))
+            for w in range(0, width, taps):
+                windows = np.lib.stride_tricks.sliding_window_view(
+                    seqs[:, w : w + taps + out_len - 1], (taps, in_ch), axis=(1, 2)
+                )
+                np.matmul(rows.T, windows.reshape(-1, taps * in_ch), out=gk[:, w * in_ch : (w + taps) * in_ch])
+            _accumulate(kernels, gk.reshape(out_ch, width, in_ch))
         if x.requires_grad:
-            g_windows = (rows @ kmat).reshape(*lead, out_len, width, in_ch)
-            gx = np.zeros_like(x.data)
-            for w in range(width):
-                gx[..., w : w + out_len, :] += g_windows[..., w, :]
-            _accumulate(x, gx)
+            gx = np.zeros_like(seqs)
+            g_windows = np.empty((len(seqs), out_len, taps, in_ch))
+            for w in range(0, width, taps):
+                np.matmul(rows, kmat[:, w * in_ch : (w + taps) * in_ch], out=g_windows.reshape(-1, taps * in_ch))
+                for t in range(taps):
+                    gx[:, w + t : w + t + out_len] += g_windows[:, :, t]
+            _accumulate(x, gx.reshape(x.data.shape))
 
-    return _result((x, kernels, bias), out_data, backward)
+    return _result((x, kernels, bias), out_data.reshape(*lead, out_len, out_ch), backward)
+
+
+# Window elements one product of _conv_dense unrolls: 4 MiB of doubles.
+_CONV_BLOCK = 1 << 19
 
 
 def _conv_indices(idx: np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -249,8 +277,9 @@ def _conv_indices(idx: np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
     time = idx.shape[-1]
     out_len = time - width + 1
     # columns[w, c] = k[:, w, c], with a zero row at index in_ch that index -1 wraps to
-    columns = np.zeros((width, in_ch + 1, out_ch))
+    columns = np.empty((width, in_ch + 1, out_ch))
     columns[:, :in_ch] = kernels.data.transpose(1, 2, 0)
+    columns[:, in_ch] = 0.0
     seqs = idx.reshape(-1, time)
     out_data = np.empty((len(seqs), out_len, out_ch))
     tap = np.empty((out_len, out_ch))
@@ -333,7 +362,7 @@ def maxpool1d(x: Tensor, pool: int) -> Tensor:
         unrouted = np.ones(out_data.shape, dtype=bool)
         for j in range(pool):
             hit = unrouted & (offset(x.data, j) == out_data)
-            offset(gx, j)[...] = g * hit
+            np.multiply(g, hit, out=offset(gx, j))
             unrouted &= ~hit
         _accumulate(x, gx)
 

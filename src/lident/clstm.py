@@ -54,6 +54,10 @@ MAX_BATCH_CONV1_BYTES = 1 << 30
 # Index `encode` writes past the end of a text; conv1d reads it as an all-zero row.
 PAD = -1
 
+# The types a config's integer and float fields accept.
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+
 # Learnable arrays, keyed by the names produced in init_params.
 ClstmParams = dict[str, np.ndarray]
 
@@ -106,6 +110,17 @@ class ClstmConfig:
         return lengths
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                kind = "a tuple of integers"
+                ok = isinstance(value, tuple) and all(isinstance(v, _INTEGER) for v in value)
+            elif isinstance(f.default, float):
+                kind, ok = "a real number", isinstance(value, _REAL)
+            else:
+                kind, ok = "an integer", isinstance(value, _INTEGER)
+            if not ok:
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.seq_len < 1:
             raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
         if self.charset_dim < 2:

@@ -119,8 +119,11 @@ class NgramConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= self.MAX_N):
             raise ConfigError(f"n-gram order must be an integer in 1..{self.MAX_N}, got {self.n!r}")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ConfigError(f"smoothing mass alpha must be finite and > 0, got {self.alpha}")
+        if not (
+            isinstance(self.alpha, (int, float, np.integer, np.floating))
+            and self.alpha > 0 and math.isfinite(self.alpha)
+        ):
+            raise ConfigError(f"smoothing mass alpha must be a finite number > 0, got {self.alpha!r}")
 
     def check_charset(self, charset: Charset) -> None:
         """Reject an alpha whose smoothing mass over the charset, alpha * V, overflows."""

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the n-gram oracle
 counts with flat string-keyed dictionaries and multiplies exact rationals in
 linear space, and the n-gram float scorer counts in one dict per label and
 adds `math.log` terms left to right; the metrics oracle recomputes every figure from first
-principles with plain loops; gradients come from central finite differences.
+principles with plain loops; gradients come from central finite differences, and
+the dense convolution's from one whole-batch im2col product.
 """
 
 from __future__ import annotations
@@ -138,6 +139,27 @@ def reference_report(codes: list[str], cells: list[list[int]]) -> dict:
         "f1_weighted": sum(per_class[c]["f1"] * per_class[c]["support"] for c in codes) / total,
         "per_class": per_class,
     }
+
+
+def conv_dense_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, g: np.ndarray):
+    """Dense conv1d over x[..., time, in_ch] as one whole-batch im2col product,
+    with its gradients for the output gradient `g`: the kernel gradient is one
+    product over the full width x in_ch, and the input gradient is scattered
+    tap by tap from the windows' gradient. Returns (out, d kernels, d bias, d x)."""
+    out_ch, width, in_ch = kernels.shape
+    *lead, time, _ = x.shape
+    out_len = time - width + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, (width, in_ch), axis=(-2, -1))
+    windows = windows.reshape(-1, width * in_ch)
+    kmat = kernels.reshape(out_ch, width * in_ch)
+    out = (windows @ kmat.T + bias).reshape(*lead, out_len, out_ch)
+    rows = g.reshape(-1, out_ch)
+    g_kernels = (rows.T @ windows).reshape(out_ch, width, in_ch)
+    g_windows = (rows @ kmat).reshape(*lead, out_len, width, in_ch)
+    g_x = np.zeros_like(x)
+    for w in range(width):
+        g_x[..., w : w + out_len, :] += g_windows[..., w, :]
+    return out, g_kernels, rows.sum(axis=0), g_x
 
 
 def central_difference(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lident import autodiff as ad
 from lident.errors import ConfigError, ShapeError, TapeError
-from reference import central_difference, max_rel_err
+from reference import central_difference, conv_dense_reference, max_rel_err
 
 TOL = 1e-5
 
@@ -364,6 +364,46 @@ class TestGradientChecks:
         assert err < TOL
         out = ad.final_states(ad.Tensor(arrays["f"]), ad.Tensor(arrays["b"])).data
         assert np.array_equal(out, np.concatenate([arrays["f"][:, -1], arrays["b"][:, 0]], axis=1))
+
+
+def assert_whole_batch_bits(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> None:
+    """conv1d's output, taped and tape-free, and its gradients equal the
+    whole-batch im2col product's bit for bit."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in (x, k, b)]
+    out = ad.conv1d(*leaves)
+    tape.backward(projection(out))
+    expected = conv_dense_reference(x, k, b, out.grad)
+    assert np.array_equal(out.data, expected[0])
+    for leaf, grad in zip(leaves[1:] + leaves[:1], expected[1:]):
+        assert np.array_equal(tape.grad(leaf), grad)
+    assert np.array_equal(ad.conv1d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(b)).data, expected[0])
+
+
+class TestConvBlocks:
+    """Past one block, the dense conv1d unrolls blocks of sequences and
+    differentiates one kernel tap at a time; its output and gradients must keep
+    the bits of the whole-batch im2col product."""
+
+    @pytest.mark.parametrize("time, width, in_ch, out_ch", [(83, 7, 256, 256), (25, 3, 256, 256)])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_default_shapes_keep_whole_batch_bits(self, time, width, in_ch, out_ch, blocks, extra):
+        # conv2's and conv3's shapes at the default config, below, at and across block boundaries
+        block = ad._CONV_BLOCK // ((time - width + 1) * width * in_ch)
+        assert block > 2
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1, 1, (blocks * block + extra, time, in_ch))
+        assert_whole_batch_bits(x, rng.uniform(-1, 1, (out_ch, width, in_ch)), rng.uniform(-1, 1, out_ch))
+
+    @pytest.mark.parametrize("batch, time, width, in_ch, out_ch", [(8, 42, 2, 50, 64), (23, 45, 6, 4, 256)])
+    def test_one_block_runs_the_whole_batch_products(self, batch, time, width, in_ch, out_ch):
+        # Channel counts off a multiple of 8, where a product one tap wide can
+        # round differently from the whole product: within one block the
+        # backward pass takes all taps at once, so any shape keeps the bits.
+        assert batch * (time - width + 1) * width * in_ch <= ad._CONV_BLOCK
+        rng = np.random.default_rng(32)
+        x = rng.uniform(-1, 1, (batch, time, in_ch))
+        assert_whole_batch_bits(x, rng.uniform(-1, 1, (out_ch, width, in_ch)), rng.uniform(-1, 1, out_ch))
 
 
 class TestBatchedGradientChecks:

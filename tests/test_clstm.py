@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -84,6 +86,26 @@ class TestConfig:
 
     def test_optimizer_edge_values_accepted(self):
         replace(TINY, beta1=0.0, beta2=0.0, lr=1e-12, eps=1e-300).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seq_len", "9"), ("seq_len", 9.0), ("epochs", 1.5), ("batch_size", 2.5),
+            ("charset_dim", None), ("num_classes", 2.0), ("seed", 0.5),
+            ("conv_kernels", (7, 7.5, 3)), ("pools", (3, "3", 3)), ("pools", [3, 3, 3]),
+            ("lr", "0.1"), ("eps", None), ("beta1", "0.9"), ("dropout_rate", [0.5]),
+        ],
+    )
+    def test_wrong_types_rejected(self, field, value):
+        # seq_len="9" and lr="0.1" used to end in a bare TypeError; epochs=1.5 and batch_size=2.5 passed
+        with pytest.raises(ConfigError, match=f"{field}.*{re.escape(repr(value))}"):
+            replace(ClstmConfig(num_classes=2), **{field: value}).validate()
+
+    def test_numpy_numbers_accepted(self):
+        replace(
+            TINY, seq_len=np.int64(TINY.seq_len), conv_kernels=tuple(np.int32(k) for k in TINY.conv_kernels),
+            lr=np.float32(0.01), beta1=0, dropout_rate=np.float64(0.25),
+        ).validate()
 
     def test_batch_conv1_output_is_bounded(self):
         ClstmConfig(num_classes=12).validate()  # 32 MiB at the defaults
@@ -242,6 +264,29 @@ class TestBatchInvariance:
     def test_drop_seed_stream_is_per_instance(self):
         # the batch seed fixes each instance's dropout seed, whatever the batch size
         assert clstm._drop_seeds(3, 5)[:2] == clstm._drop_seeds(3, 2)
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("batch_size, bound_mib", [(16, 49), (48, 90)])
+    def test_training_step_peak_is_bounded(self, batch_size, bound_mib):
+        # The tracemalloc peak above start of one step at the default layer
+        # sizes, with conv2's and conv3's whole-batch im2col matrices (one kept
+        # from the forward pass, one more for its gradient): 64.6 MiB at batch
+        # 16, 173.5 at 48. Unrolled a block of sequences and a kernel tap at a
+        # time: 33.3 and 79.6. Built whole but not kept: 47.8 and 122.9.
+        config = ClstmConfig(num_classes=12, charset_dim=219)
+        params = clstm.init_params(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        inputs = rng.integers(-1, 219, (batch_size, config.seq_len))
+        batch = clstm.EncodedBatch(inputs, rng.integers(0, 12, batch_size))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            clstm.loss_and_grads(params, config, batch, seed=2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
 
 class TestTrain:

@@ -99,6 +99,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"order.*{n!r}"):
             NgramConfig(n)
 
+    @pytest.mark.parametrize("alpha", ["0.1", None, [0.1], 1j])
+    def test_non_numeric_alpha_rejected(self, alpha):
+        # "0.1" used to end in a bare TypeError from the range check
+        with pytest.raises(ConfigError, match=f"alpha.*{re.escape(repr(alpha))}"):
+            NgramConfig(3, alpha=alpha)
+
+    def test_integer_and_numpy_alpha_accepted(self):
+        for alpha in (1, np.float64(0.5), np.int32(2), np.float32(0.25)):
+            assert NgramConfig(3, alpha=alpha).alpha == alpha
+
 
 class TestTrain:
     def test_bigram_counts_single_text(self):
