@@ -1,12 +1,12 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
 Just enough operations for a character-level conv + BiLSTM classifier:
-1-D convolution (over dense channels or over character indices), temporal
-max-pooling, a fused LSTM layer, dense layers, ReLU, inverted dropout,
-stabilized softmax cross-entropy, and Adam. Every layer takes any number of
-leading batch dimensions (`x[..., time, channels]`), so one taped graph of a
-fixed handful of nodes covers a whole mini-batch. Everything is double
-precision and deterministic given seeds; no operation reads global state.
+1-D convolution (over dense channels or over character indices) fused with
+temporal max-pooling, a fused LSTM layer, dense layers, ReLU, inverted
+dropout, stabilized softmax cross-entropy, and Adam. Every layer takes any
+number of leading batch dimensions (`x[..., time, channels]`), so one taped
+graph of a fixed handful of nodes covers a whole mini-batch. Everything is
+double precision and deterministic given seeds; no operation reads global state.
 
 A `Tape` records one forward pass and is consumed by one `backward` call;
 build a fresh tape per training step. Tensors wrapped as constants
@@ -22,6 +22,7 @@ by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,7 +38,6 @@ __all__ = [
     "relu",
     "dense",
     "conv1d",
-    "maxpool1d",
     "dropout",
     "softmax_cross_entropy",
     "lstm_forward",
@@ -93,13 +93,14 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
         loss.grad = np.ones((), dtype=np.float64)
-        # Pop each node as it runs, so the arrays its closure saved for the
-        # backward pass (ReLU and dropout masks, LSTM gates) are freed right after.
+        # Pop each node and drop its output as it runs, so an intermediate's data and
+        # the arrays its closure saved (ReLU and dropout masks, LSTM gates) are freed.
         nodes, self._nodes = self._nodes, []
         while nodes:
             out, backward = nodes.pop()
-            if out.grad is not None:
-                backward(out.grad)
+            g, out = out.grad, None
+            if g is not None:
+                backward(g)
 
     def grad(self, leaf: Tensor) -> np.ndarray:
         """Gradient of a leaf after backward; zeros if the loss never used it."""
@@ -188,9 +189,15 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return _result((x, weights, bias), x_data @ w_data.T + bias.data, backward)
 
 
-def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid 1-D convolution, stride 1, along the time axis of x[..., time, in_ch]:
-    out[..., t, o] = b[o] + sum_{w,c} x[..., t+w, c] k[o, w, c].
+def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor, pool: int = 1) -> Tensor:
+    """Valid 1-D convolution, stride 1, along the time axis of x[..., time, in_ch],
+    max-pooled over non-overlapping windows of `pool` steps (the remainder dropped):
+    out[..., s, o] = max_{j < pool} conv[..., s * pool + j, o], where
+    conv[..., t, o] = b[o] + sum_{w,c} x[..., t+w, c] k[o, w, c].
+
+    Each block of the convolution is pooled as it is made, so the whole of it
+    is never held; a taped call keeps each window's first maximal step, where
+    the window's gradient goes, as one small unsigned int.
 
     `x` may instead be an int array [..., time] of channel indices, each
     standing for a one-hot row; index -1 stands for an all-zero (padding)
@@ -206,20 +213,49 @@ def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor) -> Tensor:
     if isinstance(x, Tensor):
         if x.data.ndim < 2 or x.data.shape[-1] != in_ch:
             raise ShapeError(f"conv1d expects x[..., time, {in_ch}], got {x.data.shape}")
-        time, conv = x.data.shape[-2], _conv_dense
+        inputs, (*lead, time, _), conv = (x, kernels, bias), x.data.shape, _conv_dense
     else:
         x = np.asarray(x)
         if x.ndim < 1 or not np.issubdtype(x.dtype, np.integer):
             raise ShapeError(f"conv1d indices must be an int array [..., time], got {x.dtype}{x.shape}")
         if x.size and not (-1 <= x.min() and x.max() < in_ch):
             raise ShapeError(f"conv1d indices must lie in [-1, {in_ch}), got {x.min()}..{x.max()}")
-        time, conv = x.shape[-1], _conv_indices
+        inputs, (*lead, time), conv = (kernels, bias), x.shape, _conv_indices
     if time < width:
         raise ShapeError(f"conv1d input length {time} shorter than kernel width {width}")
-    return conv(x, kernels, bias)
+    out_len = time - width + 1
+    if not 1 <= pool <= out_len:
+        raise ShapeError(f"conv1d pool must lie in [1, {out_len}], the convolution's length, got {pool}")
+    out = np.empty((math.prod(lead), out_len // pool, out_ch))
+    taped = pool > 1 and any(t.requires_grad for t in inputs)
+    first = np.zeros(out.shape, np.min_scalar_type(pool - 1)) if taped else None
+    conv_backward = conv(x, kernels, bias, pool, out, first)  # fills out and first
+
+    def backward(g: np.ndarray) -> None:
+        if pool > 1:
+            # g to each window's first maximal step, g * 0 (a product's signed zero) to the rest
+            pooled_g, g = g.reshape(first.shape), np.zeros((len(first), out_len, out_ch))
+            for j in range(pool):
+                np.multiply(pooled_g, first == j, out=g[:, j : first.shape[1] * pool : pool])
+        conv_backward(g)
+
+    return _result(inputs, out.reshape(*lead, *out.shape[1:]), backward)
 
 
-def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+def _pool(conv: np.ndarray, pool: int, out: np.ndarray, first: "np.ndarray | None", rows: slice) -> None:
+    """Max over windows of `pool` steps of conv[k, out_len, ch], the convolution of
+    sequences `rows`, into out[rows]; with `first`, each first maximal step into first[rows]."""
+    pooled = out[rows]
+    used = pooled.shape[1] * pool
+    np.copyto(pooled, conv[:, 0:used:pool])
+    for j in range(1, pool):
+        step = conv[:, j:used:pool]
+        if first is not None:
+            first[rows][step > pooled] = j
+        np.maximum(pooled, step, out=pooled)
+
+
+def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor, pool: int, out: np.ndarray, first) -> Callable:
     """conv1d as im2col matrix products, none unrolling much more than
     `_CONV_BLOCK` window elements, so that no array grows with batch x width.
 
@@ -230,18 +266,19 @@ def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     columns, as at the default sizes (checked in tests/test_autodiff.py).
     """
     out_ch, width, in_ch = kernels.data.shape
-    *lead, time, _ = x.data.shape
-    out_len = time - width + 1
-    seqs = x.data.reshape(-1, time, in_ch)
+    out_len = x.data.shape[-2] - width + 1
+    seqs = x.data.reshape(-1, *x.data.shape[-2:])
     kmat = kernels.data.reshape(out_ch, width * in_ch)
-    out_data = np.empty((len(seqs), out_len, out_ch))
     # A short last block could take another BLAS kernel, so the blocks are near-equal.
     blocks = max(1, -(-len(seqs) * out_len * width * in_ch // _CONV_BLOCK))
     edges = [len(seqs) * i // blocks for i in range(blocks + 1)]
+    conv = np.empty((-(-len(seqs) // blocks), out_len, out_ch))
     for lo, hi in zip(edges, edges[1:]):
         windows = np.lib.stride_tricks.sliding_window_view(seqs[lo:hi], (width, in_ch), axis=(1, 2))
-        np.matmul(windows.reshape(-1, width * in_ch), kmat.T, out=out_data[lo:hi].reshape(-1, out_ch))
-    out_data += bias.data
+        block = conv[: hi - lo]
+        np.matmul(windows.reshape(-1, width * in_ch), kmat.T, out=block.reshape(-1, out_ch))
+        block += bias.data
+        _pool(block, pool, out, first, slice(lo, hi))
     taps = width if blocks == 1 else 1
 
     def backward(g: np.ndarray) -> None:
@@ -264,31 +301,30 @@ def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                     gx[:, w + t : w + t + out_len] += g_windows[:, :, t]
             _accumulate(x, gx.reshape(x.data.shape))
 
-    return _result((x, kernels, bias), out_data.reshape(*lead, out_len, out_ch), backward)
+    return backward
 
 
 # Window elements one product of _conv_dense unrolls: 4 MiB of doubles.
 _CONV_BLOCK = 1 << 19
 
 
-def _conv_indices(idx: np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
-    """conv1d over one-hot rows given as indices: out[t] = b + sum_w k[:, w, idx[t+w]]."""
+def _conv_indices(idx: np.ndarray, kernels: Tensor, bias: Tensor, pool: int, out: np.ndarray, first) -> Callable:
+    """conv1d over one-hot rows given as indices: conv[t] = b + sum_w k[:, w, idx[t+w]]."""
     out_ch, width, in_ch = kernels.data.shape
-    time = idx.shape[-1]
-    out_len = time - width + 1
+    out_len = idx.shape[-1] - width + 1
     # columns[w, c] = k[:, w, c], with a zero row at index in_ch that index -1 wraps to
     columns = np.empty((width, in_ch + 1, out_ch))
     columns[:, :in_ch] = kernels.data.transpose(1, 2, 0)
     columns[:, in_ch] = 0.0
-    seqs = idx.reshape(-1, time)
-    out_data = np.empty((len(seqs), out_len, out_ch))
-    tap = np.empty((out_len, out_ch))
+    seqs = idx.reshape(-1, idx.shape[-1])
+    conv, tap = np.empty((2, out_len, out_ch))
     # One sequence at a time, so the running sum stays in cache.
-    for seq, out in zip(seqs, out_data):
-        np.take(columns[0], seq[:out_len], axis=0, out=out, mode="wrap")
+    for i, seq in enumerate(seqs):
+        np.take(columns[0], seq[:out_len], axis=0, out=conv, mode="wrap")
         for w in range(1, width):
-            out += np.take(columns[w], seq[w : w + out_len], axis=0, out=tap, mode="wrap")
-        out += bias.data
+            conv += np.take(columns[w], seq[w : w + out_len], axis=0, out=tap, mode="wrap")
+        conv += bias.data
+        _pool(conv[None], pool, out, first, slice(i, i + 1))
 
     def backward(g: np.ndarray) -> None:
         rows = g.reshape(-1, out_ch)
@@ -296,7 +332,7 @@ def _conv_indices(idx: np.ndarray, kernels: Tensor, bias: Tensor) -> Tensor:
         if kernels.requires_grad:
             _accumulate(kernels, _index_kernel_grad(seqs, rows, width, in_ch))
 
-    return _result((kernels, bias), out_data.reshape(*idx.shape[:-1], out_len, out_ch), backward)
+    return backward
 
 
 def _index_kernel_grad(idx: np.ndarray, rows: np.ndarray, width: int, in_ch: int) -> np.ndarray:
@@ -332,41 +368,6 @@ def _index_kernel_grad(idx: np.ndarray, rows: np.ndarray, width: int, in_ch: int
 
 # Positions per gather in _index_kernel_grad: [32, width, out_ch] rows fit in L2.
 _GRAD_CHUNK = 32
-
-
-def maxpool1d(x: Tensor, pool: int) -> Tensor:
-    """Non-overlapping max over windows of `pool` steps along the time axis of
-    x[..., time, ch]; the remainder is dropped.
-
-    The gradient routes to the first maximal position of each window.
-    """
-    if x.data.ndim < 2:
-        raise ShapeError("maxpool1d expects x[..., time, ch]")
-    if pool < 1:
-        raise ShapeError(f"pool size must be >= 1, got {pool}")
-    time = x.data.shape[-2]
-    if time < pool:
-        raise ShapeError(f"maxpool1d input length {time} shorter than pool {pool}")
-    used = time // pool * pool
-
-    def offset(data: np.ndarray, j: int) -> np.ndarray:
-        """Element j of every window: a strided view [..., out_len, ch]."""
-        return data[..., j:used:pool, :]
-
-    out_data = offset(x.data, 0).copy()
-    for j in range(1, pool):
-        np.maximum(out_data, offset(x.data, j), out=out_data)
-
-    def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        unrouted = np.ones(out_data.shape, dtype=bool)
-        for j in range(pool):
-            hit = unrouted & (offset(x.data, j) == out_data)
-            np.multiply(g, hit, out=offset(gx, j))
-            unrouted &= ~hit
-        _accumulate(x, gx)
-
-    return _result((x,), out_data, backward)
 
 
 def dropout(x: Tensor, rate: float, seed: "int | Sequence[int]", train_mode: bool) -> Tensor:

@@ -1,7 +1,7 @@
 """Character-level convolutional + bidirectional-LSTM text classifier.
 
 Pipeline: character indices (standing for one-hot rows) -> three
-conv+ReLU+maxpool stages -> one LSTM per direction, final hidden states
+conv+maxpool+ReLU stages -> one LSTM per direction, final hidden states
 merged by concatenation -> dense + ReLU -> dropout (training only) -> dense
 softmax over labels. Layer sizes are configurable; the defaults are sized
 for 12-way discrimination of similar languages at 256 characters per
@@ -46,9 +46,9 @@ __all__ = [
 MAGIC = b"LIDC"
 _VERSION = 1
 
-# Ceiling on one batch's conv1 output, batch_size x seq_len x conv_features
-# doubles: 32 MiB at the defaults. Past it a config (or a damaged checkpoint)
-# asks numpy for gigabytes per batch.
+# Ceiling on stage 1's unpooled gradient, batch_size x seq_len x conv_features
+# doubles (32 MiB at the defaults), which only training builds. Past it a config
+# (or a damaged checkpoint) asks numpy for gigabytes per batch.
 MAX_BATCH_CONV1_BYTES = 1 << 30
 
 # Index `encode` writes past the end of a text; conv1d reads it as an all-zero row.
@@ -136,7 +136,7 @@ class ClstmConfig:
         conv1_bytes = self.batch_size * self.seq_len * self.conv_features * 8
         if conv1_bytes > MAX_BATCH_CONV1_BYTES:
             raise ConfigError(
-                f"one batch's conv1 output (batch_size {self.batch_size} x seq_len {self.seq_len} "
+                f"one batch's conv1 gradient (batch_size {self.batch_size} x seq_len {self.seq_len} "
                 f"x conv_features {self.conv_features} doubles) needs {conv1_bytes >> 20} MiB, "
                 f"over the {MAX_BATCH_CONV1_BYTES >> 20} MiB limit"
             )
@@ -262,8 +262,8 @@ def _logits(
     """Logits [batch, classes] of character indices [batch, seq_len]."""
     x = inputs
     for stage, pool in enumerate(config.pools, start=1):
-        # relu commutes with max-pooling; pooling first leaves it 1/pool of the work
-        x = ad.relu(ad.maxpool1d(ad.conv1d(x, p[f"conv{stage}_w"], p[f"conv{stage}_b"]), pool))
+        # relu commutes with max-pooling, so it runs on the pooled conv1d output: 1/pool of the work
+        x = ad.relu(ad.conv1d(x, p[f"conv{stage}_w"], p[f"conv{stage}_b"], pool))
     features = ad.final_states(
         ad.lstm_forward(x, p["lstm_fw_w"], p["lstm_fw_b"]),
         ad.lstm_forward(x, p["lstm_bw_w"], p["lstm_bw_b"], reverse=True),
@@ -327,9 +327,9 @@ def train(
     texts = [inst.text for inst in corpus]
     targets = [label_index[inst.label] for inst in corpus]
     history: list[EpochStats] = []
-    best_params = copy.deepcopy(params)
-    # Best dev accuracy wins; ties go to the lower train loss, then the
-    # earlier epoch, so selection is deterministic.
+    best_params = params
+    # Best dev accuracy wins, as a copy; ties go to the lower train loss, then the
+    # earlier epoch, so selection is deterministic. Without dev, the live params win.
     best_key = (-math.inf, -math.inf)
 
     for epoch in range(config.epochs):
@@ -358,10 +358,9 @@ def train(
                 best_params = copy.deepcopy(params)
         else:
             dev_accuracy = math.nan
-            best_params = params
         history.append(EpochStats(epoch, train_loss, dev_accuracy))
 
-    return ClstmModel(config, charset, labels, copy.deepcopy(best_params)), history
+    return ClstmModel(config, charset, labels, best_params), history
 
 
 def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:

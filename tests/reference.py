@@ -5,7 +5,7 @@ counts with flat string-keyed dictionaries and multiplies exact rationals in
 linear space, and the n-gram float scorer counts in one dict per label and
 adds `math.log` terms left to right; the metrics oracle recomputes every figure from first
 principles with plain loops; gradients come from central finite differences, and
-the dense convolution's from one whole-batch im2col product.
+the dense convolution's from one whole-batch im2col product and max-pool.
 """
 
 from __future__ import annotations
@@ -141,11 +141,27 @@ def reference_report(codes: list[str], cells: list[list[int]]) -> dict:
     }
 
 
-def conv_dense_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, g: np.ndarray):
+def max_pool_reference(conv: np.ndarray, pool: int, g: np.ndarray):
+    """Max over non-overlapping windows of `pool` steps along the time axis of
+    conv[..., time, ch], the remainder dropped, as one reduction over a
+    [..., windows, pool, ch] reshape; with conv's gradient for the pooled
+    output's gradient `g`: each window's argmax (its first maximal step) gets
+    g, every other step g * 0. Returns (pooled, d conv)."""
+    *lead, time, ch = conv.shape
+    used = time // pool * pool
+    windows = conv[..., :used, :].reshape(*lead, used // pool, pool, ch)
+    hit = np.arange(pool)[:, None] == windows.argmax(axis=-2)[..., None, :]
+    g_conv = np.zeros_like(conv)
+    g_conv[..., :used, :] = (g[..., None, :] * hit).reshape(*lead, used, ch)
+    return windows.max(axis=-2), g_conv
+
+
+def conv_dense_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, g: np.ndarray, pool: int = 1):
     """Dense conv1d over x[..., time, in_ch] as one whole-batch im2col product,
-    with its gradients for the output gradient `g`: the kernel gradient is one
-    product over the full width x in_ch, and the input gradient is scattered
-    tap by tap from the windows' gradient. Returns (out, d kernels, d bias, d x)."""
+    then, for pool > 1, `max_pool_reference`, with the gradients for the
+    output gradient `g`: the kernel gradient is one product over the full
+    width x in_ch, and the input gradient is scattered tap by tap from the
+    windows' gradient. Returns (out, d kernels, d bias, d x)."""
     out_ch, width, in_ch = kernels.shape
     *lead, time, _ = x.shape
     out_len = time - width + 1
@@ -153,6 +169,8 @@ def conv_dense_reference(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, g
     windows = windows.reshape(-1, width * in_ch)
     kmat = kernels.reshape(out_ch, width * in_ch)
     out = (windows @ kmat.T + bias).reshape(*lead, out_len, out_ch)
+    if pool > 1:
+        out, g = max_pool_reference(out, pool, g)
     rows = g.reshape(-1, out_ch)
     g_kernels = (rows.T @ windows).reshape(out_ch, width, in_ch)
     g_windows = (rows @ kmat).reshape(*lead, out_len, width, in_ch)

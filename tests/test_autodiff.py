@@ -37,6 +37,12 @@ def projection(out: ad.Tensor, seed: int = 0) -> ad.Tensor:
     return ad.softmax_cross_entropy(out, targets)[0]
 
 
+def max_pool(x: ad.Tensor, pool: int) -> ad.Tensor:
+    """conv1d's max-pooling of x[..., time, ch] alone: a width-1 identity kernel, zero bias."""
+    ch = x.data.shape[-1]
+    return ad.conv1d(x, ad.Tensor(np.eye(ch)[:, None, :]), ad.Tensor(np.zeros(ch)), pool)
+
+
 class TestForwardValues:
     def test_conv_output_length(self):
         rng = np.random.default_rng(0)
@@ -65,19 +71,19 @@ class TestForwardValues:
 
     def test_pool_lengths_and_values(self):
         x = ad.Tensor(np.array([[1.0], [3.0], [2.0]]))
-        out = ad.maxpool1d(x, 3)
+        out = max_pool(x, 3)
         assert out.data.tolist() == [[3.0]]
         long = ad.Tensor(np.zeros((250, 4)))
-        assert ad.maxpool1d(long, 3).shape == (83, 4)
+        assert max_pool(long, 3).shape == (83, 4)
 
     def test_pool_too_short(self):
         with pytest.raises(ShapeError):
-            ad.maxpool1d(ad.Tensor(np.zeros((2, 1))), 3)
+            max_pool(ad.Tensor(np.zeros((2, 1))), 3)
 
     def test_pool_tie_routes_to_first(self):
         tape = ad.Tape()
         x = tape.leaf(np.ones((3, 1)))
-        tape.backward(ad.vsum(ad.maxpool1d(x, 3)))
+        tape.backward(ad.vsum(max_pool(x, 3)))
         assert tape.grad(x).tolist() == [[1.0], [0.0], [0.0]]
 
     @settings(max_examples=60, deadline=None)
@@ -96,7 +102,7 @@ class TestForwardValues:
         out = ad.conv1d(x, ad.Tensor(np.zeros((2, width, channels))), ad.Tensor(np.zeros(2)))
         assert out.shape == (time - width + 1, 2)
         if out.shape[0] >= pool:
-            assert ad.maxpool1d(out, pool).shape == (out.shape[0] // pool, 2)
+            assert max_pool(out, pool).shape == (out.shape[0] // pool, 2)
 
     def test_softmax_uniform(self):
         loss, probs = ad.softmax_cross_entropy(ad.Tensor(np.zeros(12)), 5)
@@ -305,10 +311,10 @@ class TestGradientChecks:
         err = gradcheck(lambda w: projection(ad.conv1d(w["x"], w["k"], w["b"])), arrays)
         assert err < TOL
 
-    def test_maxpool1d(self):
+    def test_max_pool(self):
         rng = np.random.default_rng(7)
         arrays = {"x": rng.permutation(np.linspace(-2, 2, 24)).reshape(12, 2)}
-        err = gradcheck(lambda w: projection(ad.maxpool1d(w["x"], 3)), arrays)
+        err = gradcheck(lambda w: projection(max_pool(w["x"], 3)), arrays)
         assert err < TOL
 
     def test_dense(self):
@@ -366,18 +372,22 @@ class TestGradientChecks:
         assert np.array_equal(out, np.concatenate([arrays["f"][:, -1], arrays["b"][:, 0]], axis=1))
 
 
-def assert_whole_batch_bits(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> None:
-    """conv1d's output, taped and tape-free, and its gradients equal the
-    whole-batch im2col product's bit for bit."""
+def assert_whole_batch_bits(x: np.ndarray, k: np.ndarray, b: np.ndarray, pool: int = 1, loss=projection) -> None:
+    """conv1d's output, taped and tape-free, and its gradients equal those of
+    the whole-batch im2col product and max-pool bit for bit. Int indices `x`
+    are checked against the one-hot rows they stand for."""
+    indices = np.issubdtype(x.dtype, np.integer)
     tape = ad.Tape()
-    leaves = [tape.leaf(a) for a in (x, k, b)]
-    out = ad.conv1d(*leaves)
-    tape.backward(projection(out))
-    expected = conv_dense_reference(x, k, b, out.grad)
+    leaves = [tape.leaf(a) for a in (k, b)] + ([] if indices else [tape.leaf(x)])
+    out = ad.conv1d(x if indices else leaves[2], leaves[0], leaves[1], pool)
+    tape.backward(loss(out))
+    dense_x = np.eye(k.shape[2] + 1)[x][..., :-1] if indices else x
+    expected = conv_dense_reference(dense_x, k, b, out.grad, pool)
     assert np.array_equal(out.data, expected[0])
-    for leaf, grad in zip(leaves[1:] + leaves[:1], expected[1:]):
+    for leaf, grad in zip(leaves, expected[1:]):
         assert np.array_equal(tape.grad(leaf), grad)
-    assert np.array_equal(ad.conv1d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(b)).data, expected[0])
+    untaped = ad.conv1d(x if indices else ad.Tensor(x), ad.Tensor(k), ad.Tensor(b), pool)
+    assert np.array_equal(untaped.data, expected[0])
 
 
 class TestConvBlocks:
@@ -404,6 +414,62 @@ class TestConvBlocks:
         rng = np.random.default_rng(32)
         x = rng.uniform(-1, 1, (batch, time, in_ch))
         assert_whole_batch_bits(x, rng.uniform(-1, 1, (out_ch, width, in_ch)), rng.uniform(-1, 1, out_ch))
+
+
+class TestPooledConv:
+    """conv1d with `pool` keeps the bits of the whole-batch convolution followed
+    by a whole-batch max-pool, and routes each window's gradient to its first
+    maximal step."""
+
+    @pytest.mark.parametrize("time, width", [(83, 7), (25, 3)])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 1), (2, 1)])
+    def test_default_shapes_keep_whole_batch_bits(self, time, width, blocks, extra):
+        # conv2's and conv3's shapes at the default config, below and across block boundaries
+        block = ad._CONV_BLOCK // ((time - width + 1) * width * 256)
+        rng = np.random.default_rng(33)
+        x = rng.uniform(-1, 1, (blocks * block + extra, time, 256))
+        assert_whole_batch_bits(x, rng.uniform(-1, 1, (256, width, 256)), rng.uniform(-1, 1, 256), 3)
+
+    @pytest.mark.parametrize("indices", [True, False])
+    @pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4])
+    def test_integer_values_with_ties(self, indices, lead, pool):
+        # Small integers keep every sum exact in any order and tie many windows;
+        # dropout at rate 0.5 makes each output's gradient 0 or 2, so gradients stay exact too.
+        rng = np.random.default_rng(34)
+        x = rng.integers(-1, 6, (*lead, 20)) if indices else rng.integers(-2, 3, (*lead, 20, 6)).astype(float)
+        x[(0,) * len(lead)][12:] = -1 if indices else 0.0  # a padded tail
+        k = rng.integers(-2, 3, (4, 3, 6)).astype(float)
+        b = rng.integers(-2, 3, 4).astype(float)
+        assert_whole_batch_bits(x, k, b, pool, loss=lambda out: ad.vsum(ad.dropout(out, 0.5, 7, True)))
+
+    def test_ties_route_to_the_first_maximal_step(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([[2.0], [5.0], [5.0], [1.0], [1.0], [1.0], [3.0]]))
+        out = max_pool(x, 3)
+        tape.backward(ad.vsum(out))
+        assert out.data.tolist() == [[5.0], [1.0]]
+        assert tape.grad(x).ravel().tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_pool_above_255_routes(self):
+        # Steps of a 300-step window need a uint16 index; a uint8 one would wrap 280 to 24.
+        x_data = np.zeros((700, 1))
+        x_data[[24, 280, 300 + 299], 0] = [0.5, 1.0, 2.0]
+        tape = ad.Tape()
+        x = tape.leaf(x_data)
+        out = max_pool(x, 300)
+        tape.backward(ad.vsum(out))
+        assert out.data.ravel().tolist() == [1.0, 2.0]
+        assert np.flatnonzero(tape.grad(x)).tolist() == [280, 599]
+
+    @pytest.mark.parametrize("pool", [0, -1, 9])
+    def test_pool_outside_the_convolution_rejected(self, pool):
+        # width 3 over 10 steps leaves a convolution 8 steps long
+        k, b = ad.Tensor(np.zeros((1, 3, 2))), ad.Tensor(np.zeros(1))
+        for x in (ad.Tensor(np.zeros((10, 2))), np.zeros(10, dtype=int)):
+            with pytest.raises(ShapeError):
+                ad.conv1d(x, k, b, pool)
+            assert ad.conv1d(x, k, b, 8).shape == (1, 1)
 
 
 class TestBatchedGradientChecks:
@@ -443,10 +509,10 @@ class TestBatchedGradientChecks:
         tape.backward(ad.vsum(ad.conv1d(np.full((2, 13), -1), k, tape.leaf(arrays["b"]))))
         assert not tape.grad(k).any()
 
-    def test_maxpool1d_with_remainder(self):
+    def test_max_pool_with_remainder(self):
         rng = np.random.default_rng(24)
         arrays = {"x": rng.permutation(np.linspace(-2, 2, 3 * 13 * 2)).reshape(3, 13, 2)}
-        err = gradcheck(lambda w: projection(ad.maxpool1d(w["x"], 3)), arrays)
+        err = gradcheck(lambda w: projection(max_pool(w["x"], 3)), arrays)
         assert err < TOL
 
     def test_dense(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lident import autodiff as ad
 from lident import clstm
 from lident.clstm import ClstmConfig
-from lident.corpus import Charset, Corpus, build_charset
+from lident.corpus import Charset, Corpus, Label, Scores, build_charset
 from lident.errors import (
     ChecksumError,
     ConfigError,
@@ -289,6 +289,43 @@ class TestStepMemory:
         assert peak < bound_mib * 2**20
 
 
+def traced_peak_mib(fn) -> float:
+    """tracemalloc's peak above its start while fn() runs, in MiB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestPooledConvMemory:
+    """Batch-48 peaks at the default layer sizes with max-pooling inside conv1d,
+    which keeps a uint8 step per pooled output instead of each conv's whole
+    output: 79.6 MiB for a step and 31.4 for predict with a separate pool op,
+    57.6 and 16.6 with it inside (52.5 for the step once the backward pass
+    also drops each op's output). Each bound sits halfway, from the first two."""
+
+    config = ClstmConfig(num_classes=12, charset_dim=219, batch_size=48)
+
+    def test_training_step_peak(self):
+        params = clstm.init_params(self.config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        inputs = rng.integers(-1, 219, (48, self.config.seq_len))
+        batch = clstm.EncodedBatch(inputs, rng.integers(0, 12, 48))
+        assert traced_peak_mib(lambda: clstm.loss_and_grads(params, self.config, batch, seed=2)) <= 68
+
+    def test_predict_peak(self):
+        chars = tuple(chr(0x100 + i) for i in range(218))
+        labels = tuple(Label(f"l{i:02d}") for i in range(12))
+        params = clstm.init_params(self.config, np.random.default_rng(0))
+        model = clstm.ClstmModel(self.config, Charset(chars), labels, params)
+        rng = np.random.default_rng(1)
+        texts = ["".join(rng.choice(chars, 300)) for _ in range(48)]
+        assert traced_peak_mib(lambda: clstm.predict(model, texts)) <= 24
+
+
 class TestTrain:
     def test_zero_epochs_returns_initial_params(self):
         corpus = disjoint_corpus(4, 20, seed=0)
@@ -330,6 +367,30 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             clstm.train(Corpus.from_instances([]), None, TINY)
+
+    def test_best_dev_epoch_keeps_its_weights(self, monkeypatch):
+        # Dev accuracy reads 0.25, 0.75, 0.5: the model returned holds the
+        # second epoch's weights, which a 2-epoch run without a dev set ends on.
+        corpus = disjoint_corpus(4, 20, seed=3)
+        dev = disjoint_corpus(2, 20, seed=4)
+        cfg = ClstmConfig(
+            seq_len=24, charset_dim=20, conv_features=2, conv_kernels=(3, 2, 2),
+            pools=(2, 2, 2), lstm_hidden=2, dense_units=4, epochs=3, batch_size=4, seed=5,
+        )
+        accuracies = iter([0.25, 0.75, 0.5])
+
+        def scored(model, texts):
+            right = round(next(accuracies) * len(texts))
+            wrong = {label: other for label, other in zip(dev.labels, dev.labels[::-1])}
+            return [Scores({}, inst.label if i < right else wrong[inst.label]) for i, inst in enumerate(dev)]
+
+        monkeypatch.setattr(clstm, "predict", scored)
+        model, history = clstm.train(corpus, dev, cfg)
+        assert [epoch.dev_accuracy for epoch in history] == [0.25, 0.75, 0.5]
+        best, _ = clstm.train(corpus, None, replace(cfg, epochs=2))
+        last, _ = clstm.train(corpus, None, cfg)
+        assert all(arr.tobytes() == best.params[name].tobytes() for name, arr in model.params.items())
+        assert any(arr.tobytes() != last.params[name].tobytes() for name, arr in model.params.items())
 
 
 @pytest.fixture(scope="module")
