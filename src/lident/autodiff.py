@@ -189,7 +189,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return _result((x, weights, bias), x_data @ w_data.T + bias.data, backward)
 
 
-def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor, pool: int = 1) -> Tensor:
+def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor, pool: int = 1, table=None) -> Tensor:
     """Valid 1-D convolution, stride 1, along the time axis of x[..., time, in_ch],
     max-pooled over non-overlapping windows of `pool` steps (the remainder dropped):
     out[..., s, o] = max_{j < pool} conv[..., s * pool + j, o], where
@@ -203,7 +203,8 @@ def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor, pool: int = 
     standing for a one-hot row; index -1 stands for an all-zero (padding)
     row. The convolution is then a sum of gathered kernel columns,
     with no multiplications by zero, and only the kernels and bias are
-    differentiated.
+    differentiated. The columns are gathered from `_index_table(kernels.data)`,
+    built per call unless passed as `table`, which must then match the kernels.
     """
     if kernels.data.ndim != 3 or bias.data.ndim != 1:
         raise ShapeError("conv1d expects kernels[out_ch, width, in_ch], bias[out_ch]")
@@ -220,7 +221,8 @@ def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor, pool: int = 
             raise ShapeError(f"conv1d indices must be an int array [..., time], got {x.dtype}{x.shape}")
         if x.size and not (-1 <= x.min() and x.max() < in_ch):
             raise ShapeError(f"conv1d indices must lie in [-1, {in_ch}), got {x.min()}..{x.max()}")
-        inputs, (*lead, time), conv = (kernels, bias), x.shape, _conv_indices
+        inputs, (*lead, time) = (kernels, bias), x.shape
+        conv = lambda *args: _conv_indices(*args, _index_table(kernels.data) if table is None else table)
     if time < width:
         raise ShapeError(f"conv1d input length {time} shorter than kernel width {width}")
     out_len = time - width + 1
@@ -308,14 +310,22 @@ def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor, pool: int, out: np.nda
 _CONV_BLOCK = 1 << 19
 
 
-def _conv_indices(idx: np.ndarray, kernels: Tensor, bias: Tensor, pool: int, out: np.ndarray, first) -> Callable:
-    """conv1d over one-hot rows given as indices: conv[t] = b + sum_w k[:, w, idx[t+w]]."""
+def _index_table(kernels: np.ndarray) -> np.ndarray:
+    """columns[w, c] = k[:, w, c] of kernels[out_ch, width, in_ch], with a zero
+    row at index in_ch that index -1 wraps to: what an index convolution gathers."""
+    out_ch, width, in_ch = kernels.shape
+    columns = np.empty((width, in_ch + 1, out_ch))
+    columns[:, :in_ch] = kernels.transpose(1, 2, 0)
+    columns[:, in_ch] = 0.0
+    return columns
+
+
+def _conv_indices(
+    idx: np.ndarray, kernels: Tensor, bias: Tensor, pool: int, out: np.ndarray, first, columns: np.ndarray
+) -> Callable:
+    """conv1d over one-hot rows given as indices: conv[t] = b + sum_w columns[w, idx[t+w]]."""
     out_ch, width, in_ch = kernels.data.shape
     out_len = idx.shape[-1] - width + 1
-    # columns[w, c] = k[:, w, c], with a zero row at index in_ch that index -1 wraps to
-    columns = np.empty((width, in_ch + 1, out_ch))
-    columns[:, :in_ch] = kernels.data.transpose(1, 2, 0)
-    columns[:, in_ch] = 0.0
     seqs = idx.reshape(-1, idx.shape[-1])
     conv, tap = np.empty((2, out_len, out_ch))
     # One sequence at a time, so the running sum stays in cache.

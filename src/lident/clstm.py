@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from typing import Sequence
 
@@ -178,12 +178,18 @@ _CONFIG = record("".join(
 
 @dataclass
 class ClstmModel:
-    """A trained classifier: configuration, character map, classes, weights."""
+    """A trained classifier: configuration, character map, classes, weights.
+
+    `params` must not change after construction, which builds conv1's index table from them."""
 
     config: ClstmConfig
     charset: Charset
     labels: tuple[Label, ...]
     params: ClstmParams
+    conv1_table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.conv1_table = ad._index_table(self.params["conv1_w"])
 
     def classify_many(self, texts: Sequence[str]) -> list[Scores]:
         """`predict` of the texts, looked up when called, so that a wrapper of it sees this call too."""
@@ -258,12 +264,14 @@ def _logits(
     inputs: np.ndarray,
     train_mode: bool,
     drop_seeds: Sequence[int],
+    conv1_table: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Logits [batch, classes] of character indices [batch, seq_len]."""
-    x = inputs
+    """Logits [batch, classes] of character indices [batch, seq_len]; conv1 gathers from `conv1_table` if given."""
+    x, table = inputs, conv1_table
     for stage, pool in enumerate(config.pools, start=1):
         # relu commutes with max-pooling, so it runs on the pooled conv1d output: 1/pool of the work
-        x = ad.relu(ad.conv1d(x, p[f"conv{stage}_w"], p[f"conv{stage}_b"], pool))
+        x = ad.relu(ad.conv1d(x, p[f"conv{stage}_w"], p[f"conv{stage}_b"], pool, table=table))
+        table = None
     features = ad.final_states(
         ad.lstm_forward(x, p["lstm_fw_w"], p["lstm_fw_b"]),
         ad.lstm_forward(x, p["lstm_bw_w"], p["lstm_bw_b"], reverse=True),
@@ -371,7 +379,7 @@ def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:
     for start in range(0, len(texts), config.batch_size):
         chunk = texts[start : start + config.batch_size]
         inputs = np.stack([encode(t, model.charset, config.seq_len) for t in chunk])
-        z = _logits(wrapped, config, inputs, train_mode=False, drop_seeds=()).data
+        z = _logits(wrapped, config, inputs, train_mode=False, drop_seeds=(), conv1_table=model.conv1_table).data
         z = z - z.max(axis=1, keepdims=True)
         for row in z - np.log(np.exp(z).sum(axis=1, keepdims=True)):
             results.append(
@@ -429,6 +437,8 @@ def _parse_checkpoint(r: Reader) -> ClstmModel:
                 f"{r.source}: parameter {name!r} with shape {shape} does not match the configuration"
             )
         params[name] = np.frombuffer(r.read(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(params[name]).all():
+            raise ModelIOError(f"{r.source}: parameter {name!r} holds a NaN or infinite weight")
     if len(params) != len(expected_shapes):
         raise ModelIOError(f"{r.source}: parameter set does not match the configuration")
     return ClstmModel(config, charset, labels, params)

@@ -368,18 +368,21 @@ class TestTrain:
         with pytest.raises(ConfigError):
             clstm.train(Corpus.from_instances([]), None, TINY)
 
-    def test_best_dev_epoch_keeps_its_weights(self, monkeypatch):
+    def test_best_dev_epoch_keeps_its_weights(self, monkeypatch, tmp_path):
         # Dev accuracy reads 0.25, 0.75, 0.5: the model returned holds the
         # second epoch's weights, which a 2-epoch run without a dev set ends on.
+        # Each model returned scores as its checkpoint does, so its conv1 table
+        # comes from the weights it holds, not from the live ones Adam changed.
         corpus = disjoint_corpus(4, 20, seed=3)
         dev = disjoint_corpus(2, 20, seed=4)
         cfg = ClstmConfig(
             seq_len=24, charset_dim=20, conv_features=2, conv_kernels=(3, 2, 2),
             pools=(2, 2, 2), lstm_hidden=2, dense_units=4, epochs=3, batch_size=4, seed=5,
         )
-        accuracies = iter([0.25, 0.75, 0.5])
+        predict, accuracies = clstm.predict, iter([0.25, 0.75, 0.5])
 
         def scored(model, texts):
+            predict(model, texts)
             right = round(next(accuracies) * len(texts))
             wrong = {label: other for label, other in zip(dev.labels, dev.labels[::-1])}
             return [Scores({}, inst.label if i < right else wrong[inst.label]) for i, inst in enumerate(dev)]
@@ -391,6 +394,68 @@ class TestTrain:
         last, _ = clstm.train(corpus, None, cfg)
         assert all(arr.tobytes() == best.params[name].tobytes() for name, arr in model.params.items())
         assert any(arr.tobytes() != last.params[name].tobytes() for name, arr in model.params.items())
+        monkeypatch.undo()
+        texts = [inst.text for inst in dev] + ["", "zz aa"]
+        for trained_model in (model, last):
+            clstm.save_checkpoint(trained_model, tmp_path / "m.ckpt")
+            loaded = clstm.load_checkpoint(tmp_path / "m.ckpt")
+            assert (hex_scores(trained_model, clstm.predict(trained_model, texts))
+                    == hex_scores(loaded, clstm.predict(loaded, texts)))
+
+
+def hex_scores(model, scores: list[Scores]) -> list[list[str]]:
+    return [[s.per_label[label].hex() for label in model.labels] for s in scores]
+
+
+class TestConv1Table:
+    """A model builds conv1's index table once, and predict gathers from it."""
+
+    config = ClstmConfig(num_classes=12, charset_dim=219)
+    chars = tuple(chr(0x100 + i) for i in range(218))
+
+    def model(self):
+        params = clstm.init_params(self.config, np.random.default_rng(0))
+        labels = tuple(Label(f"l{i:02d}") for i in range(12))
+        return clstm.ClstmModel(self.config, Charset(self.chars), labels, params)
+
+    def texts(self, count):
+        rng = np.random.default_rng(1)
+        return ["".join(rng.choice(self.chars, int(rng.integers(0, 300)))) for _ in range(count)]
+
+    def per_call_table_scores(self, model, texts):
+        """predict's log-probs, with conv1's table built inside each _logits call."""
+        wrapped = {name: ad.Tensor(arr) for name, arr in model.params.items()}
+        rows = []
+        for start in range(0, len(texts), self.config.batch_size):
+            chunk = texts[start : start + self.config.batch_size]
+            inputs = np.stack([clstm.encode(t, model.charset, self.config.seq_len) for t in chunk])
+            z = clstm._logits(wrapped, self.config, inputs, False, ()).data
+            z = z - z.max(axis=1, keepdims=True)
+            rows += [[v.hex() for v in row] for row in z - np.log(np.exp(z).sum(axis=1, keepdims=True))]
+        return rows
+
+    def test_scores_equal_a_table_built_per_call(self):
+        model = self.model()
+        texts = self.texts(70)  # more than batch_size, so two batches
+        assert hex_scores(model, clstm.predict(model, texts[:1])) == self.per_call_table_scores(model, texts[:1])
+        assert hex_scores(model, clstm.predict(model, texts)) == self.per_call_table_scores(model, texts)
+
+    def test_built_once_per_model_and_per_training_step(self, monkeypatch):
+        built = []
+        build = ad._index_table
+        monkeypatch.setattr(ad, "_index_table", lambda kernels: built.append(kernels.shape) or build(kernels))
+        model = self.model()
+        assert built == [(256, 7, 219)]
+        rng = np.random.default_rng(2)
+        batch = clstm.EncodedBatch(rng.integers(-1, 219, (2, self.config.seq_len)), rng.integers(0, 12, 2))
+        for seed in (0, 1):
+            clstm.loss_and_grads(model.params, self.config, batch, seed=seed)
+        assert len(built) == 3
+        texts = self.texts(70)
+        for text in texts[:5]:
+            clstm.predict(model, [text])
+        clstm.predict(model, texts)
+        assert len(built) == 3
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +602,18 @@ class TestCheckpoint:
         payload = payload[:at] + shape + payload[at + 1 + 3 * 4:]
         path.write_bytes(reseal(blob, payload))
         with pytest.raises(ModelIOError):
+            clstm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["out_b", "conv1_w"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_is_model_error(self, tmp_path, name, bad):
+        # train never writes one; loaded, a NaN made every score NaN and the best label arbitrary
+        model = self._model()
+        weights = model.params[name].copy()
+        weights.flat[1] = bad
+        path = tmp_path / "m.ckpt"
+        clstm.save_checkpoint(replace(model, params={**model.params, name: weights}), path)
+        with pytest.raises(ModelIOError, match=name):
             clstm.load_checkpoint(path)
 
     def test_huge_seq_len_is_model_error(self, tmp_path, checkpoint_blob):
