@@ -2,16 +2,17 @@
 
 Just enough operations for a character-level conv + BiLSTM classifier:
 1-D convolution (over dense channels or over character indices) fused with
-temporal max-pooling, a fused LSTM layer, dense layers, ReLU, inverted
-dropout, stabilized softmax cross-entropy, and Adam. Every layer takes any
+temporal max-pooling, a fused LSTM layer that returns its final state,
+concatenation, dense layers, ReLU, inverted dropout with a seed per row,
+stabilized softmax cross-entropy, and Adam. Every layer takes any
 number of leading batch dimensions (`x[..., time, channels]`), so one taped
 graph of a fixed handful of nodes covers a whole mini-batch. Everything is
 double precision and deterministic given seeds; no operation reads global state.
 
 A `Tape` records one forward pass and is consumed by one `backward` call;
-build a fresh tape per training step. Tensors wrapped as constants
-(`Tensor(array)`) flow through the same operations without recording, which
-is how evaluation-mode inference runs tape-free.
+build a fresh tape per training step. A tensor is differentiable exactly
+when it has a tape: constants (`Tensor(array)`) flow through the same
+operations without recording, which is how inference runs tape-free.
 
 `Tensor`, `Tape` (with `leaf` and `backward`) and `vsum`, which no
 classifier path calls, keep their names and signatures because the
@@ -23,7 +24,7 @@ by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
     "dropout",
     "softmax_cross_entropy",
     "lstm_forward",
-    "final_states",
+    "concat",
     "adam_step",
 ]
 
@@ -49,20 +50,19 @@ __all__ = [
 class Tensor:
     """A float64 ndarray plus the bookkeeping reverse mode needs."""
 
-    __slots__ = ("data", "grad", "tape", "requires_grad")
+    __slots__ = ("data", "grad", "tape")
 
-    def __init__(self, data, tape: "Tape | None" = None, requires_grad: bool = False):
+    def __init__(self, data, tape: "Tape | None" = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.tape = tape
-        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
 
 
 class Tape:
@@ -76,7 +76,7 @@ class Tape:
         """Wrap an array as a differentiable leaf (no copy)."""
         if self._consumed:
             raise TapeError("tape already consumed by backward(); build a new tape per pass")
-        return Tensor(data, tape=self, requires_grad=True)
+        return Tensor(data, tape=self)
 
     def _record(self, out: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         if self._consumed:
@@ -112,7 +112,7 @@ class Tape:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add `g` into t's gradient. The first `g` is stored as is, so every op
     passes a fresh array of t's shape that it does not reuse."""
-    if not t.requires_grad:
+    if t.tape is None:
         return
     if t.grad is None:
         t.grad = g
@@ -128,13 +128,9 @@ def _result(inputs: Sequence[Tensor], data: np.ndarray, backward: Callable[[np.n
                 tape = t.tape
             elif tape is not t.tape:
                 raise TapeError("operation inputs were recorded on different tapes")
-    requires = any(t.requires_grad for t in inputs)
-    if not requires:
-        return Tensor(data)
-    if tape is None:
-        raise TapeError("differentiable tensor without a tape; create leaves via Tape.leaf")
-    out = Tensor(data, tape=tape, requires_grad=True)
-    tape._record(out, backward)
+    out = Tensor(data, tape=tape)
+    if tape is not None:
+        tape._record(out, backward)
     return out
 
 
@@ -183,7 +179,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         rows = g.reshape(-1, d_out)
         _accumulate(weights, rows.T @ x_data.reshape(-1, d_in))
         _accumulate(bias, rows.sum(axis=0))
-        if x.requires_grad:
+        if x.tape is not None:
             _accumulate(x, g @ w_data)
 
     return _result((x, weights, bias), x_data @ w_data.T + bias.data, backward)
@@ -229,7 +225,7 @@ def conv1d(x: "Tensor | np.ndarray", kernels: Tensor, bias: Tensor, pool: int = 
     if not 1 <= pool <= out_len:
         raise ShapeError(f"conv1d pool must lie in [1, {out_len}], the convolution's length, got {pool}")
     out = np.empty((math.prod(lead), out_len // pool, out_ch))
-    taped = pool > 1 and any(t.requires_grad for t in inputs)
+    taped = pool > 1 and any(t.tape is not None for t in inputs)
     first = np.zeros(out.shape, np.min_scalar_type(pool - 1)) if taped else None
     conv_backward = conv(x, kernels, bias, pool, out, first)  # fills out and first
 
@@ -286,7 +282,7 @@ def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor, pool: int, out: np.nda
     def backward(g: np.ndarray) -> None:
         rows = g.reshape(-1, out_ch)
         _accumulate(bias, rows.sum(axis=0))
-        if kernels.requires_grad:
+        if kernels.tape is not None:
             gk = np.empty((out_ch, width * in_ch))
             for w in range(0, width, taps):
                 windows = np.lib.stride_tricks.sliding_window_view(
@@ -294,7 +290,7 @@ def _conv_dense(x: Tensor, kernels: Tensor, bias: Tensor, pool: int, out: np.nda
                 )
                 np.matmul(rows.T, windows.reshape(-1, taps * in_ch), out=gk[:, w * in_ch : (w + taps) * in_ch])
             _accumulate(kernels, gk.reshape(out_ch, width, in_ch))
-        if x.requires_grad:
+        if x.tape is not None:
             gx = np.zeros_like(seqs)
             g_windows = np.empty((len(seqs), out_len, taps, in_ch))
             for w in range(0, width, taps):
@@ -339,7 +335,7 @@ def _conv_indices(
     def backward(g: np.ndarray) -> None:
         rows = g.reshape(-1, out_ch)
         _accumulate(bias, rows.sum(axis=0))
-        if kernels.requires_grad:
+        if kernels.tape is not None:
             _accumulate(kernels, _index_kernel_grad(seqs, rows, width, in_ch))
 
     return backward
@@ -380,23 +376,18 @@ def _index_kernel_grad(idx: np.ndarray, rows: np.ndarray, width: int, in_ch: int
 _GRAD_CHUNK = 32
 
 
-def dropout(x: Tensor, rate: float, seed: "int | Sequence[int]", train_mode: bool) -> Tensor:
-    """Inverted dropout: kept units are scaled by 1/(1-rate); eval is identity.
-
-    `seed` is one int for a mask over all of x, or one int per index of x's
-    first axis: row b's mask then comes from `default_rng(seed[b])`, so an
-    instance keeps its mask whatever batch it is in.
+def dropout(x: Tensor, rate: float, seeds: Sequence[int]) -> Tensor:
+    """Inverted dropout of x[batch, ...]: kept units are scaled by 1/(1-rate);
+    rate 0 is the identity. Row b's mask comes from `default_rng(seeds[b])`,
+    so an instance keeps its mask whatever batch it is in.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train_mode or rate == 0.0:
+    if rate == 0.0:
         return x
-    if isinstance(seed, (int, np.integer)):
-        draws = np.random.default_rng(seed).random(x.data.shape)
-    else:
-        if x.data.ndim < 1 or len(seed) != x.data.shape[0]:
-            raise ShapeError(f"dropout got {len(seed)} seeds for x{x.data.shape}")
-        draws = np.stack([np.random.default_rng(s).random(x.data.shape[1:]) for s in seed])
+    if x.data.ndim < 1 or len(seeds) != x.data.shape[0]:
+        raise ShapeError(f"dropout got {len(seeds)} seeds for x{x.data.shape}")
+    draws = np.stack([np.random.default_rng(s).random(x.data.shape[1:]) for s in seeds])
     keep = (draws >= rate) / (1.0 - rate)
 
     def backward(g: np.ndarray) -> None:
@@ -419,7 +410,7 @@ def softmax_cross_entropy(logits: Tensor, target: "int | np.ndarray") -> tuple[T
     if target.shape != logits.data.shape[:-1] or not np.issubdtype(target.dtype, np.integer):
         raise ShapeError(f"targets {target.shape} do not index logits {logits.data.shape}")
     if target.size and not (0 <= target.min() and target.max() < k):
-        raise IndexError(f"target out of range for {k} classes")
+        raise ShapeError(f"targets must lie in [0, {k}) for {k} classes, got {target.min()}..{target.max()}")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     total = exps.sum(axis=-1, keepdims=True)
@@ -439,13 +430,12 @@ def softmax_cross_entropy(logits: Tensor, target: "int | np.ndarray") -> tuple[T
 
 
 def lstm_forward(x: Tensor, weights: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:
-    """Run an LSTM over x[..., time, d_in] and return the hidden sequence [..., time, H].
+    """Run an LSTM over x[..., time, d_in] and return its final hidden state [..., H].
 
     Gates are packed row-wise as [input; forget; output; candidate] in
     `weights[4H, d_in + H]` and `bias[4H]`, applied to the concatenation
     [x_t, h_{t-1}]. Initial state is zero. With `reverse`, time is processed
-    back-to-front and the output re-reversed, so out[t] always corresponds to
-    input position t; the final state of a reversed pass is therefore out[0].
+    back-to-front, so the final state is the one after reading position 0.
 
     The input projection of every timestep is one matrix product; only the
     recurrent product runs step by step, and the backward pass is a
@@ -470,7 +460,6 @@ def lstm_forward(x: Tensor, weights: Tensor, bias: Tensor, reverse: bool = False
     tanh_cells = np.empty((n, time, h))
     prev_h = np.empty((n, time, h))  # the state entering each step
     prev_c = np.empty((n, time, h))
-    hidden = np.empty((n, time, h))
     order = range(time - 1, -1, -1) if reverse else range(time)
     h_t = c_t = np.zeros((n, h))
     for t in order:
@@ -481,19 +470,17 @@ def lstm_forward(x: Tensor, weights: Tensor, bias: Tensor, reverse: bool = False
         a[:, 3 * h :] = np.tanh(z[:, 3 * h :])
         c_t = a[:, h : 2 * h] * c_t + a[:, :h] * a[:, 3 * h :]
         tanh_cells[:, t] = np.tanh(c_t)
-        h_t = hidden[:, t] = a[:, 2 * h : 3 * h] * tanh_cells[:, t]
+        h_t = a[:, 2 * h : 3 * h] * tanh_cells[:, t]
 
     def backward(g: np.ndarray) -> None:
-        g_hidden = g.reshape(n, time, h)
         dz = np.empty((n, time, four_h))
-        dh = np.zeros((n, h))
+        dh = g.reshape(n, h)
         dc = np.zeros((n, h))
         for t in reversed(order):
             a = gates[:, t]
             gate_in, gate_forget = a[:, :h], a[:, h : 2 * h]
             gate_out, candidate = a[:, 2 * h : 3 * h], a[:, 3 * h :]
             tc = tanh_cells[:, t]
-            dh = dh + g_hidden[:, t]
             dc = dc + dh * gate_out * (1.0 - tc * tc)
             d = dz[:, t]
             d[:, :h] = dc * candidate * gate_in * (1.0 - gate_in)
@@ -505,31 +492,23 @@ def lstm_forward(x: Tensor, weights: Tensor, bias: Tensor, reverse: bool = False
         dz_rows = dz.reshape(-1, four_h)
         _accumulate(weights, dz_rows.T @ np.concatenate([xs, prev_h], axis=-1).reshape(-1, d_cat))
         _accumulate(bias, dz_rows.sum(axis=0))
-        if x.requires_grad:
+        if x.tape is not None:
             _accumulate(x, (dz_rows @ w_x).reshape(x.data.shape))
 
-    return _result((x, weights, bias), hidden.reshape(*lead, time, h), backward)
+    return _result((x, weights, bias), h_t.reshape(*lead, h), backward)
 
 
-def final_states(forward_seq: Tensor, backward_seq: Tensor) -> Tensor:
-    """[..., H_f + H_b]: a forward LSTM pass's last hidden state joined to a
-    reversed pass's first, the states that have each read the whole sequence."""
-    if forward_seq.data.ndim < 2 or forward_seq.data.shape[:-1] != backward_seq.data.shape[:-1]:
-        raise ShapeError(
-            f"final_states expects two [..., time, H] sequences, got "
-            f"{forward_seq.data.shape} and {backward_seq.data.shape}"
-        )
-    split = forward_seq.data.shape[-1]
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """a[..., A] and b[..., B] joined along their last axis: [..., A + B]."""
+    if min(a.data.ndim, b.data.ndim) < 1 or a.data.shape[:-1] != b.data.shape[:-1]:
+        raise ShapeError(f"concat expects [..., A] and [..., B], got {a.data.shape} and {b.data.shape}")
+    split = a.data.shape[-1]
 
     def backward(g: np.ndarray) -> None:
-        for seq, step, part in ((forward_seq, -1, g[..., :split]), (backward_seq, 0, g[..., split:])):
-            if seq.requires_grad:
-                g_seq = np.zeros_like(seq.data)
-                g_seq[..., step, :] = part
-                _accumulate(seq, g_seq)
+        _accumulate(a, g[..., :split].copy())
+        _accumulate(b, g[..., split:].copy())
 
-    out = np.concatenate([forward_seq.data[..., -1, :], backward_seq.data[..., 0, :]], axis=-1)
-    return _result((forward_seq, backward_seq), out, backward)
+    return _result((a, b), np.concatenate([a.data, b.data], axis=-1), backward)
 
 
 # --- Adam -----------------------------------------------------------------
@@ -539,22 +518,19 @@ def final_states(forward_seq: Tensor, backward_seq: Tensor) -> Tensor:
 class AdamState:
     """Step counter and per-parameter moment estimates."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], **hyper: float) -> "AdamState":
-        """Zero moments for `params`; `hyper` sets any of lr, beta1, beta2 and eps."""
-        return cls(
-            m={name: np.zeros_like(p) for name, p in params.items()},
-            v={name: np.zeros_like(p) for name, p in params.items()},
-            **hyper,
-        )
+    def for_params(cls, params: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float) -> "AdamState":
+        """Zero moments for `params`, at step 0."""
+        m, v = ({name: np.zeros_like(p) for name, p in params.items()} for _ in range(2))
+        return cls(lr, beta1, beta2, eps, m, v)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:

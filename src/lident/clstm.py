@@ -1,12 +1,12 @@
 """Character-level convolutional + bidirectional-LSTM text classifier.
 
-Pipeline: character indices (standing for one-hot rows) -> three
-conv+maxpool+ReLU stages -> one LSTM per direction, final hidden states
-merged by concatenation -> dense + ReLU -> dropout (training only) -> dense
+Pipeline: character indices from one `encode` lookup per batch (standing
+for one-hot rows) -> three conv+maxpool+ReLU stages -> one LSTM per
+direction, each returning its final hidden state, the two concatenated ->
+dense + ReLU -> dropout (training only, one seed per instance) -> dense
 softmax over labels. Layer sizes are configurable; the defaults are sized
 for 12-way discrimination of similar languages at 256 characters per
-instance. Each mini-batch runs as one graph over [batch, time, channels]
-arrays.
+instance. Each mini-batch runs as one graph over [batch, time, channels] arrays.
 
 Training is single-threaded and fully deterministic given the seed. A
 trained model is immutable and safe for concurrent inference.
@@ -14,7 +14,6 @@ trained model is immutable and safe for concurrent inference.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Charset, Corpus, Label, Scores, build_charset
-from .errors import ConfigError, DivergenceError, ModelIOError
+from .errors import ConfigError, DivergenceError, ModelIOError, is_integer
 from .serialization import U8, U32, Reader, Writer, read_model, record
 
 __all__ = [
@@ -54,8 +53,7 @@ MAX_BATCH_CONV1_BYTES = 1 << 30
 # Index `encode` writes past the end of a text; conv1d reads it as an all-zero row.
 PAD = -1
 
-# The types a config's integer and float fields accept.
-_INTEGER = (int, np.integer)
+# The types a config's float fields accept.
 _REAL = (int, float, np.integer, np.floating)
 
 # Learnable arrays, keyed by the names produced in init_params.
@@ -114,11 +112,11 @@ class ClstmConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, tuple):
                 kind = "a tuple of integers"
-                ok = isinstance(value, tuple) and all(isinstance(v, _INTEGER) for v in value)
+                ok = isinstance(value, tuple) and all(map(is_integer, value))
             elif isinstance(f.default, float):
                 kind, ok = "a real number", isinstance(value, _REAL)
             else:
-                kind, ok = "an integer", isinstance(value, _INTEGER)
+                kind, ok = "an integer", is_integer(value)
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.seq_len < 1:
@@ -206,19 +204,18 @@ class ClstmModel:
         }
 
 
-def encode(text: str, charset: Charset, seq_len: int) -> np.ndarray:
-    """Charset indices of the first `seq_len` characters; shorter texts pad with PAD."""
-    out = np.full(seq_len, PAD, dtype=np.int64)
-    idx = charset.indices(text[:seq_len])
-    out[: len(idx)] = idx
+def encode(texts: Sequence[str], charset: Charset, seq_len: int) -> np.ndarray:
+    """Charset indices [len(texts), seq_len] of each text's first `seq_len`
+    characters, from one lookup over them all; shorter texts pad with PAD."""
+    clipped = [text[:seq_len] for text in texts]
+    lengths = np.array([len(text) for text in clipped], dtype=np.intp)
+    out = np.full((len(clipped), seq_len), PAD, dtype=np.int64)
+    out[np.arange(seq_len) < lengths[:, None]] = charset.indices("".join(clipped))
     return out
 
 
-def encode_batch(
-    texts: Sequence[str], targets: Sequence[int], charset: Charset, seq_len: int
-) -> EncodedBatch:
-    inputs = np.array([encode(t, charset, seq_len) for t in texts], dtype=np.int64)
-    return EncodedBatch(inputs.reshape(len(texts), seq_len), np.asarray(targets, dtype=np.int64))
+def encode_batch(texts: Sequence[str], targets: Sequence[int], charset: Charset, seq_len: int) -> EncodedBatch:
+    return EncodedBatch(encode(texts, charset, seq_len), np.asarray(targets, dtype=np.int64))
 
 
 def _param_shapes(config: ClstmConfig) -> dict[str, tuple[int, ...]]:
@@ -262,22 +259,23 @@ def _logits(
     p: dict[str, ad.Tensor],
     config: ClstmConfig,
     inputs: np.ndarray,
-    train_mode: bool,
-    drop_seeds: Sequence[int],
+    drop_seeds: Sequence[int] | None,
     conv1_table: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Logits [batch, classes] of character indices [batch, seq_len]; conv1 gathers from `conv1_table` if given."""
-    x, table = inputs, conv1_table
+    """Logits [batch, classes] of character indices [batch, seq_len]. Dropout runs
+    only in training, given one seed per row; conv1 gathers from `conv1_table` if given."""
+    x = inputs
     for stage, pool in enumerate(config.pools, start=1):
         # relu commutes with max-pooling, so it runs on the pooled conv1d output: 1/pool of the work
+        table = conv1_table if stage == 1 else None
         x = ad.relu(ad.conv1d(x, p[f"conv{stage}_w"], p[f"conv{stage}_b"], pool, table=table))
-        table = None
-    features = ad.final_states(
+    features = ad.concat(
         ad.lstm_forward(x, p["lstm_fw_w"], p["lstm_fw_b"]),
         ad.lstm_forward(x, p["lstm_bw_w"], p["lstm_bw_b"], reverse=True),
     )
     hidden = ad.relu(ad.dense(features, p["dense_w"], p["dense_b"]))
-    hidden = ad.dropout(hidden, config.dropout_rate, drop_seeds, train_mode)
+    if drop_seeds is not None:
+        hidden = ad.dropout(hidden, config.dropout_rate, drop_seeds)
     return ad.dense(hidden, p["out_w"], p["out_b"])
 
 
@@ -299,8 +297,8 @@ def loss_and_grads(
         raise ConfigError("empty batch")
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
-    drop_seeds = _drop_seeds(seed, len(batch.targets))
-    logits = _logits(wrapped, config, batch.inputs, train_mode, drop_seeds)
+    drop_seeds = _drop_seeds(seed, len(batch.targets)) if train_mode else None
+    logits = _logits(wrapped, config, batch.inputs, drop_seeds)
     loss, probs = ad.softmax_cross_entropy(logits, batch.targets)
     tape.backward(loss)
     grads = {name: tape.grad(leaf) for name, leaf in wrapped.items()}
@@ -363,7 +361,7 @@ def train(
             key = (dev_accuracy, -train_loss)
             if key > best_key:
                 best_key = key
-                best_params = copy.deepcopy(params)
+                best_params = {name: arr.copy() for name, arr in params.items()}
         else:
             dev_accuracy = math.nan
         history.append(EpochStats(epoch, train_loss, dev_accuracy))
@@ -377,9 +375,8 @@ def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:
     wrapped = {name: ad.Tensor(arr) for name, arr in model.params.items()}
     results = []
     for start in range(0, len(texts), config.batch_size):
-        chunk = texts[start : start + config.batch_size]
-        inputs = np.stack([encode(t, model.charset, config.seq_len) for t in chunk])
-        z = _logits(wrapped, config, inputs, train_mode=False, drop_seeds=(), conv1_table=model.conv1_table).data
+        inputs = encode(texts[start : start + config.batch_size], model.charset, config.seq_len)
+        z = _logits(wrapped, config, inputs, None, model.conv1_table).data
         z = z - z.max(axis=1, keepdims=True)
         for row in z - np.log(np.exp(z).sum(axis=1, keepdims=True)):
             results.append(
@@ -408,7 +405,7 @@ def save_checkpoint(model: ClstmModel, path) -> None:
 
 def load_checkpoint(path) -> ClstmModel:
     """Read back a checkpoint written by `save_checkpoint`."""
-    return read_model(path, MAGIC, {_VERSION: _parse_checkpoint})
+    return read_model(path, MAGIC, _VERSION, _parse_checkpoint)
 
 
 def _parse_checkpoint(r: Reader) -> ClstmModel:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, CorpusFormatError, StratificationError
+from .errors import ConfigError, CorpusFormatError, StratificationError, is_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -126,20 +126,18 @@ class Charset:
     """
 
     chars: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
     # The index of each code point up to one above the charset's largest; gaps
     # and the last entry, which stands for every code point above, hold the unknown slot.
     _table: np.ndarray = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        index: dict[str, int] = {}
-        for i, ch in enumerate(self.chars):
+        seen: set[str] = set()
+        for ch in self.chars:
             if len(ch) != 1:
                 raise ValueError(f"charset entries must be single characters: {ch!r}")
-            if ch in index:
+            if ch in seen:
                 raise ValueError(f"duplicate charset entry: {ch!r}")
-            index[ch] = i
-        object.__setattr__(self, "_index", index)
+            seen.add(ch)
         # numpy is imported here and in `indices`, not above, so that `import
         # lident` and reading a corpus stay numpy-free: ~0.1 s of a fresh process.
         import numpy as np
@@ -159,7 +157,7 @@ class Charset:
         return len(self.chars)
 
     def lookup(self, ch: str) -> int:
-        return self._index.get(ch, len(self.chars))
+        return int(self._table[min(ord(ch), len(self._table) - 1)])
 
     def indices(self, text: str) -> np.ndarray:
         """The index of each character of `text`, as an int array."""
@@ -232,7 +230,7 @@ def build_charset(corpus: Corpus, max_size: int | None = None) -> Charset:
     """
     import numpy as np
 
-    if max_size is not None and not (isinstance(max_size, (int, np.integer)) and max_size >= 2):
+    if max_size is not None and not (is_integer(max_size) and max_size >= 2):
         raise ConfigError(
             f"charset cap must be an integer that leaves room for one character and the unknown slot, got {max_size!r}"
         )

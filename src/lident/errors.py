@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the integer test of config checks."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, but not a bool, which no count or seed means."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class LidentError(Exception):

@@ -72,7 +72,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from .corpus import Charset, Corpus, Label, Scores, build_charset
-from .errors import ConfigError, ModelIOError
+from .errors import ConfigError, ModelIOError, is_integer
 from .serialization import F64, U32, Reader, Writer, read_model
 
 __all__ = [
@@ -117,7 +117,7 @@ class NgramConfig:
     MAX_N: ClassVar[int] = 64
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= self.MAX_N):
+        if not (is_integer(self.n) and 1 <= self.n <= self.MAX_N):
             raise ConfigError(f"n-gram order must be an integer in 1..{self.MAX_N}, got {self.n!r}")
         if not (
             isinstance(self.alpha, (int, float, np.integer, np.floating))
@@ -507,7 +507,7 @@ def sweep(
     Under the same BOS padding an order-(n-1) history is the last n-2 symbols
     of the order-n one, so summing out the leftmost symbol is exact.
     """
-    if not (isinstance(n_min, (int, np.integer)) and isinstance(n_max, (int, np.integer)) and 1 <= n_min <= n_max):
+    if not (is_integer(n_min) and is_integer(n_max) and 1 <= n_min <= n_max):
         raise ConfigError(f"invalid order range {n_min!r}..{n_max!r}")
     config = NgramConfig(n_max, alpha)
     if charset is None:
@@ -526,7 +526,7 @@ def sweep(
 def load(path) -> NgramModel:
     """Read back a model written by `NgramModel.save`: a `.lidn` v4 file, the
     only version read; any other raises `VersionError`."""
-    return read_model(path, MAGIC, {_VERSION: _parse_v4})
+    return read_model(path, MAGIC, _VERSION, _parse_v4)
 
 
 def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int, ...], list]:

@@ -110,8 +110,8 @@ def peek_magic(path: str | Path) -> bytes:
     return magic
 
 
-def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int, ...]) -> tuple[int, memoryview]:
-    """Validate a container file and return (version, payload)."""
+def read_envelope(path: str | Path, magic: bytes, version: int) -> memoryview:
+    """Validate a container file of the one version read and return its payload."""
     data = Path(path).read_bytes()
     if len(data) < _MIN_SIZE:
         raise ModelIOError(f"{path}: truncated file ({len(data)} bytes)")
@@ -119,12 +119,9 @@ def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int,
         raise ModelIOError(
             f"{path}: bad magic {data[:_MAGIC_LEN]!r}, expected {magic!r}"
         )
-    (version,) = U32.unpack_from(data, _MAGIC_LEN)
-    if version not in supported_versions:
-        raise VersionError(
-            f"{path}: unsupported format version {version}; "
-            f"supported versions: {', '.join(str(v) for v in supported_versions)}"
-        )
+    (stored,) = U32.unpack_from(data, _MAGIC_LEN)
+    if stored != version:
+        raise VersionError(f"{path}: unsupported format version {stored}; supported versions: {version}")
     payload = memoryview(data)[_MAGIC_LEN + U32.size : -U32.size]  # a view: no copy
     (stored_crc,) = U32.unpack_from(data, len(data) - U32.size)
     actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
@@ -132,7 +129,7 @@ def read_envelope(path: str | Path, magic: bytes, supported_versions: tuple[int,
         raise ChecksumError(
             f"{path}: checksum mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
-    return version, payload
+    return payload
 
 
 class Writer:
@@ -225,16 +222,16 @@ class Reader:
         return charset, labels
 
 
-def read_model(path: str | Path, magic: bytes, parsers: dict[int, Callable[[Reader], T]]) -> T:
-    """Open a model file and run the parser of its version over its whole payload.
+def read_model(path: str | Path, magic: bytes, version: int, parse: Callable[[Reader], T]) -> T:
+    """Open a model file of `version` and run `parse` over its whole payload.
 
     A valid checksum does not make the contents valid: undecodable strings,
     bad labels or out-of-range config values become ModelIOError too.
     """
-    version, payload = read_envelope(path, magic, tuple(parsers))
+    payload = read_envelope(path, magic, version)
     reader = Reader(payload, path)
     try:
-        model = parsers[version](reader)
+        model = parse(reader)
     except (ValueError, OverflowError, ConfigError) as exc:
         raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
     if reader.offset != len(payload):

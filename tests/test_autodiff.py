@@ -125,13 +125,14 @@ class TestForwardValues:
             assert float(loss.data) >= 0.0
 
     def test_softmax_target_out_of_range(self):
-        with pytest.raises(IndexError):
-            ad.softmax_cross_entropy(ad.Tensor(np.zeros(3)), 3)
+        for target in (3, -1):
+            with pytest.raises(ShapeError, match=r"\[0, 3\)"):
+                ad.softmax_cross_entropy(ad.Tensor(np.zeros(3)), target)
 
     def test_lstm_zero_weights_zero_output(self):
         x = ad.Tensor(np.random.default_rng(0).normal(size=(5, 2)))
         out = ad.lstm_forward(x, ad.Tensor(np.zeros((12, 5))), ad.Tensor(np.zeros(12)))
-        assert np.all(out.data == 0.0)
+        assert out.shape == (3,) and np.all(out.data == 0.0)
 
     def test_lstm_single_step_matches_hand_evaluation(self):
         # hidden size 1, input size 1: z = w @ [x, h0] + b with h0 = 0
@@ -150,7 +151,7 @@ class TestForwardValues:
         candidate = math.tanh(w_col[3] * x_val + b_val[3])
         cell = gate_in * candidate
         expected = gate_out * math.tanh(cell)
-        assert float(out.data[0, 0]) == pytest.approx(expected, abs=1e-12)
+        assert float(out.data[0]) == pytest.approx(expected, abs=1e-12)
 
     def test_lstm_reverse_on_single_step_matches_forward(self):
         rng = np.random.default_rng(4)
@@ -161,6 +162,18 @@ class TestForwardValues:
         rev = ad.lstm_forward(x, w, b, reverse=True)
         assert np.array_equal(fwd.data, rev.data)
 
+    def test_lstm_reverse_reads_the_flipped_sequence(self):
+        # a reversed pass ends after position 0: a forward pass over the time-flipped input
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 6, 3))
+        w = ad.Tensor(rng.normal(size=(8, 5)))
+        b = ad.Tensor(rng.normal(size=8))
+        rev = ad.lstm_forward(ad.Tensor(x), w, b, reverse=True)
+        assert rev.shape == (2, 2)
+        assert np.array_equal(rev.data, ad.lstm_forward(ad.Tensor(x[:, ::-1]), w, b).data)
+        # which is not the forward pass over the input as given
+        assert not np.array_equal(rev.data, ad.lstm_forward(ad.Tensor(x), w, b).data)
+
     def test_relu_sigmoid_tanh_values(self):
         # relu is an op; sigmoid and tanh are the LSTM's gate nonlinearities
         x = np.array([-2.0, 0.0, 3.0])
@@ -169,12 +182,10 @@ class TestForwardValues:
         assert np.isfinite(ad._sigmoid(np.array([-800.0, 800.0]))).all()
         # gates saturated by huge pre-activations stay finite through tanh too:
         # all gates open at +800 (c = 1), then all shut at -800 (c = 0)
-        saturated = ad.lstm_forward(
-            ad.Tensor(np.array([[[800.0], [-800.0]]])),
-            ad.Tensor(np.full((4, 2), 1.0)),
-            ad.Tensor(np.zeros(4)),
-        )
-        assert saturated.data.ravel() == pytest.approx([math.tanh(1.0), 0.0], abs=1e-12)
+        w, b = ad.Tensor(np.full((4, 2), 1.0)), ad.Tensor(np.zeros(4))
+        opened = ad.lstm_forward(ad.Tensor(np.array([[800.0]])), w, b)
+        shut = ad.lstm_forward(ad.Tensor(np.array([[800.0], [-800.0]])), w, b)
+        assert [float(opened.data[0]), float(shut.data[0])] == pytest.approx([math.tanh(1.0), 0.0], abs=1e-12)
 
     def test_lstm_batch_rows_match_single_runs(self):
         rng = np.random.default_rng(5)
@@ -208,34 +219,35 @@ class TestForwardValues:
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        x = ad.Tensor(np.arange(5.0))
-        assert ad.dropout(x, 0.0, 1, True) is x
-        assert ad.dropout(x, 0.0, 1, False) is x
-
-    def test_eval_mode_is_identity(self):
-        x = ad.Tensor(np.arange(5.0))
-        assert ad.dropout(x, 0.9, 1, False) is x
+        x = ad.Tensor(np.arange(6.0).reshape(2, 3))
+        assert ad.dropout(x, 0.0, [1, 2]) is x
 
     def test_invalid_rate(self):
-        x = ad.Tensor(np.ones(2))
+        x = ad.Tensor(np.ones((1, 2)))
         for rate in (1.0, -0.1, 1.5):
             with pytest.raises(ConfigError):
-                ad.dropout(x, rate, 0, True)
+                ad.dropout(x, rate, [0])
+
+    def test_one_seed_per_row(self):
+        x = ad.Tensor(np.ones((3, 4)))
+        for seeds in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ShapeError, match=f"{len(seeds)} seeds"):
+                ad.dropout(x, 0.5, seeds)
 
     def test_same_seed_same_mask(self):
-        x = ad.Tensor(np.ones(64))
-        a = ad.dropout(x, 0.5, 7, True).data
-        b = ad.dropout(x, 0.5, 7, True).data
-        c = ad.dropout(x, 0.5, 8, True).data
+        x = ad.Tensor(np.ones((3, 64)))
+        a = ad.dropout(x, 0.5, [7, 7, 8]).data
+        b = ad.dropout(x, 0.5, [7, 7, 8]).data
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        assert np.array_equal(a[0], a[1])
+        assert not np.array_equal(a[0], a[2])
 
     def test_train_mode_preserves_expectation(self):
         # inverted dropout: E[out] = x; Monte-Carlo check within 3 sigma
         rate, n = 0.5, 100_000
         value = 2.0
-        x = ad.Tensor(np.full((n,), value))
-        out = ad.dropout(x, rate, 123, True).data
+        x = ad.Tensor(np.full((1, n), value))
+        out = ad.dropout(x, rate, [123]).data
         sigma_mean = value * math.sqrt(rate / (1 - rate)) / math.sqrt(n)
         assert abs(out.mean() - value) < 3 * sigma_mean
 
@@ -335,8 +347,8 @@ class TestGradientChecks:
 
     def test_dropout_fixed_seed(self):
         rng = np.random.default_rng(11)
-        arrays = {"x": rng.uniform(0.5, 1.5, 10)}
-        err = gradcheck(lambda t: projection(ad.dropout(t["x"], 0.4, 123, True)), arrays)
+        arrays = {"x": rng.uniform(0.5, 1.5, (1, 10))}
+        err = gradcheck(lambda t: projection(ad.dropout(t["x"], 0.4, [123])), arrays)
         assert err < TOL
 
     def test_softmax_cross_entropy(self):
@@ -365,11 +377,13 @@ class TestGradientChecks:
         arrays = {"a": rng.uniform(-1, 1, 6), "w": rng.uniform(-1, 1, (6, 6)), "b": rng.uniform(-1, 1, 6)}
         err = gradcheck(lambda t: ad.vsum(ad.dense(ad.dense(t["a"], t["w"], t["b"]), t["w"], t["b"])), arrays)
         assert err < TOL
-        arrays = {"f": rng.uniform(-1, 1, (3, 4, 2)), "b": rng.uniform(-1, 1, (3, 4, 5))}
-        err = gradcheck(lambda t: projection(ad.final_states(t["f"], t["b"])), arrays)
+        arrays = {"f": rng.uniform(-1, 1, (3, 2)), "b": rng.uniform(-1, 1, (3, 5))}
+        err = gradcheck(lambda t: projection(ad.concat(t["f"], t["b"])), arrays)
         assert err < TOL
-        out = ad.final_states(ad.Tensor(arrays["f"]), ad.Tensor(arrays["b"])).data
-        assert np.array_equal(out, np.concatenate([arrays["f"][:, -1], arrays["b"][:, 0]], axis=1))
+        out = ad.concat(ad.Tensor(arrays["f"]), ad.Tensor(arrays["b"])).data
+        assert np.array_equal(out, np.concatenate([arrays["f"], arrays["b"]], axis=1))
+        with pytest.raises(ShapeError):
+            ad.concat(ad.Tensor(arrays["f"]), ad.Tensor(arrays["b"][:2]))
 
 
 def assert_whole_batch_bits(x: np.ndarray, k: np.ndarray, b: np.ndarray, pool: int = 1, loss=projection) -> None:
@@ -441,7 +455,8 @@ class TestPooledConv:
         x[(0,) * len(lead)][12:] = -1 if indices else 0.0  # a padded tail
         k = rng.integers(-2, 3, (4, 3, 6)).astype(float)
         b = rng.integers(-2, 3, 4).astype(float)
-        assert_whole_batch_bits(x, k, b, pool, loss=lambda out: ad.vsum(ad.dropout(out, 0.5, 7, True)))
+        seeds = range(7, 7 + lead[0])
+        assert_whole_batch_bits(x, k, b, pool, loss=lambda out: ad.vsum(ad.dropout(out, 0.5, seeds)))
 
     def test_ties_route_to_the_first_maximal_step(self):
         tape = ad.Tape()
@@ -534,13 +549,13 @@ class TestBatchedGradientChecks:
         rng = np.random.default_rng(27)
         arrays = {"x": rng.uniform(0.5, 1.5, (3, 10))}
         seeds = [5, 6, 7]
-        err = gradcheck(lambda t: projection(ad.dropout(t["x"], 0.4, seeds, True)), arrays)
+        err = gradcheck(lambda t: projection(ad.dropout(t["x"], 0.4, seeds)), arrays)
         assert err < TOL
-        # row b's mask is the mask default_rng(seeds[b]) gives a lone row
-        out = ad.dropout(ad.Tensor(arrays["x"]), 0.4, seeds, True).data
+        # row b's mask is the one it gets alone, whatever batch it is in
+        out = ad.dropout(ad.Tensor(arrays["x"]), 0.4, seeds).data
         for row, seed in zip(range(3), seeds):
-            alone = ad.dropout(ad.Tensor(arrays["x"][row]), 0.4, seed, True).data
-            assert np.array_equal(out[row], alone)
+            alone = ad.dropout(ad.Tensor(arrays["x"][row : row + 1]), 0.4, [seed]).data
+            assert np.array_equal(out[row], alone[0])
 
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(28)
@@ -568,10 +583,14 @@ class TestBatchedGradientChecks:
         assert err < TOL
 
 
+# Adam's hyperparameters, passed explicitly: ClstmConfig holds the defaults.
+HYPER = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
-        state = ad.AdamState.for_params(params)
+        state = ad.AdamState.for_params(params, **HYPER)
         for _ in range(5):
             ad.adam_step(params, {"w": np.zeros(2)}, state)
         assert params["w"].tolist() == [1.0, -2.0]
@@ -579,7 +598,7 @@ class TestAdam:
 
     def test_first_step_with_unit_gradient(self):
         params = {"w": np.array(0.0)}
-        state = ad.AdamState.for_params(params, lr=1e-3)
+        state = ad.AdamState.for_params(params, **HYPER)
         ad.adam_step(params, {"w": np.array(1.0)}, state)
         # bias-corrected m_hat = v_hat = 1 at t=1, so the update is lr/(1+eps)
         expected = -1e-3 / (1.0 + 1e-8)
@@ -588,7 +607,7 @@ class TestAdam:
 
     def test_moments_decay_toward_zero(self):
         params = {"w": np.array(0.0)}
-        state = ad.AdamState.for_params(params)
+        state = ad.AdamState.for_params(params, **HYPER)
         ad.adam_step(params, {"w": np.array(1.0)}, state)
         peak = abs(float(state.m["w"]))
         for _ in range(50):
@@ -599,7 +618,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(0)
             params = {"w": rng.normal(size=4)}
-            state = ad.AdamState.for_params(params)
+            state = ad.AdamState.for_params(params, **HYPER)
             for i in range(10):
                 g = np.sin(params["w"] + i)
                 ad.adam_step(params, {"w": g}, state)
@@ -642,6 +661,6 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
-        state = ad.AdamState.for_params(params)
+        state = ad.AdamState.for_params(params, **HYPER)
         with pytest.raises(ShapeError):
             ad.adam_step(params, {"w": np.zeros(4)}, state)

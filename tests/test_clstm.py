@@ -20,6 +20,7 @@ from lident.errors import (
     ConfigError,
     DivergenceError,
     ModelIOError,
+    ShapeError,
 )
 from conftest import mutate_payload, reseal
 from reference import central_difference, max_rel_err
@@ -94,10 +95,12 @@ class TestConfig:
             ("charset_dim", None), ("num_classes", 2.0), ("seed", 0.5),
             ("conv_kernels", (7, 7.5, 3)), ("pools", (3, "3", 3)), ("pools", [3, 3, 3]),
             ("lr", "0.1"), ("eps", None), ("beta1", "0.9"), ("dropout_rate", [0.5]),
+            ("epochs", True), ("conv_kernels", (7, 7, True)), ("seed", False),
         ],
     )
     def test_wrong_types_rejected(self, field, value):
-        # seq_len="9" and lr="0.1" used to end in a bare TypeError; epochs=1.5 and batch_size=2.5 passed
+        # seq_len="9" and lr="0.1" used to end in a bare TypeError; epochs=1.5,
+        # batch_size=2.5 and the bools passed
         with pytest.raises(ConfigError, match=f"{field}.*{re.escape(repr(value))}"):
             replace(ClstmConfig(num_classes=2), **{field: value}).validate()
 
@@ -121,12 +124,18 @@ def one_hot(idx: np.ndarray, size: int) -> np.ndarray:
     return np.eye(size + 1)[idx][..., :size]
 
 
+def encode_one(text: str, charset: Charset, seq_len: int) -> np.ndarray:
+    """`encode`'s row for one text."""
+    (row,) = clstm.encode([text], charset, seq_len)
+    return row
+
+
 class TestEncode:
     """`encode` emits indices; each case also checks the one-hot rows they stand for."""
 
     def test_one_hot_rows_with_padding(self):
         charset = Charset(("a", "b"))
-        out = clstm.encode("ab", charset, 4)
+        out = encode_one("ab", charset, 4)
         assert out.tolist() == [0, 1, clstm.PAD, clstm.PAD]
         expected = np.zeros((4, 3))
         expected[0, 0] = 1.0
@@ -135,26 +144,26 @@ class TestEncode:
 
     def test_long_text_truncated(self):
         charset = Charset(("x",))
-        out = clstm.encode("x" * 300, charset, 256)
+        out = encode_one("x" * 300, charset, 256)
         assert out.shape == (256,)
         assert out.tolist() == [0] * 256  # every position a character, none padding
         assert one_hot(out, charset.size).sum() == 256
 
     def test_empty_text_all_zero(self):
-        out = clstm.encode("", Charset(("a",)), 8)
+        out = encode_one("", Charset(("a",)), 8)
         assert out.shape == (8,) and np.all(out == clstm.PAD)
         assert not one_hot(out, 2).any()
 
     def test_unknown_chars_hit_reserved_slot(self):
         charset = Charset(("a",))
-        out = clstm.encode("q", charset, 2)
+        out = encode_one("q", charset, 2)
         assert out.tolist() == [charset.unk_index, clstm.PAD]
         assert one_hot(out, charset.size)[0, charset.unk_index] == 1.0
 
     def test_row_sums_zero_or_one_and_idempotent(self):
         charset = Charset(tuple("abc"))
-        first = clstm.encode("abwxyz", charset, 10)
-        second = clstm.encode("abwxyz", charset, 10)
+        first = encode_one("abwxyz", charset, 10)
+        second = encode_one("abwxyz", charset, 10)
         assert np.array_equal(first, second)
         assert first.dtype.kind == "i"
         assert set(first.tolist()) <= set(range(charset.size)) | {clstm.PAD}
@@ -163,11 +172,12 @@ class TestEncode:
 
     def test_batch_rows_match_single_encodes(self):
         charset = Charset(tuple("abc"))
-        texts = ["abc", "", "cab" * 10]
-        batch = clstm.encode_batch(texts, [0, 1, 0], charset, 6)
-        assert batch.inputs.shape == (3, 6)
+        texts = ["abc", "", "cab" * 10, "q", "bc"]
+        batch = clstm.encode_batch(texts, [0, 1, 0, 1, 1], charset, 6)
+        assert batch.inputs.shape == (5, 6) and batch.inputs.dtype == np.int64
         for row, text in zip(batch.inputs, texts):
-            assert np.array_equal(row, clstm.encode(text, charset, 6))
+            assert np.array_equal(row, encode_one(text, charset, 6))
+        assert batch.inputs[2].tolist() == [2, 0, 1, 2, 0, 1]  # truncated before the next text starts
         assert clstm.encode_batch([], [], charset, 6).inputs.shape == (0, 6)
 
 
@@ -193,6 +203,25 @@ class TestForward:
         _, probs, _ = clstm.loss_and_grads(params, TINY, batch, train_mode=False)
         assert probs.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-9)
 
+    @pytest.mark.parametrize("targets", [[0, 7], [-1, 0]])
+    def test_targets_outside_the_classes_rejected(self, targets):
+        # used to end in a bare IndexError
+        config = replace(TINY, num_classes=3)
+        params = clstm.init_params(config, np.random.default_rng(0))
+        batch = clstm.EncodedBatch(tiny_batch().inputs.repeat(2, axis=0), np.array(targets))
+        with pytest.raises(ShapeError, match=r"\[0, 3\) for 3 classes"):
+            clstm.loss_and_grads(params, config, batch)
+
+    def test_eval_mode_skips_dropout(self):
+        # without seeds no unit is dropped: the logits equal those at rate 0
+        params = clstm.init_params(TINY, np.random.default_rng(2))
+        batch = clstm.encode_batch(["abcabc", "zzab"], [0, 1], TINY_CHARSET, TINY.seq_len)
+        wrapped = {name: ad.Tensor(arr) for name, arr in params.items()}
+        evaluated = clstm._logits(wrapped, TINY, batch.inputs, None).data
+        undropped = clstm._logits(wrapped, replace(TINY, dropout_rate=0.0), batch.inputs, [1, 2]).data
+        assert np.array_equal(evaluated, undropped)
+        assert not np.array_equal(evaluated, clstm._logits(wrapped, TINY, batch.inputs, [1, 2]).data)
+
     def test_end_to_end_gradient_check(self):
         # seeds chosen so no ReLU argument or pool tie sits within the
         # finite-difference step and every array receives gradient
@@ -216,7 +245,7 @@ def taped_single(params, config, batch, drop_seed):
     """loss_and_grads of a one-instance batch with its dropout seed given directly."""
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
-    logits = clstm._logits(wrapped, config, batch.inputs, True, [drop_seed])
+    logits = clstm._logits(wrapped, config, batch.inputs, [drop_seed])
     loss, probs = ad.softmax_cross_entropy(logits, batch.targets)
     tape.backward(loss)
     return float(loss.data), probs, {name: tape.grad(leaf) for name, leaf in wrapped.items()}
@@ -248,7 +277,7 @@ class TestBatchInvariance:
             tape = ad.Tape()
             wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
             batch = clstm.encode_batch(texts, [0] * len(texts), TINY_CHARSET, seq_len)
-            logits = clstm._logits(wrapped, config, batch.inputs, True, clstm._drop_seeds(0, len(texts)))
+            logits = clstm._logits(wrapped, config, batch.inputs, clstm._drop_seeds(0, len(texts)))
             ad.softmax_cross_entropy(logits, batch.targets)
             return len(tape._nodes)
 
@@ -427,9 +456,8 @@ class TestConv1Table:
         wrapped = {name: ad.Tensor(arr) for name, arr in model.params.items()}
         rows = []
         for start in range(0, len(texts), self.config.batch_size):
-            chunk = texts[start : start + self.config.batch_size]
-            inputs = np.stack([clstm.encode(t, model.charset, self.config.seq_len) for t in chunk])
-            z = clstm._logits(wrapped, self.config, inputs, False, ()).data
+            inputs = clstm.encode(texts[start : start + self.config.batch_size], model.charset, self.config.seq_len)
+            z = clstm._logits(wrapped, self.config, inputs, None).data
             z = z - z.max(axis=1, keepdims=True)
             rows += [[v.hex() for v in row] for row in z - np.log(np.exp(z).sum(axis=1, keepdims=True))]
         return rows

@@ -180,7 +180,7 @@ class TestCharset:
         with pytest.raises(ConfigError):
             build_charset(corpus_of(("ab", "x")), max_size=1)
 
-    @pytest.mark.parametrize("cap", [2.5, "3", 3.0])
+    @pytest.mark.parametrize("cap", [2.5, "3", 3.0, True])
     def test_non_integer_cap_rejected(self, cap):
         # 2.5 used to end in a bare TypeError from slicing, "3" from comparing
         with pytest.raises(ConfigError, match=f"cap.*{cap!r}"):

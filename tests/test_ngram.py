@@ -93,9 +93,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="alpha"):
             ngram.train(corpus, NgramConfig(2, alpha=1e308), build_charset(corpus))
 
-    @pytest.mark.parametrize("n", [7.5, "3", 3.0, None])
+    @pytest.mark.parametrize("n", [7.5, "3", 3.0, None, True])
     def test_non_integer_order_rejected(self, n):
-        # 7.5 used to pass and end in a bare TypeError from `train`, "3" at once
+        # 7.5 used to pass and end in a bare TypeError from `train`, "3" at once; True trained a unigram model
         with pytest.raises(ConfigError, match=f"order.*{n!r}"):
             NgramConfig(n)
 
@@ -530,10 +530,10 @@ class TestSweep:
         with pytest.raises(ConfigError):
             ngram.sweep(toy_corpus, toy_corpus, 0, 2)
 
-    @pytest.mark.parametrize("n_min, n_max", [(1.5, 3), (1, 2.5), ("1", 3)])
+    @pytest.mark.parametrize("n_min, n_max", [(1.5, 3), (1, 2.5), ("1", 3), (True, 3), (1, True)])
     def test_non_integer_range_rejected(self, toy_corpus, n_min, n_max):
-        # each used to end in a bare TypeError
-        bad = n_min if not isinstance(n_min, int) else n_max
+        # each used to end in a bare TypeError, except the bools, which swept as 1
+        bad = n_min if type(n_min) is not int else n_max
         with pytest.raises(ConfigError, match=re.escape(repr(bad))):
             ngram.sweep(toy_corpus, toy_corpus, n_min, n_max)
 

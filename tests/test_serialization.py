@@ -105,7 +105,7 @@ class TestCodec:
                     list(r.records(record("IQ"), 2)), r.array("<u8").tolist(), r.array("<i8").tolist(),
                     r.read(2))
 
-        assert serialization.read_model(tmp_path / "m.bin", b"TEST", {3: parse}) == (
+        assert serialization.read_model(tmp_path / "m.bin", b"TEST", 3, parse) == (
             255, -(2**62), 0.1, "naïve", (charset, labels), [(1, 2**40), (7, 0)], [3, 2**53 - 1], [],
             b"\x00\x01"
         )
@@ -125,12 +125,12 @@ class TestCodec:
         w.header(Charset(("a",)), (Label("x"), Label("x")))
         w.save(tmp_path / "m.bin", b"TEST", 3)
         with pytest.raises(ModelIOError, match="duplicate label"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: Reader.header})
+            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, Reader.header)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         write_payload(tmp_path / "m.bin", U32.pack(1) + b"\x00")
         with pytest.raises(ModelIOError, match="1 trailing bytes"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: lambda r: r.value(U32)})
+            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, lambda r: r.value(U32))
 
     @pytest.mark.parametrize(
         "payload",
@@ -143,9 +143,9 @@ class TestCodec:
     def test_malformed_content_is_model_error(self, tmp_path, payload):
         write_payload(tmp_path / "m.bin", payload)
         with pytest.raises(ModelIOError, match="malformed payload"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: lambda r: Label(r.string())})
+            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, lambda r: Label(r.string()))
 
     def test_code_point_out_of_range_is_model_error(self, tmp_path):
         write_payload(tmp_path / "m.bin", U32.pack(1) + U32.pack(0x110000))
         with pytest.raises(ModelIOError, match="malformed payload"):
-            serialization.read_model(tmp_path / "m.bin", b"TEST", {3: Reader.header})
+            serialization.read_model(tmp_path / "m.bin", b"TEST", 3, Reader.header)
