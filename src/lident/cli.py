@@ -195,15 +195,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.history:
         _require_out_dir(args.history)
     seed = _resolve_seed(args)
-    started = time.monotonic()
-    corpus = read_tsv(train_path)
-
     if args.kind == "ngram":
         config = NgramConfig(**{k: v for k, v in ngram_flags.items() if v is not None})
-        charset = build_charset(corpus, args.max_charset)
-        model = ngram.train(corpus, config, charset)
-        model.save(args.out)
-        size = f"{model.table_entries()} count entries"
     else:
         options = _load_clstm_config(args.config)
         options.update((k, v) for k, v in clstm_flags.items() if k in _CLSTM_FILE_KEYS and v is not None)
@@ -212,6 +205,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         if seed is not None:
             options["seed"] = seed  # flag/env beat the config file
         config = clstm.ClstmConfig(**options)
+    started = time.monotonic()
+    corpus = read_tsv(train_path)
+
+    if args.kind == "ngram":
+        charset = build_charset(corpus, args.max_charset)
+        model = ngram.train(corpus, config, charset)
+        model.save(args.out)
+        size = f"{model.table_entries()} count entries"
+    else:
         dev = read_tsv(_require_file(args.dev, "dev corpus")) if args.dev else None
         model, history = clstm.train(corpus, dev, config)
         clstm.save_checkpoint(model, args.out)

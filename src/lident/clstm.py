@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import Charset, Corpus, Label, Scores, build_charset
-from .errors import ConfigError, DivergenceError, ModelIOError, is_integer
+from .errors import ConfigError, DivergenceError, ModelIOError, is_integer, is_real
 from .serialization import U8, U32, Reader, Writer, read_model, record
 
 __all__ = [
@@ -53,16 +53,14 @@ MAX_BATCH_CONV1_BYTES = 1 << 30
 # Index `encode` writes past the end of a text; conv1d reads it as an all-zero row.
 PAD = -1
 
-# The types a config's float fields accept.
-_REAL = (int, float, np.integer, np.floating)
-
 # Learnable arrays, keyed by the names produced in init_params.
 ClstmParams = dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
 class ClstmConfig:
-    """Layer sizes, regularization, and the training schedule."""
+    """Layer sizes, regularization, and the training schedule, checked when made:
+    any value out of range (a bool is no number) raises `ConfigError` naming its field."""
 
     seq_len: int = 256
     charset_dim: int = 218
@@ -72,14 +70,14 @@ class ClstmConfig:
     lstm_hidden: int = 128
     dense_units: int = 1024
     dropout_rate: float = 0.5
-    num_classes: int = 0  # bound from the corpus label set at training time
+    num_classes: int = 12  # the DSL label count; `train` binds it to the corpus label set
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     epochs: int = 20
     batch_size: int = 64
-    seed: int = 0
+    seed: int = 0  # in [0, 2**63): a checkpoint stores it as an i64
 
     def stage_lengths(self) -> list[int]:
         """Sequence lengths after each conv and pool stage; raises if any collapses."""
@@ -107,14 +105,14 @@ class ClstmConfig:
             lengths.append(t)
         return lengths
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, tuple):
                 kind = "a tuple of integers"
                 ok = isinstance(value, tuple) and all(map(is_integer, value))
             elif isinstance(f.default, float):
-                kind, ok = "a real number", isinstance(value, _REAL)
+                kind, ok = "a real number", is_real(value)
             else:
                 kind, ok = "an integer", is_integer(value)
             if not ok:
@@ -131,6 +129,8 @@ class ClstmConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         conv1_bytes = self.batch_size * self.seq_len * self.conv_features * 8
         if conv1_bytes > MAX_BATCH_CONV1_BYTES:
             raise ConfigError(
@@ -239,7 +239,6 @@ def _param_shapes(config: ClstmConfig) -> dict[str, tuple[int, ...]]:
 
 def init_params(config: ClstmConfig, rng: np.random.Generator) -> ClstmParams:
     """Glorot-uniform weights, zero biases, forget-gate bias 1."""
-    config.validate()
     h = config.lstm_hidden
     params: ClstmParams = {}
     for name, shape in _param_shapes(config).items():
@@ -305,12 +304,7 @@ def loss_and_grads(
     return float(loss.data), probs, grads
 
 
-def train(
-    corpus: Corpus,
-    dev: Corpus | None,
-    config: ClstmConfig,
-    charset: Charset | None = None,
-) -> tuple[ClstmModel, list[EpochStats]]:
+def train(corpus: Corpus, dev: Corpus | None, config: ClstmConfig) -> tuple[ClstmModel, list[EpochStats]]:
     """Mini-batch Adam over seeded shuffled epochs.
 
     Returns the parameters from the epoch with the best dev accuracy (the
@@ -320,10 +314,8 @@ def train(
     if not len(corpus):
         raise ConfigError("training corpus is empty")
     labels = corpus.labels
-    if charset is None:
-        charset = build_charset(corpus, config.charset_dim)
+    charset = build_charset(corpus, config.charset_dim)
     config = replace(config, num_classes=len(labels), charset_dim=charset.size)
-    config.validate()
     label_index = {label: i for i, label in enumerate(labels)}
 
     rng = np.random.default_rng(config.seed)
@@ -423,7 +415,6 @@ def _parse_checkpoint(r: Reader) -> ClstmModel:
         raise ModelIOError(
             f"{r.source}: stored {len(labels)} labels != configured {config.num_classes} classes"
         )
-    config.validate()
     expected_shapes = _param_shapes(config)
     params: ClstmParams = {}
     for _ in range(r.value(U32)):

@@ -9,6 +9,7 @@ once constructed and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import defaultdict
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, CorpusFormatError, StratificationError, is_integer
+from .errors import ConfigError, CorpusFormatError, StratificationError, is_integer, is_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,7 +123,7 @@ class Charset:
     """Dense char->index map with a reserved trailing slot for unseen characters.
 
     `chars` holds only characters observed in training; the unknown index is
-    always `len(chars)`, so `size` counts it and lookup is total over unicode.
+    always `len(chars)`, so `size` counts it and `indices` is total over unicode.
     """
 
     chars: tuple[str, ...]
@@ -155,9 +156,6 @@ class Charset:
     @property
     def unk_index(self) -> int:
         return len(self.chars)
-
-    def lookup(self, ch: str) -> int:
-        return int(self._table[min(ord(ch), len(self._table) - 1)])
 
     def indices(self, text: str) -> np.ndarray:
         """The index of each character of `text`, as an int array."""
@@ -271,8 +269,8 @@ def split(corpus: Corpus, fractions: Sequence[float], seed: int) -> list[Corpus]
     Within each part the original file order is preserved.
     """
     fracs = list(fractions)
-    if not fracs or any(f <= 0 for f in fracs):
-        raise ConfigError("split fractions must all be positive")
+    if not fracs or not all(is_real(f) and f > 0 and math.isfinite(f) for f in fracs):
+        raise ConfigError(f"split fractions must be finite real numbers > 0, got {fracs!r}")
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)!r}")
     by_label: dict[Label, list[int]] = defaultdict(list)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module in the package, and the integer test of config checks."""
+"""Exception hierarchy shared by every module in the package, and the number tests of config checks."""
 
 import numbers
 
@@ -6,6 +6,12 @@ import numbers
 def is_integer(value) -> bool:
     """A Python or numpy integer, but not a bool, which no count or seed means."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A Python or numpy integer or float, but not a bool, which no rate or mass
+    means, nor a `Fraction`, which numpy arithmetic turns into object arrays."""
+    return is_integer(value) or (isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational))
 
 
 class LidentError(Exception):

@@ -72,7 +72,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from .corpus import Charset, Corpus, Label, Scores, build_charset
-from .errors import ConfigError, ModelIOError, is_integer
+from .errors import ConfigError, ModelIOError, is_integer, is_real
 from .serialization import F64, U32, Reader, Writer, read_model
 
 __all__ = [
@@ -119,10 +119,7 @@ class NgramConfig:
     def __post_init__(self) -> None:
         if not (is_integer(self.n) and 1 <= self.n <= self.MAX_N):
             raise ConfigError(f"n-gram order must be an integer in 1..{self.MAX_N}, got {self.n!r}")
-        if not (
-            isinstance(self.alpha, (int, float, np.integer, np.floating))
-            and self.alpha > 0 and math.isfinite(self.alpha)
-        ):
+        if not (is_real(self.alpha) and self.alpha > 0 and math.isfinite(self.alpha)):
             raise ConfigError(f"smoothing mass alpha must be a finite number > 0, got {self.alpha!r}")
 
     def check_charset(self, charset: Charset) -> None:

@@ -17,6 +17,20 @@ from fractions import Fraction
 import numpy as np
 
 
+class CharIndex:
+    """A charset's character -> index map, rebuilt from its `chars` alone in
+    a dict of the oracle's own: unknown characters go to `len(chars)`, and
+    `size` counts that slot. The library's `Charset.indices` reads a table
+    this never touches."""
+
+    def __init__(self, chars) -> None:
+        self.index = {ch: i for i, ch in enumerate(chars)}
+        self.size = len(self.index) + 1
+
+    def lookup(self, ch: str) -> int:
+        return self.index.get(ch, len(self.index))
+
+
 def ngram_reference_probs(
     train_pairs: list[tuple[str, str]],
     charset,
@@ -27,7 +41,8 @@ def ngram_reference_probs(
     """Exact per-label probability of `text` under additive smoothing.
 
     `train_pairs` is a list of (text, label_code). Characters are mapped
-    through the shared charset (unknowns to the reserved slot), n-1 boundary
+    through `charset`, anything with a `size` and a `lookup` such as a
+    `CharIndex` (unknowns to the reserved slot), n-1 boundary
     markers are prepended, and each position contributes
     (count + alpha) / (total + alpha * V) with V the charset size.
     """
@@ -59,7 +74,8 @@ def ngram_reference_probs(
 def ngram_reference_log_probs(corpus, charset, n: int, alpha: float, text: str) -> dict:
     """Per-label float log-probability of `text`, by the dict-per-label scorer
     the sorted-array table replaced: a Counter of n-gram tuples per label,
-    history totals summed out of it, and one left-to-right `math.log` loop."""
+    history totals summed out of it, and one left-to-right `math.log` loop.
+    Characters map through `charset`'s `lookup`, as in `ngram_reference_probs`."""
     bos = [-1] * (n - 1)
     counts = {label: Counter() for label in corpus.labels}
     for inst in corpus:

@@ -24,6 +24,7 @@ from lident.cli import main
 from lident.corpus import Charset, Corpus, Instance, Label, build_charset
 from lident.ngram import NgramConfig
 from reference import (
+    CharIndex,
     central_difference,
     log_of_fraction,
     max_rel_err,
@@ -165,7 +166,7 @@ def test_criterion_3_ngram_oracle_equivalence():
         model = ngram.train(corpus, NgramConfig(n, 0.1), charset)
         for _ in range(4):
             text = "".join(rng.choice(alphabet + "qz") for _ in range(rng.randint(0, 30)))
-            exact = ngram_reference_probs(rows, charset, n, Fraction(1, 10), text)
+            exact = ngram_reference_probs(rows, CharIndex(charset.chars), n, Fraction(1, 10), text)
             scores = model.classify(text)
             assert scores.best.code == ngram_reference_best(exact)
             for code, frac in exact.items():

@@ -115,6 +115,16 @@ class TestTrainCommand:
         assert main(["train", "--kind", "ngram", "--train", str(bad), "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, flags", [("ngram", ["--alpha", "0"]), ("clstm", ["--lr", "0"])])
+    def test_config_checked_before_corpus_read(self, tmp_path, capsys, kind, flags):
+        # a bad config value used to be found only after the corpus was read
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("no tab on this line\n", encoding="utf-8")
+        code = main(["train", "--kind", kind, *flags, "--train", str(bad), "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert flags[0][2:] in err and "tab" not in err
+
     def test_clstm_train_deterministic_and_history(self, toy_tsv, clstm_cfg, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         history = tmp_path / "h.csv"
@@ -174,7 +184,7 @@ class TestTrainCommand:
         cfg = clstm.ClstmConfig(
             seq_len=40, charset_dim=30, conv_features=5, conv_kernels=(4, 3, 2), pools=(2, 3, 1),
             lstm_hidden=6, dense_units=7, dropout_rate=0.25, lr=0.5, beta1=0.5, beta2=0.75,
-            eps=1e-6, epochs=3, batch_size=9, seed=-4,
+            eps=1e-6, epochs=3, batch_size=9, seed=4,
         )
         values = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "num_classes"}
         path = tmp_path / "all.cfg"
@@ -197,6 +207,23 @@ class TestTrainCommand:
         assert code == 1
         assert "MiB limit" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**70)])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_seed_out_of_range_rejected(self, toy_tsv, clstm_cfg, tmp_path, capsys, monkeypatch,
+                                        source, seed):
+        # -1 used to stop in numpy's seeding with no field named; 2**70 to train
+        # and then end in a struct.error traceback from the checkpoint's i64 seed
+        argv = ["train", "--kind", "clstm", "--train", str(toy_tsv), "--config", str(clstm_cfg),
+                "--out", str(tmp_path / "m.ckpt")]
+        if source == "flag":
+            argv += ["--seed", seed]
+        else:
+            monkeypatch.setenv("LIDENT_SEED", seed)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_non_utf8_config_file_named(self, toy_tsv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

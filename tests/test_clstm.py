@@ -4,7 +4,8 @@ import math
 import re
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,25 +51,24 @@ def tiny_batch(data_seed=1234, target=1):
 
 class TestConfig:
     def test_default_stage_lengths(self):
-        assert ClstmConfig(num_classes=12).stage_lengths() == [250, 83, 77, 25, 23, 7]
+        assert ClstmConfig().num_classes == 12
+        assert ClstmConfig().stage_lengths() == [250, 83, 77, 25, 23, 7]
 
     def test_short_input_collapses(self):
-        cfg = ClstmConfig(seq_len=32, num_classes=3)
-        with pytest.raises(ConfigError):
-            cfg.stage_lengths()
+        with pytest.raises(ConfigError, match="stage"):
+            ClstmConfig(seq_len=32, num_classes=3)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
-            ClstmConfig(num_classes=1).validate()
+            ClstmConfig(num_classes=1)
         with pytest.raises(ConfigError):
-            ClstmConfig(num_classes=3, dropout_rate=1.0).validate()
+            ClstmConfig(num_classes=3, dropout_rate=1.0)
         with pytest.raises(ConfigError):
-            ClstmConfig(num_classes=3, conv_kernels=(7, 7), pools=(3, 3, 3)).validate()
+            ClstmConfig(num_classes=3, conv_kernels=(7, 7), pools=(3, 3, 3))
         # a checkpoint stores three stages: a two-stage config used to train
         # and then write a file that failed to load
         with pytest.raises(ConfigError, match="3 stages"):
-            replace(TINY, conv_kernels=(3, 2), pools=(2, 2)).validate()
-        TINY.validate()
+            replace(TINY, conv_kernels=(3, 2), pools=(2, 2))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -83,10 +83,10 @@ class TestConfig:
         # lr=-1 used to train with a climbing loss; beta1=1, eps=0 and lr=nan
         # failed only later, as a DivergenceError
         with pytest.raises(ConfigError, match=field):
-            replace(TINY, **{field: value}).validate()
+            replace(TINY, **{field: value})
 
     def test_optimizer_edge_values_accepted(self):
-        replace(TINY, beta1=0.0, beta2=0.0, lr=1e-12, eps=1e-300).validate()
+        replace(TINY, beta1=0.0, beta2=0.0, lr=1e-12, eps=1e-300)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -95,28 +95,47 @@ class TestConfig:
             ("charset_dim", None), ("num_classes", 2.0), ("seed", 0.5),
             ("conv_kernels", (7, 7.5, 3)), ("pools", (3, "3", 3)), ("pools", [3, 3, 3]),
             ("lr", "0.1"), ("eps", None), ("beta1", "0.9"), ("dropout_rate", [0.5]),
-            ("epochs", True), ("conv_kernels", (7, 7, True)), ("seed", False),
+            ("epochs", True), ("conv_kernels", (7, 7, True)), ("seed", False), ("lr", Fraction(1, 1000)),
         ],
     )
     def test_wrong_types_rejected(self, field, value):
         # seq_len="9" and lr="0.1" used to end in a bare TypeError; epochs=1.5,
-        # batch_size=2.5 and the bools passed
+        # batch_size=2.5 and the bools passed; a Fraction trains into numpy object arrays
         with pytest.raises(ConfigError, match=f"{field}.*{re.escape(repr(value))}"):
-            replace(ClstmConfig(num_classes=2), **{field: value}).validate()
+            replace(ClstmConfig(num_classes=2), **{field: value})
+
+    @pytest.mark.parametrize("f", fields(ClstmConfig), ids=lambda f: f.name)
+    def test_bool_rejected_for_every_field(self, f):
+        # a bool is no count, rate or seed: lr=True used to train with a rate of 1
+        default = getattr(TINY, f.name)
+        value = default[:-1] + (True,) if isinstance(default, tuple) else True
+        with pytest.raises(ConfigError, match=f"{f.name}.*{re.escape(repr(value))}"):
+            replace(TINY, **{f.name: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**70])
+    def test_seed_out_of_range_rejected(self, seed):
+        # a checkpoint stores the seed as an i64: -1 used to stop in numpy's
+        # seeding, 2**70 to train and then fail to save
+        with pytest.raises(ConfigError, match=f"seed.*{seed}"):
+            replace(TINY, seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**63 - 1):
+            assert replace(TINY, seed=seed).seed == seed
 
     def test_numpy_numbers_accepted(self):
         replace(
             TINY, seq_len=np.int64(TINY.seq_len), conv_kernels=tuple(np.int32(k) for k in TINY.conv_kernels),
             lr=np.float32(0.01), beta1=0, dropout_rate=np.float64(0.25),
-        ).validate()
+        )
 
     def test_batch_conv1_output_is_bounded(self):
-        ClstmConfig(num_classes=12).validate()  # 32 MiB at the defaults
-        ClstmConfig(num_classes=12, batch_size=512).validate()
+        ClstmConfig()  # 32 MiB at the defaults
+        ClstmConfig(batch_size=512)
         with pytest.raises(ConfigError, match="seq_len 1000000000"):
-            ClstmConfig(num_classes=12, seq_len=10**9).validate()
+            ClstmConfig(seq_len=10**9)
         with pytest.raises(ConfigError, match="MiB limit"):
-            ClstmConfig(num_classes=12, batch_size=10**6).validate()
+            ClstmConfig(batch_size=10**6)
 
 
 def one_hot(idx: np.ndarray, size: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import collections
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from lident.corpus import (
     write_tsv,
 )
 from lident.errors import ConfigError, CorpusFormatError, StratificationError
-from reference import charset_reference
+from reference import CharIndex, charset_reference
 
 # Any character a corpus file can hold, and the lone surrogates it cannot.
 SCALARS = st.characters(blacklist_categories=("Cs",))
@@ -192,15 +194,13 @@ class TestCharset:
 
     def test_round_trip_indices(self):
         charset = build_charset(corpus_of(("hello world", "x")))
-        for ch in set("hello world"):
-            assert charset.chars[charset.lookup(ch)] == ch
+        assert "".join(charset.chars[i] for i in charset.indices("hello world")) == "hello world"
 
     @given(st.characters())
     def test_lookup_total(self, ch):
         charset = Charset(("a", "b", "c"))
-        assert 0 <= charset.lookup(ch) < charset.size
-        if ch not in "abc":
-            assert charset.lookup(ch) == charset.unk_index
+        (index,) = charset.indices(ch)
+        assert index == ("abc".index(ch) if ch in "abc" else charset.unk_index)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -226,11 +226,12 @@ class TestCharset:
         # ones, lone surrogates and code points above the charset's largest;
         # the charset's own characters come in any code point order.
         charset = Charset(tuple(chars))
+        oracle = CharIndex(chars)
         above = chr(min(max(map(ord, chars), default=0) + 1, 0x10FFFF)) + "\U0010FFFF"
         for sample in (text, text + "".join(chars[::-1]), "\U0001F600a\U00010000\udc80", above):
             got = charset.indices(sample)
             assert got.dtype.kind == "i"
-            assert got.tolist() == [charset.lookup(ch) for ch in sample]
+            assert got.tolist() == [oracle.lookup(ch) for ch in sample]
 
 
 class TestStats:
@@ -276,6 +277,13 @@ class TestSplit:
             split(self._uniform(10), [0.5, 0.6], seed=0)
         with pytest.raises(ConfigError):
             split(self._uniform(10), [1.5, -0.5], seed=0)
+
+    @pytest.mark.parametrize("fracs", [[math.nan, 1.0], [math.inf], [True], ["1.0"]],
+                             ids=["nan", "inf", "bool", "str"])
+    def test_non_real_fractions_rejected(self, fracs):
+        # NaN used to end in a bare ValueError from int(), "1.0" in a TypeError; [True] split
+        with pytest.raises(ConfigError, match=f"fraction.*{re.escape(repr(fracs[0]))}"):
+            split(self._uniform(10), fracs, seed=0)
 
     def test_stratification_error(self):
         corpus = corpus_of(("a1", "a"), ("a2", "a"), ("b1", "b"))

@@ -21,7 +21,7 @@ from lident.errors import ChecksumError, ConfigError, ModelIOError, VersionError
 from lident.ngram import BOS, NgramConfig, SweepPoint
 from lident.serialization import F64, U32, U64, Writer, record
 from conftest import model_arrays, mutate_payload, reseal
-from reference import (log_of_fraction, next_char_probs, ngram_reference_best,
+from reference import (CharIndex, log_of_fraction, next_char_probs, ngram_reference_best,
                        ngram_reference_log_probs, ngram_reference_probs)
 from synth import markov_corpora, word_corpus
 
@@ -99,9 +99,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"order.*{n!r}"):
             NgramConfig(n)
 
-    @pytest.mark.parametrize("alpha", ["0.1", None, [0.1], 1j])
+    @pytest.mark.parametrize("alpha", ["0.1", None, [0.1], 1j, True, Fraction(1, 10)])
     def test_non_numeric_alpha_rejected(self, alpha):
-        # "0.1" used to end in a bare TypeError from the range check
+        # "0.1" used to end in a bare TypeError from the range check; True smoothed with 1
         with pytest.raises(ConfigError, match=f"alpha.*{re.escape(repr(alpha))}"):
             NgramConfig(3, alpha=alpha)
 
@@ -370,7 +370,7 @@ class TestOracleEquivalence:
             texts = ["".join(rng.choice(alphabet + "zz") for _ in range(rng.randint(0, 30))) for _ in range(5)]
             # one text at a time, and all of them in one batch
             for text, batched in zip(texts, model.classify_many(texts), strict=True):
-                exact = ngram_reference_probs(pairs, charset, n, Fraction(1, 10), text)
+                exact = ngram_reference_probs(pairs, CharIndex(charset.chars), n, Fraction(1, 10), text)
                 for scores in (model.classify(text), batched):
                     assert scores.best.code == ngram_reference_best(exact)
                     for code, frac in exact.items():
@@ -397,7 +397,7 @@ class TestReferenceScorer:
                     for _ in range(4)
                 )]
                 for text in texts:
-                    expected = ngram_reference_log_probs(corpus, charset, n, alpha, text)
+                    expected = ngram_reference_log_probs(corpus, CharIndex(charset.chars), n, alpha, text)
                     scores = model.classify(text)
                     assert scores.per_label == pytest.approx(expected, rel=1e-12, abs=0)
                     for label in model.labels:
@@ -421,7 +421,7 @@ class TestReferenceScorer:
                          *("".join(rng.choice(charset.chars + ("\u2603",)) for _ in range(rng.randint(1, 40)))
                            for _ in range(3))]
                 for text in texts:
-                    expected = ngram_reference_log_probs(corpus, charset, n, alpha, text)
+                    expected = ngram_reference_log_probs(corpus, CharIndex(charset.chars), n, alpha, text)
                     scores = model.classify(text).per_label
                     cases += 1
                     mismatches += [(n, text, label.code, scores[label].hex(), expected[label].hex())
@@ -536,6 +536,11 @@ class TestSweep:
         bad = n_min if type(n_min) is not int else n_max
         with pytest.raises(ConfigError, match=re.escape(repr(bad))):
             ngram.sweep(toy_corpus, toy_corpus, n_min, n_max)
+
+    def test_bool_alpha_rejected(self, toy_corpus):
+        # used to sweep with alpha 1
+        with pytest.raises(ConfigError, match="alpha.*True"):
+            ngram.sweep(toy_corpus, toy_corpus, 1, 2, alpha=True)
 
     def test_table_growth_reported(self, toy_corpus):
         points = ngram.sweep(toy_corpus, toy_corpus, 1, 3)
