@@ -396,13 +396,9 @@ def dropout(x: Tensor, rate: float, seeds: Sequence[int]) -> Tensor:
     return _result((x,), x.data * keep, backward)
 
 
-def softmax_cross_entropy(logits: Tensor, target: "int | np.ndarray") -> tuple[Tensor, np.ndarray]:
-    """Mean stabilized cross-entropy of logits[..., K] against class indices target[...].
-
-    Returns the scalar loss tensor, averaged over the leading positions, and
-    the softmax probabilities as a plain array (the probabilities are a
-    diagnostic, not a differentiable output).
-    """
+def softmax_cross_entropy(logits: Tensor, target: "int | np.ndarray") -> Tensor:
+    """Mean stabilized cross-entropy of logits[..., K] against class indices
+    target[...]: the scalar loss tensor, averaged over the leading positions."""
     if logits.data.ndim < 1:
         raise ShapeError("softmax_cross_entropy expects logits[..., classes]")
     k = logits.data.shape[-1]
@@ -414,19 +410,16 @@ def softmax_cross_entropy(logits: Tensor, target: "int | np.ndarray") -> tuple[T
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     total = exps.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(total)
-    probs = exps / total
     picked = target[..., None]
     count = max(target.size, 1)
 
     def backward(g: np.ndarray) -> None:
-        d = probs.copy()
+        d = exps / total  # the softmax probabilities
         np.put_along_axis(d, picked, np.take_along_axis(d, picked, axis=-1) - 1.0, axis=-1)
         _accumulate(logits, d * (float(g) / count))
 
-    loss_value = -np.take_along_axis(log_probs, picked, axis=-1).sum() / count
-    loss = _result((logits,), np.asarray(loss_value), backward)
-    return loss, probs.copy()
+    loss_value = -np.take_along_axis(shifted - np.log(total), picked, axis=-1).sum() / count
+    return _result((logits,), np.asarray(loss_value), backward)
 
 
 def lstm_forward(x: Tensor, weights: Tensor, bias: Tensor, reverse: bool = False) -> Tensor:

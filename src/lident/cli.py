@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import clstm, metrics, ngram
-from .corpus import build_charset, compute_stats, read_lines, read_tsv
+from .corpus import build_charset, check_charset_cap, compute_stats, read_lines, read_tsv
 from .errors import DivergenceError, LidentError
 from .ngram import NgramConfig
 from .serialization import atomic_write_text, peek_magic
@@ -197,6 +197,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     if args.kind == "ngram":
         config = NgramConfig(**{k: v for k, v in ngram_flags.items() if v is not None})
+        check_charset_cap(args.max_charset)
     else:
         options = _load_clstm_config(args.config)
         options.update((k, v) for k, v in clstm_flags.items() if k in _CLSTM_FILE_KEYS and v is not None)
@@ -292,6 +293,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    check_charset_cap(args.max_charset)
     train_corpus = read_tsv(_require_file(args.train, "training corpus"))
     dev_corpus = read_tsv(_require_file(args.dev, "dev corpus"))
     charset = build_charset(train_corpus, args.max_charset)

@@ -285,23 +285,19 @@ def _drop_seeds(seed: int, size: int) -> list[int]:
 
 
 def loss_and_grads(
-    params: ClstmParams,
-    config: ClstmConfig,
-    batch: EncodedBatch,
-    train_mode: bool = True,
-    seed: int = 0,
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """One taped forward/backward pass: mean cross-entropy, class probabilities, gradients."""
+    params: ClstmParams, config: ClstmConfig, batch: EncodedBatch, seed: int | None
+) -> tuple[float, dict[str, np.ndarray]]:
+    """One taped forward/backward pass: mean cross-entropy and its gradients.
+    Dropout runs with the per-instance seeds that `seed` stands for; `None`
+    is evaluation mode, without dropout."""
     if batch.inputs.shape[0] == 0:
         raise ConfigError("empty batch")
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
-    drop_seeds = _drop_seeds(seed, len(batch.targets)) if train_mode else None
-    logits = _logits(wrapped, config, batch.inputs, drop_seeds)
-    loss, probs = ad.softmax_cross_entropy(logits, batch.targets)
+    drop_seeds = None if seed is None else _drop_seeds(seed, len(batch.targets))
+    loss = ad.softmax_cross_entropy(_logits(wrapped, config, batch.inputs, drop_seeds), batch.targets)
     tape.backward(loss)
-    grads = {name: tape.grad(leaf) for name, leaf in wrapped.items()}
-    return float(loss.data), probs, grads
+    return float(loss.data), {name: tape.grad(leaf) for name, leaf in wrapped.items()}
 
 
 def train(corpus: Corpus, dev: Corpus | None, config: ClstmConfig) -> tuple[ClstmModel, list[EpochStats]]:
@@ -339,7 +335,7 @@ def train(corpus: Corpus, dev: Corpus | None, config: ClstmConfig) -> tuple[Clst
                 [texts[i] for i in chosen], [targets[i] for i in chosen], charset, config.seq_len
             )
             batch_seed = int(rng.integers(2**63))
-            loss, _, grads = loss_and_grads(params, config, batch, train_mode=True, seed=batch_seed)
+            loss, grads = loss_and_grads(params, config, batch, batch_seed)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss {loss!r} at epoch {epoch}, batch {batch_no}", epoch, batch_no
@@ -390,8 +386,8 @@ def save_checkpoint(model: ClstmModel, path) -> None:
     for name, arr in model.params.items():
         w.string(name)
         w.put(U8, arr.ndim)
-        w.records(U32, ((dim,) for dim in arr.shape))
-        w.raw(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        w.raw(np.array(arr.shape, "<u4"))
+        w.raw(np.ascontiguousarray(arr, dtype="<f8"))
     w.save(path, MAGIC, _VERSION)
 
 
@@ -408,25 +404,19 @@ def _parse_checkpoint(r: Reader) -> ClstmModel:
     })
     charset, labels = r.header()
     if charset.size != config.charset_dim:
-        raise ModelIOError(
-            f"{r.source}: stored charset size {charset.size} != configured {config.charset_dim}"
-        )
+        raise ModelIOError(f"stored charset size {charset.size} != configured {config.charset_dim}")
     if len(labels) != config.num_classes:
-        raise ModelIOError(
-            f"{r.source}: stored {len(labels)} labels != configured {config.num_classes} classes"
-        )
+        raise ModelIOError(f"stored {len(labels)} labels != configured {config.num_classes} classes")
     expected_shapes = _param_shapes(config)
     params: ClstmParams = {}
     for _ in range(r.value(U32)):
         name = r.string()
-        shape = tuple(dim for (dim,) in r.records(U32, r.value(U8)))
+        shape = tuple(r.items("<u4", r.value(U8)).tolist())
         if expected_shapes.get(name) != shape or name in params:
-            raise ModelIOError(
-                f"{r.source}: parameter {name!r} with shape {shape} does not match the configuration"
-            )
-        params[name] = np.frombuffer(r.read(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
+            raise ModelIOError(f"parameter {name!r} with shape {shape} does not match the configuration")
+        params[name] = r.items("<f8", math.prod(shape)).reshape(shape).copy()
         if not np.isfinite(params[name]).all():
-            raise ModelIOError(f"{r.source}: parameter {name!r} holds a NaN or infinite weight")
+            raise ModelIOError(f"parameter {name!r} holds a NaN or infinite weight")
     if len(params) != len(expected_shapes):
-        raise ModelIOError(f"{r.source}: parameter set does not match the configuration")
+        raise ModelIOError("parameter set does not match the configuration")
     return ClstmModel(config, charset, labels, params)

@@ -38,6 +38,7 @@ __all__ = [
     "read_tsv",
     "write_tsv",
     "build_charset",
+    "check_charset_cap",
     "compute_stats",
     "split",
 ]
@@ -220,6 +221,14 @@ def write_tsv(corpus: Corpus, path: str | Path) -> None:
             fh.write(f"{inst.text}\t{inst.label.code}\n")
 
 
+def check_charset_cap(max_size: int | None) -> None:
+    """Reject a charset cap (None is none) that leaves no room for one character and the unknown slot."""
+    if max_size is not None and not (is_integer(max_size) and max_size >= 2):
+        raise ConfigError(
+            f"charset cap must be an integer that leaves room for one character and the unknown slot, got {max_size!r}"
+        )
+
+
 def build_charset(corpus: Corpus, max_size: int | None = None) -> Charset:
     """Collect distinct characters sorted by (frequency desc, codepoint asc).
 
@@ -228,10 +237,7 @@ def build_charset(corpus: Corpus, max_size: int | None = None) -> Charset:
     """
     import numpy as np
 
-    if max_size is not None and not (is_integer(max_size) and max_size >= 2):
-        raise ConfigError(
-            f"charset cap must be an integer that leaves room for one character and the unknown slot, got {max_size!r}"
-        )
+    check_charset_cap(max_size)
     if not len(corpus):
         raise ConfigError("cannot build a charset from an empty corpus")
     # Count the code points, then rank them by a stable sort on the count,

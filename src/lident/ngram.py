@@ -531,22 +531,21 @@ def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int
     base = charset.size + 1
     widths = tuple(r.array("<u4").tolist())
     if not widths or min(widths) < 1 or sum(widths) != config.n or widths[-1] != 1:
-        raise ModelIOError(f"{r.source}: level widths that do not split {config.n} symbols, the last alone")
+        raise ModelIOError(f"level widths that do not split {config.n} symbols, the last alone")
     levels = []
     # Level 0 holds the one empty prefix, which ends as a marker would.
     rows, last = 1, np.ones(1, bool)
     for k, width in enumerate(widths):
         scale = base**width
         if rows * scale >= 2**63:
-            raise ModelIOError(f"{r.source}: level {k + 1}: {rows} rows above chunks of {width} symbols "
-                               "overflow int64 keys")
+            raise ModelIOError(f"level {k + 1}: {rows} rows above chunks of {width} symbols overflow int64 keys")
         keys = r.array("<i8")
         # Keys increase, and their parents step by at most one from row 0 to
         # the last row, so keys are >= 0 and each row above is some key's parent.
         parent = keys // scale
         if (not len(keys) or np.any(keys[1:] <= keys[:-1])
                 or parent[0] != 0 or parent[-1] != rows - 1 or np.any(np.diff(parent) > 1)):
-            raise ModelIOError(f"{r.source}: level {k + 1}: keys out of order or not a prefix tree")
+            raise ModelIOError(f"level {k + 1}: keys out of order or not a prefix tree")
         # Whether each of the chunk's digits is 0, last to first, then whether
         # the symbol before the chunk is. The beginning-of-text marker, digit
         # 0, comes only before every other symbol, so a 0 follows only 0s,
@@ -563,12 +562,12 @@ def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int
             chunk = rest
         marks.append(last[parent])
         if any(np.any(mark & ~before) for mark, before in zip(marks, marks[1:])):
-            raise ModelIOError(f"{r.source}: level {k + 1}: a beginning-of-text marker after a symbol")
+            raise ModelIOError(f"level {k + 1}: a beginning-of-text marker after a symbol")
         last = marks[0]
         levels.append(np.append(keys, _SENTINEL))
         rows = len(keys)
     # Only a marker in the last level, after markers alone, gets here.
-    raise ModelIOError(f"{r.source}: an n-gram ending in the beginning-of-text marker")
+    raise ModelIOError("an n-gram ending in the beginning-of-text marker")
 
 
 def _parse_v4(r: Reader) -> NgramModel:
@@ -578,7 +577,7 @@ def _parse_v4(r: Reader) -> NgramModel:
     alpha = r.value(F64)
     charset, labels = r.header()
     if not labels:
-        raise ModelIOError(f"{r.source}: model has no labels")
+        raise ModelIOError("model has no labels")
     config = NgramConfig(n, alpha)
     config.check_charset(charset)
     widths, levels = _levels(r, config, charset)
@@ -589,34 +588,34 @@ def _parse_v4(r: Reader) -> NgramModel:
     histories = len(levels[-2]) if sentinel else 1
     if (len(offsets) != grams + histories + 1 or offsets[0] != 0 or offsets[-1] != len(cols)
             or np.any(offsets[1:] < offsets[:-1])):
-        raise ModelIOError(f"{r.source}: row offsets that do not delimit {grams} + {histories} rows")
+        raise ModelIOError(f"row offsets that do not delimit {grams} + {histories} rows")
     starts = offsets.astype(np.intp)
     lengths = np.diff(starts)
     spans, runs = lengths[: grams - 1], lengths[grams:]
     if lengths[grams - 1] or (sentinel and runs[-1]) or not runs[: len(runs) - sentinel].all():
-        raise ModelIOError(f"{r.source}: a sentinel row with entries or a history row without")
+        raise ModelIOError("a sentinel row with entries or a history row without")
     hits, parent = starts[grams], levels[-1][:-1] // (charset.size + 1)
     if np.any(spans != runs[parent]):
-        raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
+        raise ModelIOError("an n-gram row with other labels than its history's")
     misses = cols[hits:]
     first = np.zeros(len(misses) + 1, bool)
     first[starts[grams:] - hits] = True
     if cols.max() >= len(labels) or np.any((misses[1:] <= misses[:-1]) & ~first[1:-1]):
-        raise ModelIOError(f"{r.source}: a label past the {len(labels)} labels or out of order in its row")
+        raise ModelIOError(f"a label past the {len(labels)} labels or out of order in its row")
     if len(counts) != hits:
-        raise ModelIOError(f"{r.source}: {len(counts)} counts for {hits} n-gram entries")
+        raise ModelIOError(f"{len(counts)} counts for {hits} n-gram entries")
     nonzero = np.cumsum(counts != 0)[starts[1:grams] - 1]  # must rise at each n-gram row's end
     if not nonzero[0] or np.any(nonzero[1:] <= nonzero[:-1]):
-        raise ModelIOError(f"{r.source}: an n-gram with no count")
+        raise ModelIOError("an n-gram with no count")
     if np.bincount(misses, minlength=len(labels)).min() == 0:
-        raise ModelIOError(f"{r.source}: a label with no n-grams")
+        raise ModelIOError("a label with no n-grams")
     del starts, lengths, spans, runs, parent, first, nonzero  # not held through `_model`, the peak of a load
     model = _model(config, charset, labels, widths, levels, offsets, misses, counts)
     # A trained model of this table has the same n-gram labels and types, so
     # that a save writes the same bytes; its arrays are not views of the file.
     if np.any(cols[:hits] != model.cols[:hits]):
-        raise ModelIOError(f"{r.source}: an n-gram row with other labels than its history's")
+        raise ModelIOError("an n-gram row with other labels than its history's")
     if (offsets.dtype, cols.dtype, counts.dtype) != (model.offsets.dtype, model.cols.dtype, model.counts.dtype):
-        raise ModelIOError(f"{r.source}: an array not in the narrowest type that holds it")
+        raise ModelIOError("an array not in the narrowest type that holds it")
     return model
 

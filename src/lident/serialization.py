@@ -6,7 +6,8 @@ Envelope, all little-endian:
 
 Both model kinds share a header block inside their payloads:
 
-    charset   u32 count, then one u32 code point per character (index order)
+    charset   u32 count, then the characters (index order) as one UTF-32-LE run:
+              one u32 code point each, surrogates included
     labels    u32 count, then per label a string: u16 byte length, UTF-8 bytes
 
 An array is a u64 item count, then the items, little-endian; a sized
@@ -34,8 +35,9 @@ int fields in field order, a tuple as its items, then its float fields, then the
 Sorting makes identical models serialize to identical bytes. Every read is
 bounds-checked, so truncation surfaces as a `ModelIOError` mid-record or as
 a checksum mismatch; `read_model` also turns malformed contents under a
-valid checksum into `ModelIOError`. Writers go through a temp file plus
-atomic rename so a failed run never leaves a partial artifact behind.
+valid checksum into `ModelIOError`, and names the file in each. Writers go
+through a temp file plus atomic rename so a failed run never leaves a
+partial artifact behind.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ import os
 import struct
 import tempfile
 import zlib
-from itertools import starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -142,9 +143,6 @@ class Writer:
     def put(self, st: struct.Struct, *values) -> None:
         self.raw(st.pack(*values))
 
-    def records(self, st: struct.Struct, rows: Iterable[tuple]) -> None:
-        self.raw(b"".join(starmap(st.pack, rows)))
-
     def array(self, values: np.ndarray, dtype: str) -> None:
         """`values` as an array of little-endian `dtype` items."""
         self.put(U64, len(values))
@@ -162,7 +160,7 @@ class Writer:
 
     def header(self, charset: Charset, labels: tuple[Label, ...]) -> None:
         self.put(U32, len(charset.chars))
-        self.records(U32, ((ord(ch),) for ch in charset.chars))
+        self.raw("".join(charset.chars).encode("utf-32-le", "surrogatepass"))
         self.put(U32, len(labels))
         for label in labels:
             self.string(label.code)
@@ -174,15 +172,14 @@ class Writer:
 class Reader:
     """Bounds-checked reads from a payload; running past its end is a ModelIOError."""
 
-    def __init__(self, payload: bytes | memoryview, source: object) -> None:
+    def __init__(self, payload: bytes | memoryview) -> None:
         self.payload = memoryview(payload)  # reads slice it without copying
         self.offset = 0
-        self.source = source
 
     def _advance(self, size: int) -> int:
         start = self.offset
         if start + size > len(self.payload):
-            raise ModelIOError(f"{self.source}: payload ends mid-record")
+            raise ModelIOError("payload ends mid-record")
         self.offset = start + size
         return start
 
@@ -196,29 +193,29 @@ class Reader:
         start = self._advance(size)
         return self.payload[start : self.offset]
 
-    def records(self, st: struct.Struct, count: int) -> Iterator[tuple]:
-        return st.iter_unpack(self.read(st.size * count))
+    def items(self, dtype: str, count: int) -> np.ndarray:
+        """`count` items of little-endian `dtype`: a read-only view of the payload."""
+        return np.frombuffer(self.read(count * np.dtype(dtype).itemsize), dtype)
 
     def array(self, dtype: str) -> np.ndarray:
-        """An array written by `Writer.array`: a read-only view of the payload."""
-        count = self.value(U64)
-        return np.frombuffer(self.read(count * np.dtype(dtype).itemsize), dtype)
+        """An array written by `Writer.array`."""
+        return self.items(dtype, self.value(U64))
 
     def uints(self) -> np.ndarray:
         """An array written by `Writer.uints`."""
         size = self.value(U8)
         if size not in (1, 2, 4, 8):
-            raise ModelIOError(f"{self.source}: an item size of {size} bytes")
+            raise ModelIOError(f"an item size of {size} bytes")
         return self.array(f"<u{size}")
 
     def string(self) -> str:
         return str(self.read(self.value(U16)), "utf-8")
 
     def header(self) -> tuple[Charset, tuple[Label, ...]]:
-        charset = Charset(tuple(chr(code) for (code,) in self.records(U32, self.value(U32))))
+        charset = Charset(tuple(str(self.read(4 * self.value(U32)), "utf-32-le", "surrogatepass")))
         labels = tuple(Label(self.string()) for _ in range(self.value(U32)))
         if len(set(labels)) != len(labels):
-            raise ModelIOError(f"{self.source}: duplicate label in payload")
+            raise ModelIOError("duplicate label in payload")
         return charset, labels
 
 
@@ -226,14 +223,18 @@ def read_model(path: str | Path, magic: bytes, version: int, parse: Callable[[Re
     """Open a model file of `version` and run `parse` over its whole payload.
 
     A valid checksum does not make the contents valid: undecodable strings,
-    bad labels or out-of-range config values become ModelIOError too.
+    bad labels or out-of-range config values become ModelIOError too. Every
+    ModelIOError of the parse is prefixed here, and only here, with the path.
     """
     payload = read_envelope(path, magic, version)
-    reader = Reader(payload, path)
+    reader = Reader(payload)
     try:
         model = parse(reader)
+        if reader.offset != len(payload):
+            raise ModelIOError(f"{len(payload) - reader.offset} trailing bytes in payload")
+    except ModelIOError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     except (ValueError, OverflowError, ConfigError) as exc:
         raise ModelIOError(f"{path}: malformed payload: {exc}") from exc
-    if reader.offset != len(payload):
-        raise ModelIOError(f"{path}: {len(payload) - reader.offset} trailing bytes in payload")
     return model

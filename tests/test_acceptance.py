@@ -203,9 +203,7 @@ def test_criterion_5_clstm_gradient_check():
     assert GRADCHECK_CONFIG.stage_lengths() == [36, 18, 16, 8, 6, 3]
     params = clstm.init_params(GRADCHECK_CONFIG, np.random.default_rng(0))
     batch = _gradcheck_batch()
-    loss, _, grads = clstm.loss_and_grads(
-        params, GRADCHECK_CONFIG, batch, train_mode=True, seed=GRADCHECK_FWD_SEED
-    )
+    loss, grads = clstm.loss_and_grads(params, GRADCHECK_CONFIG, batch, GRADCHECK_FWD_SEED)
     assert math.isfinite(loss)
     # guard: the frozen seeds must keep every parameter covered and away from
     # finite-difference noise (see tests/test_autodiff.py for the rationale)
@@ -217,10 +215,7 @@ def test_criterion_5_clstm_gradient_check():
     count = 0
     for name, arr in params.items():
         def value() -> float:
-            loss_only, _, _ = clstm.loss_and_grads(
-                params, GRADCHECK_CONFIG, batch, train_mode=True, seed=GRADCHECK_FWD_SEED
-            )
-            return loss_only
+            return clstm.loss_and_grads(params, GRADCHECK_CONFIG, batch, GRADCHECK_FWD_SEED)[0]
 
         fd = central_difference(value, arr, h=1e-5)
         worst = max(worst, max_rel_err(grads[name], fd))
@@ -258,7 +253,7 @@ def test_criterion_7_toy_convergence(toy_clstm):
         [inst.text for inst in list(train_corpus)[:4]], [0, 0, 1, 1],
         model.charset, model.config.seq_len,
     )
-    loss, _, _ = clstm.loss_and_grads(symmetric, model.config, batch, train_mode=False)
+    loss, _ = clstm.loss_and_grads(symmetric, model.config, batch, None)
     assert abs(loss - math.log(model.config.num_classes)) <= 1e-9
     print(f"\nACCEPTANCE 7: PASS — toy task reaches train accuracy {train_acc:.3f} >= 0.99 "
           f"within {len(history)} epochs, held-out 1.00; symmetric-init loss = ln(K) within 1e-9")

@@ -34,7 +34,7 @@ def projection(out: ad.Tensor, seed: int = 0) -> ad.Tensor:
     """Cross-entropy of `out`'s last axis against random targets: a scalar whose
     gradient, softmax minus one-hot, differs at every output element."""
     targets = np.random.default_rng(seed).integers(0, out.data.shape[-1], out.data.shape[:-1])
-    return ad.softmax_cross_entropy(out, targets)[0]
+    return ad.softmax_cross_entropy(out, targets)
 
 
 def max_pool(x: ad.Tensor, pool: int) -> ad.Tensor:
@@ -104,25 +104,34 @@ class TestForwardValues:
         if out.shape[0] >= pool:
             assert max_pool(out, pool).shape == (out.shape[0] // pool, 2)
 
+    @staticmethod
+    def softmax_loss(logits, target: int) -> tuple[float, np.ndarray]:
+        """The loss of one row of logits, and its gradient: the softmax probabilities minus the one-hot target."""
+        tape = ad.Tape()
+        x = tape.leaf(np.asarray(logits, dtype=np.float64))
+        loss = ad.softmax_cross_entropy(x, target)
+        tape.backward(loss)
+        return float(loss.data), tape.grad(x)
+
     def test_softmax_uniform(self):
-        loss, probs = ad.softmax_cross_entropy(ad.Tensor(np.zeros(12)), 5)
-        assert probs == pytest.approx(np.full(12, 1 / 12), abs=1e-15)
-        assert float(loss.data) == pytest.approx(math.log(12), abs=1e-12)
-        assert float(loss.data) == pytest.approx(2.4849, abs=1e-4)
+        loss, grad = self.softmax_loss(np.zeros(12), 5)
+        assert grad == pytest.approx(np.full(12, 1 / 12) - np.eye(12)[5], abs=1e-15)
+        assert loss == pytest.approx(math.log(12), abs=1e-12)
+        assert loss == pytest.approx(2.4849, abs=1e-4)
 
     def test_softmax_extreme_logits_stable(self):
-        loss, probs = ad.softmax_cross_entropy(ad.Tensor(np.array([1000.0, 0.0])), 0)
-        assert probs[0] == pytest.approx(1.0, abs=1e-12)
-        assert float(loss.data) == 0.0
-        assert np.isfinite(probs).all()
+        loss, grad = self.softmax_loss([1000.0, 0.0], 0)
+        assert grad == pytest.approx([0.0, 0.0], abs=1e-12)  # probabilities (1, 0)
+        assert loss == 0.0
+        assert np.isfinite(grad).all()
 
     def test_softmax_properties(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             logits = rng.normal(scale=5.0, size=7)
-            loss, probs = ad.softmax_cross_entropy(ad.Tensor(logits), int(rng.integers(7)))
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert float(loss.data) >= 0.0
+            loss, grad = self.softmax_loss(logits, int(rng.integers(7)))
+            assert grad.sum() == pytest.approx(0.0, abs=1e-12)  # the probabilities sum to 1
+            assert loss >= 0.0
 
     def test_softmax_target_out_of_range(self):
         for target in (3, -1):
@@ -354,7 +363,7 @@ class TestGradientChecks:
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(12)
         arrays = {"x": rng.uniform(-1, 1, 5)}
-        err = gradcheck(lambda t: ad.softmax_cross_entropy(t["x"], 2)[0], arrays)
+        err = gradcheck(lambda t: ad.softmax_cross_entropy(t["x"], 2), arrays)
         assert err < TOL
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -561,10 +570,10 @@ class TestBatchedGradientChecks:
         rng = np.random.default_rng(28)
         arrays = {"x": rng.uniform(-1, 1, (4, 5))}
         targets = np.array([2, 0, 4, 2])
-        err = gradcheck(lambda t: ad.softmax_cross_entropy(t["x"], targets)[0], arrays)
+        err = gradcheck(lambda t: ad.softmax_cross_entropy(t["x"], targets), arrays)
         assert err < TOL
-        loss, _ = ad.softmax_cross_entropy(ad.Tensor(arrays["x"]), targets)
-        singles = [float(ad.softmax_cross_entropy(ad.Tensor(r), int(c))[0].data)
+        loss = ad.softmax_cross_entropy(ad.Tensor(arrays["x"]), targets)
+        singles = [float(ad.softmax_cross_entropy(ad.Tensor(r), int(c)).data)
                    for r, c in zip(arrays["x"], targets)]
         assert float(loss.data) == pytest.approx(sum(singles) / 4, rel=1e-14)
 

@@ -125,6 +125,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert flags[0][2:] in err and "tab" not in err
 
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_ngram_charset_cap_checked_before_corpus_read(self, tmp_path, capsys, cap):
+        # a cap below 2 used to be found only after the corpus was read, as its format error
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("no tab on this line\n", encoding="utf-8")
+        out = tmp_path / "m.lidn"
+        code = main(["train", "--kind", "ngram", "--max-charset", cap, "--train", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "charset cap" in err and f"got {cap}" in err and "tab" not in err
+        assert not out.exists()
+
     def test_clstm_train_deterministic_and_history(self, toy_tsv, clstm_cfg, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         history = tmp_path / "h.csv"
@@ -447,6 +459,18 @@ class TestSweepCommand:
                      "--n-min", "1", "--n-max", str(limit + 1), "--out", str(out)]) == 1
         assert f"1..{limit}" in capsys.readouterr().err
         assert not trained and not out.exists()
+
+
+    def test_charset_cap_checked_before_corpus_read(self, tmp_path, capsys):
+        # a cap below 2 used to be found only after the corpora were read, as their format error
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("no tab on this line\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--train", str(bad), "--dev", str(bad), "--n-min", "1", "--n-max", "2",
+                     "--max-charset", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "charset cap" in err and "got 1" in err and "tab" not in err
+        assert not out.exists()
 
 
 class TestStatsCommand:

@@ -203,24 +203,26 @@ class TestEncode:
 class TestForward:
     def test_zeroed_params_give_uniform(self):
         params = {k: np.zeros_like(v) for k, v in clstm.init_params(TINY, np.random.default_rng(0)).items()}
-        loss, probs, _ = clstm.loss_and_grads(params, TINY, tiny_batch(), train_mode=False)
-        assert probs[0] == pytest.approx(np.full(2, 0.5), abs=1e-12)
+        model = clstm.ClstmModel(TINY, TINY_CHARSET, (Label("a"), Label("b")), params)
+        (scores,) = clstm.predict(model, ["abczab"])
+        assert list(scores.per_label.values()) == pytest.approx([math.log(0.5)] * 2, abs=1e-12)
+        loss, _ = clstm.loss_and_grads(params, TINY, tiny_batch(), None)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_symmetric_output_layer_loss_is_log_k(self):
         params = clstm.init_params(TINY, np.random.default_rng(3))
         params["out_w"][:] = 0.0
         params["out_b"][:] = 0.0
-        loss, _, _ = clstm.loss_and_grads(params, TINY, tiny_batch(), train_mode=False)
+        loss, _ = clstm.loss_and_grads(params, TINY, tiny_batch(), None)
         assert abs(loss - math.log(TINY.num_classes)) <= 1e-9
 
     def test_probability_rows_normalized(self):
         params = clstm.init_params(TINY, np.random.default_rng(4))
         rng = np.random.default_rng(0)
         texts = ["".join(rng.choice(list("abcz")) for _ in range(12)) for _ in range(5)]
-        batch = clstm.encode_batch(texts, [0, 1, 0, 1, 1], TINY_CHARSET, TINY.seq_len)
-        _, probs, _ = clstm.loss_and_grads(params, TINY, batch, train_mode=False)
-        assert probs.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-9)
+        model = clstm.ClstmModel(TINY, TINY_CHARSET, (Label("a"), Label("b")), params)
+        totals = [sum(map(math.exp, s.per_label.values())) for s in clstm.predict(model, texts)]
+        assert totals == pytest.approx(np.ones(5), abs=1e-9)
 
     @pytest.mark.parametrize("targets", [[0, 7], [-1, 0]])
     def test_targets_outside_the_classes_rejected(self, targets):
@@ -229,7 +231,7 @@ class TestForward:
         params = clstm.init_params(config, np.random.default_rng(0))
         batch = clstm.EncodedBatch(tiny_batch().inputs.repeat(2, axis=0), np.array(targets))
         with pytest.raises(ShapeError, match=r"\[0, 3\) for 3 classes"):
-            clstm.loss_and_grads(params, config, batch)
+            clstm.loss_and_grads(params, config, batch, 0)
 
     def test_eval_mode_skips_dropout(self):
         # without seeds no unit is dropped: the logits equal those at rate 0
@@ -247,13 +249,12 @@ class TestForward:
         params = clstm.init_params(TINY, np.random.default_rng(0))
         batch = tiny_batch(1234, target=1)
         fwd_seed = 0
-        _, _, grads = clstm.loss_and_grads(params, TINY, batch, train_mode=True, seed=fwd_seed)
+        _, grads = clstm.loss_and_grads(params, TINY, batch, fwd_seed)
         assert all(np.count_nonzero(g) for g in grads.values())
         worst = 0.0
         for name, arr in params.items():
             def value() -> float:
-                loss, _, _ = clstm.loss_and_grads(params, TINY, batch, seed=fwd_seed)
-                return loss
+                return clstm.loss_and_grads(params, TINY, batch, fwd_seed)[0]
 
             fd = central_difference(value, arr)
             worst = max(worst, max_rel_err(grads[name], fd))
@@ -261,13 +262,13 @@ class TestForward:
 
 
 def taped_single(params, config, batch, drop_seed):
-    """loss_and_grads of a one-instance batch with its dropout seed given directly."""
+    """loss_and_grads of a one-instance batch with its dropout seed given directly, and its logits."""
     tape = ad.Tape()
     wrapped = {name: tape.leaf(arr) for name, arr in params.items()}
     logits = clstm._logits(wrapped, config, batch.inputs, [drop_seed])
-    loss, probs = ad.softmax_cross_entropy(logits, batch.targets)
+    loss = ad.softmax_cross_entropy(logits, batch.targets)
     tape.backward(loss)
-    return float(loss.data), probs, {name: tape.grad(leaf) for name, leaf in wrapped.items()}
+    return float(loss.data), logits.data, {name: tape.grad(leaf) for name, leaf in wrapped.items()}
 
 
 class TestBatchInvariance:
@@ -277,13 +278,15 @@ class TestBatchInvariance:
         texts = ["".join(rng.choice(list("abcz")) for _ in range(n)) for n in (16, 9, 30, 1, 12)]
         targets = [0, 1, 1, 0, 1]
         batch = clstm.encode_batch(texts, targets, TINY_CHARSET, TINY.seq_len)
-        loss, probs, grads = clstm.loss_and_grads(params, TINY, batch, train_mode=True, seed=11)
+        loss, grads = clstm.loss_and_grads(params, TINY, batch, 11)
+        seeds = clstm._drop_seeds(11, len(texts))
         singles = [
             taped_single(params, TINY, clstm.encode_batch([t], [c], TINY_CHARSET, TINY.seq_len), s)
-            for t, c, s in zip(texts, targets, clstm._drop_seeds(11, len(texts)))
+            for t, c, s in zip(texts, targets, seeds)
         ]
         assert loss == pytest.approx(np.mean([one[0] for one in singles]), rel=1e-12)
-        assert np.allclose(probs, np.concatenate([one[1] for one in singles]), rtol=0, atol=1e-12)
+        logits = clstm._logits({name: ad.Tensor(arr) for name, arr in params.items()}, TINY, batch.inputs, seeds)
+        assert np.allclose(logits.data, np.concatenate([one[1] for one in singles]), rtol=0, atol=1e-12)
         for name, g in grads.items():
             mean = np.mean([one[2][name] for one in singles], axis=0)
             assert np.abs(g - mean).max() <= 1e-12 * max(np.abs(mean).max(), 1e-300), name
@@ -307,7 +310,7 @@ class TestBatchInvariance:
         params = clstm.init_params(TINY, np.random.default_rng(0))
         batch = clstm.encode_batch([], [], TINY_CHARSET, TINY.seq_len)
         with pytest.raises(ConfigError, match="empty batch"):
-            clstm.loss_and_grads(params, TINY, batch)
+            clstm.loss_and_grads(params, TINY, batch, 0)
 
     def test_drop_seed_stream_is_per_instance(self):
         # the batch seed fixes each instance's dropout seed, whatever the batch size

@@ -9,6 +9,7 @@ from lident import clstm, ngram, serialization
 from lident.clstm import ClstmConfig, ClstmModel
 from lident.corpus import Charset, Label, build_charset
 from lident.errors import ModelIOError
+from conftest import reseal
 from lident.serialization import F64, U8, U16, U32, U64, Reader, Writer, record
 
 # Digests of the two files below as written by `LIDN` v4 and `LIDC` v1. A
@@ -86,7 +87,7 @@ def write_payload(path, payload: bytes) -> None:
 
 class TestCodec:
     def test_writer_reader_round_trip(self, tmp_path):
-        charset = Charset(tuple("xé中"))
+        charset = Charset(tuple("xé中\U0001f600\ud800"))  # a lone surrogate passes through
         labels = (Label("a"), Label("b-c"))
         w = Writer()
         w.put(U8, 255)
@@ -94,7 +95,7 @@ class TestCodec:
         w.put(F64, 0.1)
         w.string("naïve")
         w.header(charset, labels)
-        w.records(record("IQ"), [(1, 2**40), (7, 0)])
+        w.raw(np.array([1, 2**32 - 1], "<u4"))
         w.array(np.array([3.0, 2.0**53 - 1]), "<u8")
         w.array(np.array([], np.int64), "<i8")
         w.raw(b"\x00\x01")
@@ -102,23 +103,25 @@ class TestCodec:
 
         def parse(r: Reader):
             return (r.value(U8), r.value(record("q")), r.value(F64), r.string(), r.header(),
-                    list(r.records(record("IQ"), 2)), r.array("<u8").tolist(), r.array("<i8").tolist(),
+                    r.items("<u4", 2).tolist(), r.array("<u8").tolist(), r.array("<i8").tolist(),
                     r.read(2))
 
         assert serialization.read_model(tmp_path / "m.bin", b"TEST", 3, parse) == (
-            255, -(2**62), 0.1, "naïve", (charset, labels), [(1, 2**40), (7, 0)], [3, 2**53 - 1], [],
+            255, -(2**62), 0.1, "naïve", (charset, labels), [1, 2**32 - 1], [3, 2**53 - 1], [],
             b"\x00\x01"
         )
+        # the charset is its count, then one u32 code point per character
+        codes = U32.pack(len(charset.chars)) + b"".join(U32.pack(ord(ch)) for ch in charset.chars)
+        assert codes in (tmp_path / "m.bin").read_bytes()
 
     def test_read_past_end_is_model_error(self):
-        r = Reader(U16.pack(4) + b"abc", "blob")
-        with pytest.raises(ModelIOError, match="blob: payload ends mid-record"):
-            r.string()
+        with pytest.raises(ModelIOError, match="^payload ends mid-record$"):
+            Reader(U16.pack(4) + b"abc").string()
+        # a count or a length prefix past the payload's end is never an allocation
         with pytest.raises(ModelIOError, match="mid-record"):
-            Reader(b"", "blob").records(U32, 2**60)
-        # a length prefix past the payload's end is never an allocation
+            Reader(b"").items("<u4", 2**60)
         with pytest.raises(ModelIOError, match="mid-record"):
-            Reader(U64.pack(2**60), "blob").array("<i8")
+            Reader(U64.pack(2**60)).array("<i8")
 
     def test_duplicate_label_rejected(self, tmp_path):
         w = Writer()
@@ -149,3 +152,52 @@ class TestCodec:
         write_payload(tmp_path / "m.bin", U32.pack(1) + U32.pack(0x110000))
         with pytest.raises(ModelIOError, match="malformed payload"):
             serialization.read_model(tmp_path / "m.bin", b"TEST", 3, Reader.header)
+
+
+def header_size(charset: Charset, labels) -> int:
+    """The bytes of a payload's shared header block."""
+    chars = U32.size * (1 + len(charset.chars))
+    return chars + U32.size + sum(U16.size + len(label.code.encode()) for label in labels)
+
+
+class TestLoadErrorsNameTheFile:
+    """Each rejection of a model file under a valid checksum names the file once, first."""
+
+    @pytest.mark.parametrize("case", ["mid-record", "trailing", "rejected", "config"])
+    @pytest.mark.parametrize("kind", ["lidn", "lidc"])
+    def test_named_once(self, tmp_path, toy_corpus, kind, case):
+        # (offset, new bytes, message) of a field the parse rejects and of one the config rejects
+        if kind == "lidn":
+            model = ngram.train(toy_corpus, ngram.NgramConfig(3, 0.25), build_charset(toy_corpus))
+            path, load = tmp_path / "m.lidn", ngram.load
+            model.save(path)
+            first_width = U32.size + F64.size + header_size(model.charset, model.labels) + U64.size
+            rejected = (first_width, U32.pack(0), "level widths that do not split")
+            config = (U32.size, F64.pack(-1.0), "malformed payload: smoothing mass alpha")
+        else:
+            model = pinned_clstm()
+            path, load = tmp_path / "m.lidc", clstm.load_checkpoint
+            clstm.save_checkpoint(model, path)
+            after_header = clstm._CONFIG.size + header_size(model.charset, model.labels)
+            first_dim = after_header + U32.size + U16.size + len("conv1_w") + U8.size
+            rejected = (first_dim, U32.pack(99), "parameter 'conv1_w' with shape")
+            config = (0, U32.pack(0), "malformed payload: seq_len must be >= 1")  # seq_len leads the record
+        blob = path.read_bytes()
+        payload = blob[8:-4]
+
+        def splice(at: int, value: bytes, match: str) -> tuple[bytes, str]:
+            assert payload[at : at + len(value)] != value
+            return payload[:at] + value + payload[at + len(value) :], match
+
+        bad, match = {
+            "mid-record": (payload[:-1], "payload ends mid-record"),
+            "trailing": (payload + b"\x00\x00", "2 trailing bytes in payload"),
+            "rejected": splice(*rejected),
+            "config": splice(*config),
+        }[case]
+        path.write_bytes(reseal(blob, bad))
+        with pytest.raises(ModelIOError, match=match) as info:
+            load(path)
+        assert type(info.value) is ModelIOError
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
