@@ -293,6 +293,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    NgramConfig(args.n_max, args.alpha).check_orders(args.n_min)
     check_charset_cap(args.max_charset)
     train_corpus = read_tsv(_require_file(args.train, "training corpus"))
     dev_corpus = read_tsv(_require_file(args.dev, "dev corpus"))

@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -128,6 +128,11 @@ class NgramConfig:
             raise ConfigError(
                 f"smoothing mass alpha * V = {self.alpha} * {charset.size} is not finite"
             )
+
+    def check_orders(self, n_min: int) -> None:
+        """Reject a sweep of the orders from `n_min` up to this config's n unless 1 <= n_min <= n."""
+        if not (is_integer(n_min) and 1 <= n_min <= self.n):
+            raise ConfigError(f"invalid order range {n_min!r}..{self.n!r}")
 
 
 # n-1 history symbols, then the next char index.
@@ -326,7 +331,7 @@ def _build(
     # Level n sorts with the label as one more digit, so the same sort finds
     # the seen (n-gram, label) cells, by row, then label.
     keys = (rows.astype(np.int64) * base + next(grams)) * width + label
-    del rows
+    del rows, grams
     cells, cell = _unique(keys)
     keys, col = np.divmod(cells, width)
     del cells
@@ -336,12 +341,10 @@ def _build(
     count = np.bincount(cell, weight)  # of each seen (n-gram row, label) cell
     row = np.cumsum(first) - 1
     del cell, first
-    # The seen (history row, label) cells, by row, then label. Cells come by
-    # n-gram row, and rows by history, so the keys are nearly in order, and
-    # a stable sort passes over them several times faster than a quicksort.
+    # The seen (history row, label) cells, by row, then label.
     parent = levels[-1][:-1] // base  # each n-gram row's history row
     history = parent[row]
-    seen, seen_of = _unique(history * width + col, "stable")
+    seen, seen_of = _unique(history * width + col)
     seen_row, misses = np.divmod(seen, width)
     del col, seen
     history_rows = len(levels[-2]) if len(levels) > 1 else 1
@@ -357,10 +360,21 @@ def _build(
     return _model(config, charset, labels, widths, levels, offsets, misses, counts)
 
 
-def _unique(keys: np.ndarray, kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """`np.unique(keys, return_inverse=True)` by a `kind` sort, the inverse int32 below `_INT32_ROWS` keys."""
-    order = keys.argsort(kind=kind)
-    keys = keys[order]
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_inverse=True)` of non-negative int64 `keys`, which it sorts in place; the
+    inverse is int32 below `_INT32_ROWS` keys. Each key is sorted with its position in the low
+    (N - 1).bit_length() bits, or if too wide, in parts, lowest first, each beside its position so far."""
+    shift = (len(keys) - 1).bit_length()
+    room, wide = 63 - shift, int(keys.max(initial=0)).bit_length()
+    for low in range(0, max(wide, 1), room):
+        packed = keys if wide <= room else (keys[order] if low else keys) >> low & (1 << room) - 1
+        packed <<= shift
+        packed |= np.arange(len(keys))
+        packed.sort()
+        at = np.bitwise_and(packed, (1 << shift) - 1, out=None if wide <= room else packed)
+        order = order[at] if low else at
+        del packed, at
+    keys[:] = keys[order] if wide > room else keys >> shift
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
     inverse = np.empty(len(keys), np.int32 if len(keys) < _INT32_ROWS else np.int64)
     inverse[order] = np.cumsum(first, dtype=inverse.dtype) - 1
@@ -451,16 +465,17 @@ def train(corpus: Corpus, config: NgramConfig, charset: Charset) -> NgramModel:
     if not len(corpus):
         raise ConfigError("training corpus is empty")
     config.check_charset(charset)
-    n = config.n
     texts = [inst.text for inst in corpus]
     row = {label: i for i, label in enumerate(corpus.labels)}
     label = np.repeat(np.array([row[inst.label] for inst in corpus], np.min_scalar_type(len(row))),
                       [len(text) for text in texts])
-    digits = _layout(charset, texts, n)
-    # One n-gram per character: the n digits that end on it.
+    return _build(config, charset, corpus.labels, _grams(_layout(charset, texts, config.n), config.n), label)
+
+
+def _grams(digits: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """One n-gram per character, the n digits that end on it, one column at a time."""
     ends = digits[n - 1 :] != 0
-    grams = (digits[k : len(digits) - (n - 1) + k][ends] for k in range(n))
-    return _build(config, charset, corpus.labels, grams, label)
+    yield from (digits[k : len(digits) - (n - 1) + k][ends] for k in range(n))
 
 
 def _layout(charset: Charset, texts: list[str], n: int) -> np.ndarray:
@@ -504,9 +519,8 @@ def sweep(
     Under the same BOS padding an order-(n-1) history is the last n-2 symbols
     of the order-n one, so summing out the leftmost symbol is exact.
     """
-    if not (is_integer(n_min) and is_integer(n_max) and 1 <= n_min <= n_max):
-        raise ConfigError(f"invalid order range {n_min!r}..{n_max!r}")
     config = NgramConfig(n_max, alpha)
+    config.check_orders(n_min)
     if charset is None:
         charset = build_charset(train_corpus)
     model = train(train_corpus, config, charset)

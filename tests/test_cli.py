@@ -472,6 +472,21 @@ class TestSweepCommand:
         assert "charset cap" in err and "got 1" in err and "tab" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--n-min", "3", "--n-max", "2"], "invalid order range 3..2"),
+        (["--n-min", "1", "--n-max", "2", "--alpha", "0"], "alpha must be a finite number > 0, got 0.0"),
+        (["--n-min", "1", "--n-max", "99"], f"order must be an integer in 1..{ngram.NgramConfig.MAX_N}, got 99"),
+    ], ids=["range", "alpha", "order"])
+    def test_orders_and_alpha_checked_before_corpus_read(self, tmp_path, capsys, flags, named):
+        # each used to be found only after both corpora were read, as their format error
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("no tab on this line\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--train", str(bad), "--dev", str(bad), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "tab" not in err
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_single_instance_exact(self, tmp_path, capsys):

@@ -481,11 +481,55 @@ class TestChunkedLevels:
 
 class TestLevelSorts:
     def test_unique_is_np_unique(self):
-        keys = np.array([7, 3, 7, 2**62, 3, 0], np.int64)
-        distinct, inverse = ngram._unique(keys)
-        expected, expected_inverse = np.unique(keys, return_inverse=True)
-        assert np.array_equal(distinct, expected) and np.array_equal(inverse, expected_inverse)
-        assert inverse.dtype == np.int32
+        rng = np.random.default_rng(28)
+        for size in (1, 2, 3, 7, 8, 9, 2**12 - 1, 2**12, 2**12 + 1):
+            wider = set()
+            for bits in range(64):
+                # a third as many distinct keys as keys, one of them exactly `bits` wide
+                keys = rng.choice(rng.integers(0, 2**bits - 1, max(size // 3, 1), np.int64, endpoint=True), size)
+                keys[rng.integers(size)] = 2**bits - 1
+                expected, expected_inverse = np.unique(keys, return_inverse=True)
+                sort = keys.copy()
+                distinct, inverse = ngram._unique(sort)
+                assert np.array_equal(distinct, expected) and np.array_equal(inverse, expected_inverse)
+                assert distinct.dtype == np.int64 and inverse.dtype == np.int32
+                assert np.array_equal(sort, np.sort(keys))  # sorted in place
+                # past 63 bits, key and position go in more than one part
+                wider.add(bits + (size - 1).bit_length() > 63)
+            assert wider == ({False, True} if size > 1 else {False})
+
+    def test_inverse_is_int64_from_int32_rows(self, monkeypatch):
+        monkeypatch.setattr(ngram, "_INT32_ROWS", 8)
+        for size, dtype in ((7, np.int32), (8, np.int64), (9, np.int64)):
+            keys = np.arange(size, dtype=np.int64)[::-1] * 2**40
+            distinct, inverse = ngram._unique(keys.copy())
+            assert inverse.dtype == dtype and np.array_equal(distinct[inverse], keys)
+
+    def test_keys_too_wide_for_one_sort_train_exactly(self, monkeypatch):
+        # a charset of 1,647 and 2,400 positions give widths 4, 4, 1: a level-2 key (a
+        # level-1 row and 4 digits) takes 54 bits, too many to go beside 12 position bits
+        rng = random.Random(9)
+        alphabet = [chr(0x4E00 + i) for i in range(3000)]
+        corpus = corpus_of(*(("".join(rng.choice(alphabet) for _ in range(60)), f"l{i % 3}") for i in range(40)))
+        charset = build_charset(corpus)
+        wide = []
+        unique = ngram._unique
+
+        def spy(keys):
+            wide.append(int(keys.max()).bit_length() + (len(keys) - 1).bit_length() > 63)
+            return unique(keys)
+
+        monkeypatch.setattr(ngram, "_unique", spy)
+        model = ngram.train(corpus, NgramConfig(9), charset)
+        assert model.widths == (4, 4, 1) and any(wide)
+        pairs = [(inst.text, inst.label.code) for inst in corpus]
+        seen = corpus.instances[5].text
+        for text in (seen, seen[:30] + "z" + seen[30:], "".join(rng.choice(alphabet) for _ in range(20))):
+            exact = ngram_reference_probs(pairs, CharIndex(charset.chars), 9, Fraction(1, 10), text)
+            scores = model.classify(text)
+            assert scores.best.code == ngram_reference_best(exact)
+            for code, frac in exact.items():
+                assert scores.per_label[L(code)] == pytest.approx(log_of_fraction(frac), rel=1e-9, abs=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**16))
@@ -736,6 +780,7 @@ class TestSaveLoad:
             raise AssertionError("a v4 load sorted the table again")
 
         monkeypatch.setattr(ngram, "_build", sorts_again)
+        monkeypatch.setattr(ngram, "_unique", sorts_again)
         monkeypatch.setattr(np, "unique", sorts_again)
         monkeypatch.setattr(np, "argsort", sorts_again)
         again = ngram.load(tmp_path / "words.lidn")
