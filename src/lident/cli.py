@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage or data errors, 2 numeric failure
 (training divergence). Output artifacts are written atomically, so a failed
-run never leaves a partial file. The LIDENT_SEED environment variable is the
-fallback when --seed is not given.
+run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -56,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, help="clstm: training epochs")
     p_train.add_argument("--batch-size", type=int, help="clstm: mini-batch size")
     p_train.add_argument("--history", metavar="CSV", help="clstm: write per-epoch loss/accuracy CSV")
-    p_train.add_argument("--seed", type=int, help="RNG seed (fallback: LIDENT_SEED, then 0)")
+    p_train.add_argument("--seed", type=int,
+                         help=f"RNG seed (default: the config file's seed, else {clstm.ClstmConfig.seed})")
     p_train.set_defaults(func=cmd_train)
 
     p_predict = sub.add_parser("predict", help="label raw text lines with a trained model")
@@ -109,19 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     except (LidentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _resolve_seed(args: argparse.Namespace) -> int | None:
-    """Seed priority: --seed flag, then LIDENT_SEED, else None (caller defaults)."""
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("LIDENT_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"LIDENT_SEED must be an integer, got {raw!r}") from None
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -194,17 +180,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     _require_out_dir(args.out)
     if args.history:
         _require_out_dir(args.history)
-    seed = _resolve_seed(args)
     if args.kind == "ngram":
         config = NgramConfig(**{k: v for k, v in ngram_flags.items() if v is not None})
         check_charset_cap(args.max_charset)
     else:
         options = _load_clstm_config(args.config)
-        options.update((k, v) for k, v in clstm_flags.items() if k in _CLSTM_FILE_KEYS and v is not None)
+        # Flags, --seed among them, beat the config file.
+        options.update((k, v) for k, v in vars(args).items() if k in _CLSTM_FILE_KEYS and v is not None)
         if args.max_charset is not None:
             options["charset_dim"] = args.max_charset
-        if seed is not None:
-            options["seed"] = seed  # flag/env beat the config file
         config = clstm.ClstmConfig(**options)
     started = time.monotonic()
     corpus = read_tsv(train_path)
@@ -284,11 +268,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         gold = [inst.label for inst in gold_corpus]
         cm = metrics.confusion(gold, predictions, labels=model.labels)
     if args.groups:
-        groups = metrics.load_groups_tsv(_require_file(args.groups, "groups file"))
-        cm = cm.with_groups(groups)
-    rep = metrics.report(cm)
-    document = metrics.render(rep, cm, args.format)
-    _emit(args.out, document)
+        cm = cm.with_groups(metrics.load_groups_tsv(_require_file(args.groups, "groups file")))
+    _emit(args.out, metrics.render(cm, args.format))
     return 0
 
 

@@ -46,14 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class Label:
-    """A language or variety code, optionally tagged with a similarity group.
-
-    Identity (equality, hashing, ordering) is by `code` alone; `group_id` is
-    an annotation used for group-level error analysis.
-    """
+    """A language or variety code: non-empty, with no whitespace. Similarity
+    groups are not part of it; `metrics.ConfusionMatrix.groups` holds them."""
 
     code: str
-    group_id: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.code or any(ch.isspace() for ch in self.code):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,10 +34,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """Square gold-by-predicted count matrix over a fixed label order."""
+    """Square gold-by-predicted count matrix over a fixed label order.
+
+    `groups` holds the similarity group id of each of its labels that has one.
+    """
 
     labels: tuple[Label, ...]
     cells: np.ndarray
+    groups: Mapping[Label, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -51,11 +55,11 @@ class ConfusionMatrix:
         if (cells < 0).any():
             raise ValueError("confusion counts must be non-negative")
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "groups", {l: self.groups[l] for l in self.labels if l in self.groups})
 
     def with_groups(self, groups: Mapping[Label, int]) -> "ConfusionMatrix":
-        """Return a copy whose labels carry group ids from `groups`."""
-        labels = tuple(Label(l.code, groups.get(l)) for l in self.labels)
-        return ConfusionMatrix(labels, self.cells.copy())
+        """Return a copy whose group map is `groups`, kept to the matrix's labels."""
+        return ConfusionMatrix(self.labels, self.cells.copy(), groups)
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,8 @@ def report(cm: ConfusionMatrix, groups: Mapping[Label, int] | None = None) -> Ev
     """Derive accuracy, per-class precision/recall/F1, F1 aggregates, group split.
 
     Empty classes follow the zero convention (precision = recall = F1 = 0).
-    Group ids come from the matrix labels, or from `groups` in their place,
-    as `cm.with_groups(groups)` would carry them; with none, `group_split`
-    is None.
+    Group ids come from `cm.groups`, or from `groups` in its place as
+    `cm.with_groups(groups)` keeps it; with none, `group_split` is None.
     """
     if groups is not None:
         cm = cm.with_groups(groups)
@@ -142,8 +145,8 @@ def report(cm: ConfusionMatrix, groups: Mapping[Label, int] | None = None) -> Ev
     f1_weighted = sum(pc.f1 * pc.support for pc in per_class.values()) / total
 
     group_split = None
-    ids = [l.group_id for l in cm.labels]
-    if any(g is not None for g in ids):
+    if cm.groups:
+        ids = [cm.groups.get(l) for l in cm.labels]
         # An error is within-group when its gold and predicted labels share a group id.
         within_group = np.array([[g is not None and g == h for h in ids] for g in ids])
         np.fill_diagonal(within_group, False)
@@ -153,8 +156,10 @@ def report(cm: ConfusionMatrix, groups: Mapping[Label, int] | None = None) -> Ev
     return EvalReport(accuracy, f1_micro, f1_macro, f1_weighted, per_class, group_split)
 
 
-def render(rep: EvalReport, cm: ConfusionMatrix, fmt: str = "text") -> str:
-    """Render a report in one of: text (grouped table), json, csv (cell list)."""
+def render(cm: ConfusionMatrix, fmt: str = "text") -> str:
+    """Render a matrix and its `report` in one of: text (grouped table), json,
+    csv (cell list). Every format rejects an empty matrix, as `report` does."""
+    rep = report(cm)
     if fmt == "text":
         return _render_text(rep, cm)
     if fmt == "json":
@@ -167,8 +172,8 @@ def render(rep: EvalReport, cm: ConfusionMatrix, fmt: str = "text") -> str:
 def _display_order(cm: ConfusionMatrix) -> list[int]:
     # Grouped labels first, ordered by group id; matrix order within a group
     # and for ungrouped labels.
-    pos = range(len(cm.labels))
-    return sorted(pos, key=lambda i: (cm.labels[i].group_id is None, cm.labels[i].group_id or 0, i))
+    ids = [cm.groups.get(l) for l in cm.labels]
+    return sorted(range(len(ids)), key=lambda i: (ids[i] is None, ids[i] or 0, i))
 
 
 def _render_text(rep: EvalReport, cm: ConfusionMatrix) -> str:
@@ -186,23 +191,23 @@ def _render_text(rep: EvalReport, cm: ConfusionMatrix) -> str:
     lines.append("")
 
     order = _display_order(cm)
-    grouped = any(l.group_id is not None for l in cm.labels)
     codes = [cm.labels[i].code for i in order]
     width = max(max(len(c) for c in codes), len(str(int(cm.cells.max()))), 5)
     code_w = max(len(c) for c in codes) + 2
 
-    header = ["group ", "code".ljust(code_w)] if grouped else ["code".ljust(code_w)]
+    header = ["group ", "code".ljust(code_w)] if cm.groups else ["code".ljust(code_w)]
     header += [c.rjust(width) for c in codes] + ["    F1"]
     lines.append(" ".join(header))
     prev_group: object = None
     for i in order:
         label = cm.labels[i]
-        if grouped and prev_group is not None and label.group_id != prev_group:
+        group = cm.groups.get(label)
+        if cm.groups and prev_group is not None and group != prev_group:
             lines.append("")
-        prev_group = label.group_id
+        prev_group = group
         row = []
-        if grouped:
-            row.append(str(label.group_id if label.group_id is not None else "-").ljust(6))
+        if cm.groups:
+            row.append(str(group if group is not None else "-").ljust(6))
         row.append(label.code.ljust(code_w))
         row += [str(int(cm.cells[i, j])).rjust(width) for j in order]
         row.append(f"  {rep.per_class[label].f1:.2f}")

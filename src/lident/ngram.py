@@ -220,11 +220,11 @@ class NgramModel:
         at = np.arange(len(position)) + (starts - np.cumsum(spans) + spans)[position]
         # The labels a row has no entry for never saw its history.
         unseen = math.log(alpha / (alpha * self.charset.size))
-        terms = np.full((positions, len(self.labels)), unseen)
-        terms[position, self.cols[at]] = self.logs[at]
         # Down axis 0 of a C-ordered [T, L >= 2] slice numpy adds left to right,
-        # one position at a time, as the exact scorer multiplies. (A lone
-        # label's column is summed pairwise: equal to within rounding.)
+        # one position at a time, as the exact scorer multiplies. A [T, 1]
+        # column it would sum pairwise, so a lone label gets a spare that `zip` drops.
+        terms = np.full((positions, max(len(self.labels), 2)), unseen)
+        terms[position, self.cols[at]] = self.logs[at]
         return [Scores.from_log_probs(dict(zip(self.labels, terms[first : first + length].sum(axis=0).tolist())))
                 for first, length in zip(firsts, lengths)]
 

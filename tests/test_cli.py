@@ -15,7 +15,6 @@ from synth import word_corpus
 @pytest.fixture(autouse=True)
 def fixed_terminal_width(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("LIDENT_SEED", raising=False)
 
 
 @pytest.fixture
@@ -149,14 +148,15 @@ class TestTrainCommand:
         assert lines[0] == "epoch,train_loss,dev_accuracy"
         assert len(lines) == 3
 
-    def test_env_seed_fallback_matches_flag(self, toy_tsv, clstm_cfg, tmp_path, monkeypatch):
+    def test_environment_does_not_seed(self, toy_tsv, clstm_cfg, tmp_path, monkeypatch):
+        # LIDENT_SEED used to stand in for a missing --seed
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         base = ["train", "--kind", "clstm", "--train", str(toy_tsv),
                 "--config", str(clstm_cfg)]
         monkeypatch.setenv("LIDENT_SEED", "5")
         assert main(base + ["--out", str(a)]) == 0
         monkeypatch.delenv("LIDENT_SEED")
-        assert main(base + ["--out", str(b), "--seed", "5"]) == 0
+        assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_seed_not_clobbered(self, toy_tsv, clstm_cfg, tmp_path):
@@ -221,17 +221,18 @@ class TestTrainCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**70)])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_seed_out_of_range_rejected(self, toy_tsv, clstm_cfg, tmp_path, capsys, monkeypatch,
-                                        source, seed):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_seed_out_of_range_rejected(self, toy_tsv, clstm_cfg, tmp_path, capsys, source, seed):
         # -1 used to stop in numpy's seeding with no field named; 2**70 to train
         # and then end in a struct.error traceback from the checkpoint's i64 seed
-        argv = ["train", "--kind", "clstm", "--train", str(toy_tsv), "--config", str(clstm_cfg),
+        cfg = clstm_cfg
+        if source == "config":
+            cfg = tmp_path / "seeded.cfg"
+            cfg.write_text(clstm_cfg.read_text() + f"seed = {seed}\n", encoding="utf-8")
+        argv = ["train", "--kind", "clstm", "--train", str(toy_tsv), "--config", str(cfg),
                 "--out", str(tmp_path / "m.ckpt")]
         if source == "flag":
             argv += ["--seed", seed]
-        else:
-            monkeypatch.setenv("LIDENT_SEED", seed)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
@@ -362,7 +363,7 @@ class TestBatchScoringOutput:
         cm = metrics.confusion([inst.label for inst in corpus], [model.classify(inst.text).best for inst in corpus],
                                labels=model.labels).with_groups(metrics.load_groups_tsv(groups))
         out = capsys.readouterr().out
-        assert out == metrics.render(metrics.report(cm), cm, "json")
+        assert out == metrics.render(cm, "json")
         assert 0 < json.loads(out)["accuracy"] < 1
 
     def test_sweep_rows_as_one_text_at_a_time(self, word_tsvs, capsys):
@@ -378,6 +379,13 @@ class TestBatchScoringOutput:
 
 
 class TestEvalCommand:
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"), ("csv", "csv")])
+    @pytest.mark.parametrize("matrix", ["ngram7", "clstm"])
+    def test_from_matrix_with_groups_golden(self, fixtures_dir, capsys, matrix, fmt, ext):
+        assert main(["eval", "--from-matrix", str(fixtures_dir / f"confusion_{matrix}.csv"),
+                     "--groups", str(fixtures_dir / "groups.tsv"), "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"eval_{matrix}_groups.{ext}").read_text()
+
     def test_from_matrix_with_groups(self, fixtures_dir, capsys):
         assert main(["eval", "--from-matrix", str(fixtures_dir / "confusion_ngram7.csv"),
                      "--groups", str(fixtures_dir / "groups.tsv"), "--format", "json"]) == 0

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -41,11 +42,6 @@ class TestLabelAndInstance:
             Label("")
         with pytest.raises(ValueError):
             Label("a b")
-
-    def test_label_identity_ignores_group(self):
-        assert Label("bs", 1) == Label("bs")
-        assert hash(Label("bs", 1)) == hash(Label("bs"))
-        assert sorted([Label("hr"), Label("bs", 2)]) == [Label("bs"), Label("hr")]
 
     def test_instance_validation(self):
         with pytest.raises(ValueError):
@@ -116,6 +112,34 @@ class TestReadTsv:
         code = "import sys, lident; lident.read_tsv(sys.argv[1]); print('numpy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code, str(p)], capture_output=True, text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
+
+    def test_model_paths_import_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs a fresh process ~10 ms to import (`np.unique` pulls
+        # it in), which a set-up that loads a model would pay every time.
+        import lident
+
+        p = tmp_path / "c.tsv"
+        p.write_text("".join(f"{text} {i}\t{code}\n" for i in range(4)
+                             for text, code in (("bonjour le monde", "fr"), ("hola mundo", "es"))),
+                     encoding="utf-8")
+        src = Path(lident.__file__).resolve().parents[1]
+        code = textwrap.dedent("""
+            import sys
+            from lident import build_charset, clstm, ngram, read_tsv
+            corpus, out = read_tsv(sys.argv[1]), sys.argv[2]
+            charset = build_charset(corpus)
+            ngram.train(corpus, ngram.NgramConfig(3), charset).save(out + "/m.lidn")
+            ngram.load(out + "/m.lidn").classify_many(["bonjour", "hola"])
+            ngram.sweep(corpus, corpus, 1, 3, 0.1, charset)
+            config = clstm.ClstmConfig(seq_len=24, conv_features=2, conv_kernels=(3, 2, 2), pools=(2, 2, 2),
+                                       lstm_hidden=2, dense_units=4, epochs=1, batch_size=4)
+            clstm.save_checkpoint(clstm.train(corpus, None, config)[0], out + "/m.ckpt")
+            clstm.predict(clstm.load_checkpoint(out + "/m.ckpt"), ["bonjour", "hola"])
+            print("numpy.ma" in sys.modules)
+        """)
+        out = subprocess.run([sys.executable, "-c", code, str(p), str(tmp_path)], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "False"
 
     def test_invalid_utf8(self, tmp_path):

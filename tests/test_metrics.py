@@ -101,6 +101,14 @@ class TestReport:
         assert report(cm, groups) == report(cm.with_groups(groups))
         assert report(cm, groups).group_split.within_group_errors == 2
 
+    def test_with_groups_keeps_the_matrix_labels(self):
+        cm = confusion([L("A"), L("B")], [L("B"), L("C")])
+        grouped = cm.with_groups({L("C"): 2, L("Z"): 9, L("A"): 1})
+        assert grouped.groups == {L("A"): 1, L("C"): 2}
+        assert list(grouped.groups) == [L("A"), L("C")]
+        assert cm.groups == {} and grouped.cells.tolist() == cm.cells.tolist()
+        assert grouped.with_groups({}).groups == {}
+
     def test_no_groups_means_no_split(self):
         rep = report(confusion([L("A")], [L("A")]))
         assert rep.group_split is None
@@ -143,7 +151,7 @@ class TestReport:
 class TestRender:
     def test_text_identity_matrix(self):
         cm = confusion([L("A"), L("B")], [L("A"), L("B")])
-        doc = render(report(cm), cm, "text")
+        doc = render(cm, "text")
         assert "accuracy     1.000000" in doc
         assert "1.00" in doc
 
@@ -152,7 +160,7 @@ class TestRender:
         pred = [L(c) for c in "ABACBCBBX"]
         cm = confusion(gold, pred).with_groups({L("A"): 1, L("B"): 1, L("C"): 2, L("X"): 3})
         rep = report(cm)
-        parsed = json.loads(render(rep, cm, "json"))
+        parsed = json.loads(render(cm, "json"))
         assert parsed["accuracy"] == rep.accuracy
         assert parsed["f1_macro"] == rep.f1_macro
         assert parsed["f1_weighted"] == rep.f1_weighted
@@ -165,7 +173,7 @@ class TestRender:
 
     def test_csv_cell_rows(self, fixtures_dir):
         cm = load_matrix_csv(fixtures_dir / "confusion_ngram7.csv")
-        doc = render(report(cm), cm, "csv")
+        doc = render(cm, "csv")
         lines = doc.strip().split("\n")
         assert lines[0] == "gold,pred,count"
         assert len(lines) - 1 == 144
@@ -173,7 +181,7 @@ class TestRender:
     def test_unknown_format(self):
         cm = confusion([L("A")], [L("A")])
         with pytest.raises(ValueError, match="format"):
-            render(report(cm), cm, "yaml")
+            render(cm, "yaml")
 
 
 class TestMatrixFixtures:

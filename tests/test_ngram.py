@@ -405,8 +405,7 @@ class TestReferenceScorer:
 
     def test_bitwise_equal_to_dict_per_label_scorer(self):
         # `==`, not approx: the log terms are built once, but each score must
-        # keep the bits of the left-to-right math.log loop. With one label
-        # numpy sums the column pairwise, so L >= 2 here.
+        # keep the bits of the left-to-right math.log loop.
         rng = random.Random(6)
         mismatches, cases = [], 0
         for n in range(1, 9):
@@ -427,6 +426,23 @@ class TestReferenceScorer:
                     mismatches += [(n, text, label.code, scores[label].hex(), expected[label].hex())
                                    for label in model.labels if scores[label] != expected[label]]
         assert cases == 144 and not mismatches
+
+    def test_one_label_bitwise_equal_to_dict_per_label_scorer(self):
+        # A lone label's [T, 1] column used to be summed pairwise, off the
+        # left-to-right loop in the last bits for most texts.
+        rng = random.Random(40)
+        corpus = random_corpus(rng, "abcdefgh", ["only"], 40, 60)
+        charset = build_charset(corpus)
+        mismatches = []
+        for n in (1, 2, 3, 5, 7):
+            model = ngram.train(corpus, NgramConfig(n, 0.1), charset)
+            for _ in range(30):
+                text = "".join(rng.choice("abcdefghz") for _ in range(rng.randint(1, 200)))
+                expected = ngram_reference_log_probs(corpus, CharIndex(charset.chars), n, 0.1, text)
+                got = model.classify(text).per_label
+                mismatches += [(n, text, got[label].hex(), expected[label].hex())
+                               for label in model.labels if got[label] != expected[label]]
+        assert not mismatches
 
 
 class TestChunkedLevels:
