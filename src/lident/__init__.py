@@ -10,14 +10,12 @@ error splits). See the `lident` command-line entry point for end-to-end use.
 from .corpus import (
     Charset,
     Corpus,
-    CorpusStats,
     Instance,
     Label,
     build_charset,
     compute_stats,
     read_tsv,
     split,
-    write_tsv,
 )
 from .errors import LidentError
 
@@ -26,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Charset",
     "Corpus",
-    "CorpusStats",
     "Instance",
     "Label",
     "LidentError",
@@ -34,6 +31,5 @@ __all__ = [
     "compute_stats",
     "read_tsv",
     "split",
-    "write_tsv",
     "__version__",
 ]

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", type=int, help="clstm: mini-batch size")
     p_train.add_argument("--history", metavar="CSV", help="clstm: write per-epoch loss/accuracy CSV")
     p_train.add_argument("--seed", type=int,
-                         help=f"RNG seed (default: the config file's seed, else {clstm.ClstmConfig.seed})")
+                         help=f"clstm: RNG seed (default: the config file's, else {clstm.ClstmConfig.seed})")
     p_train.set_defaults(func=cmd_train)
 
     p_predict = sub.add_parser("predict", help="label raw text lines with a trained model")
@@ -107,6 +107,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (LidentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError names nothing.
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 
@@ -168,9 +172,9 @@ def _load_clstm_config(path: str | None) -> dict:
 
 def cmd_train(args: argparse.Namespace) -> int:
     ngram_flags = {"n": args.n, "alpha": args.alpha}
-    # Each clstm config field with a flag has the flag's dest; --seed serves both kinds.
+    # Each clstm config field with a flag has the flag's dest.
     clstm_flags = {key: value for key, value in vars(args).items()
-                   if (key in _CLSTM_FILE_KEYS and key != "seed") or key in ("config", "history", "dev")}
+                   if key in _CLSTM_FILE_KEYS or key in ("config", "history", "dev")}
     other_flags = clstm_flags if args.kind == "ngram" else ngram_flags
     wrong = [k for k, v in other_flags.items() if v is not None]
     if wrong:
@@ -289,27 +293,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     corpus = read_tsv(_require_file(args.input, "corpus"))
-    stats = compute_stats(corpus)
-    rows = [
-        {"label": label.code, "count": s.instance_count,
-         "avg_chars": s.avg_chars, "avg_tokens": s.avg_tokens}
-        for label, s in stats.per_label.items()
-    ]
-    rows.append(
-        {"label": "TOTAL", "count": stats.totals.instance_count,
-         "avg_chars": stats.totals.avg_chars, "avg_tokens": stats.totals.avg_tokens}
-    )
+    rows = compute_stats(corpus)
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2))
         return 0
-    label_w = max(len(str(r["label"])) for r in rows)
-    count_w = max(len(str(r["count"])) for r in rows)
+    label_w = max(len(r.label) for r in rows)
+    count_w = max(len(str(r.count)) for r in rows)
     print(f"{'label'.ljust(label_w)}  {'count'.rjust(count_w)}  avg_chars  avg_tokens")
     for r in rows:
-        print(
-            f"{str(r['label']).ljust(label_w)}  {str(r['count']).rjust(count_w)}  "
-            f"{r['avg_chars']:9.2f}  {r['avg_tokens']:10.2f}"
-        )
+        print(f"{r.label.ljust(label_w)}  {str(r.count).rjust(count_w)}  {r.avg_chars:9.2f}  {r.avg_tokens:10.2f}")
     return 0
 
 

@@ -309,6 +309,8 @@ def train(corpus: Corpus, dev: Corpus | None, config: ClstmConfig) -> tuple[Clst
     """
     if not len(corpus):
         raise ConfigError("training corpus is empty")
+    if dev is not None and not len(dev):
+        raise ConfigError("dev corpus is empty")
     labels = corpus.labels
     charset = build_charset(corpus, config.charset_dim)
     config = replace(config, num_classes=len(labels), charset_dim=charset.size)
@@ -343,7 +345,7 @@ def train(corpus: Corpus, dev: Corpus | None, config: ClstmConfig) -> tuple[Clst
             loss_sum += loss * len(chosen)
             ad.adam_step(params, grads, state)
         train_loss = loss_sum / len(texts)
-        if dev is not None and len(dev):
+        if dev is not None:
             scores = predict(ClstmModel(config, charset, labels, params), [inst.text for inst in dev])
             dev_accuracy = sum(s.best == inst.label for s, inst in zip(scores, dev)) / len(dev)
             key = (dev_accuracy, -train_loss)

@@ -1,6 +1,6 @@
 """Labeled text corpora in the tab-separated ``text<TAB>label`` layout.
 
-Covers reading and writing corpus files, deterministic stratified splits,
+Covers reading corpus files, deterministic stratified splits,
 per-language summary statistics, and the character inventory shared by the
 n-gram and neural classifiers. Characters are used exactly as read: no case
 folding, no normalization, no punctuation stripping. All types are immutable
@@ -33,10 +33,8 @@ __all__ = [
     "Corpus",
     "Charset",
     "LabelStats",
-    "CorpusStats",
     "read_lines",
     "read_tsv",
-    "write_tsv",
     "build_charset",
     "check_charset_cap",
     "compute_stats",
@@ -150,10 +148,6 @@ class Charset:
         """Number of indices, including the unknown slot."""
         return len(self.chars) + 1
 
-    @property
-    def unk_index(self) -> int:
-        return len(self.chars)
-
     def indices(self, text: str) -> np.ndarray:
         """The index of each character of `text`, as an int array."""
         import numpy as np
@@ -165,17 +159,13 @@ class Charset:
 
 @dataclass(frozen=True)
 class LabelStats:
-    instance_count: int
+    """One row of `lident stats`: a label code, or ``TOTAL``, with its instance
+    count and mean lengths in characters and whitespace tokens."""
+
+    label: str
+    count: int
     avg_chars: float
     avg_tokens: float
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Per-label and overall instance counts and length averages."""
-
-    per_label: dict[Label, LabelStats]
-    totals: LabelStats
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -210,13 +200,6 @@ def read_tsv(path: str | Path) -> Corpus:
     return Corpus.from_instances(instances)
 
 
-def write_tsv(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus back to the ``text<TAB>label`` layout (inverse of read_tsv)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for inst in corpus:
-            fh.write(f"{inst.text}\t{inst.label.code}\n")
-
-
 def check_charset_cap(max_size: int | None) -> None:
     """Reject a charset cap (None is none) that leaves no room for one character and the unknown slot."""
     if max_size is not None and not (is_integer(max_size) and max_size >= 2):
@@ -244,23 +227,21 @@ def build_charset(corpus: Corpus, max_size: int | None = None) -> Charset:
     return Charset(tuple(map(chr, ranked.tolist())))
 
 
-def compute_stats(corpus: Corpus) -> CorpusStats:
-    """Instance counts plus mean character and whitespace-token lengths."""
+def compute_stats(corpus: Corpus) -> list[LabelStats]:
+    """One row per label with instances, in label order, then a ``TOTAL`` row
+    (its averages 0.0 for an empty corpus)."""
     acc: dict[Label, list[int]] = defaultdict(lambda: [0, 0, 0])
     for inst in corpus:
         entry = acc[inst.label]
         entry[0] += 1
         entry[1] += len(inst.text)
         entry[2] += len(inst.text.split())
-    per_label = {
-        label: LabelStats(count, chars / count, tokens / count)
-        for label, (count, chars, tokens) in sorted(acc.items())
-    }
-    n = len(corpus)
-    total_chars = sum(e[1] for e in acc.values())
-    total_tokens = sum(e[2] for e in acc.values())
-    totals = LabelStats(n, total_chars / n if n else 0.0, total_tokens / n if n else 0.0)
-    return CorpusStats(per_label, totals)
+    sums = [(label.code, *entry) for label, entry in sorted(acc.items())]
+    sums.append(("TOTAL", len(corpus), sum(s[2] for s in sums), sum(s[3] for s in sums)))
+    return [
+        LabelStats(code, count, chars / count if count else 0.0, tokens / count if count else 0.0)
+        for code, count, chars, tokens in sums
+    ]
 
 
 def split(corpus: Corpus, fractions: Sequence[float], seed: int) -> list[Corpus]:

@@ -216,29 +216,11 @@ def _render_text(rep: EvalReport, cm: ConfusionMatrix) -> str:
 
 
 def _render_json(rep: EvalReport, cm: ConfusionMatrix) -> str:
-    doc = {
-        "accuracy": rep.accuracy,
-        "f1_micro": rep.f1_micro,
-        "f1_macro": rep.f1_macro,
-        "f1_weighted": rep.f1_weighted,
-        "per_class": [
-            {
-                "label": label.code,
-                "precision": pc.precision,
-                "recall": pc.recall,
-                "f1": pc.f1,
-                "support": pc.support,
-            }
-            for label, pc in ((l, rep.per_class[l]) for l in cm.labels)
-        ],
-        "group_split": (
-            None
-            if rep.group_split is None
-            else {
-                "within_group_errors": rep.group_split.within_group_errors,
-                "cross_group_errors": rep.group_split.cross_group_errors,
-            }
-        ),
+    # The report's fields in their order, each keyed by its name; `per_class`
+    # (in matrix order, as `report` builds it) becomes a list of rows.
+    doc = vars(rep) | {
+        "per_class": [{"label": label.code, **vars(pc)} for label, pc in rep.per_class.items()],
+        "group_split": None if rep.group_split is None else vars(rep.group_split),
         "labels": [l.code for l in cm.labels],
         "matrix": cm.cells.tolist(),
     }

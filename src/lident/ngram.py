@@ -521,6 +521,8 @@ def sweep(
     """
     config = NgramConfig(n_max, alpha)
     config.check_orders(n_min)
+    if not len(dev_corpus):
+        raise ConfigError("dev corpus is empty")
     if charset is None:
         charset = build_charset(train_corpus)
     model = train(train_corpus, config, charset)

@@ -175,7 +175,7 @@ def test_criterion_3_ngram_oracle_equivalence():
                 )
         # smoothed next-char distributions normalize for every probed history
         seen = {gram[:-1] for label in model.labels for gram in model.grams(label)}
-        for history in [*seen, tuple([charset.unk_index] * (n - 1))]:
+        for history in [*seen, tuple([charset.size - 1] * (n - 1))]:
             for probs in next_char_probs(model, history).values():
                 assert abs(sum(probs) - 1.0) <= 1e-9
     print("\nACCEPTANCE 3: PASS — classify matches the exact-rational scorer on 50 random "

@@ -107,6 +107,39 @@ class TestTrainCommand:
         assert code == 1
         assert "not valid with --kind clstm" in capsys.readouterr().err
 
+    def test_seed_not_valid_with_ngram(self, toy_tsv, tmp_path, capsys):
+        # --seed used to be accepted and ignored by an n-gram run
+        out = tmp_path / "m.lidn"
+        assert main(["train", "--kind", "ngram", "--seed", "5", "--train", str(toy_tsv), "--out", str(out)]) == 1
+        assert "flags not valid with --kind ngram: seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_dev_corpus_rejected(self, toy_tsv, clstm_cfg, tmp_path, capsys):
+        # used to train, exit 0 and write nan as every epoch's dev accuracy
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        out, history = tmp_path / "m.lidc", tmp_path / "history.csv"
+        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--train", str(toy_tsv),
+                     "--dev", str(empty), "--history", str(history), "--out", str(out)]) == 1
+        assert "dev corpus is empty" in capsys.readouterr().err
+        assert not out.exists() and not history.exists()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 56.0 MiB for an array"),
+         "error: out of memory: Unable to allocate 56.0 MiB for an array\n"),
+    ], ids=["bare", "numpy"])
+    def test_out_of_memory_is_an_error_line(self, toy_tsv, tmp_path, capsys, monkeypatch, error, line):
+        # used to end in a traceback
+        def exhausted(*args):
+            raise error
+
+        monkeypatch.setattr(ngram, "train", exhausted)
+        out = tmp_path / "m.lidn"
+        assert main(["train", "--kind", "ngram", "--train", str(toy_tsv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
     def test_no_partial_output_on_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("no tab on this line\n", encoding="utf-8")
@@ -469,6 +502,18 @@ class TestSweepCommand:
         assert not trained and not out.exists()
 
 
+    def test_empty_dev_corpus_rejected_before_training(self, toy_tsv, tmp_path, capsys, monkeypatch):
+        # used to train the n-max model before failing on "evaluation corpus is empty"
+        trained = []
+        monkeypatch.setattr(ngram, "train", lambda *args: trained.append(args))
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--train", str(toy_tsv), "--dev", str(empty),
+                     "--n-min", "1", "--n-max", "3", "--out", str(out)]) == 1
+        assert "dev corpus is empty" in capsys.readouterr().err
+        assert not trained and not out.exists()
+
     def test_charset_cap_checked_before_corpus_read(self, tmp_path, capsys):
         # a cap below 2 used to be found only after the corpora were read, as their format error
         bad = tmp_path / "bad.tsv"
@@ -503,6 +548,13 @@ class TestStatsCommand:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0] == {"label": "L1", "count": 1, "avg_chars": 3.0, "avg_tokens": 2.0}
         assert rows[-1]["label"] == "TOTAL"
+
+    @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+    def test_golden(self, fixtures_dir, capsys, fmt, ext):
+        # labels unsorted in the file, one with a single instance and one wider than
+        # "TOTAL": pins the label order, the TOTAL row and the column widths
+        assert main(["stats", "--input", str(fixtures_dir / "stats_corpus.tsv"), "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"stats_corpus.{ext}").read_text()
 
     def test_text_table(self, toy_tsv, capsys):
         assert main(["stats", "--input", str(toy_tsv)]) == 0

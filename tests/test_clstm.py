@@ -176,8 +176,8 @@ class TestEncode:
     def test_unknown_chars_hit_reserved_slot(self):
         charset = Charset(("a",))
         out = encode_one("q", charset, 2)
-        assert out.tolist() == [charset.unk_index, clstm.PAD]
-        assert one_hot(out, charset.size)[0, charset.unk_index] == 1.0
+        assert out.tolist() == [charset.size - 1, clstm.PAD]
+        assert one_hot(out, charset.size)[0, charset.size - 1] == 1.0
 
     def test_row_sums_zero_or_one_and_idempotent(self):
         charset = Charset(tuple("abc"))
@@ -418,6 +418,14 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             clstm.train(Corpus.from_instances([]), None, TINY)
+
+    def test_empty_dev_corpus_rejected_before_training(self, monkeypatch):
+        # used to train every epoch and report nan dev accuracies, so no epoch was selected
+        steps = []
+        monkeypatch.setattr(clstm, "loss_and_grads", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError, match="dev corpus is empty"):
+            clstm.train(disjoint_corpus(4, 20, seed=0), Corpus.from_instances([]), TINY)
+        assert not steps
 
     def test_best_dev_epoch_keeps_its_weights(self, monkeypatch, tmp_path):
         # Dev accuracy reads 0.25, 0.75, 0.5: the model returned holds the

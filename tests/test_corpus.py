@@ -18,13 +18,14 @@ from lident.corpus import (
     Corpus,
     Instance,
     Label,
+    LabelStats,
     build_charset,
     compute_stats,
     read_tsv,
     split,
-    write_tsv,
 )
 from lident.errors import ConfigError, CorpusFormatError, StratificationError
+from conftest import write_tsv_file
 from reference import CharIndex, charset_reference
 
 # Any character a corpus file can hold, and the lone surrogates it cannot.
@@ -185,7 +186,7 @@ class TestReadTsv:
 def test_tsv_round_trip(tmp_path_factory, rows):
     corpus = corpus_of(*rows)
     path = tmp_path_factory.mktemp("rt") / "c.tsv"
-    write_tsv(corpus, path)
+    write_tsv_file(path, [(inst.text, inst.label.code) for inst in corpus])
     again = read_tsv(path)
     assert again == corpus
 
@@ -195,7 +196,7 @@ class TestCharset:
         charset = build_charset(corpus_of(("aab", "x")))
         assert charset.chars == ("a", "b")
         assert charset.size == 3
-        assert charset.unk_index == 2
+        assert charset.indices("z").tolist() == [2]  # the unknown slot comes last
 
     def test_cap_keeps_most_frequent_then_codepoint(self):
         charset = build_charset(corpus_of(("abc", "x"), ("abd", "x")), max_size=3)
@@ -224,7 +225,7 @@ class TestCharset:
     def test_lookup_total(self, ch):
         charset = Charset(("a", "b", "c"))
         (index,) = charset.indices(ch)
-        assert index == ("abc".index(ch) if ch in "abc" else charset.unk_index)
+        assert index == ("abc".index(ch) if ch in "abc" else charset.size - 1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -260,28 +261,24 @@ class TestCharset:
 
 class TestStats:
     def test_single_instance(self):
-        stats = compute_stats(corpus_of(("a b", "L1")))
-        entry = stats.per_label[Label("L1")]
-        assert entry.instance_count == 1
-        assert entry.avg_chars == 3
-        assert entry.avg_tokens == 2
+        entry, total = compute_stats(corpus_of(("a b", "L1")))
+        assert entry == LabelStats("L1", 1, 3.0, 2.0)
+        assert total == LabelStats("TOTAL", 1, 3.0, 2.0)
 
     def test_mean_of_two(self):
-        stats = compute_stats(corpus_of(("ab", "L1"), ("abcd", "L1")))
-        assert stats.per_label[Label("L1")].avg_chars == 3.0
+        entry, _ = compute_stats(corpus_of(("ab", "L1"), ("abcd", "L1")))
+        assert entry.avg_chars == 3.0
 
     def test_empty_corpus_zeroed(self):
-        stats = compute_stats(Corpus.from_instances([]))
-        assert stats.totals.instance_count == 0
-        assert stats.totals.avg_chars == 0.0
-        assert stats.per_label == {}
+        assert compute_stats(Corpus.from_instances([])) == [LabelStats("TOTAL", 0, 0.0, 0.0)]
 
     def test_totals_conserve_counts(self):
         corpus = corpus_of(("a", "x"), ("bb ccc", "y"), ("dd", "x"))
-        stats = compute_stats(corpus)
-        assert sum(s.instance_count for s in stats.per_label.values()) == stats.totals.instance_count
-        averages = [s.avg_chars for s in stats.per_label.values()]
-        assert min(averages) <= stats.totals.avg_chars <= max(averages)
+        *rows, total = compute_stats(corpus)
+        assert [r.label for r in rows] == ["x", "y"]
+        assert sum(r.count for r in rows) == total.count == len(corpus)
+        averages = [r.avg_chars for r in rows]
+        assert min(averages) <= total.avg_chars <= max(averages)
 
 
 class TestSplit:

@@ -346,7 +346,7 @@ class TestSmoothedNormalization:
             histories = set()
             for label in model.labels:
                 histories.update(gram[:-1] for gram in model.grams(label))
-            histories.add(tuple([charset.unk_index] * (n - 1)))  # unseen history
+            histories.add(tuple([charset.size - 1] * (n - 1)))  # unseen history
             for history in histories:
                 for probs in next_char_probs(model, history).values():
                     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
@@ -596,6 +596,14 @@ class TestSweep:
         bad = n_min if type(n_min) is not int else n_max
         with pytest.raises(ConfigError, match=re.escape(repr(bad))):
             ngram.sweep(toy_corpus, toy_corpus, n_min, n_max)
+
+    def test_empty_dev_corpus_rejected_before_training(self, toy_corpus, monkeypatch):
+        # used to train the n-max model before failing on "evaluation corpus is empty"
+        trained = []
+        monkeypatch.setattr(ngram, "train", lambda *args: trained.append(args))
+        with pytest.raises(ConfigError, match="dev corpus is empty"):
+            ngram.sweep(toy_corpus, Corpus.from_instances([]), 1, 3)
+        assert not trained
 
     def test_bool_alpha_rejected(self, toy_corpus):
         # used to sweep with alpha 1
@@ -1028,7 +1036,7 @@ class TestSaveLoad:
         assert len(calls) == 1
 
         def sym(s: int) -> str:
-            return "<s>" if s == BOS else "<unk>" if s == model.charset.unk_index else model.charset.chars[s]
+            return "<s>" if s == BOS else "<unk>" if s == model.charset.size - 1 else model.charset.chars[s]
 
         # the dump is each label's `grams`, keyed by history, then next character
         assert list(doc["counts"]) == list(grams)
