@@ -369,9 +369,7 @@ def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:
         z = _logits(wrapped, config, inputs, None, model.conv1_table).data
         z = z - z.max(axis=1, keepdims=True)
         for row in z - np.log(np.exp(z).sum(axis=1, keepdims=True)):
-            results.append(
-                Scores.from_log_probs({label: float(row[i]) for i, label in enumerate(model.labels)})
-            )
+            results.append(Scores({label: float(row[i]) for i, label in enumerate(model.labels)}))
     return results
 
 

@@ -15,7 +15,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ConfigError, CorpusFormatError, StratificationError, is_integer, is_real
 
@@ -58,16 +58,14 @@ class Label:
 
 @dataclass(frozen=True)
 class Scores:
-    """Per-label log-probabilities of one text and the winning label."""
+    """Per-label log-probabilities of one text."""
 
     per_label: dict[Label, float]
-    best: Label
 
-    @classmethod
-    def from_log_probs(cls, per_label: dict[Label, float]) -> "Scores":
-        # Ties break to the lexicographically smallest code.
-        best = min(per_label, key=lambda label: (-per_label[label], label.code))
-        return cls(per_label, best)
+    @property
+    def best(self) -> Label:
+        """The winning label: the highest score, ties to the smallest code."""
+        return min(self.per_label, key=lambda label: (-self.per_label[label], label.code))
 
 
 @dataclass(frozen=True)
@@ -90,21 +88,14 @@ class Instance:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered collection of instances plus its sorted label set."""
+    """An ordered collection of instances, from any iterable; `labels` is their sorted label set."""
 
     instances: tuple[Instance, ...]
-    labels: tuple[Label, ...]
+    labels: tuple[Label, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        known = set(self.labels)
-        for inst in self.instances:
-            if inst.label not in known:
-                raise ValueError(f"instance label {inst.label.code!r} missing from label set")
-
-    @classmethod
-    def from_instances(cls, instances: Iterable[Instance]) -> "Corpus":
-        insts = tuple(instances)
-        return cls(insts, tuple(sorted({inst.label for inst in insts})))
+        object.__setattr__(self, "instances", tuple(self.instances))
+        object.__setattr__(self, "labels", tuple(sorted({inst.label for inst in self.instances})))
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -197,7 +188,7 @@ def read_tsv(path: str | Path) -> Corpus:
             instances.append(Instance(text, labels[code] if code in labels else labels.setdefault(code, Label(code))))
         except ValueError as exc:
             raise CorpusFormatError(f"{path}:{line_no}: {exc}") from exc
-    return Corpus.from_instances(instances)
+    return Corpus(instances)
 
 
 def check_charset_cap(max_size: int | None) -> None:
@@ -229,7 +220,9 @@ def build_charset(corpus: Corpus, max_size: int | None = None) -> Charset:
 
 def compute_stats(corpus: Corpus) -> list[LabelStats]:
     """One row per label with instances, in label order, then a ``TOTAL`` row
-    (its averages 0.0 for an empty corpus)."""
+    (its averages 0.0 for an empty corpus), which no label may share."""
+    if Label("TOTAL") in corpus.labels:
+        raise CorpusFormatError("label 'TOTAL' clashes with the total row of the stats")
     acc: dict[Label, list[int]] = defaultdict(lambda: [0, 0, 0])
     for inst in corpus:
         entry = acc[inst.label]
@@ -276,7 +269,7 @@ def split(corpus: Corpus, fractions: Sequence[float], seed: int) -> list[Corpus]
     parts = []
     for indices in part_indices:
         indices.sort()
-        parts.append(Corpus.from_instances(corpus.instances[i] for i in indices))
+        parts.append(Corpus(corpus.instances[i] for i in indices))
     return parts
 
 

@@ -174,8 +174,6 @@ class NgramModel:
 
     def classify_many(self, texts: Iterable[str]) -> list[Scores]:
         """`classify` of each text, walking the levels once per batch of texts."""
-        if not self.labels:
-            raise ConfigError("model has no labels")
         out, batch, size = [], [], 0
         for text in texts:
             if batch and size + len(text) + self.config.n - 1 > _BATCH_CHARS:
@@ -225,7 +223,7 @@ class NgramModel:
         # column it would sum pairwise, so a lone label gets a spare that `zip` drops.
         terms = np.full((positions, max(len(self.labels), 2)), unseen)
         terms[position, self.cols[at]] = self.logs[at]
-        return [Scores.from_log_probs(dict(zip(self.labels, terms[first : first + length].sum(axis=0).tolist())))
+        return [Scores(dict(zip(self.labels, terms[first : first + length].sum(axis=0).tolist())))
                 for first, length in zip(firsts, lengths)]
 
     def grams(self, label: Label) -> dict[Gram, int]:

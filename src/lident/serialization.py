@@ -96,8 +96,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_envelope(path: str | Path, magic: bytes, version: int, payload: bytes | memoryview) -> None:
-    if len(magic) != _MAGIC_LEN:
-        raise ValueError(f"magic must be {_MAGIC_LEN} bytes, got {magic!r}")
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     atomic_write_bytes(path, magic, U32.pack(version), payload, U32.pack(crc))
 

@@ -21,7 +21,7 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def toy_corpus() -> Corpus:
-    return Corpus.from_instances(
+    return Corpus(
         [
             Instance("bonjour le monde", Label("fr")),
             Instance("bonsoir mes amis", Label("fr")),

@@ -46,7 +46,7 @@ def markov_corpora(
             train.append(Instance(sample_text(rng, table, length), label))
         for _ in range(n_test):
             test.append(Instance(sample_text(rng, table, length), label))
-    return Corpus.from_instances(train), Corpus.from_instances(test)
+    return Corpus(train), Corpus(test)
 
 
 DISJOINT_ALPHABETS = {"aa": "abcdefg ", "zz": "stuvwxyz "}
@@ -61,7 +61,7 @@ def disjoint_corpus(n_per_label: int, length: int, seed: int) -> Corpus:
         label = Label(code)
         for _ in range(n_per_label):
             instances.append(Instance("".join(rng.choice(letters) for _ in range(length)), label))
-    return Corpus.from_instances(instances)
+    return Corpus(instances)
 
 
 WORD_LETTERS = "abcdefghijklmnopqrstuvwxyzàáâäæçèéêëìíîïñòóôöùúûüß"
@@ -83,4 +83,4 @@ def word_corpus(n_per_label: int, words_per_text: int, seed: int, labels: int = 
             for _ in range(n_per_label):
                 words = rng.choice(lexicon, words_per_text, p=weights / weights.sum())
                 instances.append(Instance(" ".join(words), label))
-    return Corpus.from_instances(instances)
+    return Corpus(instances)

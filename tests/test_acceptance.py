@@ -160,7 +160,7 @@ def test_criterion_3_ngram_oracle_equivalence():
         if {c for _, c in rows} != set(codes):
             continue
         corpora += 1
-        corpus = Corpus.from_instances(Instance(t, Label(c)) for t, c in rows)
+        corpus = Corpus(Instance(t, Label(c)) for t, c in rows)
         charset = build_charset(corpus)
         n = rng.randint(1, 4)
         model = ngram.train(corpus, NgramConfig(n, 0.1), charset)

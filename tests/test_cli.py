@@ -169,6 +169,26 @@ class TestTrainCommand:
         assert "charset cap" in err and f"got {cap}" in err and "tab" not in err
         assert not out.exists()
 
+    def test_clstm_charset_cap(self, toy_tsv, clstm_cfg, tmp_path):
+        out = tmp_path / "m.lidc"
+        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--max-charset", "6",
+                     "--epochs", "1", "--train", str(toy_tsv), "--out", str(out)]) == 0
+        model = clstm.load_checkpoint(out)
+        # the toy corpus has more than five distinct characters, so the cap binds
+        assert model.config.charset_dim == model.charset.size == 6
+
+    @pytest.mark.parametrize("kind", ["ngram", "clstm"])
+    def test_out_into_missing_directory_rejected_before_training(self, toy_tsv, clstm_cfg, tmp_path,
+                                                                 capsys, monkeypatch, kind):
+        trained = []
+        monkeypatch.setattr(ngram, "train", lambda *args: trained.append(args))
+        monkeypatch.setattr(clstm, "train", lambda *args: trained.append(args))
+        out = tmp_path / "missing" / "m"
+        flags = ["--config", str(clstm_cfg)] if kind == "clstm" else []
+        assert main(["train", "--kind", kind, *flags, "--train", str(toy_tsv), "--out", str(out)]) == 1
+        assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
+        assert not trained
+
     def test_clstm_train_deterministic_and_history(self, toy_tsv, clstm_cfg, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         history = tmp_path / "h.csv"
@@ -218,6 +238,14 @@ class TestTrainCommand:
                      "--config", str(cfg), "--out", str(tmp_path / "m")])
         assert code == 1
         assert f"{cfg}:2: bad value '7,x' for conv_kernels" in capsys.readouterr().err
+
+    def test_config_line_without_equals_names_line(self, toy_tsv, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seq_len = 24\nepochs 2\n", encoding="utf-8")
+        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 1
+        assert f"{cfg}:2: expected key=value, got 'epochs 2'" in capsys.readouterr().err
 
     def test_bad_kernels_flag_reported(self, toy_tsv, tmp_path, capsys):
         code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
@@ -353,6 +381,16 @@ class TestPredictCommand:
         assert main(["predict", "--model", str(bogus), "--dump"]) == 1
         assert "not a recognized model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob, named", [
+        (b"LI", "too short to be a model file"),
+        (ngram.MAGIC + b"\x04\x00\x00\x00", "truncated file (8 bytes)"),
+    ], ids=["under-4-bytes", "magic-under-12-bytes"])
+    def test_short_model_file_named(self, tmp_path, capsys, blob, named):
+        short = tmp_path / "short.lidn"
+        short.write_bytes(blob)
+        assert main(["predict", "--model", str(short), "--dump"]) == 1
+        assert f"{short}: {named}" in capsys.readouterr().err
+
 
 @pytest.fixture
 def word_tsvs(tmp_path):
@@ -470,6 +508,9 @@ class TestEvalCommand:
                      "--out", str(model)]) == 0
         assert main(["eval", "--model", str(model),
                      "--from-matrix", str(fixtures_dir / "confusion_ngram7.csv")]) == 1
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model)]) == 1
+        assert "eval --model needs --gold" in capsys.readouterr().err
 
     def test_report_written_atomically(self, fixtures_dir, tmp_path):
         out = tmp_path / "report.json"
@@ -563,6 +604,13 @@ class TestStatsCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["stats", "--input", str(tmp_path / "nope.tsv")]) == 1
+
+    def test_label_named_total_exits_one(self, tmp_path, capsys):
+        # used to exit 0 with two TOTAL rows
+        tsv = write_tsv_file(tmp_path / "total.tsv", [("a b", "TOTAL"), ("c", "x")])
+        assert main(["stats", "--input", str(tsv)]) == 1
+        captured = capsys.readouterr()
+        assert "label 'TOTAL' clashes with the total row" in captured.err and not captured.out
 
 
 class TestArgparseBehavior:

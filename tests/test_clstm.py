@@ -417,14 +417,14 @@ class TestTrain:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
-            clstm.train(Corpus.from_instances([]), None, TINY)
+            clstm.train(Corpus([]), None, TINY)
 
     def test_empty_dev_corpus_rejected_before_training(self, monkeypatch):
         # used to train every epoch and report nan dev accuracies, so no epoch was selected
         steps = []
         monkeypatch.setattr(clstm, "loss_and_grads", lambda *args: steps.append(args))
         with pytest.raises(ConfigError, match="dev corpus is empty"):
-            clstm.train(disjoint_corpus(4, 20, seed=0), Corpus.from_instances([]), TINY)
+            clstm.train(disjoint_corpus(4, 20, seed=0), Corpus([]), TINY)
         assert not steps
 
     def test_best_dev_epoch_keeps_its_weights(self, monkeypatch, tmp_path):
@@ -444,7 +444,7 @@ class TestTrain:
             predict(model, texts)
             right = round(next(accuracies) * len(texts))
             wrong = {label: other for label, other in zip(dev.labels, dev.labels[::-1])}
-            return [Scores({}, inst.label if i < right else wrong[inst.label]) for i, inst in enumerate(dev)]
+            return [Scores({inst.label if i < right else wrong[inst.label]: 0.0}) for i, inst in enumerate(dev)]
 
         monkeypatch.setattr(clstm, "predict", scored)
         model, history = clstm.train(corpus, dev, cfg)
@@ -672,6 +672,19 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         clstm.save_checkpoint(replace(model, params={**model.params, name: weights}), path)
         with pytest.raises(ModelIOError, match=name):
+            clstm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("change, match", [
+        (lambda m: {"charset": Charset(m.charset.chars[:-1])}, "stored charset size"),
+        (lambda m: {"labels": (*m.labels, Label("mm"))}, "stored 3 labels != configured 2 classes"),
+        (lambda m: {"params": {k: v for k, v in m.params.items() if k != "out_b"}}, "parameter set does not match"),
+    ], ids=["charset-size", "label-count", "missing-parameter"])
+    def test_payload_unlike_its_config_is_model_error(self, tmp_path, change, match):
+        # under a valid checksum: save_checkpoint writes whatever the model holds
+        model = self._model()
+        path = tmp_path / "m.ckpt"
+        clstm.save_checkpoint(replace(model, **change(model)), path)
+        with pytest.raises(ModelIOError, match=match):
             clstm.load_checkpoint(path)
 
     def test_huge_seq_len_is_model_error(self, tmp_path, checkpoint_blob):

@@ -34,7 +34,7 @@ SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, blacklist
 
 
 def corpus_of(*texts_and_codes: tuple[str, str]) -> Corpus:
-    return Corpus.from_instances(Instance(t, Label(c)) for t, c in texts_and_codes)
+    return Corpus(Instance(t, Label(c)) for t, c in texts_and_codes)
 
 
 class TestLabelAndInstance:
@@ -215,7 +215,7 @@ class TestCharset:
 
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
-            build_charset(Corpus.from_instances([]))
+            build_charset(Corpus([]))
 
     def test_round_trip_indices(self):
         charset = build_charset(corpus_of(("hello world", "x")))
@@ -270,7 +270,12 @@ class TestStats:
         assert entry.avg_chars == 3.0
 
     def test_empty_corpus_zeroed(self):
-        assert compute_stats(Corpus.from_instances([])) == [LabelStats("TOTAL", 0, 0.0, 0.0)]
+        assert compute_stats(Corpus([])) == [LabelStats("TOTAL", 0, 0.0, 0.0)]
+
+    def test_label_named_total_is_rejected(self):
+        # used to print two TOTAL rows, the label's and the total's, with no way to tell them apart
+        with pytest.raises(CorpusFormatError, match="label 'TOTAL' clashes with the total row"):
+            compute_stats(corpus_of(("a", "TOTAL"), ("b", "x")))
 
     def test_totals_conserve_counts(self):
         corpus = corpus_of(("a", "x"), ("bb ccc", "y"), ("dd", "x"))
