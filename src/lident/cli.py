@@ -137,9 +137,7 @@ def _emit(out: str | None, document: str) -> None:
 
 
 # Config file keys and the type of each (a tuple is comma-separated ints).
-_CLSTM_FILE_KEYS = {
-    f.name: type(f.default) for f in dataclasses.fields(clstm.ClstmConfig) if f.name != "num_classes"
-}
+_CLSTM_FILE_KEYS = {f.name: type(f.default) for f in dataclasses.fields(clstm.ClstmConfig)}
 
 
 def int_list(raw: str) -> tuple[int, ...]:

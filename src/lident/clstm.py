@@ -15,16 +15,16 @@ trained model is immutable and safe for concurrent inference.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Charset, Corpus, Label, Scores, build_charset
-from .errors import ConfigError, DivergenceError, ModelIOError, is_integer, is_real
-from .serialization import U8, U32, Reader, Writer, read_model, record
+from .corpus import Charset, Corpus, Label, Scores, build_charset, check_charset_cap
+from .errors import ConfigError, DivergenceError, ModelIOError, ShapeError, is_integer, is_real
+from .serialization import Reader, Writer, read_model, record
 
 __all__ = [
     "MAGIC",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"LIDC"
-_VERSION = 1
+_VERSION = 2
 
 # Ceiling on stage 1's unpooled gradient, batch_size x seq_len x conv_features
 # doubles (32 MiB at the defaults), which only training builds. Past it a config
@@ -63,14 +63,13 @@ class ClstmConfig:
     any value out of range (a bool is no number) raises `ConfigError` naming its field."""
 
     seq_len: int = 256
-    charset_dim: int = 218
+    charset_dim: int = 218  # the cap on the charset's size, unknown slot included
     conv_features: int = 256
     conv_kernels: tuple[int, int, int] = (7, 7, 3)
     pools: tuple[int, int, int] = (3, 3, 3)
     lstm_hidden: int = 128
     dense_units: int = 1024
     dropout_rate: float = 0.5
-    num_classes: int = 12  # the DSL label count; `train` binds it to the corpus label set
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -119,14 +118,11 @@ class ClstmConfig:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if self.seq_len < 1:
             raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
-        if self.charset_dim < 2:
-            raise ConfigError(f"charset_dim must be >= 2, got {self.charset_dim}")
+        check_charset_cap(self.charset_dim)
         if min(self.conv_features, self.lstm_hidden, self.dense_units) < 1:
             raise ConfigError("layer feature counts must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if not 0 <= self.seed < 2**63:
@@ -164,13 +160,12 @@ class EpochStats:
     dev_accuracy: float
 
 
-# The config block of a checkpoint (see serialization.py): the int fields in
-# field order, each tuple as its items, then the float fields, then the seed.
-_CONFIG_FIELDS = sorted(fields(ClstmConfig), key=lambda f: (f.name == "seed", isinstance(f.default, float)))
+# The config record of a checkpoint (see serialization.py): every field in
+# declaration order, each tuple as its items.
 _CONFIG = record("".join(
     "q" if f.name == "seed" else "d" if isinstance(f.default, float)
     else f"{len(f.default)}I" if isinstance(f.default, tuple) else "I"
-    for f in _CONFIG_FIELDS
+    for f in fields(ClstmConfig)
 ))
 
 
@@ -178,7 +173,9 @@ _CONFIG = record("".join(
 class ClstmModel:
     """A trained classifier: configuration, character map, classes, weights.
 
-    `params` must not change after construction, which builds conv1's index table from them."""
+    `params` must hold exactly the arrays of `_param_shapes` for the charset's size
+    and the label count (else `ShapeError`), and must not change after construction,
+    which builds conv1's index table from them."""
 
     config: ClstmConfig
     charset: Charset
@@ -187,6 +184,11 @@ class ClstmModel:
     conv1_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        expected = _param_shapes(self.config, self.charset.size, len(self.labels))
+        found = {name: arr.shape for name, arr in self.params.items()}
+        if found != expected:
+            name = next(name for name in {**expected, **found} if found.get(name) != expected.get(name))
+            raise ShapeError(f"parameter {name!r} has shape {found.get(name)}, the model needs {expected.get(name)}")
         self.conv1_table = ad._index_table(self.params["conv1_w"])
 
     def classify_many(self, texts: Sequence[str]) -> list[Scores]:
@@ -218,11 +220,12 @@ def encode_batch(texts: Sequence[str], targets: Sequence[int], charset: Charset,
     return EncodedBatch(encode(texts, charset, seq_len), np.asarray(targets, dtype=np.int64))
 
 
-def _param_shapes(config: ClstmConfig) -> dict[str, tuple[int, ...]]:
+def _param_shapes(config: ClstmConfig, chars: int, classes: int) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape, in checkpoint order, for `chars` charset slots and `classes` labels."""
     f = config.conv_features
     h = config.lstm_hidden
     shapes: dict[str, tuple[int, ...]] = {}
-    in_ch = config.charset_dim
+    in_ch = chars
     for stage, kernel in enumerate(config.conv_kernels, start=1):
         shapes[f"conv{stage}_w"] = (f, kernel, in_ch)
         shapes[f"conv{stage}_b"] = (f,)
@@ -232,16 +235,17 @@ def _param_shapes(config: ClstmConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"lstm_{direction}_b"] = (4 * h,)
     shapes["dense_w"] = (config.dense_units, 2 * h)
     shapes["dense_b"] = (config.dense_units,)
-    shapes["out_w"] = (config.num_classes, config.dense_units)
-    shapes["out_b"] = (config.num_classes,)
+    shapes["out_w"] = (classes, config.dense_units)
+    shapes["out_b"] = (classes,)
     return shapes
 
 
-def init_params(config: ClstmConfig, rng: np.random.Generator) -> ClstmParams:
-    """Glorot-uniform weights, zero biases, forget-gate bias 1."""
+def init_params(config: ClstmConfig, chars: int, classes: int, rng: np.random.Generator) -> ClstmParams:
+    """Glorot-uniform weights, zero biases, forget-gate bias 1, for `chars`
+    charset slots and `classes` labels."""
     h = config.lstm_hidden
     params: ClstmParams = {}
-    for name, shape in _param_shapes(config).items():
+    for name, shape in _param_shapes(config, chars, classes).items():
         if name.endswith("_w"):
             # Fans of a weight [out, (kernel,) in]; an LSTM weight stacks its 4 gates.
             fan_out = math.prod(shape[:-1]) // (4 if name.startswith("lstm") else 1)
@@ -307,17 +311,16 @@ def train(corpus: Corpus, dev: Corpus | None, config: ClstmConfig) -> tuple[Clst
     final epoch when no dev corpus is given) plus per-epoch history. The dev
     accuracy column is NaN without a dev corpus.
     """
-    if not len(corpus):
-        raise ConfigError("training corpus is empty")
+    labels = corpus.labels
+    if len(labels) < 2:  # an empty corpus has none
+        raise ConfigError(f"training corpus needs at least 2 labels, got {len(labels)}")
     if dev is not None and not len(dev):
         raise ConfigError("dev corpus is empty")
-    labels = corpus.labels
     charset = build_charset(corpus, config.charset_dim)
-    config = replace(config, num_classes=len(labels), charset_dim=charset.size)
     label_index = {label: i for i, label in enumerate(labels)}
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(config, rng)
+    params = init_params(config, charset.size, len(labels), rng)
     state = ad.AdamState.for_params(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
 
     texts = [inst.text for inst in corpus]
@@ -379,15 +382,10 @@ def predict(model: ClstmModel, texts: Sequence[str]) -> list[Scores]:
 def save_checkpoint(model: ClstmModel, path) -> None:
     """Write config + charset + labels + parameters, bit-exact."""
     w = Writer()
-    values = (getattr(model.config, f.name) for f in _CONFIG_FIELDS)
-    w.put(_CONFIG, *(item for value in values for item in (value if isinstance(value, tuple) else (value,))))
+    w.put(_CONFIG, *(item for value in astuple(model.config) for item in (value if isinstance(value, tuple) else (value,))))
     w.header(model.charset, model.labels)
-    w.put(U32, len(model.params))
-    for name, arr in model.params.items():
-        w.string(name)
-        w.put(U8, arr.ndim)
-        w.raw(np.array(arr.shape, "<u4"))
-        w.raw(np.ascontiguousarray(arr, dtype="<f8"))
+    for name in _param_shapes(model.config, model.charset.size, len(model.labels)):
+        w.raw(np.ascontiguousarray(model.params[name], dtype="<f8"))
     w.save(path, MAGIC, _VERSION)
 
 
@@ -400,23 +398,14 @@ def _parse_checkpoint(r: Reader) -> ClstmModel:
     values = iter(r.unpack(_CONFIG))
     config = ClstmConfig(**{
         f.name: tuple(islice(values, len(f.default))) if isinstance(f.default, tuple) else next(values)
-        for f in _CONFIG_FIELDS
+        for f in fields(ClstmConfig)
     })
     charset, labels = r.header()
-    if charset.size != config.charset_dim:
-        raise ModelIOError(f"stored charset size {charset.size} != configured {config.charset_dim}")
-    if len(labels) != config.num_classes:
-        raise ModelIOError(f"stored {len(labels)} labels != configured {config.num_classes} classes")
-    expected_shapes = _param_shapes(config)
+    if len(labels) < 2:
+        raise ModelIOError(f"a model needs at least 2 labels, got {len(labels)}")
     params: ClstmParams = {}
-    for _ in range(r.value(U32)):
-        name = r.string()
-        shape = tuple(r.items("<u4", r.value(U8)).tolist())
-        if expected_shapes.get(name) != shape or name in params:
-            raise ModelIOError(f"parameter {name!r} with shape {shape} does not match the configuration")
+    for name, shape in _param_shapes(config, charset.size, len(labels)).items():
         params[name] = r.items("<f8", math.prod(shape)).reshape(shape).copy()
         if not np.isfinite(params[name]).all():
             raise ModelIOError(f"parameter {name!r} holds a NaN or infinite weight")
-    if len(params) != len(expected_shapes):
-        raise ModelIOError("parameter set does not match the configuration")
     return ClstmModel(config, charset, labels, params)

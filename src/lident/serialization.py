@@ -22,15 +22,15 @@ of that size.
     1 array of i64 keys per width: the levels of the table, without their sentinels
     3 sized arrays, each in its narrowest type: offsets | cols | counts (the table's rows)
 
-`LIDC` v1 (conv+BiLSTM checkpoint, `clstm.py`; the config record is `ClstmConfig`'s
-int fields in field order, a tuple as its items, then its float fields, then the seed):
+`LIDC` v2 (conv+BiLSTM checkpoint, `clstm.py`, which reads no other version; the
+config record holds `ClstmConfig`'s fields in declaration order, a tuple as its
+items; each parameter's shape follows from the config, charset size and label count):
 
-    14 u32: seq_len, charset_dim, conv_features, 3 conv kernels, 3 pools,
-            lstm_hidden, dense_units, num_classes, epochs, batch_size
+    11 u32: seq_len, charset_dim (the cap), conv_features, 3 conv kernels, 3 pools,
+            lstm_hidden, dense_units
     5 f64:  dropout_rate, lr, beta1, beta2, eps
-    seed i64 | header
-    u32 parameter count, then per parameter:
-        name string (as a label) | ndim u8 | ndim u32 dims | float64 values, C order
+    2 u32:  epochs, batch_size | seed i64 | header
+    each parameter's float64 values, C order, in `clstm._param_shapes` order
 
 Sorting makes identical models serialize to identical bytes. Every read is
 bounds-checked, so truncation surfaces as a `ModelIOError` mid-record or as

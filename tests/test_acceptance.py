@@ -57,7 +57,6 @@ GRADCHECK_CONFIG = ClstmConfig(
     lstm_hidden=3,
     dense_units=8,
     dropout_rate=0.5,
-    num_classes=3,
     seed=0,
 )
 GRADCHECK_CHARSET = Charset(tuple("abcde"))
@@ -201,7 +200,7 @@ def test_criterion_4_synthetic_discrimination(markov_data, markov_n3_model):
 
 def test_criterion_5_clstm_gradient_check():
     assert GRADCHECK_CONFIG.stage_lengths() == [36, 18, 16, 8, 6, 3]
-    params = clstm.init_params(GRADCHECK_CONFIG, np.random.default_rng(0))
+    params = clstm.init_params(GRADCHECK_CONFIG, GRADCHECK_CHARSET.size, 3, np.random.default_rng(0))
     batch = _gradcheck_batch()
     loss, grads = clstm.loss_and_grads(params, GRADCHECK_CONFIG, batch, GRADCHECK_FWD_SEED)
     assert math.isfinite(loss)
@@ -226,7 +225,7 @@ def test_criterion_5_clstm_gradient_check():
 
 
 def test_criterion_6_shape_ledger():
-    lengths = ClstmConfig(num_classes=12).stage_lengths()
+    lengths = ClstmConfig().stage_lengths()
     assert lengths == [250, 83, 77, 25, 23, 7]
     print("\nACCEPTANCE 6: PASS — default pipeline stage lengths are 250, 83, 77, 25, 23, 7")
 
@@ -246,7 +245,7 @@ def test_criterion_7_toy_convergence(toy_clstm):
     assert train_acc >= 0.99
     assert held_acc == 1.0
 
-    symmetric = clstm.init_params(model.config, np.random.default_rng(0))
+    symmetric = clstm.init_params(model.config, model.charset.size, len(model.labels), np.random.default_rng(0))
     symmetric["out_w"][:] = 0.0
     symmetric["out_b"][:] = 0.0
     batch = clstm.encode_batch(
@@ -254,7 +253,7 @@ def test_criterion_7_toy_convergence(toy_clstm):
         model.charset, model.config.seq_len,
     )
     loss, _ = clstm.loss_and_grads(symmetric, model.config, batch, None)
-    assert abs(loss - math.log(model.config.num_classes)) <= 1e-9
+    assert abs(loss - math.log(len(model.labels))) <= 1e-9
     print(f"\nACCEPTANCE 7: PASS — toy task reaches train accuracy {train_acc:.3f} >= 0.99 "
           f"within {len(history)} epochs, held-out 1.00; symmetric-init loss = ln(K) within 1e-9")
 
@@ -268,8 +267,8 @@ def test_criterion_8_determinism(tmp_path, markov_data, markov_n3_model, toy_cls
 
     # criterion 5 artifact: re-initialize the gradient-check parameters
     for path, params in (
-        (tmp_path / "g1.ckpt", clstm.init_params(GRADCHECK_CONFIG, np.random.default_rng(0))),
-        (tmp_path / "g2.ckpt", clstm.init_params(GRADCHECK_CONFIG, np.random.default_rng(0))),
+        (tmp_path / "g1.ckpt", clstm.init_params(GRADCHECK_CONFIG, GRADCHECK_CHARSET.size, 3, np.random.default_rng(0))),
+        (tmp_path / "g2.ckpt", clstm.init_params(GRADCHECK_CONFIG, GRADCHECK_CHARSET.size, 3, np.random.default_rng(0))),
     ):
         clstm.save_checkpoint(
             clstm.ClstmModel(GRADCHECK_CONFIG, GRADCHECK_CHARSET,

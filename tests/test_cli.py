@@ -124,6 +124,15 @@ class TestTrainCommand:
         assert "dev corpus is empty" in capsys.readouterr().err
         assert not out.exists() and not history.exists()
 
+    def test_one_label_clstm_corpus_rejected(self, clstm_cfg, tmp_path, capsys):
+        # used to read "num_classes must be >= 2, got 1", a field no flag or key sets
+        one = write_tsv_file(tmp_path / "one.tsv", [("bonjour le monde", "fr"), ("salut tout le monde", "fr")])
+        out = tmp_path / "m.lidc"
+        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--train", str(one),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: training corpus needs at least 2 labels, got 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("error, line", [
         (MemoryError(), "error: out of memory\n"),
         (MemoryError("Unable to allocate 56.0 MiB for an array"),
@@ -158,12 +167,14 @@ class TestTrainCommand:
         assert flags[0][2:] in err and "tab" not in err
 
     @pytest.mark.parametrize("cap", ["0", "1"])
-    def test_ngram_charset_cap_checked_before_corpus_read(self, tmp_path, capsys, cap):
-        # a cap below 2 used to be found only after the corpus was read, as its format error
+    @pytest.mark.parametrize("kind", ["ngram", "clstm"])
+    def test_charset_cap_checked_before_corpus_read(self, tmp_path, capsys, kind, cap):
+        # a cap below 2 used to be found only after the corpus was read, as its format
+        # error; with --kind clstm it read "charset_dim must be >= 2", a rule of its own
         bad = tmp_path / "bad.tsv"
         bad.write_text("no tab on this line\n", encoding="utf-8")
-        out = tmp_path / "m.lidn"
-        code = main(["train", "--kind", "ngram", "--max-charset", cap, "--train", str(bad), "--out", str(out)])
+        out = tmp_path / "m"
+        code = main(["train", "--kind", kind, "--max-charset", cap, "--train", str(bad), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "charset cap" in err and f"got {cap}" in err and "tab" not in err
@@ -176,6 +187,17 @@ class TestTrainCommand:
         model = clstm.load_checkpoint(out)
         # the toy corpus has more than five distinct characters, so the cap binds
         assert model.config.charset_dim == model.charset.size == 6
+
+    def test_clstm_dump_keeps_the_cap(self, toy_tsv, clstm_cfg, tmp_path, capsys):
+        # the config of a trained model used to read the charset's size as charset_dim
+        out = tmp_path / "m.lidc"
+        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--epochs", "1",
+                     "--train", str(toy_tsv), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(out), "--dump"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["charset_dim"] == clstm.ClstmConfig.charset_dim > len(doc["charset"]) + 1
+        assert "num_classes" not in doc["config"]
 
     @pytest.mark.parametrize("kind", ["ngram", "clstm"])
     def test_out_into_missing_directory_rejected_before_training(self, toy_tsv, clstm_cfg, tmp_path,
@@ -259,7 +281,7 @@ class TestTrainCommand:
             lstm_hidden=6, dense_units=7, dropout_rate=0.25, lr=0.5, beta1=0.5, beta2=0.75,
             eps=1e-6, epochs=3, batch_size=9, seed=4,
         )
-        values = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "num_classes"}
+        values = dataclasses.asdict(cfg)
         path = tmp_path / "all.cfg"
         path.write_text("".join(
             f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"

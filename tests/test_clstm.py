@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 import struct
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from lident import autodiff as ad
 from lident import clstm
 from lident.clstm import ClstmConfig
-from lident.corpus import Charset, Corpus, Label, Scores, build_charset
+from lident.corpus import Charset, Corpus, Instance, Label, Scores, build_charset
 from lident.errors import (
     ChecksumError,
     ConfigError,
@@ -37,10 +38,10 @@ TINY = ClstmConfig(
     lstm_hidden=2,
     dense_units=4,
     dropout_rate=0.3,
-    num_classes=2,
     seed=0,
 )
 TINY_CHARSET = Charset(tuple("abc"))
+TINY_SIZES = (TINY_CHARSET.size, 2)  # init_params's charset size and label count for TINY
 
 
 def tiny_batch(data_seed=1234, target=1):
@@ -51,20 +52,21 @@ def tiny_batch(data_seed=1234, target=1):
 
 class TestConfig:
     def test_default_stage_lengths(self):
-        assert ClstmConfig().num_classes == 12
         assert ClstmConfig().stage_lengths() == [250, 83, 77, 25, 23, 7]
 
     def test_short_input_collapses(self):
         with pytest.raises(ConfigError, match="stage"):
-            ClstmConfig(seq_len=32, num_classes=3)
+            ClstmConfig(seq_len=32)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
-            ClstmConfig(num_classes=1)
+            ClstmConfig(dropout_rate=1.0)
+        # charset_dim is build_charset's cap, under the n-gram cap's rule: it read
+        # "charset_dim must be >= 2"
+        with pytest.raises(ConfigError, match="charset cap must be an integer .*got 1"):
+            ClstmConfig(charset_dim=1)
         with pytest.raises(ConfigError):
-            ClstmConfig(num_classes=3, dropout_rate=1.0)
-        with pytest.raises(ConfigError):
-            ClstmConfig(num_classes=3, conv_kernels=(7, 7), pools=(3, 3, 3))
+            ClstmConfig(conv_kernels=(7, 7), pools=(3, 3, 3))
         # a checkpoint stores three stages: a two-stage config used to train
         # and then write a file that failed to load
         with pytest.raises(ConfigError, match="3 stages"):
@@ -92,7 +94,7 @@ class TestConfig:
         "field, value",
         [
             ("seq_len", "9"), ("seq_len", 9.0), ("epochs", 1.5), ("batch_size", 2.5),
-            ("charset_dim", None), ("num_classes", 2.0), ("seed", 0.5),
+            ("charset_dim", None), ("conv_features", 2.0), ("seed", 0.5),
             ("conv_kernels", (7, 7.5, 3)), ("pools", (3, "3", 3)), ("pools", [3, 3, 3]),
             ("lr", "0.1"), ("eps", None), ("beta1", "0.9"), ("dropout_rate", [0.5]),
             ("epochs", True), ("conv_kernels", (7, 7, True)), ("seed", False), ("lr", Fraction(1, 1000)),
@@ -102,7 +104,7 @@ class TestConfig:
         # seq_len="9" and lr="0.1" used to end in a bare TypeError; epochs=1.5,
         # batch_size=2.5 and the bools passed; a Fraction trains into numpy object arrays
         with pytest.raises(ConfigError, match=f"{field}.*{re.escape(repr(value))}"):
-            replace(ClstmConfig(num_classes=2), **{field: value})
+            replace(ClstmConfig(), **{field: value})
 
     @pytest.mark.parametrize("f", fields(ClstmConfig), ids=lambda f: f.name)
     def test_bool_rejected_for_every_field(self, f):
@@ -136,6 +138,33 @@ class TestConfig:
             ClstmConfig(seq_len=10**9)
         with pytest.raises(ConfigError, match="MiB limit"):
             ClstmConfig(batch_size=10**6)
+
+
+class TestModel:
+    def model(self):
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(0))
+        return clstm.ClstmModel(TINY, TINY_CHARSET, (Label("a"), Label("b")), params)
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda m: {"params": {k: v for k, v in m.params.items() if k != "out_b"}}, "'out_b' has shape None"),
+        (lambda m: {"params": {**m.params, "extra_w": np.zeros(2)}}, "'extra_w' has shape (2,)"),
+        (lambda m: {"params": {**m.params, "conv1_w": m.params["conv1_w"][..., :-1]}}, "'conv1_w' has shape (2, 3, 3)"),
+        (lambda m: {"charset": Charset(tuple("ab"))}, "'conv1_w' has shape (2, 3, 4), the model needs (2, 3, 3)"),
+        (lambda m: {"labels": (*m.labels, Label("c"))}, "'out_w' has shape (2, 4), the model needs (3, 4)"),
+    ], ids=["missing-parameter", "extra-parameter", "parameter-shape", "charset-size", "label-count"])
+    def test_params_unlike_their_layout_rejected(self, change, named):
+        # every model has the layout save_checkpoint writes: a missing parameter
+        # used to be saved and then refused only by load_checkpoint
+        model = self.model()
+        with pytest.raises(ShapeError, match=re.escape(f"parameter {named}")):
+            replace(model, **change(model))
+
+    def test_param_order_is_free(self, tmp_path):
+        # save_checkpoint writes the layout's order, whatever order params has
+        model = self.model()
+        clstm.save_checkpoint(model, tmp_path / "a.ckpt")
+        clstm.save_checkpoint(replace(model, params=dict(reversed(model.params.items()))), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def one_hot(idx: np.ndarray, size: int) -> np.ndarray:
@@ -202,7 +231,7 @@ class TestEncode:
 
 class TestForward:
     def test_zeroed_params_give_uniform(self):
-        params = {k: np.zeros_like(v) for k, v in clstm.init_params(TINY, np.random.default_rng(0)).items()}
+        params = {k: np.zeros_like(v) for k, v in clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(0)).items()}
         model = clstm.ClstmModel(TINY, TINY_CHARSET, (Label("a"), Label("b")), params)
         (scores,) = clstm.predict(model, ["abczab"])
         assert list(scores.per_label.values()) == pytest.approx([math.log(0.5)] * 2, abs=1e-12)
@@ -210,14 +239,14 @@ class TestForward:
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_symmetric_output_layer_loss_is_log_k(self):
-        params = clstm.init_params(TINY, np.random.default_rng(3))
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(3))
         params["out_w"][:] = 0.0
         params["out_b"][:] = 0.0
         loss, _ = clstm.loss_and_grads(params, TINY, tiny_batch(), None)
-        assert abs(loss - math.log(TINY.num_classes)) <= 1e-9
+        assert abs(loss - math.log(2)) <= 1e-9
 
     def test_probability_rows_normalized(self):
-        params = clstm.init_params(TINY, np.random.default_rng(4))
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(4))
         rng = np.random.default_rng(0)
         texts = ["".join(rng.choice(list("abcz")) for _ in range(12)) for _ in range(5)]
         model = clstm.ClstmModel(TINY, TINY_CHARSET, (Label("a"), Label("b")), params)
@@ -227,15 +256,14 @@ class TestForward:
     @pytest.mark.parametrize("targets", [[0, 7], [-1, 0]])
     def test_targets_outside_the_classes_rejected(self, targets):
         # used to end in a bare IndexError
-        config = replace(TINY, num_classes=3)
-        params = clstm.init_params(config, np.random.default_rng(0))
+        params = clstm.init_params(TINY, TINY_CHARSET.size, 3, np.random.default_rng(0))
         batch = clstm.EncodedBatch(tiny_batch().inputs.repeat(2, axis=0), np.array(targets))
         with pytest.raises(ShapeError, match=r"\[0, 3\) for 3 classes"):
-            clstm.loss_and_grads(params, config, batch, 0)
+            clstm.loss_and_grads(params, TINY, batch, 0)
 
     def test_eval_mode_skips_dropout(self):
         # without seeds no unit is dropped: the logits equal those at rate 0
-        params = clstm.init_params(TINY, np.random.default_rng(2))
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(2))
         batch = clstm.encode_batch(["abcabc", "zzab"], [0, 1], TINY_CHARSET, TINY.seq_len)
         wrapped = {name: ad.Tensor(arr) for name, arr in params.items()}
         evaluated = clstm._logits(wrapped, TINY, batch.inputs, None).data
@@ -246,7 +274,7 @@ class TestForward:
     def test_end_to_end_gradient_check(self):
         # seeds chosen so no ReLU argument or pool tie sits within the
         # finite-difference step and every array receives gradient
-        params = clstm.init_params(TINY, np.random.default_rng(0))
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(0))
         batch = tiny_batch(1234, target=1)
         fwd_seed = 0
         _, grads = clstm.loss_and_grads(params, TINY, batch, fwd_seed)
@@ -273,7 +301,7 @@ def taped_single(params, config, batch, drop_seed):
 
 class TestBatchInvariance:
     def test_batch_is_mean_of_single_instances(self):
-        params = clstm.init_params(TINY, np.random.default_rng(0))
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(0))
         rng = np.random.default_rng(5)
         texts = ["".join(rng.choice(list("abcz")) for _ in range(n)) for n in (16, 9, 30, 1, 12)]
         targets = [0, 1, 1, 0, 1]
@@ -292,7 +320,7 @@ class TestBatchInvariance:
             assert np.abs(g - mean).max() <= 1e-12 * max(np.abs(mean).max(), 1e-300), name
 
     def test_tape_size_independent_of_batch_and_length(self):
-        params = clstm.init_params(TINY, np.random.default_rng(0))
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(0))
 
         def recorded_ops(texts, seq_len):
             config = replace(TINY, seq_len=seq_len)
@@ -307,7 +335,7 @@ class TestBatchInvariance:
         assert len(counts) == 1
 
     def test_empty_batch_rejected(self):
-        params = clstm.init_params(TINY, np.random.default_rng(0))
+        params = clstm.init_params(TINY, *TINY_SIZES, np.random.default_rng(0))
         batch = clstm.encode_batch([], [], TINY_CHARSET, TINY.seq_len)
         with pytest.raises(ConfigError, match="empty batch"):
             clstm.loss_and_grads(params, TINY, batch, 0)
@@ -325,8 +353,8 @@ class TestStepMemory:
         # from the forward pass, one more for its gradient): 64.6 MiB at batch
         # 16, 173.5 at 48. Unrolled a block of sequences and a kernel tap at a
         # time: 33.3 and 79.6. Built whole but not kept: 47.8 and 122.9.
-        config = ClstmConfig(num_classes=12, charset_dim=219)
-        params = clstm.init_params(config, np.random.default_rng(0))
+        config = ClstmConfig(charset_dim=219)
+        params = clstm.init_params(config, 219, 12, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         inputs = rng.integers(-1, 219, (batch_size, config.seq_len))
         batch = clstm.EncodedBatch(inputs, rng.integers(0, 12, batch_size))
@@ -358,10 +386,10 @@ class TestPooledConvMemory:
     57.6 and 16.6 with it inside (52.5 for the step once the backward pass
     also drops each op's output). Each bound sits halfway, from the first two."""
 
-    config = ClstmConfig(num_classes=12, charset_dim=219, batch_size=48)
+    config = ClstmConfig(charset_dim=219, batch_size=48)
 
     def test_training_step_peak(self):
-        params = clstm.init_params(self.config, np.random.default_rng(0))
+        params = clstm.init_params(self.config, 219, 12, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         inputs = rng.integers(-1, 219, (48, self.config.seq_len))
         batch = clstm.EncodedBatch(inputs, rng.integers(0, 12, 48))
@@ -370,7 +398,7 @@ class TestPooledConvMemory:
     def test_predict_peak(self):
         chars = tuple(chr(0x100 + i) for i in range(218))
         labels = tuple(Label(f"l{i:02d}") for i in range(12))
-        params = clstm.init_params(self.config, np.random.default_rng(0))
+        params = clstm.init_params(self.config, 219, 12, np.random.default_rng(0))
         model = clstm.ClstmModel(self.config, Charset(chars), labels, params)
         rng = np.random.default_rng(1)
         texts = ["".join(rng.choice(chars, 300)) for _ in range(48)]
@@ -386,7 +414,7 @@ class TestTrain:
         )
         model, history = clstm.train(corpus, None, cfg)
         assert history == []
-        expected = clstm.init_params(model.config, np.random.default_rng(9))
+        expected = clstm.init_params(model.config, model.charset.size, len(model.labels), np.random.default_rng(9))
         for name, arr in model.params.items():
             assert np.array_equal(arr, expected[name])
 
@@ -400,7 +428,7 @@ class TestTrain:
         model, history = clstm.train(corpus, None, cfg)
         assert history[-1].train_loss < history[0].train_loss
         assert math.isnan(history[0].dev_accuracy)
-        assert model.config.num_classes == 2
+        assert model.params["out_b"].shape == (2,)
 
     def test_divergence_reported_with_location(self):
         corpus = disjoint_corpus(4, 20, seed=3)
@@ -415,8 +443,16 @@ class TestTrain:
         assert exc_info.value.epoch == 0
         assert exc_info.value.batch >= 1
 
+    def test_one_label_rejected_before_any_parameter(self, monkeypatch):
+        # used to fail on the config's num_classes, a field no flag sets
+        made = []
+        monkeypatch.setattr(clstm, "init_params", lambda *args: made.append(args))
+        with pytest.raises(ConfigError, match="^training corpus needs at least 2 labels, got 1$"):
+            clstm.train(Corpus([Instance("abc", Label("aa"))] * 3), None, TINY)
+        assert not made
+
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="needs at least 2 labels, got 0"):
             clstm.train(Corpus([]), None, TINY)
 
     def test_empty_dev_corpus_rejected_before_training(self, monkeypatch):
@@ -469,11 +505,11 @@ def hex_scores(model, scores: list[Scores]) -> list[list[str]]:
 class TestConv1Table:
     """A model builds conv1's index table once, and predict gathers from it."""
 
-    config = ClstmConfig(num_classes=12, charset_dim=219)
+    config = ClstmConfig(charset_dim=219)
     chars = tuple(chr(0x100 + i) for i in range(218))
 
     def model(self):
-        params = clstm.init_params(self.config, np.random.default_rng(0))
+        params = clstm.init_params(self.config, 219, 12, np.random.default_rng(0))
         labels = tuple(Label(f"l{i:02d}") for i in range(12))
         return clstm.ClstmModel(self.config, Charset(self.chars), labels, params)
 
@@ -646,22 +682,6 @@ class TestCheckpoint:
         with pytest.raises(ModelIOError):
             clstm.load_checkpoint(path)
 
-    def test_overflowing_shape_is_model_error(self, tmp_path):
-        # 2**31 * 2**31 * 4 wraps to 0 in int64, so the reader used to read no
-        # bytes and fail in reshape with a bare ValueError
-        model = self._model()
-        path = tmp_path / "m.ckpt"
-        clstm.save_checkpoint(model, path)
-        blob = path.read_bytes()
-        payload = blob[8:-4]
-        name = b"conv1_w"
-        at = payload.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
-        shape = struct.pack("<B", 3) + struct.pack("<III", 2**31, 2**31, 4)
-        payload = payload[:at] + shape + payload[at + 1 + 3 * 4:]
-        path.write_bytes(reseal(blob, payload))
-        with pytest.raises(ModelIOError):
-            clstm.load_checkpoint(path)
-
     @pytest.mark.parametrize("name", ["out_b", "conv1_w"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_is_model_error(self, tmp_path, name, bad):
@@ -674,18 +694,34 @@ class TestCheckpoint:
         with pytest.raises(ModelIOError, match=name):
             clstm.load_checkpoint(path)
 
-    @pytest.mark.parametrize("change, match", [
-        (lambda m: {"charset": Charset(m.charset.chars[:-1])}, "stored charset size"),
-        (lambda m: {"labels": (*m.labels, Label("mm"))}, "stored 3 labels != configured 2 classes"),
-        (lambda m: {"params": {k: v for k, v in m.params.items() if k != "out_b"}}, "parameter set does not match"),
-    ], ids=["charset-size", "label-count", "missing-parameter"])
-    def test_payload_unlike_its_config_is_model_error(self, tmp_path, change, match):
-        # under a valid checksum: save_checkpoint writes whatever the model holds
+    @pytest.mark.parametrize("labels", [("aa",), ()], ids=["one", "none"])
+    def test_fewer_than_two_labels_is_model_error(self, tmp_path, labels):
+        # under a valid checksum; a model of one label used to be refused by the
+        # config's num_classes check, and parameter shapes follow the label count
         model = self._model()
+        labels = tuple(map(Label, labels))
+        params = {**model.params, "out_w": model.params["out_w"][: len(labels)],
+                  "out_b": model.params["out_b"][: len(labels)]}
         path = tmp_path / "m.ckpt"
-        clstm.save_checkpoint(replace(model, **change(model)), path)
-        with pytest.raises(ModelIOError, match=match):
+        clstm.save_checkpoint(clstm.ClstmModel(model.config, model.charset, labels, params), path)
+        with pytest.raises(ModelIOError, match=f"at least 2 labels, got {len(labels)}"):
             clstm.load_checkpoint(path)
+
+    def test_json_dump_rebuilds_the_same_model(self, tmp_path):
+        # README's path from an older checkpoint: rebuild a model from the JSON of
+        # `predict --dump` and save it; the file scores the texts bit for bit alike
+        model = self._model()
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        rebuilt = clstm.ClstmModel(
+            ClstmConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["config"].items()}),
+            Charset(tuple(doc["charset"])),
+            tuple(map(Label, doc["labels"])),
+            {name: np.array(values) for name, values in doc["params"].items()},
+        )
+        clstm.save_checkpoint(rebuilt, tmp_path / "m.ckpt")
+        loaded = clstm.load_checkpoint(tmp_path / "m.ckpt")
+        texts = ["ab", "zz aa", "", "qqq " * 20]
+        assert hex_scores(loaded, clstm.predict(loaded, texts)) == hex_scores(model, clstm.predict(model, texts))
 
     def test_huge_seq_len_is_model_error(self, tmp_path, checkpoint_blob):
         # seq_len is the payload's first u32; no parameter shape depends on it,
@@ -725,6 +761,6 @@ class TestTrainedCharset:
         )
         model, _ = clstm.train(corpus, None, cfg)
         assert model.charset.size <= 6
-        assert model.config.charset_dim == model.charset.size
+        assert model.config == cfg  # charset_dim stays the cap
         explicit = build_charset(corpus, 6)
         assert model.charset == explicit

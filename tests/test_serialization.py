@@ -12,11 +12,11 @@ from lident.errors import ModelIOError
 from conftest import reseal
 from lident.serialization import F64, U8, U16, U32, U64, Reader, Writer, record
 
-# Digests of the two files below as written by `LIDN` v4 and `LIDC` v1. A
+# Digests of the two files below as written by `LIDN` v4 and `LIDC` v2. A
 # change to either is a file-format change: old files would no longer load
 # the same.
 LIDN_SHA256 = "e90e085183e743e9307c0e9a2dfc57b16d3ecec393248e145ef14897f78edb5f"
-LIDC_SHA256 = "2c73dd3370c1e8f6062036f293755260e433b41298849b5257dca52ca204ae19"
+LIDC_SHA256 = "c238a9c35b7c69044d9307a56a013c3e700c5a6038c74abed0b74317fef9cefc"
 
 PIN_CONFIG = ClstmConfig(
     seq_len=16,
@@ -27,7 +27,6 @@ PIN_CONFIG = ClstmConfig(
     lstm_hidden=2,
     dense_units=3,
     dropout_rate=0.25,
-    num_classes=2,
     lr=0.5,
     epochs=3,
     batch_size=5,
@@ -39,7 +38,7 @@ def pinned_clstm() -> ClstmModel:
     """A checkpoint from hand-set weights: no BLAS rounding or RNG stream enters."""
     params = {
         name: np.arange(np.prod(shape)).reshape(shape) / 7
-        for name, shape in clstm._param_shapes(PIN_CONFIG).items()
+        for name, shape in clstm._param_shapes(PIN_CONFIG, 4, 2).items()
     }
     return ClstmModel(PIN_CONFIG, Charset(tuple("aé中")), (Label("es"), Label("fr")), params)
 
@@ -178,9 +177,8 @@ class TestLoadErrorsNameTheFile:
             model = pinned_clstm()
             path, load = tmp_path / "m.lidc", clstm.load_checkpoint
             clstm.save_checkpoint(model, path)
-            after_header = clstm._CONFIG.size + header_size(model.charset, model.labels)
-            first_dim = after_header + U32.size + U16.size + len("conv1_w") + U8.size
-            rejected = (first_dim, U32.pack(99), "parameter 'conv1_w' with shape")
+            first_weight = clstm._CONFIG.size + header_size(model.charset, model.labels)
+            rejected = (first_weight, F64.pack(float("nan")), "parameter 'conv1_w' holds a NaN")
             config = (0, U32.pack(0), "malformed payload: seq_len must be >= 1")  # seq_len leads the record
         blob = path.read_bytes()
         payload = blob[8:-4]

@@ -8,6 +8,9 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+sys.path.insert(0, str(TOOLS))
+
+import compare  # noqa: E402
 
 
 def test_scale_prints_each_step():
@@ -22,3 +25,35 @@ def test_scale_prints_each_step():
         assert report[step]["wall_s"] > 0 and report[step]["peak_mib"] > 0
     assert 0 <= report["eval"]["accuracy"] <= 1
     assert report["table_bytes"] > 0 and report["file_bytes"] > 0
+
+
+def test_clstm_step_prints_its_three_figures():
+    done = subprocess.run([sys.executable, str(TOOLS / "clstm_step.py")], capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout)
+    assert sorted(report) == ["predict_one_ms", "predict_peak_mib", "step_peak_mib"]
+    assert all(value > 0 for value in report.values())
+
+
+def test_compare_pairs_figures():
+    # a lower-is-better metric: HEAD wins pairs 2 and 4, pair 3 is a tie, and
+    # pair 5 (no HEAD value, as from a failed run) is left out
+    base, head = [2.0, 4.0, 3.0, 1.0, 5.0], [3.0, 2.0, 3.0, 0.5, None]
+    first = [True, False, True, False, True]
+    figures = compare.paired(base, head, first, "lower")
+    assert figures == {
+        "better": "lower",
+        "pairs": 4,
+        "median_ratio": 0.75,  # of 1.5, 0.5, 1.0 and 0.5
+        "median_ratio_base_first": 1.25,  # of 1.5 and 1.0
+        "median_ratio_head_first": 0.5,
+        "base_quartiles": [1.75, 2.5, 3.25],
+        "head_quartiles": [1.625, 2.5, 3.0],
+        "head_wins": 2,
+    }
+    # the same numbers where higher is better: HEAD wins pair 1 only
+    assert compare.paired(base, head, first, "higher")["head_wins"] == 1
+    assert compare.paired([2.0], [2.0], [True], "higher") == {
+        "better": "higher", "pairs": 1, "median_ratio": 1.0, "median_ratio_base_first": 1.0,
+        "median_ratio_head_first": None, "base_quartiles": [2.0] * 3, "head_quartiles": [2.0] * 3,
+        "head_wins": 0,
+    }
