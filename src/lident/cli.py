@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--model", required=True, metavar="FILE", help="model file from `lident train`")
     p_predict.add_argument("--input", metavar="FILE", help="raw input, one text per line")
     p_predict.add_argument("--scores", action="store_true", help="also emit per-label log-scores as TSV")
-    p_predict.add_argument("--dump", action="store_true", help="print the model as JSON and exit")
+    p_predict.add_argument("--dump", action="store_true", help="print a summary of the model as JSON and exit")
     p_predict.add_argument("--out", metavar="FILE", help="write predictions here instead of stdout")
     p_predict.set_defaults(func=cmd_predict)
 
@@ -229,9 +229,12 @@ def _load_any_model(path: str):
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    wrong = [flag for flag, value in (("--input", args.input), ("--scores", args.scores)) if value]
+    if args.dump and wrong:
+        raise UsageError(f"flags not valid with --dump: {', '.join(wrong)}")
     model = _load_any_model(args.model)
     if args.dump:
-        print(json.dumps(model.to_json_dict(), indent=2))
+        _emit(args.out, json.dumps(model.to_json_dict(), indent=2) + "\n")
         return 0
     if not args.input:
         raise UsageError("predict needs --input (or --dump)")

@@ -196,13 +196,16 @@ class ClstmModel:
         return predict(self, texts)
 
     def to_json_dict(self) -> dict:
-        """Human-readable view of the model, for file inspection."""
+        """A summary that does not grow with the weights: each of `params` by shape and sha256 of its "<f8" bytes."""
+        import hashlib  # here, so that `import lident.clstm`, part of set-up time, does not load it
         return {
             "kind": "clstm",
             "config": asdict(self.config),
             "charset": list(self.charset.chars),
             "labels": [label.code for label in self.labels],
-            "params": {name: arr.tolist() for name, arr in self.params.items()},
+            "params": {name: {"shape": list(shape),
+                              "sha256": hashlib.sha256(np.ascontiguousarray(self.params[name], "<f8")).hexdigest()}
+                       for name, shape in _param_shapes(self.config, self.charset.size, len(self.labels)).items()},
         }
 
 

@@ -65,8 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
@@ -137,7 +136,6 @@ class NgramConfig:
 
 # n-1 history symbols, then the next char index.
 Gram = tuple[int, ...]
-_HISTORY = itemgetter(slice(None, -1))
 
 
 @dataclass
@@ -228,7 +226,9 @@ class NgramModel:
 
     def grams(self, label: Label) -> dict[Gram, int]:
         """One label's nonzero n-gram counts, in table order."""
-        return _grams_of(self._entries(), self.labels.index(label))
+        digits, cols, counts = self._entries()
+        row = cols == self.labels.index(label)
+        return dict(zip(map(tuple, (digits[row] - 1).tolist()), counts[row].astype(np.int64).tolist()))
 
     def table_entries(self) -> int:
         """Total number of (label, history, next-char) count entries."""
@@ -256,24 +256,22 @@ class NgramModel:
         w.save(path, MAGIC, _VERSION)
 
     def to_json_dict(self) -> dict:
-        """Human-readable view of the model, for file inspection."""
-
-        names = ("<s>", *self.charset.chars, "<unk>")  # of the symbols BOS to the unknown slot
-
-        def table(grams: dict[Gram, int]) -> dict:
-            return {
-                "".join(names[s + 1] for s in history): {names[gram[-1] + 1]: grams[gram] for gram in group}
-                for history, group in groupby(grams, _HISTORY)
-            }
-
-        entries = self._entries()
+        """A summary of the model whose size does not grow with the table: `grams`
+        holds each label's number of n-grams and `totals` its training characters
+        (exact below 2**53). The counts themselves come from `grams(label)`."""
+        hits = self.cols[: len(self.counts)]
+        codes = [label.code for label in self.labels]
         return {
             "kind": "ngram",
             "n": self.config.n,
             "alpha": self.config.alpha,
             "charset": list(self.charset.chars),
-            "labels": [label.code for label in self.labels],
-            "counts": {label.code: table(_grams_of(entries, row)) for row, label in enumerate(self.labels)},
+            "labels": codes,
+            "widths": list(self.widths),
+            "histories": len(self.levels[-2]) - 1 if len(self.levels) > 1 else 1,
+            "table_bytes": self.nbytes(),
+            "grams": dict(zip(codes, map(int, np.bincount(hits, self.counts != 0, len(codes)).tolist()))),
+            "totals": dict(zip(codes, map(int, np.bincount(hits, self.counts, len(codes)).tolist()))),
         }
 
     def _digits(self, rows: np.ndarray) -> np.ndarray:
@@ -292,12 +290,6 @@ class NgramModel:
         at = np.flatnonzero(self.counts)
         spans = np.diff(self.offsets[: len(self.levels[-1]) + 1])  # each n-gram row's entries
         return self._digits(np.repeat(np.arange(len(spans)), spans)[at]), self.cols[at], self.counts[at]
-
-
-def _grams_of(entries: tuple[np.ndarray, np.ndarray, np.ndarray], row: int) -> dict[Gram, int]:
-    """Label row `row`'s n-gram counts among `NgramModel._entries()`, by symbol."""
-    digits, cols, counts = entries
-    return dict(zip(map(tuple, (digits[cols == row] - 1).tolist()), counts[cols == row].astype(np.int64).tolist()))
 
 
 def _build(

@@ -389,10 +389,39 @@ class TestPredictCommand:
         assert f"{inp}: not valid UTF-8" in captured.err
 
     def test_dump_is_valid_json(self, model_path, capsys):
+        capsys.readouterr()
         assert main(["predict", "--model", str(model_path), "--dump"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(ngram.load(model_path).to_json_dict(), indent=2) + "\n"
         assert doc["kind"] == "ngram"
         assert doc["labels"] == ["es", "fr"]
+        # a summary of the table, not its counts
+        assert sorted(doc) == ["alpha", "charset", "grams", "histories", "kind", "labels", "n", "table_bytes",
+                               "totals", "widths"]
+
+    def test_dump_honours_out(self, model_path, tmp_path, capsys):
+        # the dump used to go to stdout whatever --out said, and write no file
+        out = tmp_path / "dump.json"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--dump", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == json.dumps(ngram.load(model_path).to_json_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--input", "missing.txt"], "--input"),
+        (["--scores"], "--scores"),
+        (["--input", "missing.txt", "--scores"], "--input, --scores"),
+    ], ids=["input", "scores", "both"])
+    def test_dump_rejects_flags_it_ignores(self, model_path, tmp_path, capsys, flags, named):
+        # `--dump --input missing.txt --scores` used to exit 0 and ignore both flags
+        out = tmp_path / "dump.json"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--dump", "--out", str(out), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: flags not valid with --dump: {named}\n"
+        assert not out.exists()
 
     def test_input_required_without_dump(self, model_path, capsys):
         assert main(["predict", "--model", str(model_path)]) == 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -636,15 +637,31 @@ class TestCheckpoint:
         assert model.classify_many(texts) == expected
         assert calls == [(model, texts)]
 
-    def test_json_dict_round_trips_the_config(self):
+    def test_json_dict_round_trips_the_config(self, tmp_path):
+        # the dump used to hold every weight as nested lists; it now holds each one's shape and sha256
         model = self._model()
-        doc = model.to_json_dict()
+        doc = json.loads(json.dumps(model.to_json_dict()))
         assert doc["kind"] == "clstm"
         assert ClstmConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["config"].items()}) == model.config
         assert doc["labels"] == [label.code for label in model.labels]
         assert doc["charset"] == list(model.charset.chars)
-        assert {name: np.array(v).shape for name, v in doc["params"].items()} == {
-            name: arr.shape for name, arr in model.params.items()}
+        shapes = clstm._param_shapes(model.config, model.charset.size, len(model.labels))
+        assert list(doc["params"]) == list(shapes)
+        for name, param in doc["params"].items():
+            assert param == {"shape": list(shapes[name]),
+                             "sha256": hashlib.sha256(model.params[name].astype("<f8").tobytes()).hexdigest()}
+        # the same summary from the checkpoint, whatever order `params` has
+        clstm.save_checkpoint(model, tmp_path / "m.ckpt")
+        shuffled = dict(reversed(list(model.params.items())))
+        for again in (clstm.load_checkpoint(tmp_path / "m.ckpt"),
+                      clstm.ClstmModel(model.config, model.charset, model.labels, shuffled)):
+            assert again.to_json_dict() == model.to_json_dict()
+
+    def test_loaded_params_hold_no_view_of_the_file(self, tmp_path):
+        # a view of the payload would keep the file's bytes alive and sit unaligned
+        clstm.save_checkpoint(self._model(), tmp_path / "m.ckpt")
+        for a in clstm.load_checkpoint(tmp_path / "m.ckpt").params.values():
+            assert a.base is None and a.flags.owndata and a.flags.aligned and a.flags.writeable
 
     def test_retrain_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -708,10 +725,12 @@ class TestCheckpoint:
             clstm.load_checkpoint(path)
 
     def test_json_dump_rebuilds_the_same_model(self, tmp_path):
-        # README's path from an older checkpoint: rebuild a model from the JSON of
-        # `predict --dump` and save it; the file scores the texts bit for bit alike
+        # README's path from an older checkpoint: rebuild a model from the JSON that
+        # `predict --dump` printed before it summarized, the weights as nested lists,
+        # and save it; the file scores the texts bit for bit alike
         model = self._model()
-        doc = json.loads(json.dumps(model.to_json_dict()))
+        params = {name: arr.tolist() for name, arr in model.params.items()}
+        doc = json.loads(json.dumps({**model.to_json_dict(), "params": params}))
         rebuilt = clstm.ClstmModel(
             ClstmConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["config"].items()}),
             Charset(tuple(doc["charset"])),
@@ -720,6 +739,7 @@ class TestCheckpoint:
         )
         clstm.save_checkpoint(rebuilt, tmp_path / "m.ckpt")
         loaded = clstm.load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.to_json_dict() == model.to_json_dict()
         texts = ["ab", "zz aa", "", "qqq " * 20]
         assert hex_scores(loaded, clstm.predict(loaded, texts)) == hex_scores(model, clstm.predict(model, texts))
 
@@ -740,9 +760,10 @@ class TestCheckpoint:
         payload = mutate_payload(data, checkpoint_blob[8:-4], header=160)
         path.write_bytes(reseal(checkpoint_blob, payload))
         try:
-            clstm.load_checkpoint(path)
+            model = clstm.load_checkpoint(path)
         except ModelIOError:
-            pass
+            return
+        json.dumps(model.to_json_dict())
 
 
 @pytest.fixture(scope="module")

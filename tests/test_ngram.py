@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import re
@@ -793,7 +794,9 @@ class TestSaveLoad:
         arrays = model_arrays(model)
         assert len(arrays) == len(model.levels) + 4
         for a in arrays:
-            assert a.base is None and a.flags.owndata and a.flags.writeable
+            # nor an `np.frombuffer` view of it, which sits at any offset in the
+            # payload: unaligned, it made one-text scoring several times slower
+            assert a.base is None and a.flags.owndata and a.flags.aligned and a.flags.writeable
 
     def test_v4_load_sorts_nothing(self, tmp_path, monkeypatch):
         corpus = word_corpus(20, 30, seed=7)
@@ -1008,32 +1011,48 @@ class TestSaveLoad:
                 assert ngram.load(again).classify(text) == loaded.classify(text)
 
     def test_json_dump_readable(self):
+        # the dump used to hold every count, keyed by history; it is now a summary of the table
         model = self._model()
-        doc = model.to_json_dict()
-        assert doc["kind"] == "ngram" and doc["n"] == 3
-        assert set(doc["counts"]) == {"L1", "L2"}
-        assert any("<s>" in key for key in doc["counts"]["L1"])
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        assert doc["kind"] == "ngram" and doc["n"] == 3 and doc["alpha"] == 0.1
+        assert doc["charset"] == list(model.charset.chars) and doc["labels"] == ["L1", "L2"]
+        assert doc["widths"] == list(model.widths) and doc["table_bytes"] == model.nbytes()
+        # L1 saw abcabc and aabbcc, L2 cbacba: one count per training character, and
+        # abc twice and <s><s>a in both texts of L1, and cba twice in L2
+        assert doc["totals"] == {"L1": 12, "L2": 6}
+        assert doc["grams"] == {"L1": 10, "L2": 5}
+        # <s><s>, <s>a, <s>c, aa, ab, ac, ba, bb, bc, ca and cb
+        assert doc["histories"] == 11
 
-    def test_json_dump_decodes_the_table_once(self, monkeypatch):
+    def test_json_dump_decodes_no_table(self, monkeypatch):
+        # the dump used to decode every entry through `_entries` into per-history dicts
         corpus = word_corpus(20, 30, seed=7)
         model = ngram.train(corpus, NgramConfig(4), build_charset(corpus))
-        grams = {label.code: model.grams(label) for label in model.labels}
-        entries, calls = ngram.NgramModel._entries, []
 
-        def counted(self):
-            calls.append(self)
-            return entries(self)
+        def decodes(self):
+            raise AssertionError("the dump decoded the table")
 
-        monkeypatch.setattr(ngram.NgramModel, "_entries", counted)
+        monkeypatch.setattr(ngram.NgramModel, "_entries", decodes)
+        assert model.to_json_dict()["totals"] == {
+            label.code: sum(len(inst.text) for inst in corpus if inst.label == label) for label in model.labels}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_json_dump_agrees_with_grams(self, n):
+        corpus = word_corpus(8, 12, seed=n)
+        model = ngram.train(corpus, NgramConfig(n), build_charset(corpus))
         doc = model.to_json_dict()
-        assert len(calls) == 1
+        tables = {label.code: model.grams(label) for label in model.labels}
+        assert doc["grams"] == {code: len(grams) for code, grams in tables.items()}
+        assert doc["totals"] == {code: sum(grams.values()) for code, grams in tables.items()}
+        assert doc["histories"] == len({gram[:-1] for grams in tables.values() for gram in grams})
+        assert doc["widths"] == list(model.widths) and sum(doc["widths"]) == n
 
-        def sym(s: int) -> str:
-            return "<s>" if s == BOS else "<unk>" if s == model.charset.size - 1 else model.charset.chars[s]
-
-        # the dump is each label's `grams`, keyed by history, then next character
-        assert list(doc["counts"]) == list(grams)
-        for code, counts in grams.items():
-            dumped = [("".join(map(sym, gram[:-1])), sym(gram[-1]), count) for gram, count in counts.items()]
-            assert dumped == [(history, char, count) for history, nexts in doc["counts"][code].items()
-                              for char, count in nexts.items()]
+    def test_json_dump_size_does_not_grow_with_the_table(self):
+        big = word_corpus(40, 30, seed=3)
+        charset = build_charset(big)
+        small = Corpus([inst for label in big.labels for inst in [i for i in big if i.label == label][:10]])
+        docs = [json.dumps(ngram.train(corpus, NgramConfig(7), charset).to_json_dict(), indent=2)
+                for corpus in (small, big)]
+        assert [json.loads(doc)["labels"] for doc in docs] == [[label.code for label in big.labels]] * 2
+        assert json.loads(docs[1])["table_bytes"] > 3 * json.loads(docs[0])["table_bytes"]
+        assert abs(len(docs[1]) - len(docs[0])) < 200

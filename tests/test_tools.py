@@ -7,7 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 sys.path.insert(0, str(TOOLS))
 
 import compare  # noqa: E402
@@ -17,12 +18,14 @@ def test_scale_prints_each_step():
     done = subprocess.run([sys.executable, str(TOOLS / "scale.py"), "--per-label", "5"],
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
-    assert sorted(report) == ["eval", "file_bytes", "load", "n", "per_label", "table_bytes", "train"]
+    assert sorted(report) == ["dump", "eval", "file_bytes", "load", "n", "per_label", "table_bytes", "train"]
     assert (report["per_label"], report["n"]) == (5, 7)
     assert sorted(report["train"]) == sorted(report["load"]) == ["peak_mib", "wall_s"]
+    assert sorted(report["dump"]) == ["bytes", "peak_mib", "wall_s"]
     assert sorted(report["eval"]) == ["accuracy", "peak_mib", "wall_s"]
-    for step in ("train", "load", "eval"):
+    for step in ("train", "load", "dump", "eval"):
         assert report[step]["wall_s"] > 0 and report[step]["peak_mib"] > 0
+    assert 0 < report["dump"]["bytes"] < report["file_bytes"]
     assert 0 <= report["eval"]["accuracy"] <= 1
     assert report["table_bytes"] > 0 and report["file_bytes"] > 0
 
@@ -57,3 +60,44 @@ def test_compare_pairs_figures():
         "median_ratio_head_first": None, "base_quartiles": [2.0] * 3, "head_quartiles": [2.0] * 3,
         "head_wins": 0,
     }
+
+
+def test_compare_probe_figures():
+    # seconds of four alternating probes per tree, BASE first in even runs; the
+    # last HEAD probe failed, so its pair is left out of the ratios and the medians
+    base, head = [0.25, 0.125, 0.5, 0.375], [0.125, 0.25, 0.25, None]
+    figures = compare.probe_figures("ngram", base, head, [True, False, True, False], {"median_ratio": 1.07})
+    assert figures == {
+        "kind": "ngram",
+        "better": "lower",
+        "pairs": 3,
+        "median_ratio": 0.5,  # of 0.5, 2.0 and 0.5
+        "median_ratio_base_first": 0.5,
+        "median_ratio_head_first": 2.0,
+        "base_quartiles": [0.1875, 0.25, 0.375],
+        "head_quartiles": [0.1875, 0.25, 0.25],
+        "head_wins": 2,
+        "base_median_s": 0.3125,  # of all four BASE probes
+        "head_median_s": 0.25,
+        "setup_s_median_ratio": 1.07,
+    }
+
+
+def test_compare_probes_each_tree_in_turn(tmp_path, monkeypatch):
+    # two trees that hold this checkout's package and probe, and the files a
+    # benchmark run of ngram-sweep leaves: its corpora, under the last seed
+    for side in ("base", "head"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "src").symlink_to(ROOT / "src")
+        (tmp_path / side / "perfbench" / "setup_probe.py").symlink_to(ROOT / "perfbench" / "setup_probe.py")
+        corpus = tmp_path / side / ".perfbench" / "corpus" / f"seed-{compare.SEEDS[-1]}-0123"
+        corpus.mkdir(parents=True)
+        for name in ("sweep_train", "sweep_dev"):
+            (corpus / f"{name}.tsv").write_text("bonjour\tfr\nhola\tes\n", encoding="utf-8")
+    monkeypatch.setattr(compare, "PROBE_RUNS", 3)
+    kind, times, base_first = compare.probe_pairs(tmp_path, "ngram-sweep")
+    assert kind == "corpus" and base_first == [True, False, True]
+    assert all(len(times[side]) == 3 and all(0 < t < 60 for t in times[side]) for side in times)
+    # a tree without the files fails its probes, which read as None
+    (corpus / "sweep_dev.tsv").unlink()
+    assert compare.probe_pairs(tmp_path, "ngram-sweep")[1]["head"] == [None] * 3

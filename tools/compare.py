@@ -17,7 +17,16 @@ each side's quartiles; `head_wins`, the pairs in which HEAD is better in the
 metric's direction (a tie counts for neither side); and, for `peak_rss_mb`,
 each side's values in seed order. `runs` records every run's exit status,
 `correct` and `failed`. The script exits 1 if any run failed or was not
-correct. It applies no bound of its own.
+correct, or if a set-up probe failed. It applies no bound of its own.
+
+After each workload's pairs it times the workload's set-up probe directly:
+`perfbench/setup_probe.py` on the files the last run left in each tree, 40
+times per tree, alternating which tree runs first, timed as `setup_s` times
+one probe but with no host-speed scaling. `setup_probe` holds the same
+figures as a metric (`median_ratio` and the rest) beside `setup_s`'s median
+ratio, and `env` records `PYTHONDONTWRITEBYTECODE`: without a bytecode
+cache every fresh interpreter compiles the package, so added source lines
+cost set-up time.
 
 The 60 runs of three workloads took 12 minutes on 2 vCPUs. Progress goes
 to stderr.
@@ -27,14 +36,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 11)
+PROBE_RUNS = 40
+# Each workload's set-up probe (perfbench/workload.py): its kind, then its files
+# under a tree's .perfbench/ as the last run left them; `{seed}` names the last seed's corpus.
+PROBES = {
+    "ngram-dsl": ("ngram", "work/ngram-dsl/model.lidn"),
+    "ngram-sweep": ("corpus", "corpus/{seed}/sweep_train.tsv", "corpus/{seed}/sweep_dev.tsv"),
+    "clstm-dsl": ("clstm", "work/clstm-dsl/model.ckpt"),
+}
 
 
 def quartiles(values: list[float]) -> list[float] | None:
@@ -66,6 +85,51 @@ def paired(base: list, head: list, base_first: list[bool], better: str) -> dict:
     }
 
 
+def probe_figures(kind: str, base: list, head: list, base_first: list[bool], setup_s: dict) -> dict:
+    """The direct set-up probe's figures of one kind, beside run.py's `setup_s` median ratio; a failed
+    probe (None) is left out."""
+
+    def median(values: list) -> float | None:
+        values = [v for v in values if v is not None]
+        return statistics.median(values) if values else None
+
+    return {"kind": kind, **paired(base, head, base_first, "lower"), "base_median_s": median(base),
+            "head_median_s": median(head), "setup_s_median_ratio": setup_s["median_ratio"]}
+
+
+def probe(tree: Path, kind: str, files: list[Path]) -> float | None:
+    """Seconds from starting `tree`'s setup_probe.py until it is ready, in the benchmark's child
+    environment; None if it failed."""
+    env = {k: v for k, v in os.environ.items() if k not in ("LIDENT_SEED", "PYTHONPATH")}
+    threads = str(len(os.sched_getaffinity(0)))
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    argv = [sys.executable, str(tree / "perfbench" / "setup_probe.py"), kind, *map(str, files)]
+    started = time.monotonic()
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        return float(done.stdout) - started
+    except ValueError:
+        return None
+
+
+def probe_pairs(work: Path, workload: str) -> tuple[str, dict[str, list], list[bool]]:
+    """`PROBE_RUNS` alternating probes of `workload` in each tree, BASE first in even runs:
+    its kind, each side's seconds, and whether BASE ran first."""
+    kind, *paths = PROBES[workload]
+    files = {}
+    for side in ("base", "head"):
+        state = work / side / ".perfbench"
+        seed = next((state / "corpus").glob(f"seed-{SEEDS[-1]}-*"), Path("missing")).name
+        files[side] = [state / path.format(seed=seed) for path in paths]
+    times: dict[str, list] = {"base": [], "head": []}
+    base_first = [i % 2 == 0 for i in range(PROBE_RUNS)]
+    for first in base_first:
+        for side in ("base", "head") if first else ("head", "base"):
+            times[side].append(probe(work / side, kind, files[side]))
+    return kind, times, base_first
+
+
 def export(commit: str, dest: Path) -> str:
     """Write `commit`'s tree to `dest`; return the full commit id."""
     sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{commit}^{{commit}}"],
@@ -91,7 +155,8 @@ def run(tree: Path, command: list[str], workload: str, seed: int, seconds) -> tu
 def compare(work: Path, base: str, head: str) -> dict:
     commits = {"base": export(base, work / "base"), "head": export(head, work / "head")}
     spec = json.loads((work / "head" / "BENCHMARK.json").read_text(encoding="utf-8"))
-    out: dict = {**commits, "seeds": list(SEEDS), "seconds": spec["run_seconds"], "workloads": {}, "runs": []}
+    out: dict = {**commits, "seeds": list(SEEDS), "seconds": spec["run_seconds"], "workloads": {}, "runs": [],
+                 "env": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}}
     for workload in (w["name"] for w in spec["workloads"]):
         values: dict[str, list[dict]] = {"base": [], "head": []}
         for seed in SEEDS:
@@ -110,6 +175,9 @@ def compare(work: Path, base: str, head: str) -> dict:
             figures[name] = paired(series["base"], series["head"], base_first, metric["better"])
             if name == "peak_rss_mb":
                 figures[name].update(base_values=series["base"], head_values=series["head"])
+        print(f"{workload}: {PROBE_RUNS} set-up probes per tree", file=sys.stderr, flush=True)
+        kind, times, first = probe_pairs(work, workload)
+        figures["setup_probe"] = probe_figures(kind, times["base"], times["head"], first, figures["setup_s"])
     return out
 
 
@@ -121,7 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="lident-compare-") as work:
         result = compare(Path(work), args.base, args.head)
     print(json.dumps(result, indent=1))
-    return 0 if all(r["exit"] == 0 and r["correct"] is True for r in result["runs"]) else 1
+    runs_ok = all(r["exit"] == 0 and r["correct"] is True for r in result["runs"])
+    probes_ok = all(w["setup_probe"]["pairs"] == PROBE_RUNS for w in result["workloads"].values())
+    return 0 if runs_ok and probes_ok else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""The n-gram model at scale: wall time and resident peak of train, load and eval.
+"""The n-gram model at scale: wall time and resident peak of train, load, dump and eval.
 
 Draws train (`--per-label` texts per label) and test (300 per label) from
 `perfbench/corpus_gen.py` in one `generate` call, so the test rows never
@@ -7,11 +7,12 @@ in a fresh child process of this one:
 
     train   lident train --kind ngram --n 7
     load    ngram.load of the file train wrote
+    dump    lident predict --model ... --dump
     eval    lident eval --model ... --gold test.tsv --format json
 
 and prints one JSON object: each step's wall time and its own peak resident
-size (the child's `ru_maxrss`, from `os.wait4`), the loaded table's bytes,
-the model file's bytes and the eval accuracy. The corpus seed is fixed at
+size (the child's `ru_maxrss`, from `os.wait4`), the bytes the dump printed,
+the loaded table's bytes, the model file's bytes and the eval accuracy. The corpus seed is fixed at
 7, the seed of the README's figures. The children run the package under
 `src/` of this checkout.
 
@@ -69,6 +70,7 @@ def scale(per_label: int, work: Path) -> dict:
     train, _ = run([*lident, "train", "--kind", "ngram", "--n", str(ORDER),
                     "--train", str(work / "train.tsv"), "--out", str(model)])
     load, table_bytes = run([sys.executable, "-c", _LOAD, str(model)])
+    dump, summary = run([*lident, "predict", "--model", str(model), "--dump"])
     evaluation, report = run([*lident, "eval", "--model", str(model), "--gold", str(work / "test.tsv"),
                               "--format", "json"])
     return {
@@ -76,6 +78,7 @@ def scale(per_label: int, work: Path) -> dict:
         "n": ORDER,
         "train": train,
         "load": load,
+        "dump": {**dump, "bytes": len(summary.encode())},
         "eval": {**evaluation, "accuracy": json.loads(report)["accuracy"]},
         "table_bytes": json.loads(table_bytes),
         "file_bytes": model.stat().st_size,
