@@ -520,8 +520,9 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float, beta1: float, beta2: float, eps: float) -> "AdamState":
-        """Zero moments for `params`, at step 0."""
+    def for_params(cls, params: dict[str, np.ndarray], lr: float,
+                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+        """Zero moments for `params`, at step 0; the defaults are Kingma & Ba's (2015)."""
         m, v = ({name: np.zeros_like(p) for name, p in params.items()} for _ in range(2))
         return cls(lr, beta1, beta2, eps, m, v)
 

@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--n", type=int, help=f"ngram: model order in characters (default {NgramConfig.n})")
     p_train.add_argument("--alpha", type=float, help=f"ngram: additive smoothing mass (default {NgramConfig.alpha})")
     p_train.add_argument("--max-charset", type=int, help="cap on charset size, unknown slot included")
-    p_train.add_argument("--config", metavar="FILE", help="clstm: key=value config file")
     p_train.add_argument("--seq-len", type=int, help="clstm: input length in characters")
     p_train.add_argument("--conv-features", type=int, help="clstm: filters per conv stage")
     p_train.add_argument("--kernels", type=int_list, dest="conv_kernels", metavar="K,K,K",
@@ -54,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, help="clstm: training epochs")
     p_train.add_argument("--batch-size", type=int, help="clstm: mini-batch size")
     p_train.add_argument("--history", metavar="CSV", help="clstm: write per-epoch loss/accuracy CSV")
-    p_train.add_argument("--seed", type=int,
-                         help=f"clstm: RNG seed (default: the config file's, else {clstm.ClstmConfig.seed})")
+    p_train.add_argument("--seed", type=int, help=f"clstm: RNG seed (default {clstm.ClstmConfig.seed})")
     p_train.set_defaults(func=cmd_train)
 
     p_predict = sub.add_parser("predict", help="label raw text lines with a trained model")
@@ -136,43 +134,18 @@ def _emit(out: str | None, document: str) -> None:
     atomic_write_text(out, document)
 
 
-# Config file keys and the type of each (a tuple is comma-separated ints).
-_CLSTM_FILE_KEYS = {f.name: type(f.default) for f in dataclasses.fields(clstm.ClstmConfig)}
+# Each clstm config field but charset_dim (from --max-charset) is the dest of its flag.
+_CLSTM_FIELDS = {f.name for f in dataclasses.fields(clstm.ClstmConfig)}
 
 
 def int_list(raw: str) -> tuple[int, ...]:
-    """Comma-separated integers, as --kernels, --pools and their config keys take them."""
+    """Comma-separated integers, as --kernels and --pools take them."""
     return tuple(int(part) for part in raw.split(","))
-
-
-def _load_clstm_config(path: str | None) -> dict:
-    """Parse a flat key=value file (`#` comments, blank lines ignored)."""
-    overrides: dict = {}
-    if path is None:
-        return overrides
-    p = _require_file(path, "config file")
-    for line_no, line in enumerate(read_lines(p), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CLSTM_FILE_KEYS:
-            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-        kind = _CLSTM_FILE_KEYS[key]
-        try:
-            overrides[key] = int_list(value) if kind is tuple else kind(value)
-        except ValueError:
-            raise UsageError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
-    return overrides
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     ngram_flags = {"n": args.n, "alpha": args.alpha}
-    # Each clstm config field with a flag has the flag's dest.
-    clstm_flags = {key: value for key, value in vars(args).items()
-                   if key in _CLSTM_FILE_KEYS or key in ("config", "history", "dev")}
+    clstm_flags = {key: value for key, value in vars(args).items() if key in _CLSTM_FIELDS or key in ("history", "dev")}
     other_flags = clstm_flags if args.kind == "ngram" else ngram_flags
     wrong = [k for k, v in other_flags.items() if v is not None]
     if wrong:
@@ -186,9 +159,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         config = NgramConfig(**{k: v for k, v in ngram_flags.items() if v is not None})
         check_charset_cap(args.max_charset)
     else:
-        options = _load_clstm_config(args.config)
-        # Flags, --seed among them, beat the config file.
-        options.update((k, v) for k, v in vars(args).items() if k in _CLSTM_FILE_KEYS and v is not None)
+        options = {k: v for k, v in clstm_flags.items() if k in _CLSTM_FIELDS and v is not None}
         if args.max_charset is not None:
             options["charset_dim"] = args.max_charset
         config = clstm.ClstmConfig(**options)

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"LIDC"
-_VERSION = 2
+_VERSION = 3
 
 # Ceiling on stage 1's unpooled gradient, batch_size x seq_len x conv_features
 # doubles (32 MiB at the defaults), which only training builds. Past it a config
@@ -70,10 +70,7 @@ class ClstmConfig:
     lstm_hidden: int = 128
     dense_units: int = 1024
     dropout_rate: float = 0.5
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float = 1e-3  # Adam's step size; its other constants are `AdamState.for_params`'s
     epochs: int = 20
     batch_size: int = 64
     seed: int = 0  # in [0, 2**63): a checkpoint stores it as an i64
@@ -134,14 +131,8 @@ class ClstmConfig:
                 f"x conv_features {self.conv_features} doubles) needs {conv1_bytes >> 20} MiB, "
                 f"over the {MAX_BATCH_CONV1_BYTES >> 20} MiB limit"
             )
-        for name in ("lr", "eps"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         self.stage_lengths()
 
 
@@ -324,7 +315,7 @@ def train(corpus: Corpus, dev: Corpus | None, config: ClstmConfig) -> tuple[Clst
 
     rng = np.random.default_rng(config.seed)
     params = init_params(config, charset.size, len(labels), rng)
-    state = ad.AdamState.for_params(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    state = ad.AdamState.for_params(params, config.lr)
 
     texts = [inst.text for inst in corpus]
     targets = [label_index[inst.label] for inst in corpus]

@@ -55,7 +55,9 @@ position reads its n-gram's row if the lookup hit and its history's row if
 not, and a history that missed lands on an entry-less sentinel row. The
 entries fill a [T, L] array whose other cells hold ln(a / aV), the term of
 a history no label saw. Each text's terms are added down its own slice of
-it, as for the text alone, so scores keep their bits in any batch.
+it, as for the text alone, so scores keep their bits in any batch. A text
+longer than a batch is scored a chunk at a time, each chunk's first term
+carrying the sum so far, which keeps the same bits.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -99,7 +101,7 @@ _EXACT = 2**53
 # `_unique` numbers rows in int32 below this many keys, and in int64 from it.
 _INT32_ROWS = 2**31
 # The most windows (characters, and n - 1 markers a text) one scoring batch
-# walks, so that its [T, L] terms stay a few MiB however many texts come.
+# walks, so that its [T, L] terms stay a few MiB however many or long the texts.
 _BATCH_CHARS = 2**16
 
 
@@ -171,26 +173,45 @@ class NgramModel:
         return self.classify_many([text])[0]
 
     def classify_many(self, texts: Iterable[str]) -> list[Scores]:
-        """`classify` of each text, walking the levels once per batch of texts."""
+        """`classify` of each text, walking the levels once per batch of texts,
+        and a text longer than a batch a chunk at a time."""
+        n = self.config.n
+        chunk = max(_BATCH_CHARS - (n - 1), 1)
         out, batch, size = [], [], 0
         for text in texts:
-            if batch and size + len(text) + self.config.n - 1 > _BATCH_CHARS:
+            if batch and size + len(text) + n - 1 > _BATCH_CHARS:
                 out += self._classify_batch(batch)
                 batch, size = [], 0
-            batch.append(text)
-            size += len(text) + self.config.n - 1
+            if len(text) > chunk:
+                out.append(self._classify_long(text, chunk))
+            else:
+                batch.append(text)
+                size += len(text) + n - 1
         return out + self._classify_batch(batch) if batch else out
 
     def _classify_batch(self, texts: list[str]) -> list[Scores]:
+        sums = self._sums(_layout(self.charset, texts, self.config.n), [len(text) for text in texts])
+        return [Scores(dict(zip(self.labels, row))) for row in sums]
+
+    def _classify_long(self, text: str, chunk: int) -> Scores:
+        """`classify` of a text longer than `chunk`, `chunk` windows at a time."""
+        n = self.config.n
+        total = None
+        for start in range(0, len(text), chunk):
+            # A chunk's first histories read the characters before it, and markers where there are none.
+            before = min(start, n - 1)
+            piece = text[start - before : start + chunk]
+            (total,) = self._sums(_layout(self.charset, [piece], n - before), [len(piece) - before], total)
+        return Scores(dict(zip(self.labels, total)))
+
+    def _sums(self, digits: np.ndarray, lengths: list[int], carry: list[float] | None = None) -> list[list[float]]:
+        """Each text's sum of log terms per label, of digits laid out by `_layout`
+        for texts of `lengths`; `carry` is added to the first text's first term."""
         n = self.config.n
         alpha = self.config.alpha
         base = self.charset.size + 1
-        lengths = [len(text) for text in texts]
-        # Laid out as in `train`, text i's windows start at firsts[i]; the
-        # n - 1 that end on the next text's markers are left out. Widened
-        # once, the digits add to int64 keys with no cast at each step.
-        digits = _layout(self.charset, texts, n).astype(np.int64)
-        firsts = accumulate((length + n - 1 for length in lengths), initial=0)
+        # Widened once, the digits add to int64 keys with no cast at each step.
+        digits = digits.astype(np.int64)
         positions = len(digits) - (n - 1)
         rows, start = 0, 0
         for width, level in zip(self.widths, self.levels):
@@ -221,8 +242,12 @@ class NgramModel:
         # column it would sum pairwise, so a lone label gets a spare that `zip` drops.
         terms = np.full((positions, max(len(self.labels), 2)), unseen)
         terms[position, self.cols[at]] = self.logs[at]
-        return [Scores(dict(zip(self.labels, terms[first : first + length].sum(axis=0).tolist())))
-                for first, length in zip(firsts, lengths)]
+        if carry is not None:
+            # Added to the first term, the sum so far keeps the bits of one left-to-right sum.
+            terms[0] += carry
+        # Text i's windows start at firsts[i]; the n - 1 that end on the next text's markers are left out.
+        firsts = accumulate((length + n - 1 for length in lengths), initial=0)
+        return [terms[first : first + length].sum(axis=0).tolist() for first, length in zip(firsts, lengths)]
 
     def grams(self, label: Label) -> dict[Gram, int]:
         """One label's nonzero n-gram counts, in table order."""

@@ -22,13 +22,13 @@ of that size.
     1 array of i64 keys per width: the levels of the table, without their sentinels
     3 sized arrays, each in its narrowest type: offsets | cols | counts (the table's rows)
 
-`LIDC` v2 (conv+BiLSTM checkpoint, `clstm.py`, which reads no other version; the
+`LIDC` v3 (conv+BiLSTM checkpoint, `clstm.py`, which reads no other version; the
 config record holds `ClstmConfig`'s fields in declaration order, a tuple as its
 items; each parameter's shape follows from the config, charset size and label count):
 
     11 u32: seq_len, charset_dim (the cap), conv_features, 3 conv kernels, 3 pools,
             lstm_hidden, dense_units
-    5 f64:  dropout_rate, lr, beta1, beta2, eps
+    2 f64:  dropout_rate, lr
     2 u32:  epochs, batch_size | seed i64 | header
     each parameter's float64 values, C order, in `clstm._param_shapes` order
 

@@ -301,6 +301,32 @@ class TestBackwardMechanics:
             tape.backward(loss)
         with pytest.raises(TapeError):
             ad.relu(w)  # recording onto a consumed tape
+        with pytest.raises(TapeError, match="consumed"):
+            tape.leaf(np.ones(2))
+
+    @pytest.mark.parametrize("op, shapes, message", [
+        (ad.dense, [(), (2, 3), (2,)], "dense expects"),
+        (ad.dense, [(3,), (2, 3), (2, 1)], "dense expects"),
+        (ad.dense, [(4,), (2, 3), (2,)], "dense shapes inconsistent"),
+        (ad.dense, [(3,), (2, 3), (3,)], "dense shapes inconsistent"),
+        (ad.conv1d, [(5, 2), (1, 2), (1,)], "conv1d expects kernels"),
+        (ad.conv1d, [(5, 2), (1, 2, 2), (2,)], "conv1d shapes inconsistent"),
+        (ad.conv1d, [(5, 3), (1, 2, 2), (1,)], r"conv1d expects x\[\.\.\., time, 2\]"),
+        (ad.conv1d, [(5,), (1, 2, 2), (1,)], r"conv1d expects x\[\.\.\., time, 2\]"),
+        (ad.softmax_cross_entropy, [()], "expects logits"),
+        (ad.softmax_cross_entropy, [(2, 3)], "do not index"),
+        (ad.lstm_forward, [(3,), (8, 5), (8,)], "expects x"),
+        (ad.lstm_forward, [(4, 3), (7, 5), (7,)], "multiple of 4"),
+        (ad.lstm_forward, [(4, 3), (8, 4), (8,)], "LSTM shapes inconsistent"),
+        (ad.lstm_forward, [(4, 3), (8, 5), (4,)], "LSTM shapes inconsistent"),
+    ], ids=["dense-x", "dense-bias-rank", "dense-x-width", "dense-bias", "conv-kernel-rank",
+            "conv-bias", "conv-x-channels", "conv-x-rank", "softmax-rank", "softmax-target",
+            "lstm-x-rank", "lstm-rows", "lstm-columns", "lstm-bias"])
+    def test_inconsistent_shapes_rejected(self, op, shapes, message):
+        # every op checks its operands before any arithmetic; a softmax target is the scalar 0
+        operands = [ad.Tensor(np.zeros(shape)) for shape in shapes]
+        with pytest.raises(ShapeError, match=message):
+            op(*operands, *([0] if op is ad.softmax_cross_entropy else []))
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()

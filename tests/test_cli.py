@@ -7,8 +7,9 @@ import pytest
 
 from conftest import GOLDEN, write_tsv_file
 from lident import clstm, metrics, ngram
-from lident.cli import _load_clstm_config, build_parser, main
+from lident.cli import build_parser, main
 from lident.corpus import build_charset, read_lines, read_tsv
+from lident.errors import LidentError
 from synth import word_corpus
 
 
@@ -33,22 +34,10 @@ def toy_tsv(tmp_path):
 
 
 @pytest.fixture
-def clstm_cfg(tmp_path):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(
-        "seq_len = 24\n"
-        "conv_features = 2\n"
-        "conv_kernels = 3,2,2\n"
-        "pools = 2,2,2\n"
-        "lstm_hidden = 2\n"
-        "dense_units = 4\n"
-        "dropout_rate = 0.2\n"
-        "epochs = 2\n"
-        "batch_size = 4\n"
-        "# trailing comment\n",
-        encoding="utf-8",
-    )
-    return cfg
+def clstm_cfg():
+    """The flags of a tiny conv+BiLSTM; a later flag of the same name overrides one of these."""
+    return ["--seq-len", "24", "--conv-features", "2", "--kernels", "3,2,2", "--pools", "2,2,2",
+            "--lstm-hidden", "2", "--dense-units", "4", "--dropout", "0.2", "--epochs", "2", "--batch-size", "4"]
 
 
 class TestHelpGolden:
@@ -119,7 +108,7 @@ class TestTrainCommand:
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
         out, history = tmp_path / "m.lidc", tmp_path / "history.csv"
-        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--train", str(toy_tsv),
+        assert main(["train", "--kind", "clstm", *clstm_cfg, "--train", str(toy_tsv),
                      "--dev", str(empty), "--history", str(history), "--out", str(out)]) == 1
         assert "dev corpus is empty" in capsys.readouterr().err
         assert not out.exists() and not history.exists()
@@ -128,7 +117,7 @@ class TestTrainCommand:
         # used to read "num_classes must be >= 2, got 1", a field no flag or key sets
         one = write_tsv_file(tmp_path / "one.tsv", [("bonjour le monde", "fr"), ("salut tout le monde", "fr")])
         out = tmp_path / "m.lidc"
-        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--train", str(one),
+        assert main(["train", "--kind", "clstm", *clstm_cfg, "--train", str(one),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: training corpus needs at least 2 labels, got 1\n"
         assert not out.exists()
@@ -182,7 +171,7 @@ class TestTrainCommand:
 
     def test_clstm_charset_cap(self, toy_tsv, clstm_cfg, tmp_path):
         out = tmp_path / "m.lidc"
-        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--max-charset", "6",
+        assert main(["train", "--kind", "clstm", *clstm_cfg, "--max-charset", "6",
                      "--epochs", "1", "--train", str(toy_tsv), "--out", str(out)]) == 0
         model = clstm.load_checkpoint(out)
         # the toy corpus has more than five distinct characters, so the cap binds
@@ -191,7 +180,7 @@ class TestTrainCommand:
     def test_clstm_dump_keeps_the_cap(self, toy_tsv, clstm_cfg, tmp_path, capsys):
         # the config of a trained model used to read the charset's size as charset_dim
         out = tmp_path / "m.lidc"
-        assert main(["train", "--kind", "clstm", "--config", str(clstm_cfg), "--epochs", "1",
+        assert main(["train", "--kind", "clstm", *clstm_cfg, "--epochs", "1",
                      "--train", str(toy_tsv), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["predict", "--model", str(out), "--dump"]) == 0
@@ -206,7 +195,7 @@ class TestTrainCommand:
         monkeypatch.setattr(ngram, "train", lambda *args: trained.append(args))
         monkeypatch.setattr(clstm, "train", lambda *args: trained.append(args))
         out = tmp_path / "missing" / "m"
-        flags = ["--config", str(clstm_cfg)] if kind == "clstm" else []
+        flags = clstm_cfg if kind == "clstm" else []
         assert main(["train", "--kind", kind, *flags, "--train", str(toy_tsv), "--out", str(out)]) == 1
         assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
         assert not trained
@@ -215,7 +204,7 @@ class TestTrainCommand:
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         history = tmp_path / "h.csv"
         base = ["train", "--kind", "clstm", "--train", str(toy_tsv), "--dev", str(toy_tsv),
-                "--config", str(clstm_cfg), "--seed", "1"]
+                *clstm_cfg, "--seed", "1"]
         assert main(base + ["--out", str(a), "--history", str(history)]) == 0
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -226,48 +215,12 @@ class TestTrainCommand:
     def test_environment_does_not_seed(self, toy_tsv, clstm_cfg, tmp_path, monkeypatch):
         # LIDENT_SEED used to stand in for a missing --seed
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        base = ["train", "--kind", "clstm", "--train", str(toy_tsv),
-                "--config", str(clstm_cfg)]
+        base = ["train", "--kind", "clstm", "--train", str(toy_tsv), *clstm_cfg]
         monkeypatch.setenv("LIDENT_SEED", "5")
         assert main(base + ["--out", str(a)]) == 0
         monkeypatch.delenv("LIDENT_SEED")
         assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_config_file_seed_not_clobbered(self, toy_tsv, clstm_cfg, tmp_path):
-        seeded_cfg = tmp_path / "seeded.cfg"
-        seeded_cfg.write_text(clstm_cfg.read_text() + "seed = 9\n", encoding="utf-8")
-        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        assert main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                     "--config", str(seeded_cfg), "--out", str(a)]) == 0
-        assert main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                     "--config", str(clstm_cfg), "--seed", "9", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_config_key_reported(self, toy_tsv, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not_a_key = 3\n", encoding="utf-8")
-        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                     "--config", str(cfg), "--out", str(tmp_path / "m")])
-        assert code == 1
-        assert "not_a_key" in capsys.readouterr().err
-
-    def test_bad_config_value_names_line(self, toy_tsv, tmp_path, capsys):
-        # a bad integer list used to be reported without its file and line
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("seq_len = 24\nconv_kernels = 7,x\n", encoding="utf-8")
-        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                     "--config", str(cfg), "--out", str(tmp_path / "m")])
-        assert code == 1
-        assert f"{cfg}:2: bad value '7,x' for conv_kernels" in capsys.readouterr().err
-
-    def test_config_line_without_equals_names_line(self, toy_tsv, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("seq_len = 24\nepochs 2\n", encoding="utf-8")
-        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                     "--config", str(cfg), "--out", str(tmp_path / "m")])
-        assert code == 1
-        assert f"{cfg}:2: expected key=value, got 'epochs 2'" in capsys.readouterr().err
 
     def test_bad_kernels_flag_reported(self, toy_tsv, tmp_path, capsys):
         code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
@@ -275,19 +228,31 @@ class TestTrainCommand:
         assert code == 1
         assert "--kernels" in capsys.readouterr().err
 
-    def test_every_config_field_is_a_file_key(self, tmp_path):
-        cfg = clstm.ClstmConfig(
-            seq_len=40, charset_dim=30, conv_features=5, conv_kernels=(4, 3, 2), pools=(2, 3, 1),
-            lstm_hidden=6, dense_units=7, dropout_rate=0.25, lr=0.5, beta1=0.5, beta2=0.75,
-            eps=1e-6, epochs=3, batch_size=9, seed=4,
-        )
-        values = dataclasses.asdict(cfg)
-        path = tmp_path / "all.cfg"
-        path.write_text("".join(
-            f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
-            for k, v in values.items()
-        ), encoding="utf-8")
-        assert _load_clstm_config(str(path)) == values
+    def test_every_config_field_has_exactly_one_flag(self, toy_tsv, tmp_path, monkeypatch):
+        # a field used to be set by its flag or by a line of a --config file, and
+        # beta1, beta2 and eps by the file alone
+        configs = []
+
+        def capture(corpus, dev, config):
+            configs.append(config)
+            raise LidentError("captured")
+
+        monkeypatch.setattr(clstm, "train", capture)
+        train = next(a for a in build_parser()._actions if a.dest == "command").choices["train"]
+        others = {"-h", "--help", "--kind", "--train", "--out", "--dev", "--history", "--n", "--alpha"}
+        values = {"--seq-len": "300", "--max-charset": "30", "--conv-features": "5", "--kernels": "4,3,2",
+                  "--pools": "2,3,1", "--lstm-hidden": "6", "--dense-units": "7", "--dropout": "0.25",
+                  "--lr": "0.5", "--epochs": "3", "--batch-size": "9", "--seed": "4"}
+        assert set(train._option_string_actions) - others == set(values)
+        default = clstm.ClstmConfig()
+        set_by = {}
+        for flag, value in values.items():
+            assert main(["train", "--kind", "clstm", flag, value, "--train", str(toy_tsv),
+                         "--out", str(tmp_path / "m")]) == 1
+            (name,) = [f.name for f in dataclasses.fields(default)
+                       if getattr(configs[-1], f.name) != getattr(default, f.name)]
+            set_by.setdefault(name, []).append(flag)
+        assert set_by == {f.name: [flag] for f, flag in zip(dataclasses.fields(default), values)}
 
     def test_huge_seq_len_rejected_before_training(self, toy_tsv, clstm_cfg, tmp_path,
                                                    capsys, monkeypatch):
@@ -298,43 +263,27 @@ class TestTrainCommand:
         monkeypatch.setattr(clstm, "encode_batch", no_work)
         out = tmp_path / "m.ckpt"
         code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                     "--config", str(clstm_cfg), "--seq-len", "1000000000", "--out", str(out)])
+                     *clstm_cfg, "--seq-len", "1000000000", "--out", str(out)])
         assert code == 1
         assert "MiB limit" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**70)])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_seed_out_of_range_rejected(self, toy_tsv, clstm_cfg, tmp_path, capsys, source, seed):
+    def test_seed_out_of_range_rejected(self, toy_tsv, clstm_cfg, tmp_path, capsys, seed):
         # -1 used to stop in numpy's seeding with no field named; 2**70 to train
         # and then end in a struct.error traceback from the checkpoint's i64 seed
-        cfg = clstm_cfg
-        if source == "config":
-            cfg = tmp_path / "seeded.cfg"
-            cfg.write_text(clstm_cfg.read_text() + f"seed = {seed}\n", encoding="utf-8")
-        argv = ["train", "--kind", "clstm", "--train", str(toy_tsv), "--config", str(cfg),
-                "--out", str(tmp_path / "m.ckpt")]
-        if source == "flag":
-            argv += ["--seed", seed]
-        assert main(argv) == 1
+        assert main(["train", "--kind", "clstm", "--train", str(toy_tsv), *clstm_cfg, "--seed", seed,
+                     "--out", str(tmp_path / "m.ckpt")]) == 1
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
-
-    def test_non_utf8_config_file_named(self, toy_tsv, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(b"seq_len = 2\xff\n")
-        code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                     "--config", str(cfg), "--out", str(tmp_path / "m")])
-        assert code == 1
-        assert f"{cfg}: not valid UTF-8" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, toy_tsv, clstm_cfg, tmp_path, capsys):
         import numpy as np
 
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--kind", "clstm", "--train", str(toy_tsv),
-                         "--config", str(clstm_cfg), "--lr", "1e308",
+                         *clstm_cfg, "--lr", "1e308",
                          "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err

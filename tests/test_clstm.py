@@ -24,6 +24,7 @@ from lident.errors import (
     DivergenceError,
     ModelIOError,
     ShapeError,
+    VersionError,
 )
 from conftest import mutate_payload, reseal
 from reference import central_difference, max_rel_err
@@ -77,19 +78,32 @@ class TestConfig:
         "field, value",
         [
             ("lr", -1.0), ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
-            ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
-            ("beta2", 1.0), ("beta2", 1.5), ("beta2", math.nan),
-            ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan), ("eps", math.inf),
         ],
     )
     def test_optimizer_values_rejected(self, field, value):
-        # lr=-1 used to train with a climbing loss; beta1=1, eps=0 and lr=nan
-        # failed only later, as a DivergenceError
+        # lr=-1 used to train with a climbing loss; lr=nan failed only later, as a DivergenceError
         with pytest.raises(ConfigError, match=field):
             replace(TINY, **{field: value})
 
     def test_optimizer_edge_values_accepted(self):
-        replace(TINY, beta1=0.0, beta2=0.0, lr=1e-12, eps=1e-300)
+        for lr in (1e-300, 1e308):
+            assert replace(TINY, lr=lr).lr == lr
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("conv_kernels", (3, 0, 2), "stage 2: kernel and pool must be >= 1"),
+            ("pools", (2, 2, 0), "stage 3: kernel and pool must be >= 1"),
+            ("conv_features", 0, "layer feature counts must be >= 1"),
+            ("lstm_hidden", 0, "layer feature counts must be >= 1"),
+            ("dense_units", -1, "layer feature counts must be >= 1"),
+            ("batch_size", 0, "batch_size must be >= 1"),
+            ("epochs", -1, "epochs >= 0"),
+        ],
+    )
+    def test_sizes_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(TINY, **{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -97,7 +111,7 @@ class TestConfig:
             ("seq_len", "9"), ("seq_len", 9.0), ("epochs", 1.5), ("batch_size", 2.5),
             ("charset_dim", None), ("conv_features", 2.0), ("seed", 0.5),
             ("conv_kernels", (7, 7.5, 3)), ("pools", (3, "3", 3)), ("pools", [3, 3, 3]),
-            ("lr", "0.1"), ("eps", None), ("beta1", "0.9"), ("dropout_rate", [0.5]),
+            ("lr", "0.1"), ("lr", None), ("dropout_rate", "0.5"), ("dropout_rate", [0.5]),
             ("epochs", True), ("conv_kernels", (7, 7, True)), ("seed", False), ("lr", Fraction(1, 1000)),
         ],
     )
@@ -129,7 +143,7 @@ class TestConfig:
     def test_numpy_numbers_accepted(self):
         replace(
             TINY, seq_len=np.int64(TINY.seq_len), conv_kernels=tuple(np.int32(k) for k in TINY.conv_kernels),
-            lr=np.float32(0.01), beta1=0, dropout_rate=np.float64(0.25),
+            lr=np.float32(0.01), dropout_rate=np.float64(0.25),
         )
 
     def test_batch_conv1_output_is_bounded(self):
@@ -668,6 +682,18 @@ class TestCheckpoint:
         clstm.save_checkpoint(self._model(), p1)
         clstm.save_checkpoint(self._model(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_unknown_version_names_supported(self, tmp_path, version):
+        # v2 held Adam's beta1, beta2 and eps in its config record, and v1 num_classes;
+        # README's recipes convert them with a release that still reads them
+        path = tmp_path / "m.ckpt"
+        clstm.save_checkpoint(self._model(), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = version.to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionError, match=f"unsupported format version {version}; supported versions: 3$"):
+            clstm.load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -217,6 +217,15 @@ class TestCharset:
         with pytest.raises(ConfigError):
             build_charset(Corpus([]))
 
+    @pytest.mark.parametrize("chars, match", [
+        (("a", "bc"), "single characters: 'bc'"),
+        (("a", ""), "single characters: ''"),
+        (("a", "b", "a"), "duplicate charset entry: 'a'"),
+    ], ids=["two-characters", "empty", "duplicate"])
+    def test_bad_entries_rejected(self, chars, match):
+        with pytest.raises(ValueError, match=match):
+            Charset(chars)
+
     def test_round_trip_indices(self):
         charset = build_charset(corpus_of(("hello world", "x")))
         assert "".join(charset.chars[i] for i in charset.indices("hello world")) == "hello world"

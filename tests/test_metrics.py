@@ -43,6 +43,18 @@ class TestConfusion:
         with pytest.raises(ValueError, match="'C'"):
             confusion([L("A")], [L("C")], labels=[L("A"), L("B")])
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: ConfusionMatrix((), np.zeros((0, 0))), "non-empty label set"),
+        (lambda: ConfusionMatrix((L("a"), L("b")), np.eye(3)), r"2x2, got \(3, 3\)"),
+        (lambda: ConfusionMatrix((L("a"), L("b")), np.array([[1, -1], [0, 1]])), "non-negative"),
+        (lambda: confusion([], []), "zero instances"),
+        (lambda: confusion([L("C")], [L("A")], labels=[L("A"), L("B")]), "gold label 'C'"),
+        (lambda: report(ConfusionMatrix((L("a"), L("b")), np.zeros((2, 2)))), "empty confusion matrix"),
+    ], ids=["no-labels", "wrong-shape", "negative-count", "no-instances", "unknown-gold", "all-zero-report"])
+    def test_bad_input_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_explicit_order_preserved(self):
         cm = confusion([L("B"), L("A")], [L("B"), L("A")], labels=[L("B"), L("A")])
         assert [l.code for l in cm.labels] == ["B", "A"]
@@ -216,7 +228,8 @@ class TestMatrixFixtures:
         ("\na,a\n1,0\n0,1\n", r":2: label 'a' listed more than once"),
         ("a,b\n1,0\n\n\n0,-1\n", r":5: negative cell -1"),
         ('a,b\n"1\n",0\n0,1,2\n', r":4: expected 2 cells, found 3"),
-    ], ids=["blank-before-row", "blank-before-header", "blanks-between-rows", "quoted-line-break"])
+        ("\na,b c\n1,0\n0,1\n", r":2: label code must be non-empty and contain no whitespace"),
+    ], ids=["blank-before-row", "blank-before-header", "blanks-between-rows", "quoted-line-break", "bad-label"])
     def test_matrix_errors_name_the_line_in_the_file(self, tmp_path, content, match):
         # Blank lines used to be dropped before numbering, so errors named an earlier line.
         bad = tmp_path / "bad.csv"
@@ -229,6 +242,14 @@ class TestMatrixFixtures:
         bad.write_text("bs;1\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError):
             load_groups_tsv(bad)
+
+    def test_groups_skip_blank_lines_and_name_a_bad_label(self, tmp_path):
+        path = tmp_path / "groups.tsv"
+        path.write_text("a\t1\n\nb\t2\n", encoding="utf-8")
+        assert load_groups_tsv(path) == {L("a"): 1, L("b"): 2}
+        path.write_text("a\t1\n\nb c\t2\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"groups\.tsv:3: label code must be non-empty and contain no whitespace"):
+            load_groups_tsv(path)
 
     def test_groups_with_a_repeated_label(self, tmp_path):
         bad = tmp_path / "groups.tsv"

@@ -300,17 +300,19 @@ class TestClassifyMany:
         model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
         texts = [inst.text for inst in corpus]
         sizes = []
-        original = ngram.NgramModel._classify_batch
+        original = ngram.NgramModel._sums
 
-        def recording(self, batch):
-            sizes.append(sum(len(text) + 6 for text in batch))
-            return original(self, batch)
+        def recording(self, digits, *args):
+            sizes.append(len(digits))
+            return original(self, digits, *args)
 
-        monkeypatch.setattr(ngram.NgramModel, "_classify_batch", recording)
+        monkeypatch.setattr(ngram.NgramModel, "_sums", recording)
         monkeypatch.setattr(ngram, "_BATCH_CHARS", 1000)
         model.classify_many(texts + ["x" * 5000])
-        # every batch but the one text longer than the budget fits it
-        assert max(sizes[:-1]) <= 1000 < sizes[-1] and sum(sizes) == sum(len(t) + 6 for t in texts) + 5006
+        # every walk fits the budget, the text longer than it too: it used to be one
+        # walk of 5006 windows, and is now 6 chunks of at most 994 characters, each
+        # after the 6 symbols before it
+        assert max(sizes) <= 1000 and sum(sizes) == sum(len(t) + 6 for t in texts) + 5000 + 6 * 6
 
     def test_memory_bounded_by_the_budget(self):
         corpus = word_corpus(20, 30, seed=7)
@@ -336,6 +338,31 @@ class TestClassifyMany:
         eight, kept = peak(texts * 8)
         # what the call held at its peak beyond the scores it returns
         assert eight - kept <= 1.5 * one
+
+    def test_one_long_text_stays_within_the_budget(self, monkeypatch):
+        # one text longer than the budget used to be scored in one batch, so its
+        # [T, L] terms grew with it: 828 MiB for a 4 M-character line
+        corpus = word_corpus(20, 30, seed=7)
+        model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
+        lines = [inst.text for inst in corpus.instances] * 8
+        text = "".join(lines)
+        one_batch = hex_scores(model.classify(text))
+        monkeypatch.setattr(ngram, "_BATCH_CHARS", 1000)
+        assert len(text) > 40 * ngram._BATCH_CHARS
+
+        def peak(texts):
+            tracemalloc.start()
+            try:
+                out = model.classify_many(texts)
+                most = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return most, out
+
+        as_lines, _ = peak(lines)
+        as_one, (scores,) = peak([text])
+        assert as_one <= 1.5 * as_lines
+        assert hex_scores(scores) == one_batch
 
 
 class TestSmoothedNormalization:
@@ -404,9 +431,10 @@ class TestReferenceScorer:
                     for label in model.labels:
                         assert model.log_prob(text, label) == scores.per_label[label]
 
-    def test_bitwise_equal_to_dict_per_label_scorer(self):
+    def test_bitwise_equal_to_dict_per_label_scorer(self, monkeypatch):
         # `==`, not approx: the log terms are built once, but each score must
-        # keep the bits of the left-to-right math.log loop.
+        # keep the bits of the left-to-right math.log loop, also where a budget
+        # of 8 windows scores a text in chunks of 8 - (n - 1) characters
         rng = random.Random(6)
         mismatches, cases = [], 0
         for n in range(1, 9):
@@ -420,12 +448,15 @@ class TestReferenceScorer:
                 texts = ["", charset.chars[0], charset.chars[-1], "\u2603", seen, seen[::-1] + "\u2603",
                          *("".join(rng.choice(charset.chars + ("\u2603",)) for _ in range(rng.randint(1, 40)))
                            for _ in range(3))]
-                for text in texts:
+                with monkeypatch.context() as patch:
+                    patch.setattr(ngram, "_BATCH_CHARS", 8)
+                    chunked = model.classify_many(texts)
+                for text, in_chunks in zip(texts, chunked, strict=True):
                     expected = ngram_reference_log_probs(corpus, CharIndex(charset.chars), n, alpha, text)
-                    scores = model.classify(text).per_label
                     cases += 1
-                    mismatches += [(n, text, label.code, scores[label].hex(), expected[label].hex())
-                                   for label in model.labels if scores[label] != expected[label]]
+                    for scores in (model.classify(text).per_label, in_chunks.per_label):
+                        mismatches += [(n, text, label.code, scores[label].hex(), expected[label].hex())
+                                       for label in model.labels if scores[label] != expected[label]]
         assert cases == 144 and not mismatches
 
     def test_one_label_bitwise_equal_to_dict_per_label_scorer(self):
@@ -605,6 +636,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match="dev corpus is empty"):
             ngram.sweep(toy_corpus, Corpus([]), 1, 3)
         assert not trained
+
+    def test_accuracy_of_an_empty_corpus_rejected(self, toy_corpus):
+        model = ngram.train(toy_corpus, NgramConfig(2), build_charset(toy_corpus))
+        with pytest.raises(ConfigError, match="evaluation corpus is empty"):
+            ngram.accuracy(model, Corpus([]))
 
     def test_bool_alpha_rejected(self, toy_corpus):
         # used to sweep with alpha 1

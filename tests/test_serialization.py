@@ -12,11 +12,12 @@ from lident.errors import ModelIOError
 from conftest import reseal
 from lident.serialization import F64, U8, U16, U32, U64, Reader, Writer, record
 
-# Digests of the two files below as written by `LIDN` v4 and `LIDC` v2. A
+# Digests of the two files below as written by `LIDN` v4 and `LIDC` v3. A
 # change to either is a file-format change: old files would no longer load
-# the same.
+# the same. The v3 file is the v2 one without its beta1, beta2 and eps f64s,
+# under version 3 and its own checksum.
 LIDN_SHA256 = "e90e085183e743e9307c0e9a2dfc57b16d3ecec393248e145ef14897f78edb5f"
-LIDC_SHA256 = "c238a9c35b7c69044d9307a56a013c3e700c5a6038c74abed0b74317fef9cefc"
+LIDC_SHA256 = "ef458d430439e16e3bc318fe47780cbbfcf139a2128d621a5bf50a07441dafc7"
 
 PIN_CONFIG = ClstmConfig(
     seq_len=16,
@@ -146,6 +147,12 @@ class TestCodec:
         write_payload(tmp_path / "m.bin", payload)
         with pytest.raises(ModelIOError, match="malformed payload"):
             serialization.read_model(tmp_path / "m.bin", b"TEST", 3, lambda r: Label(r.string()))
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # the temp file is removed and the target never made; a str is no bytes to write
+        with pytest.raises(TypeError):
+            serialization.atomic_write_bytes(tmp_path / "m.bin", b"LIDN", "not bytes")
+        assert list(tmp_path.iterdir()) == []
 
     def test_code_point_out_of_range_is_model_error(self, tmp_path):
         write_payload(tmp_path / "m.bin", U32.pack(1) + U32.pack(0x110000))

@@ -101,3 +101,11 @@ def test_compare_probes_each_tree_in_turn(tmp_path, monkeypatch):
     # a tree without the files fails its probes, which read as None
     (corpus / "sweep_dev.tsv").unlink()
     assert compare.probe_pairs(tmp_path, "ngram-sweep")[1]["head"] == [None] * 3
+
+
+def test_scale_imports_no_numpy():
+    # the scale process used to draw the corpus itself; Linux carries its resident
+    # peak into each child's ru_maxrss, so every step's peak_mib was floored at it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import scale; scale.main(['--per-label', '2']); "
+            "assert 'numpy' not in sys.modules, 'the scale process imported numpy'")
+    subprocess.run([sys.executable, "-c", code, str(TOOLS)], capture_output=True, check=True)

@@ -2,8 +2,10 @@
 
 Draws train (`--per-label` texts per label) and test (300 per label) from
 `perfbench/corpus_gen.py` in one `generate` call, so the test rows never
-overlap a training split drawn alone with the same seed. Then it runs, each
-in a fresh child process of this one:
+overlap a training split drawn alone with the same seed. That runs in a
+child process, and this one imports no numpy: Linux carries a process's
+resident peak into each child it starts, so the steps' peaks would be
+floored at this one's. Then it runs, each in a fresh child process of this one:
 
     train   lident train --kind ngram --n 7
     load    ngram.load of the file train wrote
@@ -36,13 +38,19 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import corpus_gen  # noqa: E402
 
 SEED = 7
 TEST_PER_LABEL = 300
 ORDER = 7
+_GENERATE = f"""
+import sys
+from pathlib import Path
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import corpus_gen
+splits = corpus_gen.generate({SEED}, {{"train": int(sys.argv[2]), "test": {TEST_PER_LABEL}}})
+for name, rows in splits.items():
+    corpus_gen.write_tsv(rows, Path(sys.argv[1]) / f"{{name}}.tsv")
+"""
 _LOAD = "import json, sys; from lident import ngram; print(json.dumps(ngram.load(sys.argv[1]).nbytes()))"
 
 
@@ -62,9 +70,7 @@ def run(argv: list[str]) -> tuple[dict, str]:
 
 
 def scale(per_label: int, work: Path) -> dict:
-    splits = corpus_gen.generate(SEED, {"train": per_label, "test": TEST_PER_LABEL})
-    for name, rows in splits.items():
-        corpus_gen.write_tsv(rows, work / f"{name}.tsv")
+    subprocess.run([sys.executable, "-c", _GENERATE, str(work), str(per_label)], check=True)
     model = work / "model.lidn"
     lident = [sys.executable, "-m", "lident.cli"]
     train, _ = run([*lident, "train", "--kind", "ngram", "--n", str(ORDER),
