@@ -15,7 +15,6 @@ from .corpus import (
     build_charset,
     compute_stats,
     read_tsv,
-    split,
 )
 from .errors import LidentError
 
@@ -30,6 +29,5 @@ __all__ = [
     "build_charset",
     "compute_stats",
     "read_tsv",
-    "split",
     "__version__",
 ]

@@ -506,25 +506,26 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
 
 # --- Adam -----------------------------------------------------------------
 
+# Adam's constants other than the step size, Kingma & Ba's (2015) defaults.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Step counter and per-parameter moment estimates."""
+    """Step size, step counter and per-parameter moment estimates."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        """Zero moments for `params`, at step 0; the defaults are Kingma & Ba's (2015)."""
+    def for_params(cls, params: dict[str, np.ndarray], lr: float) -> "AdamState":
+        """Zero moments for `params`, at step 0."""
         m, v = ({name: np.zeros_like(p) for name, p in params.items()} for _ in range(2))
-        return cls(lr, beta1, beta2, eps, m, v)
+        return cls(lr, m, v)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState) -> None:
@@ -535,9 +536,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    correction1 = 1.0 - b1**t
-    correction2 = 1.0 - b2**t
+    correction1 = 1.0 - BETA1**t
+    correction2 = 1.0 - BETA2**t
     scratch = np.empty(2 * max((p.size for p in params.values()), default=0))
     for name, p in params.items():
         g = grads[name]
@@ -547,16 +547,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         v = state.v[name]
         step = scratch[: p.size].reshape(p.shape)
         denom = scratch[p.size : 2 * p.size].reshape(p.shape)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=step)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=step)
         m += step
-        v *= b2
+        v *= BETA2
         np.multiply(g, g, out=step)
-        step *= 1.0 - b2
+        step *= 1.0 - BETA2
         v += step
         np.divide(v, correction2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         np.divide(m, correction1, out=step)
         step *= state.lr
         step /= denom

@@ -1,8 +1,9 @@
 """Command-line interface: train, predict, eval, sweep, stats.
 
 Exit codes: 0 success, 1 usage or data errors, 2 numeric failure
-(training divergence). Output artifacts are written atomically, so a failed
-run never leaves a partial file.
+(training divergence). Each output path is checked before any input is
+read, and output artifacts are written atomically, so a failed run never
+leaves a partial file.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for usage problems; remap usage to 1.
         return 0 if exc.code == 0 else 1
     try:
+        for out in (getattr(args, "out", None), getattr(args, "history", None)):
+            if out is not None:
+                _require_out_path(out)
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -119,10 +123,13 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _require_out_dir(path: str) -> None:
-    parent = Path(path).parent
-    if str(parent) and not parent.is_dir():
-        raise UsageError(f"output directory {str(parent)!r} does not exist")
+def _require_out_path(path: str) -> None:
+    """Reject an output file whose directory is missing, or that is a directory."""
+    p = Path(path)
+    if not p.parent.is_dir():
+        raise UsageError(f"output directory {str(p.parent)!r} does not exist")
+    if p.is_dir():
+        raise UsageError(f"output {path!r} is a directory")
 
 
 def _emit(out: str | None, document: str) -> None:
@@ -130,7 +137,6 @@ def _emit(out: str | None, document: str) -> None:
     if not out:
         sys.stdout.write(document)
         return
-    _require_out_dir(out)
     atomic_write_text(out, document)
 
 
@@ -152,9 +158,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(f"flags not valid with --kind {args.kind}: {', '.join(sorted(wrong))}")
 
     train_path = _require_file(args.train, "training corpus")
-    _require_out_dir(args.out)
-    if args.history:
-        _require_out_dir(args.history)
     if args.kind == "ngram":
         config = NgramConfig(**{k: v for k, v in ngram_flags.items() if v is not None})
         check_charset_cap(args.max_charset)

@@ -70,7 +70,7 @@ class ClstmConfig:
     lstm_hidden: int = 128
     dense_units: int = 1024
     dropout_rate: float = 0.5
-    lr: float = 1e-3  # Adam's step size; its other constants are `AdamState.for_params`'s
+    lr: float = 1e-3  # Adam's step size; its other constants are `autodiff`'s
     epochs: int = 20
     batch_size: int = 64
     seed: int = 0  # in [0, 2**63): a checkpoint stores it as an i64

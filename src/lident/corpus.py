@@ -1,23 +1,21 @@
 """Labeled text corpora in the tab-separated ``text<TAB>label`` layout.
 
-Covers reading corpus files, deterministic stratified splits,
-per-language summary statistics, and the character inventory shared by the
-n-gram and neural classifiers. Characters are used exactly as read: no case
-folding, no normalization, no punctuation stripping. All types are immutable
-once constructed and safe to share across threads.
+Covers reading corpus files, per-language summary statistics, and the
+character inventory shared by the n-gram and neural classifiers. Characters
+are used exactly as read: no case folding, no normalization, no punctuation
+stripping. All types are immutable once constructed and safe to share across
+threads.
 """
 
 from __future__ import annotations
 
-import math
-import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
-from .errors import ConfigError, CorpusFormatError, StratificationError, is_integer, is_real
+from .errors import ConfigError, CorpusFormatError, is_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +36,6 @@ __all__ = [
     "build_charset",
     "check_charset_cap",
     "compute_stats",
-    "split",
 ]
 
 
@@ -235,50 +232,3 @@ def compute_stats(corpus: Corpus) -> list[LabelStats]:
         LabelStats(code, count, chars / count if count else 0.0, tokens / count if count else 0.0)
         for code, count, chars, tokens in sums
     ]
-
-
-def split(corpus: Corpus, fractions: Sequence[float], seed: int) -> list[Corpus]:
-    """Deterministic stratified partition of a corpus.
-
-    Each label's instances are shuffled under `seed` and divided so every
-    part's per-label size is within one instance of the exact proportion.
-    Within each part the original file order is preserved.
-    """
-    fracs = list(fractions)
-    if not fracs or not all(is_real(f) and f > 0 and math.isfinite(f) for f in fracs):
-        raise ConfigError(f"split fractions must be finite real numbers > 0, got {fracs!r}")
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)!r}")
-    by_label: dict[Label, list[int]] = defaultdict(list)
-    for pos, inst in enumerate(corpus.instances):
-        by_label[inst.label].append(pos)
-    rng = random.Random(seed)
-    k = len(fracs)
-    part_indices: list[list[int]] = [[] for _ in range(k)]
-    for label in sorted(by_label):
-        idxs = list(by_label[label])
-        if len(idxs) < k:
-            raise StratificationError(
-                f"label {label.code!r} has {len(idxs)} instances, fewer than {k} parts"
-            )
-        rng.shuffle(idxs)
-        start = 0
-        for part, size in enumerate(_largest_remainder_sizes(len(idxs), fracs)):
-            part_indices[part].extend(idxs[start : start + size])
-            start += size
-    parts = []
-    for indices in part_indices:
-        indices.sort()
-        parts.append(Corpus(corpus.instances[i] for i in indices))
-    return parts
-
-
-def _largest_remainder_sizes(m: int, fracs: list[float]) -> list[int]:
-    # Floor the ideal sizes, then hand the shortfall to the largest remainders
-    # (ties broken by position). Guarantees |size - m*f| < 1 for every part.
-    ideal = [m * f for f in fracs]
-    sizes = [int(x) for x in ideal]
-    order = sorted(range(len(fracs)), key=lambda i: (sizes[i] - ideal[i], i))
-    for i in order[: m - sum(sizes)]:
-        sizes[i] += 1
-    return sizes

@@ -26,10 +26,6 @@ class ConfigError(LidentError):
     """A hyperparameter or option value is out of its legal range."""
 
 
-class StratificationError(LidentError):
-    """A label has too few instances for the requested stratified split."""
-
-
 class ShapeError(LidentError):
     """Tensor arguments have incompatible or unsupported shapes."""
 

@@ -443,12 +443,19 @@ def _logs(config: NgramConfig, charset: Charset, at: np.ndarray, counts: np.ndar
     """`NgramModel.logs` from the `counts` of the n-gram entries, and `at`,
     each one's entry among the `histories` history entries after them."""
     total = np.bincount(at, counts, minlength=histories)
-    if total.min(initial=1) < 1 or total.max(initial=0) >= _EXACT:
+    most = total.max(initial=0)
+    if total.min(initial=1) < 1 or most >= _EXACT:
         raise ValueError("a history total outside 1..2**53-1, beyond exact float64")
+    smoothing = config.alpha * charset.size
+    # The smallest term is the most-seen history's miss term; at 0, np.log would warn and math.log fail.
+    if config.alpha / (most + smoothing) == 0:
+        raise ConfigError(
+            f"smoothing mass alpha = {config.alpha!r} is too small: its miss term alpha / (t + alpha * V)"
+            f" rounds to 0 for a history seen t = {int(most)} times"
+        )
     # The hit term of each n-gram entry (its history's miss term if its count
     # is 0), then the miss term of each history entry, built in place to keep
     # the peak low.
-    smoothing = config.alpha * charset.size
     ratios = np.empty(len(counts) + histories)
     hit, miss = ratios[: len(counts)], ratios[len(counts) :]
     hit[:] = counts

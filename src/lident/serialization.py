@@ -45,7 +45,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-import tempfile
 import zlib
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -75,9 +74,16 @@ _MIN_SIZE = _MAGIC_LEN + 2 * U32.size  # magic, version, crc32
 
 def atomic_write_bytes(path: str | Path, *chunks: bytes | memoryview) -> None:
     """Write `chunks`, one after another, to `path` via a same-directory temp
-    file and rename."""
+    file and rename. The file gets the mode `open()` would give it, 0666 less
+    the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    while True:  # a fresh name until one is free; O_EXCL makes taking it race-free
+        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

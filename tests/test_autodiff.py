@@ -618,14 +618,10 @@ class TestBatchedGradientChecks:
         assert err < TOL
 
 
-# Adam's hyperparameters, passed explicitly: ClstmConfig holds the defaults.
-HYPER = {"lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-
-
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
-        state = ad.AdamState.for_params(params, **HYPER)
+        state = ad.AdamState.for_params(params, 1e-3)
         for _ in range(5):
             ad.adam_step(params, {"w": np.zeros(2)}, state)
         assert params["w"].tolist() == [1.0, -2.0]
@@ -633,7 +629,7 @@ class TestAdam:
 
     def test_first_step_with_unit_gradient(self):
         params = {"w": np.array(0.0)}
-        state = ad.AdamState.for_params(params, **HYPER)
+        state = ad.AdamState.for_params(params, 1e-3)
         ad.adam_step(params, {"w": np.array(1.0)}, state)
         # bias-corrected m_hat = v_hat = 1 at t=1, so the update is lr/(1+eps)
         expected = -1e-3 / (1.0 + 1e-8)
@@ -642,7 +638,7 @@ class TestAdam:
 
     def test_moments_decay_toward_zero(self):
         params = {"w": np.array(0.0)}
-        state = ad.AdamState.for_params(params, **HYPER)
+        state = ad.AdamState.for_params(params, 1e-3)
         ad.adam_step(params, {"w": np.array(1.0)}, state)
         peak = abs(float(state.m["w"]))
         for _ in range(50):
@@ -653,7 +649,7 @@ class TestAdam:
         def run():
             rng = np.random.default_rng(0)
             params = {"w": rng.normal(size=4)}
-            state = ad.AdamState.for_params(params, **HYPER)
+            state = ad.AdamState.for_params(params, 1e-3)
             for i in range(10):
                 g = np.sin(params["w"] + i)
                 ad.adam_step(params, {"w": g}, state)
@@ -666,7 +662,7 @@ class TestAdam:
             """The allocating formula the in-place step must reproduce bit for bit."""
             state.step += 1
             t = state.step
-            b1, b2 = state.beta1, state.beta2
+            b1, b2 = ad.BETA1, ad.BETA2
             correction1 = 1.0 - b1**t
             correction2 = 1.0 - b2**t
             for name, p in params.items():
@@ -677,14 +673,14 @@ class TestAdam:
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * (g * g)
-                p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+                p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + ad.EPS)
 
         rng = np.random.default_rng(7)
         shapes = {"w": (5, 3), "b": (4,), "s": (), "k": (2, 3, 4)}
         params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         twin = {name: p.copy() for name, p in params.items()}
-        state = ad.AdamState.for_params(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
-        twin_state = ad.AdamState.for_params(twin, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+        state = ad.AdamState.for_params(params, 0.01)
+        twin_state = ad.AdamState.for_params(twin, 0.01)
         for _ in range(5):
             grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
                      for name, shape in shapes.items()}
@@ -696,6 +692,6 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
-        state = ad.AdamState.for_params(params, **HYPER)
+        state = ad.AdamState.for_params(params, 1e-3)
         with pytest.raises(ShapeError):
             ad.adam_step(params, {"w": np.zeros(4)}, state)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -144,6 +145,19 @@ class TestTrainCommand:
         out = tmp_path / "m.lidn"
         assert main(["train", "--kind", "ngram", "--train", str(bad), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_underflowing_alpha_rejected(self, toy_tsv, tmp_path, capsys, command):
+        # a miss term alpha / (t + alpha * V) that rounds to 0 used to end in numpy's
+        # divide-by-zero warning, then a bare "math domain error"
+        argv = {"train": ["train", "--kind", "ngram", "--train", str(toy_tsv), "--out", str(tmp_path / "m.lidn")],
+                "sweep": ["sweep", "--train", str(toy_tsv), "--dev", str(toy_tsv), "--n-min", "1", "--n-max", "2"]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv[command], "--alpha", "5e-324"]) == 1
+        assert not caught
+        assert "alpha = 5e-324" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [toy_tsv]
 
     @pytest.mark.parametrize("kind, flags", [("ngram", ["--alpha", "0"]), ("clstm", ["--lr", "0"])])
     def test_config_checked_before_corpus_read(self, tmp_path, capsys, kind, flags):
@@ -288,6 +302,51 @@ class TestTrainCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestOutputPaths:
+    """Each output flag is checked before any input is read: its directory
+    must exist and it must not name a directory."""
+
+    @pytest.fixture
+    def work(self, toy_tsv, tmp_path):
+        corpus = read_tsv(toy_tsv)
+        ngram.train(corpus, ngram.NgramConfig(n=2), build_charset(corpus)).save(tmp_path / "m.lidn")
+        (tmp_path / "texts.txt").write_text("bonjour\nhola\n", encoding="utf-8")
+        (tmp_path / "taken").mkdir()
+        return tmp_path
+
+    @pytest.mark.parametrize("target", ["missing", "directory", "empty"])
+    @pytest.mark.parametrize("command", ["train-ngram", "train-clstm", "train-history", "predict", "eval", "sweep"])
+    def test_rejected_before_any_work(self, work, clstm_cfg, monkeypatch, capsys, command, target):
+        # predict, eval and sweep used to check --out only after all the work; a
+        # directory passed every check, and a --history directory left the model
+        # behind; an empty path, the current directory, trained before it failed
+        monkeypatch.chdir(work)
+        calls = []
+        for module, name in ((ngram, "train"), (ngram, "load"), (ngram, "sweep"), (clstm, "train")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real: calls.append(real) or real(*a))
+        bad = {"missing": work / "missing" / "x", "directory": work / "taken", "empty": ""}[target]
+        train, model, ckpt = str(work / "train.tsv"), str(work / "m.lidn"), str(work / "m.lidc")
+        argv = {
+            "train-ngram": ["train", "--kind", "ngram", "--train", train, "--out", str(bad)],
+            "train-clstm": ["train", "--kind", "clstm", *clstm_cfg, "--train", train, "--out", str(bad)],
+            "train-history": ["train", "--kind", "clstm", *clstm_cfg, "--train", train, "--out", ckpt,
+                              "--history", str(bad)],
+            "predict": ["predict", "--model", model, "--input", str(work / "texts.txt"), "--out", str(bad)],
+            "eval": ["eval", "--model", model, "--gold", train, "--out", str(bad)],
+            "sweep": ["sweep", "--train", train, "--dev", train, "--n-min", "1", "--n-max", "2", "--out", str(bad)],
+        }[command]
+        files = sorted(work.rglob("*"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        if target == "missing":
+            assert f"error: output directory {str(bad.parent)!r} does not exist" in err
+        else:
+            assert f"error: output {str(bad)!r} is a directory" in err
+        assert not calls
+        assert sorted(work.rglob("*")) == files
 
 
 class TestPredictCommand:

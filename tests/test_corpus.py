@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import collections
-import math
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -22,9 +20,8 @@ from lident.corpus import (
     build_charset,
     compute_stats,
     read_tsv,
-    split,
 )
-from lident.errors import ConfigError, CorpusFormatError, StratificationError
+from lident.errors import ConfigError, CorpusFormatError
 from conftest import write_tsv_file
 from reference import CharIndex, charset_reference
 
@@ -293,58 +290,3 @@ class TestStats:
         assert sum(r.count for r in rows) == total.count == len(corpus)
         averages = [r.avg_chars for r in rows]
         assert min(averages) <= total.avg_chars <= max(averages)
-
-
-class TestSplit:
-    def _uniform(self, n, code="L1"):
-        return corpus_of(*((f"text number {i}", code) for i in range(n)))
-
-    def test_ninety_ten(self):
-        parts = split(self._uniform(100), [0.9, 0.1], seed=7)
-        assert [len(p) for p in parts] == [90, 10]
-
-    def test_deterministic(self):
-        corpus = self._uniform(50)
-        assert split(corpus, [0.5, 0.5], seed=3) == split(corpus, [0.5, 0.5], seed=3)
-
-    def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            split(self._uniform(10), [0.5, 0.6], seed=0)
-        with pytest.raises(ConfigError):
-            split(self._uniform(10), [1.5, -0.5], seed=0)
-
-    @pytest.mark.parametrize("fracs", [[math.nan, 1.0], [math.inf], [True], ["1.0"]],
-                             ids=["nan", "inf", "bool", "str"])
-    def test_non_real_fractions_rejected(self, fracs):
-        # NaN used to end in a bare ValueError from int(), "1.0" in a TypeError; [True] split
-        with pytest.raises(ConfigError, match=f"fraction.*{re.escape(repr(fracs[0]))}"):
-            split(self._uniform(10), fracs, seed=0)
-
-    def test_stratification_error(self):
-        corpus = corpus_of(("a1", "a"), ("a2", "a"), ("b1", "b"))
-        with pytest.raises(StratificationError, match="'b'"):
-            split(corpus, [0.5, 0.5], seed=0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        per_label=st.lists(st.integers(min_value=3, max_value=25), min_size=1, max_size=4),
-        seed=st.integers(min_value=0, max_value=1000),
-        fractions=st.sampled_from([[0.5, 0.5], [0.7, 0.3], [0.4, 0.4, 0.2]]),
-    )
-    def test_partition_properties(self, per_label, seed, fractions):
-        rows = []
-        for li, count in enumerate(per_label):
-            rows += [(f"text {li} {i}", f"lab{li}") for i in range(count)]
-        corpus = corpus_of(*rows)
-        parts = split(corpus, fractions, seed)
-        # union is the input multiset
-        merged = sorted(
-            (inst.text, inst.label.code) for part in parts for inst in part.instances
-        )
-        assert merged == sorted((i.text, i.label.code) for i in corpus.instances)
-        # per-label sizes within one instance of the exact proportion
-        for li, count in enumerate(per_label):
-            code = f"lab{li}"
-            for frac, part in zip(fractions, parts):
-                got = sum(1 for inst in part if inst.label.code == code)
-                assert abs(got - frac * count) < 1.0

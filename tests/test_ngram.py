@@ -774,6 +774,15 @@ class TestSaveLoad:
         path.write_bytes(reseal(blob, payload))
         return path
 
+    def test_underflowing_alpha_with_valid_crc_is_model_error(self, tmp_path):
+        # a miss term that rounds to 0 used to end in numpy's divide-by-zero warning
+        path = tmp_path / "m.lidn"
+        self._model().save(path)
+        blob = path.read_bytes()
+        path.write_bytes(reseal(blob, blob[8:12] + struct.pack("<d", 5e-324) + blob[20:-4]))
+        with pytest.raises(ModelIOError, match="alpha = 5e-324"):
+            ngram.load(path)
+
     @pytest.mark.parametrize("raw", [b"\xff\xfe", b"L 1", b"", b"L2"])
     def test_bad_label_with_valid_crc_is_model_error(self, tmp_path, raw):
         # non-UTF-8 used to raise UnicodeDecodeError and whitespace ValueError;

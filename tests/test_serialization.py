@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -153,6 +155,16 @@ class TestCodec:
         with pytest.raises(TypeError):
             serialization.atomic_write_bytes(tmp_path / "m.bin", b"LIDN", "not bytes")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_file_follows_the_umask(self, tmp_path, umask, mode):
+        # every written file used to keep its temp file's mode, 0600, whatever the umask
+        old = os.umask(umask)
+        try:
+            serialization.atomic_write_bytes(tmp_path / "m.bin", b"LIDN")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "m.bin").stat().st_mode) == mode
 
     def test_code_point_out_of_range_is_model_error(self, tmp_path):
         write_payload(tmp_path / "m.bin", U32.pack(1) + U32.pack(0x110000))
