@@ -100,9 +100,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for usage problems; remap usage to 1.
         return 0 if exc.code == 0 else 1
     try:
-        for out in (getattr(args, "out", None), getattr(args, "history", None)):
-            if out is not None:
-                _require_out_path(out)
+        outs = [out for out in (getattr(args, "out", None), getattr(args, "history", None)) if out is not None]
+        for out in outs:
+            _require_out_path(out)
+        if len(outs) == 2 and Path(outs[0]).resolve() == Path(outs[1]).resolve():
+            raise UsageError(f"--out and --history name the same file {outs[0]!r}")
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -232,6 +234,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.from_matrix) == bool(args.model):
         raise UsageError("eval needs exactly one of --model or --from-matrix")
     if args.from_matrix:
+        if args.gold:
+            raise UsageError("flags not valid with --from-matrix: --gold")
         cm = metrics.load_matrix_csv(_require_file(args.from_matrix, "matrix file"))
     else:
         if not args.gold:

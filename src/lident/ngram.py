@@ -49,15 +49,15 @@ order-n entries with their leftmost symbol summed out. A model file
 `offsets`, `cols` and `counts`, which `load` checks against each other in
 a few passes, with no sort. Both end in `_model`, the one step from a
 table's arrays to a model (entry labels, types and log terms), so a model
-loaded holds what training made. Scoring walks the levels of a batch of
-texts with one `np.searchsorted` each, on the keys sorted first. A
-position reads its n-gram's row if the lookup hit and its history's row if
-not, and a history that missed lands on an entry-less sentinel row. The
+loaded holds what training made. Scoring cuts texts into pieces that fit a
+batch, each after the n - 1 characters before it, and walks the levels of a
+batch of pieces with one `np.searchsorted` each, on the keys sorted first.
+A position reads its n-gram's row if the lookup hit and its history's row
+if not, and a history that missed lands on an entry-less sentinel row. The
 entries fill a [T, L] array whose other cells hold ln(a / aV), the term of
-a history no label saw. Each text's terms are added down its own slice of
-it, as for the text alone, so scores keep their bits in any batch. A text
-longer than a batch is scored a chunk at a time, each chunk's first term
-carrying the sum so far, which keeps the same bits.
+a history no label saw. Each piece's terms are added down its own slice of
+it, a continuing piece's first term carrying its text's sum so far, so
+scores keep the bits of the text alone in any batch.
 
 Trained models are immutable and reentrant; training itself is
 single-threaded.
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
@@ -173,45 +172,33 @@ class NgramModel:
         return self.classify_many([text])[0]
 
     def classify_many(self, texts: Iterable[str]) -> list[Scores]:
-        """`classify` of each text, walking the levels once per batch of texts,
-        and a text longer than a batch a chunk at a time."""
+        """`classify` of each text, walking the levels once per batch of at most
+        `_BATCH_CHARS` windows. Each text is cut into pieces of at most
+        `_BATCH_CHARS` - 2(n - 1) characters (a short or empty text is one piece),
+        each laid out after the n - 1 characters before it, so that any piece fits."""
         n = self.config.n
-        chunk = max(_BATCH_CHARS - (n - 1), 1)
-        out, batch, size = [], [], 0
+        size = max(_BATCH_CHARS - 2 * (n - 1), 1)
+        out, batch, windows = [], [], 0
         for text in texts:
-            if batch and size + len(text) + n - 1 > _BATCH_CHARS:
-                out += self._classify_batch(batch)
-                batch, size = [], 0
-            if len(text) > chunk:
-                out.append(self._classify_long(text, chunk))
-            else:
-                batch.append(text)
-                size += len(text) + n - 1
-        return out + self._classify_batch(batch) if batch else out
+            for start in range(0, len(text) or 1, size):
+                piece = text[max(start - (n - 1), 0) : start + size]
+                if batch and windows + len(piece) + n - 1 > _BATCH_CHARS:
+                    self._walk(batch, out)
+                    batch, windows = [], 0
+                batch.append((piece, start))
+                windows += len(piece) + n - 1
+        if batch:
+            self._walk(batch, out)
+        return out
 
-    def _classify_batch(self, texts: list[str]) -> list[Scores]:
-        sums = self._sums(_layout(self.charset, texts, self.config.n), [len(text) for text in texts])
-        return [Scores(dict(zip(self.labels, row))) for row in sums]
-
-    def _classify_long(self, text: str, chunk: int) -> Scores:
-        """`classify` of a text longer than `chunk`, `chunk` windows at a time."""
-        n = self.config.n
-        total = None
-        for start in range(0, len(text), chunk):
-            # A chunk's first histories read the characters before it, and markers where there are none.
-            before = min(start, n - 1)
-            piece = text[start - before : start + chunk]
-            (total,) = self._sums(_layout(self.charset, [piece], n - before), [len(piece) - before], total)
-        return Scores(dict(zip(self.labels, total)))
-
-    def _sums(self, digits: np.ndarray, lengths: list[int], carry: list[float] | None = None) -> list[list[float]]:
-        """Each text's sum of log terms per label, of digits laid out by `_layout`
-        for texts of `lengths`; `carry` is added to the first text's first term."""
+    def _walk(self, pieces: list[tuple[str, int]], out: list[Scores]) -> None:
+        """Append to `out` the `Scores` of each (piece, its start in its text) of
+        `classify_many`; a piece that continues a text replaces its earlier sum."""
         n = self.config.n
         alpha = self.config.alpha
         base = self.charset.size + 1
         # Widened once, the digits add to int64 keys with no cast at each step.
-        digits = digits.astype(np.int64)
+        digits = _layout(self.charset, [piece for piece, _ in pieces], n).astype(np.int64)
         positions = len(digits) - (n - 1)
         rows, start = 0, 0
         for width, level in zip(self.widths, self.levels):
@@ -242,12 +229,16 @@ class NgramModel:
         # column it would sum pairwise, so a lone label gets a spare that `zip` drops.
         terms = np.full((positions, max(len(self.labels), 2)), unseen)
         terms[position, self.cols[at]] = self.logs[at]
-        if carry is not None:
-            # Added to the first term, the sum so far keeps the bits of one left-to-right sum.
-            terms[0] += carry
-        # Text i's windows start at firsts[i]; the n - 1 that end on the next text's markers are left out.
-        firsts = accumulate((length + n - 1 for length in lengths), initial=0)
-        return [terms[first : first + length].sum(axis=0).tolist() for first, length in zip(firsts, lengths)]
+        first = 0
+        for piece, offset in pieces:
+            # The piece's own windows: not those that end on the characters before
+            # it, nor the n - 1 that end on the next piece's markers.
+            window = terms[first + min(offset, n - 1) : first + len(piece)]
+            first += len(piece) + n - 1
+            if offset:
+                # Added to the first term, the text's sum so far keeps the bits of one left-to-right sum.
+                window[0] += list(out.pop().per_label.values())
+            out.append(Scores(dict(zip(self.labels, window.sum(axis=0).tolist()))))
 
     def grams(self, label: Label) -> dict[Gram, int]:
         """One label's nonzero n-gram counts, in table order."""
@@ -545,6 +536,9 @@ def sweep(
     config.check_orders(n_min)
     if not len(dev_corpus):
         raise ConfigError("dev corpus is empty")
+    for label in dev_corpus.labels:
+        if label not in train_corpus.labels:
+            raise ConfigError(f"dev label {label.code!r} is not in the training corpus")
     if charset is None:
         charset = build_charset(train_corpus)
     model = train(train_corpus, config, charset)

@@ -214,6 +214,22 @@ class TestTrainCommand:
         assert f"output directory {str(out.parent)!r} does not exist" in capsys.readouterr().err
         assert not trained
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_history_naming_the_out_file_rejected(self, toy_tsv, clstm_cfg, tmp_path, capsys, monkeypatch,
+                                                  spelling):
+        # the history CSV used to replace the model it was written over, with exit 0
+        trained = []
+        monkeypatch.setattr(clstm, "train", lambda *args: trained.append(args))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        out = "m.lidc"
+        history = {"same": out, "dotted": f"sub/../{out}"}[spelling]
+        files = sorted(tmp_path.rglob("*"))
+        assert main(["train", "--kind", "clstm", *clstm_cfg, "--train", str(toy_tsv),
+                     "--out", out, "--history", history]) == 1
+        assert "error: --out and --history name the same file" in capsys.readouterr().err
+        assert not trained and sorted(tmp_path.rglob("*")) == files
+
     def test_clstm_train_deterministic_and_history(self, toy_tsv, clstm_cfg, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         history = tmp_path / "h.csv"
@@ -571,6 +587,15 @@ class TestEvalCommand:
         assert main(["eval", "--model", str(model)]) == 1
         assert "eval --model needs --gold" in capsys.readouterr().err
 
+    def test_gold_with_from_matrix_rejected(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        # --gold used to be ignored, even naming no file
+        read = []
+        monkeypatch.setattr(metrics, "load_matrix_csv", lambda *args: read.append(args))
+        assert main(["eval", "--from-matrix", str(fixtures_dir / "confusion_ngram7.csv"),
+                     "--gold", str(tmp_path / "missing.tsv")]) == 1
+        assert "error: flags not valid with --from-matrix: --gold" in capsys.readouterr().err
+        assert not read
+
     def test_report_written_atomically(self, fixtures_dir, tmp_path):
         out = tmp_path / "report.json"
         assert main(["eval", "--from-matrix", str(fixtures_dir / "confusion_ngram7.csv"),
@@ -612,6 +637,17 @@ class TestSweepCommand:
         assert main(["sweep", "--train", str(toy_tsv), "--dev", str(empty),
                      "--n-min", "1", "--n-max", "3", "--out", str(out)]) == 1
         assert "dev corpus is empty" in capsys.readouterr().err
+        assert not trained and not out.exists()
+
+    def test_unseen_dev_label_rejected_before_training(self, toy_tsv, tmp_path, capsys, monkeypatch):
+        # used to print accuracy 0.000000 for every order and exit 0
+        trained = []
+        monkeypatch.setattr(ngram, "train", lambda *args: trained.append(args))
+        dev = write_tsv_file(tmp_path / "dev.tsv", [("hello there", "en")])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--train", str(toy_tsv), "--dev", str(dev),
+                     "--n-min", "1", "--n-max", "3", "--out", str(out)]) == 1
+        assert "error: dev label 'en' is not in the training corpus" in capsys.readouterr().err
         assert not trained and not out.exists()
 
     def test_charset_cap_checked_before_corpus_read(self, tmp_path, capsys):

@@ -298,21 +298,28 @@ class TestClassifyMany:
     def test_batches_stay_within_the_budget(self, monkeypatch):
         corpus = word_corpus(20, 30, seed=7)
         model = ngram.train(corpus, NgramConfig(7), build_charset(corpus))
-        texts = [inst.text for inst in corpus]
+        texts = [inst.text for inst in corpus] + ["x" * 5000]
         sizes = []
-        original = ngram.NgramModel._sums
+        original = ngram._layout
 
-        def recording(self, digits, *args):
+        def recording(*args):
+            digits = original(*args)
             sizes.append(len(digits))
-            return original(self, digits, *args)
+            return digits
 
-        monkeypatch.setattr(ngram.NgramModel, "_sums", recording)
-        monkeypatch.setattr(ngram, "_BATCH_CHARS", 1000)
-        model.classify_many(texts + ["x" * 5000])
-        # every walk fits the budget, the text longer than it too: it used to be one
-        # walk of 5006 windows, and is now 6 chunks of at most 994 characters, each
-        # after the 6 symbols before it
-        assert max(sizes) <= 1000 and sum(sizes) == sum(len(t) + 6 for t in texts) + 5000 + 6 * 6
+        # each walk lays its pieces out once
+        monkeypatch.setattr(ngram, "_layout", recording)
+        for budget in (1000, 40):
+            sizes.clear()
+            monkeypatch.setattr(ngram, "_BATCH_CHARS", budget)
+            model.classify_many(texts)
+            # every walk fits the budget, the text longer than it too: it used to be
+            # one walk of 5006 windows. A text is now pieces of at most budget - 12
+            # characters, each after 6 markers, and each but the first after the 6
+            # characters before it.
+            pieces = [max(-(-len(text) // (budget - 12)), 1) for text in texts]
+            assert max(sizes) <= budget
+            assert sum(sizes) == sum(len(text) + 12 * k - 6 for text, k in zip(texts, pieces))
 
     def test_memory_bounded_by_the_budget(self):
         corpus = word_corpus(20, 30, seed=7)
@@ -434,7 +441,7 @@ class TestReferenceScorer:
     def test_bitwise_equal_to_dict_per_label_scorer(self, monkeypatch):
         # `==`, not approx: the log terms are built once, but each score must
         # keep the bits of the left-to-right math.log loop, also where a budget
-        # of 8 windows scores a text in chunks of 8 - (n - 1) characters
+        # of 8 windows scores a text in pieces of max(8 - 2(n - 1), 1) characters
         rng = random.Random(6)
         mismatches, cases = [], 0
         for n in range(1, 9):
@@ -448,6 +455,11 @@ class TestReferenceScorer:
                 texts = ["", charset.chars[0], charset.chars[-1], "\u2603", seen, seen[::-1] + "\u2603",
                          *("".join(rng.choice(charset.chars + ("\u2603",)) for _ in range(rng.randint(1, 40)))
                            for _ in range(3))]
+                if n in (1, 8):
+                    # one piece, one piece and a character, and three pieces; at n = 1 a
+                    # piece continues its text with no characters before it
+                    size = max(8 - 2 * (n - 1), 1)
+                    texts += [(seen * 24)[:k] for k in (size, size + 1, 3 * size)]
                 with monkeypatch.context() as patch:
                     patch.setattr(ngram, "_BATCH_CHARS", 8)
                     chunked = model.classify_many(texts)
@@ -457,7 +469,7 @@ class TestReferenceScorer:
                     for scores in (model.classify(text).per_label, in_chunks.per_label):
                         mismatches += [(n, text, label.code, scores[label].hex(), expected[label].hex())
                                        for label in model.labels if scores[label] != expected[label]]
-        assert cases == 144 and not mismatches
+        assert cases == 156 and not mismatches
 
     def test_one_label_bitwise_equal_to_dict_per_label_scorer(self):
         # A lone label's [T, 1] column used to be summed pairwise, off the
@@ -637,6 +649,15 @@ class TestSweep:
             ngram.sweep(toy_corpus, Corpus([]), 1, 3)
         assert not trained
 
+    def test_unseen_dev_label_rejected_before_training(self, toy_corpus, monkeypatch):
+        # a dev label the training corpus lacks used to be scored as an error at every order
+        trained = []
+        monkeypatch.setattr(ngram, "train", lambda *args: trained.append(args))
+        dev = Corpus([Instance("hello there", Label("en")), *toy_corpus.instances])
+        with pytest.raises(ConfigError, match="dev label 'en' is not in the training corpus"):
+            ngram.sweep(toy_corpus, dev, 1, 3)
+        assert not trained
+
     def test_accuracy_of_an_empty_corpus_rejected(self, toy_corpus):
         model = ngram.train(toy_corpus, NgramConfig(2), build_charset(toy_corpus))
         with pytest.raises(ConfigError, match="evaluation corpus is empty"):
@@ -681,7 +702,9 @@ class TestSweep:
             alphabet = "abcdefgh"[: rng.randint(2, 8)]
             codes = [f"l{i}" for i in range(rng.randint(2, 4))]
             train_corpus = random_corpus(rng, alphabet, codes, rng.randint(4, 40), 30)
-            dev_corpus = random_corpus(rng, alphabet + "q", codes, rng.randint(1, 20), 30)
+            # dev labels from the training corpus, which a small one may not hold all of
+            trained = [label.code for label in train_corpus.labels]
+            dev_corpus = random_corpus(rng, alphabet + "q", trained, rng.randint(1, 20), 30)
             charset = build_charset(train_corpus)
             n_min = rng.randint(1, 4)
             n_max = n_min + rng.randint(0, 4)

@@ -20,11 +20,15 @@ def test_scale_prints_each_step():
     report = json.loads(done.stdout)
     assert sorted(report) == ["dump", "eval", "file_bytes", "load", "n", "per_label", "table_bytes", "train"]
     assert (report["per_label"], report["n"]) == (5, 7)
-    assert sorted(report["train"]) == sorted(report["load"]) == ["peak_mib", "wall_s"]
-    assert sorted(report["dump"]) == ["bytes", "peak_mib", "wall_s"]
-    assert sorted(report["eval"]) == ["accuracy", "peak_mib", "wall_s"]
+    assert sorted(report["train"]) == sorted(report["load"]) == ["peak_mib", "traced_mib", "wall_s"]
+    assert sorted(report["dump"]) == ["bytes", "peak_mib", "traced_mib", "wall_s"]
+    assert sorted(report["eval"]) == ["accuracy", "peak_mib", "traced_mib", "wall_s"]
     for step in ("train", "load", "dump", "eval"):
         assert report[step]["wall_s"] > 0 and report[step]["peak_mib"] > 0
+        # the traced peak counts what lident and numpy allocate, not the interpreter itself
+        assert 0 < report[step]["traced_mib"] < report[step]["peak_mib"]
+    # eval scores the test texts after loading the model that load alone loads
+    assert report["eval"]["traced_mib"] > report["load"]["traced_mib"]
     assert 0 < report["dump"]["bytes"] < report["file_bytes"]
     assert 0 <= report["eval"]["accuracy"] <= 1
     assert report["table_bytes"] > 0 and report["file_bytes"] > 0

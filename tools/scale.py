@@ -1,11 +1,12 @@
-"""The n-gram model at scale: wall time and resident peak of train, load, dump and eval.
+"""The n-gram model at scale: wall time, resident and traced peaks of train, load, dump and eval.
 
 Draws train (`--per-label` texts per label) and test (300 per label) from
 `perfbench/corpus_gen.py` in one `generate` call, so the test rows never
 overlap a training split drawn alone with the same seed. That runs in a
 child process, and this one imports no numpy: Linux carries a process's
 resident peak into each child it starts, so the steps' peaks would be
-floored at this one's. Then it runs, each in a fresh child process of this one:
+floored at this one's. Then it runs each step twice, each time in a fresh
+child process of this one:
 
     train   lident train --kind ngram --n 7
     load    ngram.load of the file train wrote
@@ -13,10 +14,15 @@ floored at this one's. Then it runs, each in a fresh child process of this one:
     eval    lident eval --model ... --gold test.tsv --format json
 
 and prints one JSON object: each step's wall time and its own peak resident
-size (the child's `ru_maxrss`, from `os.wait4`), the bytes the dump printed,
-the loaded table's bytes, the model file's bytes and the eval accuracy. The corpus seed is fixed at
-7, the seed of the README's figures. The children run the package under
-`src/` of this checkout.
+size (the first child's `ru_maxrss`, from `os.wait4`) and its traced peak
+(`traced_mib`: the tracemalloc peak of the second child, which starts the
+tracer before it imports lident), the bytes the dump printed, the loaded
+table's bytes, the model file's bytes and the eval accuracy. The traced
+peak counts what the step's Python code and numpy allocate; the resident
+one also counts the interpreter and numpy themselves, and moves with the
+heap's placement from run to run. The corpus seed is fixed at 7, the seed
+of the README's figures. The children run the package under `src/` of this
+checkout.
 
     python3 tools/scale.py                    # 3,000 texts per label
     python3 tools/scale.py --per-label 18000  # the DSL training set's size
@@ -51,14 +57,27 @@ splits = corpus_gen.generate({SEED}, {{"train": int(sys.argv[2]), "test": {TEST_
 for name, rows in splits.items():
     corpus_gen.write_tsv(rows, Path(sys.argv[1]) / f"{{name}}.tsv")
 """
+_CLI = "import sys; from lident.cli import main; sys.exit(main(sys.argv[1:]))"
 _LOAD = "import json, sys; from lident import ngram; print(json.dumps(ngram.load(sys.argv[1]).nbytes()))"
+# A step's code under tracemalloc, started before the code imports lident; the
+# peak, in bytes, is the last line of stderr.
+_TRACED = """import sys, tracemalloc
+tracemalloc.start()
+try:
+    {}
+finally:
+    print(tracemalloc.get_traced_memory()[1], file=sys.stderr)
+"""
 
 
-def run(argv: list[str]) -> tuple[dict, str]:
-    """Run `argv` in a child process; its wall time and peak, and its stdout."""
+def run(code: str, args: list[str]) -> tuple[dict, str]:
+    """Run `code` with `args` in two fresh child processes: its wall time and
+    resident peak, and its stdout, from one; its traced peak from the other."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", code, *args]
     started = time.perf_counter()
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}, text=True) as child:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, text=True) as child:
         out = child.stdout.read()
         # wait4 gives this child's own rusage; RUSAGE_CHILDREN would be the peak of every child so far.
         _, status, usage = os.wait4(child.pid, 0)
@@ -66,19 +85,23 @@ def run(argv: list[str]) -> tuple[dict, str]:
     wall = time.perf_counter() - started
     if child.returncode:
         raise SystemExit(f"{' '.join(argv)} exited {child.returncode}")
-    return {"wall_s": round(wall, 3), "peak_mib": round(usage.ru_maxrss / 1024, 1)}, out
+    traced = subprocess.run([sys.executable, "-c", _TRACED.format(code), *args], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, env=env, text=True)
+    if traced.returncode:
+        raise SystemExit(f"{' '.join(argv)} exited {traced.returncode} under tracemalloc:\n{traced.stderr}")
+    return {"wall_s": round(wall, 3), "peak_mib": round(usage.ru_maxrss / 1024, 1),
+            "traced_mib": round(int(traced.stderr.split()[-1]) / 2**20, 1)}, out
 
 
 def scale(per_label: int, work: Path) -> dict:
     subprocess.run([sys.executable, "-c", _GENERATE, str(work), str(per_label)], check=True)
     model = work / "model.lidn"
-    lident = [sys.executable, "-m", "lident.cli"]
-    train, _ = run([*lident, "train", "--kind", "ngram", "--n", str(ORDER),
-                    "--train", str(work / "train.tsv"), "--out", str(model)])
-    load, table_bytes = run([sys.executable, "-c", _LOAD, str(model)])
-    dump, summary = run([*lident, "predict", "--model", str(model), "--dump"])
-    evaluation, report = run([*lident, "eval", "--model", str(model), "--gold", str(work / "test.tsv"),
-                              "--format", "json"])
+    train, _ = run(_CLI, ["train", "--kind", "ngram", "--n", str(ORDER),
+                          "--train", str(work / "train.tsv"), "--out", str(model)])
+    load, table_bytes = run(_LOAD, [str(model)])
+    dump, summary = run(_CLI, ["predict", "--model", str(model), "--dump"])
+    evaluation, report = run(_CLI, ["eval", "--model", str(model), "--gold", str(work / "test.tsv"),
+                                    "--format", "json"])
     return {
         "per_label": per_label,
         "n": ORDER,
