@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.add_argument("--input", metavar="FILE", help="raw input, one text per line")
     p_predict.add_argument("--scores", action="store_true", help="also emit per-label log-scores as TSV")
     p_predict.add_argument("--dump", action="store_true", help="print a summary of the model as JSON and exit")
-    p_predict.add_argument("--out", metavar="FILE", help="write predictions here instead of stdout")
+    p_predict.add_argument("--out", metavar="FILE", help="write predictions or the --dump summary here, not to stdout")
     p_predict.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold labels")

@@ -179,8 +179,6 @@ def read_tsv(path: str | Path) -> Corpus:
                 f"{path}:{line_no}: expected exactly one tab separator, found {len(parts) - 1}"
             )
         text, code = parts
-        if not text:
-            raise CorpusFormatError(f"{path}:{line_no}: empty text field")
         try:
             instances.append(Instance(text, labels[code] if code in labels else labels.setdefault(code, Label(code))))
         except ValueError as exc:

@@ -157,8 +157,8 @@ def report(cm: ConfusionMatrix, groups: Mapping[Label, int] | None = None) -> Ev
 
 
 def render(cm: ConfusionMatrix, fmt: str = "text") -> str:
-    """Render a matrix and its `report` in one of: text (grouped table), json,
-    csv (cell list). Every format rejects an empty matrix, as `report` does."""
+    """Render a matrix and its `report` in one of: text (grouped table), json, csv
+    (the matrix alone, as `load_matrix_csv` reads it). Every format rejects an empty matrix, as `report` does."""
     rep = report(cm)
     if fmt == "text":
         return _render_text(rep, cm)
@@ -230,10 +230,8 @@ def _render_json(rep: EvalReport, cm: ConfusionMatrix) -> str:
 def _render_csv(cm: ConfusionMatrix) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["gold", "pred", "count"])
-    for i, g in enumerate(cm.labels):
-        for j, p in enumerate(cm.labels):
-            writer.writerow([g.code, p.code, int(cm.cells[i, j])])
+    writer.writerow(label.code for label in cm.labels)
+    writer.writerows(cm.cells.tolist())
     return out.getvalue()
 
 

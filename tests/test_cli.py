@@ -528,9 +528,25 @@ class TestEvalCommand:
     @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json"), ("csv", "csv")])
     @pytest.mark.parametrize("matrix", ["ngram7", "clstm"])
     def test_from_matrix_with_groups_golden(self, fixtures_dir, capsys, matrix, fmt, ext):
-        assert main(["eval", "--from-matrix", str(fixtures_dir / f"confusion_{matrix}.csv"),
-                     "--groups", str(fixtures_dir / "groups.tsv"), "--format", fmt]) == 0
-        assert capsys.readouterr().out == (GOLDEN / f"eval_{matrix}_groups.{ext}").read_text()
+        source = fixtures_dir / f"confusion_{matrix}.csv"
+        assert main(["eval", "--from-matrix", str(source), "--groups", str(fixtures_dir / "groups.tsv"),
+                     "--format", fmt]) == 0
+        # the csv report is the matrix in the layout that --from-matrix reads: the fixture itself
+        golden = source if fmt == "csv" else GOLDEN / f"eval_{matrix}_groups.{ext}"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_csv_report_read_back_by_from_matrix(self, word_tsvs, tmp_path, capsys):
+        train, gold, groups = word_tsvs
+        model, matrix = tmp_path / "m.lidn", tmp_path / "m.csv"
+        assert main(["train", "--kind", "ngram", "--n", "4", "--train", str(train), "--out", str(model)]) == 0
+        assert main(["eval", "--model", str(model), "--gold", str(gold), "--format", "csv", "--out", str(matrix)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--from-matrix", str(matrix), "--groups", str(groups), "--format", "json"]) == 0
+        read_back = capsys.readouterr().out
+        assert main(["eval", "--model", str(model), "--gold", str(gold), "--groups", str(groups),
+                     "--format", "json"]) == 0
+        assert read_back == capsys.readouterr().out
+        assert 0 < json.loads(read_back)["accuracy"] < 1
 
     def test_from_matrix_with_groups(self, fixtures_dir, capsys):
         assert main(["eval", "--from-matrix", str(fixtures_dir / "confusion_ngram7.csv"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -82,9 +83,10 @@ class TestReadTsv:
             read_tsv(p)
 
     def test_empty_text_field(self, tmp_path):
+        # `Instance` rejects the empty text; `read_tsv` names the file and the line
         p = tmp_path / "c.tsv"
-        p.write_text("\tx\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match="empty text"):
+        p.write_text("bonjour\tfr\n\tfr\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{p}:2: instance text must be non-empty")):
             read_tsv(p)
 
     def test_bad_label_reports_its_line_after_good_ones(self, tmp_path):

@@ -183,12 +183,16 @@ class TestRender:
             assert by_label[label.code]["f1"] == pc.f1
             assert by_label[label.code]["support"] == pc.support
 
-    def test_csv_cell_rows(self, fixtures_dir):
-        cm = load_matrix_csv(fixtures_dir / "confusion_ngram7.csv")
-        doc = render(cm, "csv")
-        lines = doc.strip().split("\n")
-        assert lines[0] == "gold,pred,count"
-        assert len(lines) - 1 == 144
+    def test_csv_round_trip(self, tmp_path):
+        # codes in neither sorted order nor csv-plain form, and a label with no instance
+        labels = [L("pt-PT"), L('a"b'), L("x,y"), L("A")]
+        cm = confusion([L("x,y"), L("pt-PT"), L('a"b'), L("x,y")], [L('a"b'), L("pt-PT"), L('a"b'), L("x,y")],
+                       labels=labels)
+        path = tmp_path / "m.csv"
+        path.write_text(render(cm, "csv"), encoding="utf-8")
+        back = load_matrix_csv(path)
+        assert back.labels == cm.labels
+        assert back.cells.tolist() == cm.cells.tolist()
 
     def test_unknown_format(self):
         cm = confusion([L("A")], [L("A")])

@@ -15,20 +15,27 @@ import compare  # noqa: E402
 
 
 def test_scale_prints_each_step():
-    done = subprocess.run([sys.executable, str(TOOLS / "scale.py"), "--per-label", "5"],
-                          capture_output=True, text=True, check=True)
+    # One run of the whole script, in a child that then checks it never imported
+    # numpy: the scale process used to draw the corpus itself, and Linux carries its
+    # resident peak into each child's ru_maxrss, so every step's peak_mib was floored at it.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import scale; scale.main(['--per-label', '2']); "
+            "assert 'numpy' not in sys.modules, 'the scale process imported numpy'")
+    done = subprocess.run([sys.executable, "-c", code, str(TOOLS)], capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
-    assert sorted(report) == ["dump", "eval", "file_bytes", "load", "n", "per_label", "table_bytes", "train"]
-    assert (report["per_label"], report["n"]) == (5, 7)
-    assert sorted(report["train"]) == sorted(report["load"]) == ["peak_mib", "traced_mib", "wall_s"]
+    assert sorted(report) == ["dump", "eval", "file_bytes", "load", "n", "per_label", "score", "table_bytes", "train"]
+    assert (report["per_label"], report["n"]) == (2, 7)
+    assert sorted(report["train"]) == sorted(report["load"]) == sorted(report["score"]) == \
+        ["peak_mib", "traced_mib", "wall_s"]
     assert sorted(report["dump"]) == ["bytes", "peak_mib", "traced_mib", "wall_s"]
     assert sorted(report["eval"]) == ["accuracy", "peak_mib", "traced_mib", "wall_s"]
-    for step in ("train", "load", "dump", "eval"):
+    for step in ("train", "load", "dump", "eval", "score"):
         assert report[step]["wall_s"] > 0 and report[step]["peak_mib"] > 0
         # the traced peak counts what lident and numpy allocate, not the interpreter itself
         assert 0 < report[step]["traced_mib"] < report[step]["peak_mib"]
     # eval scores the test texts after loading the model that load alone loads
     assert report["eval"]["traced_mib"] > report["load"]["traced_mib"]
+    # score does less than eval, and its traced peak starts after the load
+    assert report["score"]["traced_mib"] < report["eval"]["traced_mib"]
     assert 0 < report["dump"]["bytes"] < report["file_bytes"]
     assert 0 <= report["eval"]["accuracy"] <= 1
     assert report["table_bytes"] > 0 and report["file_bytes"] > 0
@@ -105,11 +112,3 @@ def test_compare_probes_each_tree_in_turn(tmp_path, monkeypatch):
     # a tree without the files fails its probes, which read as None
     (corpus / "sweep_dev.tsv").unlink()
     assert compare.probe_pairs(tmp_path, "ngram-sweep")[1]["head"] == [None] * 3
-
-
-def test_scale_imports_no_numpy():
-    # the scale process used to draw the corpus itself; Linux carries its resident
-    # peak into each child's ru_maxrss, so every step's peak_mib was floored at it
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import scale; scale.main(['--per-label', '2']); "
-            "assert 'numpy' not in sys.modules, 'the scale process imported numpy'")
-    subprocess.run([sys.executable, "-c", code, str(TOOLS)], capture_output=True, check=True)

@@ -1,4 +1,4 @@
-"""The n-gram model at scale: wall time, resident and traced peaks of train, load, dump and eval.
+"""The n-gram model at scale: wall time, resident and traced peaks of train, load, dump, eval and score.
 
 Draws train (`--per-label` texts per label) and test (300 per label) from
 `perfbench/corpus_gen.py` in one `generate` call, so the test rows never
@@ -12,6 +12,8 @@ child process of this one:
     load    ngram.load of the file train wrote
     dump    lident predict --model ... --dump
     eval    lident eval --model ... --gold test.tsv --format json
+    score   ngram.load, read_tsv of test.tsv, tracemalloc.reset_peak(),
+            then classify_many of the test texts
 
 and prints one JSON object: each step's wall time and its own peak resident
 size (the first child's `ru_maxrss`, from `os.wait4`) and its traced peak
@@ -20,14 +22,17 @@ tracer before it imports lident), the bytes the dump printed, the loaded
 table's bytes, the model file's bytes and the eval accuracy. The traced
 peak counts what the step's Python code and numpy allocate; the resident
 one also counts the interpreter and numpy themselves, and moves with the
-heap's placement from run to run. The corpus seed is fixed at 7, the seed
-of the README's figures. The children run the package under `src/` of this
-checkout.
+heap's placement from run to run. The load's transient peak sits above
+what scoring adds, so eval's traced peak is the load's; score's starts
+after the load (its wall time and resident peak do not), and holds the
+loaded model and the texts with scoring's working memory. The corpus seed
+is fixed at 7, the seed of the README's figures. The children run the
+package under `src/` of this checkout.
 
     python3 tools/scale.py                    # 3,000 texts per label
     python3 tools/scale.py --per-label 18000  # the DSL training set's size
 
-On 2 vCPUs, 3,000 per label takes ~10 s to generate and ~6 s for the
+On 2 vCPUs, 3,000 per label takes ~10 s to generate and ~15 s for the
 steps; 18,000 per label ~40 s and ~30 s, and train then peaks near 1.8 GB,
 so run it under `ulimit -v` on a host without swap.
 """
@@ -59,6 +64,10 @@ for name, rows in splits.items():
 """
 _CLI = "import sys; from lident.cli import main; sys.exit(main(sys.argv[1:]))"
 _LOAD = "import json, sys; from lident import ngram; print(json.dumps(ngram.load(sys.argv[1]).nbytes()))"
+# Outside tracemalloc, reset_peak does nothing.
+_SCORE = ("import sys, tracemalloc; from lident import ngram; from lident.corpus import read_tsv; "
+          "model, texts = ngram.load(sys.argv[1]), [inst.text for inst in read_tsv(sys.argv[2])]; "
+          "tracemalloc.reset_peak(); model.classify_many(texts)")
 # A step's code under tracemalloc, started before the code imports lident; the
 # peak, in bytes, is the last line of stderr.
 _TRACED = """import sys, tracemalloc
@@ -102,6 +111,7 @@ def scale(per_label: int, work: Path) -> dict:
     dump, summary = run(_CLI, ["predict", "--model", str(model), "--dump"])
     evaluation, report = run(_CLI, ["eval", "--model", str(model), "--gold", str(work / "test.tsv"),
                                     "--format", "json"])
+    score, _ = run(_SCORE, [str(model), str(work / "test.tsv")])
     return {
         "per_label": per_label,
         "n": ORDER,
@@ -109,6 +119,7 @@ def scale(per_label: int, work: Path) -> dict:
         "load": load,
         "dump": {**dump, "bytes": len(summary.encode())},
         "eval": {**evaluation, "accuracy": json.loads(report)["accuracy"]},
+        "score": score,
         "table_bytes": json.loads(table_bytes),
         "file_bytes": model.stat().st_size,
     }
