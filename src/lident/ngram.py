@@ -16,15 +16,16 @@ dense V^n storage and one lookup serves every label:
   and the rows of the level before it the histories. Each level ends in a
   sentinel row that no key reaches; a lookup that misses lands there, and
   every key built on it misses too.
-- Widths. `_widths` picks the widest chunk w (at most n - 1) for which
-  T * (V + 1)**w * L < 2**63, where T is the number of text positions
-  counted: a level has at most T rows, so every key fits in int64 (the
-  last one with the label as a digit too). The n - 1 history symbols go in
-  the fewest near-equal chunks of at most w, then the next character in a
-  level of its own: at n = 7 with V = 510 that is widths 3, 3, 1 for the
-  benchmark's 236 k positions and 12 labels, so a lookup searches 3 levels
-  instead of 7. T depends only on the counts, so `train` and `sweep` build
-  the same levels for the same table.
+- Widths. A level's keys stay below R * (V + 1)**w, R the rows above it:
+  1 for the first level (the empty prefix) and at most T, the text
+  positions counted, for the others. `_widths` puts the n - 1 history
+  symbols in the fewest near-equal chunks, the first the longest, whose
+  keys fit in int64, then the next character in a level of its own, whose
+  keys with the label as one more digit stay below T * (V + 1) * L. At
+  n = 7 with V = 510 that is widths 6, 1 for the benchmark's 236 k
+  positions and 12 labels, so a lookup searches 2 levels instead of 7. T
+  depends only on the counts, so `train` and `sweep` build the same levels
+  for the same table; `load` takes any widths whose keys fit.
 - Sparse rows. The rows of the last level (n-grams) and then those of the
   level before it (histories; for n = 1 the one empty prefix) form one
   table in CSR form: `offsets` delimits each row's run of entries, and an
@@ -97,7 +98,7 @@ _VERSION = 4
 _SENTINEL = np.iinfo(np.int64).max
 # float64 holds every integer below this exactly, and so every count and total.
 _EXACT = 2**53
-# `_unique` numbers rows in int32 below this many keys, and in int64 from it.
+# `_unique` numbers rows, and `_history_entries` entries, in int32 below this many, and in int64 from it.
 _INT32_ROWS = 2**31
 # The most windows (characters, and n - 1 markers a text) one scoring batch
 # walks, so that its [T, L] terms stay a few MiB however many or long the texts.
@@ -146,7 +147,8 @@ class NgramModel:
     config: NgramConfig
     charset: Charset
     labels: tuple[Label, ...]
-    # The symbols each level covers, summing to n and ending in 1; see `_widths`.
+    # The symbols each level covers, summing to n and ending in 1 (6, 1 for the
+    # benchmark's 7-gram); see `_widths`.
     widths: tuple[int, ...]
     # A sorted key array per width, each ending in the sentinel; see the module docstring.
     levels: tuple[np.ndarray, ...] = field(repr=False)
@@ -206,9 +208,10 @@ class NgramModel:
             for k in range(start, start + width):
                 keys = keys * base + digits[k : k + positions]
             start += width
-            # Keys below rows(level above) * (V + 1)**w fit in int64 (`_widths`);
-            # one built on the sentinel row can wrap only in its last step, to a
-            # negative key that misses. Sorted, keys search the level in order.
+            # Keys below rows(level above) * (V + 1)**w fit in int64 (`_widths`; the
+            # first level has one row above it); one built on the sentinel row can wrap
+            # only in its last step, to a negative key that misses. Sorted, keys search
+            # the level in order.
             order = keys.argsort()
             keys = keys[order]
             found = level.searchsorted(keys)
@@ -357,13 +360,17 @@ def _build(
     history_starts = np.concatenate(([0], np.cumsum(np.bincount(seen_row, minlength=history_rows))))
     # Each n-gram row has an entry for every label of its history's row.
     spans = np.diff(history_starts)[parent]
-    del seen_row, parent
+    del seen_row
     gram_starts = np.cumsum(spans) - spans
+    entry = gram_starts[row] + seen_of - history_starts[history]  # each seen cell's entry
+    del seen_of, row, history
     counts = np.zeros(int(spans.sum()))
-    counts[gram_starts[row] + seen_of - history_starts[history]] = count
+    counts[entry] = count
+    del entry, count
     offsets = np.concatenate((gram_starts, [len(counts)], len(counts) + history_starts))
-    del seen_of, history_starts, spans, gram_starts, row, history, count
-    return _model(config, charset, labels, widths, levels, offsets, misses, counts)
+    at = _history_entries(offsets, parent)
+    del history_starts, spans, gram_starts, parent
+    return _model(config, charset, labels, widths, levels, offsets, misses, counts, at)
 
 
 def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,17 +397,30 @@ def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _widths(n: int, positions: int, base: int, labels: int) -> tuple[int, ...]:
     """The symbols each level of an order-n table covers; see the module docstring.
 
-    No level has more rows than `positions`, the table's total count, so
-    keys stay below positions * base**w * labels.
+    No level has more rows than `positions`, the table's total count, and
+    the first has one parent row, the empty prefix.
     """
-    widest = 0
-    while widest < max(n - 1, 1) and positions * base ** (widest + 1) * labels < 2**63:
-        widest += 1
-    if not widest:
+    if positions * base * labels >= 2**63:
         raise ValueError(f"{positions} positions, {base - 1} symbols and {labels} labels overflow int64 keys")
-    chunks = -(-(n - 1) // widest)  # 0 for n = 1
-    size, longer = divmod(n - 1, max(chunks, 1))
-    return (size + 1,) * longer + (size,) * (chunks - longer) + (1,)
+    chunks = min(n - 1, 1)
+    while True:  # ends by n - 1 chunks of one symbol, whose keys fit if the last level's do
+        size, longer = divmod(n - 1, max(chunks, 1))
+        widths = (size + 1,) * longer + (size,) * (chunks - longer)
+        if all((positions if k else 1) * base**w < 2**63 for k, w in enumerate(widths)):
+            return widths + (1,)
+        chunks += 1
+
+
+def _history_entries(starts: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Each n-gram entry's entry in its history's row, which has the same labels,
+    counted from the first history entry: from the table's row `starts` (its
+    `offsets` in a signed type) and each n-gram row's history row, `parent`.
+    In int32 below `_INT32_ROWS` entries, to keep the peak of a train or a load low."""
+    grams = len(parent) + 1  # with the sentinel
+    hits, dtype = starts[grams], np.int32 if starts[-1] < _INT32_ROWS else np.int64
+    at = np.repeat((starts[grams + parent] - starts[: grams - 1] - hits).astype(dtype), np.diff(starts[:grams]))
+    at += np.arange(hits, dtype=dtype)
+    return at
 
 
 def _model(
@@ -412,16 +432,12 @@ def _model(
     offsets: np.ndarray,
     misses: np.ndarray,
     counts: np.ndarray,
+    at: np.ndarray,
 ) -> NgramModel:
-    """The model of a table's levels, row `offsets`, history entry labels (`misses`)
-    and n-gram entry counts. The n-gram entries' labels, the narrowest integer
-    types and the log terms (by `_logs`) are made here, all in new arrays."""
-    grams, hits = len(levels[-1]), len(counts)
-    starts = offsets.astype(np.intp, copy=False)
-    # Each n-gram entry's entry in its history's row, which has the same labels.
-    parent = levels[-1][:-1] // (charset.size + 1)
-    at = np.arange(hits) + np.repeat(starts[grams + parent] - starts[: grams - 1] - hits, np.diff(starts[:grams]))
-    del starts, parent
+    """The model of a table's levels, row `offsets`, history entry labels (`misses`),
+    n-gram entry counts and each one's history entry (`at`, `_history_entries`).
+    The n-gram entries' labels, the narrowest integer types and the log terms
+    (by `_logs`) are made here, all in new arrays."""
     cols = misses.astype(np.min_scalar_type(len(labels) - 1))
     cols = np.concatenate((cols[at], cols))
     logs = _logs(config, charset, at, counts, len(misses))  # each count is below 2**53 if this passes
@@ -558,9 +574,11 @@ def load(path) -> NgramModel:
     return read_model(path, MAGIC, _VERSION, _parse_v4)
 
 
-def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int, ...], list]:
-    """The widths and the levels, with their sentinels, of a v4 payload."""
+def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int, ...], list, np.ndarray]:
+    """The widths and the levels, with their sentinels, of a v4 payload, and each
+    n-gram row's history row (its parent in the last level)."""
     base = charset.size + 1
+    part = max(int(math.log(2**32 - 1, base)), 1)  # base**part fits in uint32
     widths = tuple(r.array("<u4").tolist())
     if not widths or min(widths) < 1 or sum(widths) != config.n or widths[-1] != 1:
         raise ModelIOError(f"level widths that do not split {config.n} symbols, the last alone")
@@ -583,15 +601,21 @@ def _levels(r: Reader, config: NgramConfig, charset: Charset) -> tuple[tuple[int
         # 0, comes only before every other symbol, so a 0 follows only 0s,
         # within a chunk and across chunks, and never ends an n-gram. (Floor
         # division by a scalar, in the narrowest type, is several times faster
-        # than np.divmod or %.)
-        chunk, marks = (keys - parent * scale).astype(np.min_scalar_type(scale)), []
+        # than np.divmod or %, so the digits come out of parts of at most
+        # `part` digits, each in its own narrowest type: uint32 for most.)
+        chunk, marks = keys - parent * scale, []
         # One pass clears a sound last level: its one digit ends an n-gram, so is never a marker.
         if k == len(widths) - 1 and chunk.all():
-            return widths, [*levels, np.append(keys, _SENTINEL)]
-        for _ in range(width):
-            rest = chunk // base
-            marks.append(rest * base == chunk)
-            chunk = rest
+            return widths, [*levels, np.append(keys, _SENTINEL)], parent
+        for low in range(0, width, part):
+            digits = min(part, width - low)
+            higher = chunk // base**digits if low + part < width else 0
+            lower = (chunk - higher * base**digits).astype(np.min_scalar_type(base**digits))
+            for _ in range(digits):
+                rest = lower // base
+                marks.append(rest * base == lower)
+                lower = rest
+            chunk = higher
         marks.append(last[parent])
         if any(np.any(mark & ~before) for mark, before in zip(marks, marks[1:])):
             raise ModelIOError(f"level {k + 1}: a beginning-of-text marker after a symbol")
@@ -612,7 +636,7 @@ def _parse_v4(r: Reader) -> NgramModel:
         raise ModelIOError("model has no labels")
     config = NgramConfig(n, alpha)
     config.check_charset(charset)
-    widths, levels = _levels(r, config, charset)
+    widths, levels, parent = _levels(r, config, charset)
     offsets, cols, counts = r.uints(), r.uints(), r.uints()
     # G n-gram rows, then H history rows; each level's last row is its
     # sentinel, but for n = 1 the one row is the empty prefix.
@@ -626,7 +650,7 @@ def _parse_v4(r: Reader) -> NgramModel:
     spans, runs = lengths[: grams - 1], lengths[grams:]
     if lengths[grams - 1] or (sentinel and runs[-1]) or not runs[: len(runs) - sentinel].all():
         raise ModelIOError("a sentinel row with entries or a history row without")
-    hits, parent = starts[grams], levels[-1][:-1] // (charset.size + 1)
+    hits = starts[grams]
     if np.any(spans != runs[parent]):
         raise ModelIOError("an n-gram row with other labels than its history's")
     misses = cols[hits:]
@@ -641,8 +665,10 @@ def _parse_v4(r: Reader) -> NgramModel:
         raise ModelIOError("an n-gram with no count")
     if np.bincount(misses, minlength=len(labels)).min() == 0:
         raise ModelIOError("a label with no n-grams")
-    del starts, lengths, spans, runs, parent, first, nonzero  # not held through `_model`, the peak of a load
-    model = _model(config, charset, labels, widths, levels, offsets, misses, counts)
+    del lengths, spans, runs, first, nonzero
+    at = _history_entries(starts, parent)
+    del starts, parent  # not held through `_model`, the peak of a load
+    model = _model(config, charset, labels, widths, levels, offsets, misses, counts, at)
     # A trained model of this table has the same n-gram labels and types, so
     # that a save writes the same bytes; its arrays are not views of the file.
     if np.any(cols[:hits] != model.cols[:hits]):

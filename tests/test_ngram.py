@@ -491,16 +491,17 @@ class TestReferenceScorer:
 
 class TestChunkedLevels:
     def test_width_rule(self):
-        # the benchmark's seed-1 corpus: V = 510, 235,802 positions, 12 labels,
-        # so chunks of up to 4 symbols fit
-        assert 235_802 * 511**4 * 12 < 2**63 <= 235_802 * 511**5 * 12
+        # the benchmark's seed-1 corpus: V = 510, 235,802 positions, 12 labels, so
+        # the first level's chunk takes up to 7 symbols and a later one up to 5
+        assert 511**7 < 2**63 <= 511**8
+        assert 235_802 * 511**5 < 2**63 <= 235_802 * 511**6
         assert [ngram._widths(n, 235_802, 511, 12) for n in (1, 2, 4, 5, 7, 8, 9, 10)] == [
-            (1,), (1, 1), (3, 1), (4, 1), (3, 3, 1), (4, 3, 1), (4, 4, 1), (3, 3, 3, 1)]
+            (1,), (1, 1), (3, 1), (4, 1), (6, 1), (7, 1), (4, 4, 1), (5, 4, 1)]
         # at most n - 1 symbols however few positions there are
         assert ngram._widths(64, 1, 2, 1) == (32, 31, 1)
-        # only w = 1 fits
+        # past the first level only w = 1 fits, but the first still takes 6 symbols
         most = (2**63 - 1) // (511 * 12)
-        assert ngram._widths(7, most, 511, 12) == (1,) * 7
+        assert ngram._widths(7, most, 511, 12) == (6, 1)
         assert ngram._widths(3, most // 511, 511, 12) == (2, 1)
         # nothing fits: the keys of one symbol and a label overflow int64
         with pytest.raises(ValueError, match="overflow int64"):
@@ -537,6 +538,27 @@ class TestChunkedLevels:
             for text in texts:
                 scores, again = model.classify(text).per_label, twin.classify(text).per_label
                 assert {k: v.hex() for k, v in scores.items()} == {k: v.hex() for k, v in again.items()}
+
+    def test_file_of_the_earlier_split_loads_and_scores_the_same(self, tmp_path, monkeypatch):
+        # a 7-gram saved when `_widths` bounded the first level as the others, which
+        # split the benchmark's 6 history symbols 3 + 3
+        corpus = word_corpus(20, 30, seed=7)
+        charset = build_charset(corpus)
+        path, again = tmp_path / "split.lidn", tmp_path / "again.lidn"
+        with monkeypatch.context() as patch:
+            patch.setattr(ngram, "_widths", lambda *_: (3, 3, 1))
+            ngram.train(corpus, NgramConfig(7), charset).save(path)
+        model = ngram.train(corpus, NgramConfig(7), charset)
+        loaded = ngram.load(path)
+        assert model.widths == (6, 1) and loaded.widths == (3, 3, 1) and len(loaded.levels) == 3
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        seen = corpus.instances[3].text
+        # seen text, unseen histories (the text reversed) and unseen characters
+        texts = [seen, seen[::-1], "\u2603" + seen[:25] + "\u2603\u2604" + seen[25:]]
+        for got, expected in zip(loaded.classify_many(texts), model.classify_many(texts), strict=True):
+            assert {k: v.hex() for k, v in got.per_label.items()} == \
+                {k: v.hex() for k, v in expected.per_label.items()}
 
 
 class TestLevelSorts:
@@ -1038,6 +1060,10 @@ class TestSaveLoad:
         # (a, <s>, b), with the marker after a symbol: inside a chunk, and across two levels
         pytest.param(3, (2, 1), [[4], [2]], "marker after", id="marker-after-symbol-in-chunk"),
         pytest.param(3, (1, 1, 1), [[1], [0], [2]], "marker after", id="marker-after-symbol"),
+        # a chunk of 17 base-4 digits is checked in parts of 2 and 15 digits: a marker after
+        # a symbol across the parts, and three markers then symbols across them, which pass
+        pytest.param(18, (17, 1), [[4**15]], "marker after", id="marker-after-symbol-across-parts"),
+        pytest.param(18, (17, 1), [[4**14 - 1], []], "level 2: keys", id="markers-across-parts"),
         # (<s>, <s>) ends in the marker
         pytest.param(2, (1, 1), [[0], [0]], "ending in the", id="gram-ends-in-marker"),
     ])

@@ -22,8 +22,11 @@ def test_scale_prints_each_step():
             "assert 'numpy' not in sys.modules, 'the scale process imported numpy'")
     done = subprocess.run([sys.executable, "-c", code, str(TOOLS)], capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
-    assert sorted(report) == ["dump", "eval", "file_bytes", "load", "n", "per_label", "score", "table_bytes", "train"]
+    assert sorted(report) == ["dump", "eval", "file_bytes", "load", "n", "per_label", "score", "table_bytes", "train",
+                              "widths"]
     assert (report["per_label"], report["n"]) == (2, 7)
+    # the levels the figures measured: a few dozen positions fit all 6 history symbols in one
+    assert report["widths"] == [6, 1]
     assert sorted(report["train"]) == sorted(report["load"]) == sorted(report["score"]) == \
         ["peak_mib", "traced_mib", "wall_s"]
     assert sorted(report["dump"]) == ["bytes", "peak_mib", "traced_mib", "wall_s"]

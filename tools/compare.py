@@ -1,6 +1,11 @@
 """Paired benchmark runs of two commits: the before/after figures of a change.
 
     python3 tools/compare.py BASE [HEAD]     # HEAD defaults to the checkout's HEAD
+    python3 tools/compare.py REV REV         # the noise floor: one commit against itself
+
+One commit given twice is the noise-floor run: every ratio then measures
+only the host's drift and the run order, so a change claims an effect on a
+metric only beyond what that run reads for it.
 
 Exports both commits with `git archive` into `base/` and `head/` of one
 temporary directory, so that the two trees' paths have the same length (the

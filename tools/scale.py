@@ -19,13 +19,15 @@ and prints one JSON object: each step's wall time and its own peak resident
 size (the first child's `ru_maxrss`, from `os.wait4`) and its traced peak
 (`traced_mib`: the tracemalloc peak of the second child, which starts the
 tracer before it imports lident), the bytes the dump printed, the loaded
-table's bytes, the model file's bytes and the eval accuracy. The traced
-peak counts what the step's Python code and numpy allocate; the resident
-one also counts the interpreter and numpy themselves, and moves with the
-heap's placement from run to run. The load's transient peak sits above
-what scoring adds, so eval's traced peak is the load's; score's starts
-after the load (its wall time and resident peak do not), and holds the
-loaded model and the texts with scoring's working memory. The corpus seed
+table's bytes and its level `widths` (from the dump), the model file's
+bytes and the eval accuracy: the widths name the layout each figure
+measured. The traced peak counts what the step's Python code and numpy
+allocate; the resident one also counts the interpreter and numpy
+themselves, and moves with the heap's placement from run to run. The
+load's transient peak sits above what scoring adds, so eval's traced peak
+is the load's; score's starts after the load (its wall time and resident
+peak do not), and holds the loaded model and the texts with scoring's
+working memory. The corpus seed
 is fixed at 7, the seed of the README's figures. The children run the
 package under `src/` of this checkout.
 
@@ -121,6 +123,7 @@ def scale(per_label: int, work: Path) -> dict:
         "eval": {**evaluation, "accuracy": json.loads(report)["accuracy"]},
         "score": score,
         "table_bytes": json.loads(table_bytes),
+        "widths": json.loads(summary)["widths"],
         "file_bytes": model.stat().st_size,
     }
 
